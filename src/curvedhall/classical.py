@@ -10,7 +10,7 @@ are verified to be Euclidean circles by a least-squares fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,30 +41,45 @@ class Trajectory:
     states: tuple
     domain_exit: bool = False
 
-    def arrays(self):
-        out = np.array([[s.t, s.x, s.y, s.px, s.py] for s in self.states])
-        return out.T
+
+def _rhs(x, y, px, py, a, beta):
+    y2 = y * y
+    inv = 1.0 / (2.0 * a * a)
+    return ((y2 * px + beta * y) * inv, y2 * py * inv, 0.0,
+            -(y * (px * px + py * py) + beta * px) * inv)
 
 
 def hamilton_rhs(s, a, beta):
     """(xdot, ydot, pxdot, pydot); p_x is exactly conserved."""
     if not s.y > 0:
         raise DomainError("y must be positive")
-    y2 = s.y * s.y
-    inv = 1.0 / (2.0 * a * a)
-    return (
-        (y2 * s.px + beta * s.y) * inv,
-        y2 * s.py * inv,
-        0.0,
-        -(s.y * (s.px * s.px + s.py * s.py) + beta * s.px) * inv,
-    )
+    return _rhs(s.x, s.y, s.px, s.py, a, beta)
 
 
-def _rhs_raw(x, y, px, py, a, beta):
-    y2 = y * y
-    inv = 1.0 / (2.0 * a * a)
-    return ((y2 * px + beta * y) * inv, y2 * py * inv, 0.0,
-            -(y * (px * px + py * py) + beta * px) * inv)
+def _rk4_step(x, y, px, py, a, beta, h):
+    """One classic RK4 step: the next (x, y, px, py), or None once a stage
+    or the result leaves the upper half-plane."""
+    k1 = _rhs(x, y, px, py, a, beta)
+    y2 = y + 0.5 * h * k1[1]
+    if y2 <= 0:
+        return None
+    k2 = _rhs(x + 0.5 * h * k1[0], y2, px + 0.5 * h * k1[2],
+              py + 0.5 * h * k1[3], a, beta)
+    y3 = y + 0.5 * h * k2[1]
+    if y3 <= 0:
+        return None
+    k3 = _rhs(x + 0.5 * h * k2[0], y3, px + 0.5 * h * k2[2],
+              py + 0.5 * h * k2[3], a, beta)
+    y4 = y + h * k3[1]
+    if y4 <= 0:
+        return None
+    k4 = _rhs(x + h * k3[0], y4, px + h * k3[2], py + h * k3[3], a, beta)
+    y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    if y <= 0:
+        return None
+    return (x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]), y,
+            px + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+            py + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
 
 
 def integrate_rk4(s0, a, beta, dt, steps):
@@ -76,30 +91,12 @@ def integrate_rk4(s0, a, beta, dt, steps):
     states = [s0]
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     t = s0.t
-    h = dt
     for _ in range(steps):
-        k1 = _rhs_raw(x, y, px, py, a, beta)
-        y2 = y + 0.5 * h * k1[1]
-        if y2 <= 0:
+        nxt = _rk4_step(x, y, px, py, a, beta, dt)
+        if nxt is None or not all(math.isfinite(v) for v in nxt):
             return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
-        k2 = _rhs_raw(x + 0.5 * h * k1[0], y2, px + 0.5 * h * k1[2],
-                      py + 0.5 * h * k1[3], a, beta)
-        y3 = y + 0.5 * h * k2[1]
-        if y3 <= 0:
-            return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
-        k3 = _rhs_raw(x + 0.5 * h * k2[0], y3, px + 0.5 * h * k2[2],
-                      py + 0.5 * h * k2[3], a, beta)
-        y4 = y + h * k3[1]
-        if y4 <= 0:
-            return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
-        k4 = _rhs_raw(x + h * k3[0], y4, px + h * k3[2], py + h * k3[3], a, beta)
-        x += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        px += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        py += h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        t += h
-        if y <= 0 or not all(math.isfinite(v) for v in (x, y, px, py)):
-            return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
+        x, y, px, py = nxt
+        t += dt
         states.append(PhaseState(t, x, y, px, py))
     return Trajectory(a, beta, dt, tuple(states))
 
@@ -108,8 +105,7 @@ def conserved_values(s, a, beta):
     """(H, L1, L2, L3), the energy and the three Noether charges.
 
     L2 is the translation charge p_x (the choice that closes the bracket
-    algebra; see the identity suite).  The p_y candidate is
-    available through ``conserved_values_both``.
+    algebra; see the identity suite).
     """
     if not s.y > 0:
         raise DomainError("y must be positive")
@@ -120,12 +116,6 @@ def conserved_values(s, a, beta):
     L2 = s.px
     L3 = (y2 - s.x * s.x) * s.px - 2 * s.x * s.y * s.py + 2 * beta * s.y
     return H, L1, L2, L3
-
-
-def conserved_values_both(s, a, beta):
-    """As conserved_values, but reporting both translation candidates."""
-    H, L1, L2, L3 = conserved_values(s, a, beta)
-    return {"H": H, "L1": L1, "L2_px": L2, "L2_py": s.py, "L3": L3}
 
 
 def drift_summary(traj):
@@ -185,21 +175,11 @@ def estimate_period(s0, a, beta, probe_dt=1e-3, max_steps=200_000):
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     prev = math.atan2(y - cy, x - cx)
     acc = 0.0
-    h = probe_dt
     for i in range(1, max_steps + 1):
-        k1 = _rhs_raw(x, y, px, py, a, beta)
-        k2 = _rhs_raw(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
-                      px + 0.5 * h * k1[2], py + 0.5 * h * k1[3], a, beta)
-        k3 = _rhs_raw(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
-                      px + 0.5 * h * k2[2], py + 0.5 * h * k2[3], a, beta)
-        k4 = _rhs_raw(x + h * k3[0], y + h * k3[1],
-                      px + h * k3[2], py + h * k3[3], a, beta)
-        x += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        px += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        py += h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        if y <= 0:
+        nxt = _rk4_step(x, y, px, py, a, beta, probe_dt)
+        if nxt is None:
             raise DomainError("orbit left the domain; not bounded")
+        x, y, px, py = nxt
         th = math.atan2(y - cy, x - cx)
         d = th - prev
         if d > math.pi:

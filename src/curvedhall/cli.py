@@ -7,7 +7,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import classical, manybody, models, numverify, spectra
@@ -15,19 +14,27 @@ from . import classical, manybody, models, numverify, spectra
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
 def _parse_range(text):
-    """'0..4' -> [0, 1, 2, 3, 4]; '3' -> [3]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """'0..4' -> [0, 1, 2, 3, 4]; '3' -> [3].  An argparse ``type``, so a
+    malformed range is a usage error."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a range LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
+
+
+def _parse_levels(text):
+    """'all' or a range for ``_parse_range``."""
+    return text if text == "all" else _parse_range(text)
 
 
 def _emit(text, out_path):
@@ -53,6 +60,7 @@ def _build_parser():
     v.add_argument("--strict", action="store_true",
                    help="count the documented expansion diff as a failure")
     v.add_argument("--out")
+    v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("spectrum", help="closed-form energy levels")
     s.add_argument("--geometry", choices=("flat", "halfplane", "sphere"),
@@ -61,14 +69,17 @@ def _build_parser():
     s.add_argument("--out")
     s.add_argument("--omega-c", type=float, default=1.0)
     s.add_argument("--hbar", type=float, default=1.0)
-    s.add_argument("--n", help="flat Landau index or range, e.g. 0..2")
+    s.add_argument("--n", type=_parse_range,
+                   help="flat Landau index or range, e.g. 0..2")
     s.add_argument("--beta", type=float)
     s.add_argument("--m", type=float, default=1.0)
     s.add_argument("--a", type=float, default=1.0)
-    s.add_argument("--levels", help="half-plane l, range, or 'all'")
+    s.add_argument("--levels", type=_parse_levels,
+                   help="half-plane l, range, or 'all'")
     s.add_argument("--k", type=int)
     s.add_argument("--rho", type=float, default=1.0)
-    s.add_argument("--l", help="sphere l or range")
+    s.add_argument("--l", type=_parse_range, help="sphere l or range")
+    s.set_defaults(func=_cmd_spectrum)
 
     t = sub.add_parser("trajectory", help="integrate the classical motion")
     t.add_argument("--x0", type=float, default=0.0)
@@ -80,6 +91,7 @@ def _build_parser():
     t.add_argument("--dt", type=float, required=True)
     t.add_argument("--steps", type=int, required=True)
     t.add_argument("--out")
+    t.set_defaults(func=_cmd_trajectory)
 
     o = sub.add_parser("oracle", help="finite-difference bound-state solver")
     o.add_argument("--beta", type=float, required=True)
@@ -90,6 +102,7 @@ def _build_parser():
     o.add_argument("--m", type=float, default=1.0)
     o.add_argument("--a", type=float, default=1.0)
     o.add_argument("--out")
+    o.set_defaults(func=_cmd_oracle)
 
     e = sub.add_parser("eigenfunction", help="sample a bound eigenfunction")
     e.add_argument("--beta", type=float, required=True)
@@ -99,16 +112,18 @@ def _build_parser():
     e.add_argument("--y", required=True,
                    help="y value or comma-separated list")
     e.add_argument("--out")
+    e.set_defaults(func=_cmd_eigenfunction)
 
     lg = sub.add_parser("laughlin", help="evaluate the pair-product state")
     lg.add_argument("--m", type=int, required=True)
     lg.add_argument("--config", required=True,
                     help="JSON file {\"z0\": r, \"points\": [[re, im], ...]}")
     lg.add_argument("--out")
+    lg.set_defaults(func=_cmd_laughlin)
     return p
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, parser):
     reports = models.run_identity_suite()
     _emit(models.render_suite(reports, fmt=args.format), args.out)
     bad = [r for r in reports if r.status == "fail"]
@@ -128,15 +143,13 @@ def _cmd_spectrum(args, parser):
         if args.n is None:
             parser.error("flat geometry needs --n")
         lines = [spectra.landau_flat(n, args.omega_c, args.hbar)
-                 for n in _parse_range(args.n)]
+                 for n in args.n]
         params = {"omega_c": args.omega_c, "hbar": args.hbar}
     elif args.geometry == "halfplane":
         if args.beta is None or args.levels is None:
             parser.error("halfplane geometry needs --beta and --levels")
-        if args.levels == "all":
-            ls = spectra.halfplane_window(args.beta)
-        else:
-            ls = _parse_range(args.levels)
+        ls = (spectra.halfplane_window(args.beta) if args.levels == "all"
+              else args.levels)
         lines = [spectra.landau_halfplane(args.beta, l, args.m, args.a)
                  for l in ls]
         params = {"beta": args.beta, "m": args.m, "a": args.a}
@@ -144,7 +157,7 @@ def _cmd_spectrum(args, parser):
         if args.k is None or args.l is None:
             parser.error("sphere geometry needs --k and --l")
         lines = [spectra.sphere_spectrum(l, args.k, args.rho)
-                 for l in _parse_range(args.l)]
+                 for l in args.l]
         params = {"k": args.k, "rho": args.rho}
     if args.format == "json":
         _emit(spectra.spectrum_json(args.geometry, params, lines), args.out)
@@ -174,7 +187,7 @@ def _cmd_trajectory(args, parser):
     return EXIT_OK
 
 
-def _cmd_oracle(args):
+def _cmd_oracle(args, parser):
     grid = numverify.FDGrid(args.smin, args.smax, args.points)
     spec = numverify.whittaker_oracle(args.beta, grid, args.levels,
                                       m=args.m, a=args.a)
@@ -184,7 +197,7 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
-def _cmd_eigenfunction(args):
+def _cmd_eigenfunction(args, parser):
     ys = [float(v) for v in str(args.y).split(",")]
     rows = ["x,y,re,im,abs"]
     for y in ys:
@@ -196,7 +209,7 @@ def _cmd_eigenfunction(args):
     return EXIT_OK
 
 
-def _cmd_laughlin(args):
+def _cmd_laughlin(args, parser):
     with open(args.config) as fh:
         cfg = manybody.ParticleConfig.from_json(fh.read())
     val = manybody.laughlin(cfg, args.m)
@@ -209,29 +222,12 @@ def _cmd_laughlin(args):
 
 def main(argv=None):
     parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        # argparse exits 2 on usage errors already; normalize anything else
-        raise SystemExit(EXIT_USAGE if ex.code not in (0,) else 0)
-    try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args, parser)
-        if args.command == "trajectory":
-            return _cmd_trajectory(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "eigenfunction":
-            return _cmd_eigenfunction(args)
-        if args.command == "laughlin":
-            return _cmd_laughlin(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args, parser)
     except (ValueError, RuntimeError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

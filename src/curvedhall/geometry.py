@@ -47,9 +47,6 @@ class Metric2D:
     factor: RationalFunc         # conformal factor, exact
     param_values: dict = field(default_factory=dict)
 
-    def sqrt_g(self):
-        return self.factor * self.factor
-
     def inside(self, point):
         x, y = point
         if self.kind == "halfplane":

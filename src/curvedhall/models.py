@@ -21,7 +21,7 @@ Two convention questions are settled empirically rather than assumed:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
@@ -314,10 +314,6 @@ class IdentityReport:
     residual: object = None          # DiffOp / PhasePoly, zero on pass
     rendered: str = ""
     note: str = ""
-
-    @property
-    def passed(self):
-        return self.status == EXACT_PASS
 
     def as_dict(self):
         return {"name": self.name, "status": self.status,

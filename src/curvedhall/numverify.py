@@ -21,7 +21,10 @@ from .errors import (NonNormalizableError, ResolutionError, SingularityError)
 
 @dataclass(frozen=True)
 class FDGrid:
-    """Uniform interior grid on (s_min, s_max) with Dirichlet endpoints."""
+    """Uniform lattice s_k = h k, k = 1..n_points, h = s_max/(n_points+1),
+    with Dirichlet ends at s = 0 and s = s_max.  ``s_min`` is not a grid
+    parameter: it is the excluded neighbourhood of the singular point
+    s = 0 and must lie below the first node."""
 
     s_min: float
     s_max: float
@@ -32,13 +35,13 @@ class FDGrid:
             raise ValueError("need 0 < s_min < s_max")
         if self.n_points < 100:
             raise ValueError("n_points must be >= 100")
+        if self.s_min >= self.h:
+            raise ValueError(
+                "s_min excludes the first lattice node; lower it or coarsen")
 
     @property
     def h(self):
-        return (self.s_max - self.s_min) / (self.n_points + 1)
-
-    def nodes(self):
-        return self.s_min + self.h * np.arange(1, self.n_points + 1)
+        return self.s_max / (self.n_points + 1)
 
 
 @dataclass(frozen=True)
@@ -200,17 +203,13 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     vanishes like s^{1/2+n}; a wall at any s0 > 0 instead shifts the
     shallowest eigenvalue by O(s0^{2n}), which for n = 1/2 is linear in
     s0 and would swamp the O(h^2) scheme error.  ``grid.s_min`` is the
-    excluded singular neighborhood and must lie below the first lattice
-    node.
+    excluded singular neighborhood, below the first lattice node.
     """
     if not beta > 0.5:
         raise ValueError("beta must exceed 1/2 for any bound state")
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
-    h = grid.s_max / (grid.n_points + 1)
-    if grid.s_min >= h:
-        raise ValueError(
-            "s_min excludes the first lattice node; lower it or coarsen")
+    h = grid.h
     s = h * np.arange(1, grid.n_points + 1)
     inv_h2 = 1.0 / (h * h)
     diag = s * s * (2.0 * inv_h2 + 0.25) - beta * s
@@ -249,7 +248,7 @@ def oracle_report(spec, analytic):
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson(f, a, b, fa, fm, fb):
+def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -257,8 +256,8 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
-    left = _simpson(f, a, m, fa, flm, fm)
-    right = _simpson(f, m, b, fm, frm, fb)
+    left = _simpson(a, m, fa, flm, fm)
+    right = _simpson(m, b, fm, frm, fb)
     if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
     return (_adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
@@ -267,7 +266,7 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=40):
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = _simpson(f, a, b, fa, fm, fb)
+    whole = _simpson(a, b, fa, fm, fb)
     return _adaptive(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 

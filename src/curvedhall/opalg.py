@@ -197,10 +197,12 @@ class Ring:
             and self.vars == other.vars
             and self.laurent == other.laurent
             and self.params == other.params
+            and self.power_rules == other.power_rules
         )
 
     def __hash__(self):
-        return hash((self.vars, self.laurent, self.params))
+        return hash((self.vars, self.laurent, self.params,
+                     frozenset(self.power_rules.items())))
 
     def zero(self):
         return LaurentPoly(self, {})
@@ -221,13 +223,6 @@ class Ring:
 
     def monomial(self, exps, coeff=1):
         return LaurentPoly(self, {tuple(exps): GaussianRational.coerce(coeff)})
-
-    def poly(self, terms):
-        """Build from {(exponents): coeff} or {name-string: coeff} shorthand."""
-        out = self.zero()
-        for key, coeff in terms.items():
-            out = out + self.monomial(key, coeff)
-        return out
 
 
 def _grlex_key(exps):
@@ -386,9 +381,6 @@ class LaurentPoly:
             {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
         )
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def eval(self, values):
         """Numeric evaluation; every variable present must get a value."""
         out = 0j
@@ -415,7 +407,7 @@ class LaurentPoly:
                     continue
                 img = images.get(var)
                 if img is None:
-                    img = RationalFunc.from_poly(tgt.var(var))
+                    img = RationalFunc(tgt.var(var))
                 term = term * img ** e
             out = out + term
         return out
@@ -535,10 +527,6 @@ class RationalFunc:
         self.den = tuple(reduced)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
 
     @classmethod
     def const(cls, ring, c):
@@ -662,8 +650,9 @@ class RationalFunc:
         # cross-multiplied comparison: a/b = c/d  <=>  a*d - c*b = 0
         return (self.num * other.den_poly() - other.num * self.den_poly()).is_zero
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # __eq__ cross-multiplies, so equal values can differ in representation
+    # and no hash of the representation agrees with it
+    __hash__ = None
 
     def eval(self, values):
         out = self.num.eval(values)
@@ -839,9 +828,6 @@ class DiffOp:
     def __hash__(self):
         return hash((self.ring, self.geom_vars, frozenset(self.terms)))
 
-    def degree(self):
-        return max((sum(a) for a in self.terms), default=0)
-
     # -- actions -----------------------------------------------------------
 
     def apply_rf(self, f):
@@ -901,24 +887,8 @@ class DiffOp:
 
 
 # ---------------------------------------------------------------------------
-# module-level entry points
+# phase-space Poisson bracket
 # ---------------------------------------------------------------------------
-
-def dop_compose(A, B):
-    return A * B
-
-
-def dop_commutator(A, B):
-    return A.commutator(B)
-
-
-def dop_equals(A, B):
-    return A == B
-
-
-def dop_apply_poly(A, f):
-    return A.apply_poly(f)
-
 
 # PhasePoly is a LaurentPoly over a phase-space ring; the bracket only
 # needs to know which variables are coordinates and which are momenta.

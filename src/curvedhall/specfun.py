@@ -1,10 +1,10 @@
 """Special functions for the closed-form eigenfunctions.
 
-Pochhammer symbols, generalized Laguerre polynomials (three-term
-recurrence), the confluent hypergeometric series 1F1, and the regular
-Whittaker function M.  Double precision throughout; the truncating
-(polynomial) case of 1F1 is detected a priori from the first parameter,
-which is exactly where the bound states live.
+Generalized Laguerre polynomials (three-term recurrence), the confluent
+hypergeometric series 1F1, and the regular Whittaker function M.  Double
+precision throughout; the truncating (polynomial) case of 1F1 is detected
+a priori from the first parameter, which is exactly where the bound
+states live.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ class SeriesResult:
 
 def _is_nonpositive_int(v, tol=1e-12):
     return v <= 0.5 and abs(v - round(v)) < tol and round(v) <= 0
-
-
-def pochhammer(tau, n):
-    """(tau)_n = tau (tau+1) ... (tau+n-1); empty product is 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= tau + k
-    return out
 
 
 def laguerre(n, tau, z):
@@ -89,7 +79,7 @@ def hyp1f1(alpha, b, z, tol=1e-14):
         term *= ratio
         total += term
         k += 1
-        if not truncates and abs(term) < tol:
+        if abs(term) < tol:
             # crude geometric tail estimate once terms are decaying
             nxt = abs((alpha + k) * z / ((b + k) * (k + 1)))
             if nxt < 0.5:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoBoundStateError
@@ -28,15 +28,18 @@ class SpectrumLine:
     energy_exact: Fraction | None = None
 
 
-def _exactable(*values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def _coerce(args):
+    """All Fractions when every input is rational, else all floats.  The
+    formulas below are written once: their Fraction constants keep exact
+    inputs exact and turn into the same float literals otherwise."""
+    exact = all(isinstance(v, (int, Fraction)) for v in args)
+    return exact, [Fraction(v) if exact else float(v) for v in args]
 
 
-def _line(geometry, qn, exact_expr, float_expr, args):
-    if _exactable(*args):
-        e = exact_expr(*[Fraction(v) for v in args])
-        return SpectrumLine(geometry, qn, float(e), e)
-    return SpectrumLine(geometry, qn, float_expr(*[float(v) for v in args]), None)
+def _line(geometry, qn, expr, args):
+    exact, args = _coerce(args)
+    e = expr(*args)
+    return SpectrumLine(geometry, qn, float(e), e if exact else None)
 
 
 def landau_flat(n, omega_c=1, hbar=1):
@@ -44,9 +47,7 @@ def landau_flat(n, omega_c=1, hbar=1):
     if n < 0:
         raise ValueError("Landau index n must be nonnegative")
     return _line("flat", {"n": n},
-                 lambda w, h: (Fraction(2 * n + 1, 2)) * h * w,
-                 lambda w, h: (n + 0.5) * h * w,
-                 (omega_c, hbar))
+                 lambda w, h: (n + Fraction(1, 2)) * h * w, (omega_c, hbar))
 
 
 def halfplane_window(beta):
@@ -75,17 +76,14 @@ def landau_halfplane(beta, l, m=1, a=1):
         "halfplane", {"l": l, "beta": beta},
         lambda b, mm, aa: (b * b + Fraction(1, 4) - (l - b + Fraction(1, 2)) ** 2)
         / (2 * mm * aa * aa),
-        lambda b, mm, aa: (b * b + 0.25 - (l - b + 0.5) ** 2) / (2 * mm * aa * aa),
         (beta, m, a))
 
 
 def energy_from_whittaker_index(n, beta, m=1, a=1):
     """E = (1/2 m a^2)(1/4 - n^2 + beta^2); n = beta - l - 1/2 recovers
     the half-plane Landau formula exactly."""
-    if _exactable(n, beta, m, a):
-        n, beta, m, a = map(Fraction, (n, beta, m, a))
-        return float((Fraction(1, 4) - n * n + beta * beta) / (2 * m * a * a))
-    return (0.25 - float(n) ** 2 + float(beta) ** 2) / (2 * float(m) * float(a) ** 2)
+    _, (n, beta, m, a) = _coerce((n, beta, m, a))
+    return float((Fraction(1, 4) - n ** 2 + beta ** 2) / (2 * m * a ** 2))
 
 
 def sphere_spectrum(l, k, rho=1):
@@ -97,7 +95,6 @@ def sphere_spectrum(l, k, rho=1):
     return _line(
         "sphere", {"l": l, "k": k},
         lambda kk, rr: 2 * ((l - kk / 2) * (l - kk / 2 + 1) - kk * kk / 4) / (rr * rr),
-        lambda kk, rr: 2.0 * ((l - kk / 2) * (l - kk / 2 + 1) - kk * kk / 4) / (rr * rr),
         (k, rho))
 
 

@@ -68,6 +68,18 @@ def test_spectrum_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--geometry", "flat", "--n", "abc"],
+    ["spectrum", "--geometry", "flat", "--n", "4..2"],
+    ["spectrum", "--geometry", "sphere", "--k", "2", "--l", "x"],
+    ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "1..x"],
+])
+def test_malformed_range_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--frobnicate"])

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from curvedhall import models
-from curvedhall.opalg import dop_commutator, poisson_bracket
+from curvedhall.opalg import DeclarationError, Ring, poisson_bracket
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +81,25 @@ def test_classical_brackets_py_fails():
 def test_hamiltonian_commutes_with_generators():
     H = models.hamiltonian_halfplane()
     for Q in models.quantum_generators(H.ring):
-        assert dop_commutator(H, Q).terms == {}
+        assert H.commutator(Q).terms == {}
 
 
 def test_ladder_commutator_is_identity():
     a_op, a_dag = models.ladder_operators()
-    c = dop_commutator(a_op, a_dag)
+    c = a_op.commutator(a_dag)
     ring = a_op.ring
     # [a, a+] = 1 after the kappa^2 rewrite folds in all the constants
     assert list(c.terms) == [(0, 0)]
     assert c.terms[(0, 0)].num == ring.one()
+
+
+def test_ring_equality_includes_power_rules():
+    ring = models.ladder_ring()
+    bare = Ring(ring.vars, laurent=ring.laurent, params=ring.params)
+    assert bare != ring
+    # without the kappa^2 rewrite the product would silently stay kappa**2
+    with pytest.raises(DeclarationError):
+        ring.var("kappa") * bare.var("kappa")
 
 
 def test_sandwich_ordering_matches_expanded():

@@ -26,11 +26,15 @@ def psi_handle(beta, l, c):
 
 def test_grid_invariants():
     g = numverify.FDGrid(1e-3, 80.0, 1000)
-    assert g.h == pytest.approx((80.0 - 1e-3) / 1001)
+    # the spacing the oracle solves on: nodes h k, k = 1..n, Dirichlet at 0
+    assert g.h == 80.0 / 1001
     with pytest.raises(ValueError):
         numverify.FDGrid(1e-3, 80.0, 10)
     with pytest.raises(ValueError):
         numverify.FDGrid(-1.0, 80.0, 1000)
+    # s_min is the excluded neighbourhood of s = 0, below the first node
+    with pytest.raises(ValueError):
+        numverify.FDGrid(80.0 / 1001, 80.0, 1000)
 
 
 def test_fd_apply_polynomial_exact():

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,32 @@ def test_whittaker_index_consistency():
 def test_sphere_spectrum_values():
     vals = [spectra.sphere_spectrum(l, 2, 1).energy for l in range(3)]
     assert vals == [-2.0, -2.0, 2.0]
+
+
+def test_exact_and_float_inputs_share_one_formula():
+    # on inputs whose float steps are all exact but the last division, the
+    # float path equals the rounded exact value bit for bit
+    rng = random.Random(20261017)
+    for _ in range(200):
+        n, w = rng.randrange(20), rng.randrange(1, 50)
+        h = Fraction(rng.randrange(1, 9), 4)
+        beta = Fraction(rng.randrange(2, 40), 2)
+        l = rng.choice(spectra.halfplane_window(beta))
+        m, a = rng.randrange(1, 7), rng.randrange(1, 7)
+        k, ls = rng.randrange(-5, 10), rng.randrange(10)
+        rho = Fraction(rng.randrange(1, 9), 2)
+        pairs = [
+            (spectra.landau_flat(n, w, h),
+             spectra.landau_flat(n, float(w), float(h))),
+            (spectra.landau_halfplane(beta, l, m, a),
+             spectra.landau_halfplane(float(beta), l, float(m), float(a))),
+            (spectra.sphere_spectrum(ls, k, rho),
+             spectra.sphere_spectrum(ls, float(k), float(rho))),
+        ]
+        for exact, approx in pairs:
+            assert isinstance(exact.energy_exact, Fraction)
+            assert approx.energy_exact is None
+            assert float(exact.energy_exact).hex() == approx.energy.hex()
 
 
 def test_eigenfunction_reference_value():
