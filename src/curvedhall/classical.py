@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,6 +87,8 @@ def integrate_rk4(s0, a, beta, dt, steps):
     """Fixed-step RK4.  If the trajectory reaches y <= 0 the run halts and
     the partial trajectory is returned with ``domain_exit`` set (orbits
     tangent to the boundary are meaningful limits, not errors)."""
+    if not all(math.isfinite(v) for v in (a, beta, dt)):
+        raise ValueError("a, beta and dt must be finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
     states = [s0]
@@ -119,10 +122,14 @@ def conserved_values(s, a, beta):
 
 
 def drift_summary(traj):
-    """Max relative drift of each conserved scalar along the trajectory."""
+    """Max relative drift of each conserved scalar along the trajectory;
+    all NaN if any conserved value is NaN."""
     names = ("H", "L1", "L2", "L3")
     ref = conserved_values(traj.states[0], traj.a, traj.beta)
     vals = [conserved_values(s, traj.a, traj.beta) for s in traj.states]
+    if any(map(math.isnan, chain.from_iterable(vals))):
+        # max() below would drop the NaN and report a perfect drift
+        return dict.fromkeys(names, math.nan)
     # a charge whose exact value on the orbit is zero (the preset orbit has
     # L1 = 0) has no scale of its own; judge every charge against the
     # largest charge magnitude the orbit attains
@@ -165,9 +172,10 @@ def circle_fit(traj_or_points):
     return cx, cy, r, rms
 
 
-def estimate_period(s0, a, beta, probe_dt=1e-3, max_steps=200_000):
+def estimate_period(s0, a, beta, probe_dt=1e-3):
     """Angle-winding period estimate for a bounded orbit: integrate until
-    the polar angle about the fitted circle center accumulates 2 pi."""
+    the polar angle about the fitted circle center accumulates 2 pi, in at
+    most 200 000 probe steps."""
     warm = integrate_rk4(s0, a, beta, probe_dt, 2000)
     if warm.domain_exit:
         raise DomainError("probe trajectory left the domain; orbit not bounded")
@@ -175,7 +183,7 @@ def estimate_period(s0, a, beta, probe_dt=1e-3, max_steps=200_000):
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     prev = math.atan2(y - cy, x - cx)
     acc = 0.0
-    for i in range(1, max_steps + 1):
+    for i in range(1, 200_001):
         nxt = _rk4_step(x, y, px, py, a, beta, probe_dt)
         if nxt is None:
             raise DomainError("orbit left the domain; not bounded")

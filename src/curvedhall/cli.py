@@ -7,6 +7,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import classical, manybody, models, numverify, spectra
@@ -15,6 +16,23 @@ from . import classical, manybody, models, numverify, spectra
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_NUMERIC = 3
+
+
+def _finite_float(text):
+    """float() as an argparse ``type`` that also rejects nan and +-inf, so a
+    non-finite parameter is a usage error, not a silent nan downstream."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_floats(text):
+    """'1,2.5' -> [1.0, 2.5], each entry checked by ``_finite_float``."""
+    return [_finite_float(v) for v in text.split(",")]
 
 
 def _parse_range(text):
@@ -67,49 +85,49 @@ def _build_parser():
                    required=True)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out")
-    s.add_argument("--omega-c", type=float, default=1.0)
-    s.add_argument("--hbar", type=float, default=1.0)
+    s.add_argument("--omega-c", type=_finite_float, default=1.0)
+    s.add_argument("--hbar", type=_finite_float, default=1.0)
     s.add_argument("--n", type=_parse_range,
                    help="flat Landau index or range, e.g. 0..2")
-    s.add_argument("--beta", type=float)
-    s.add_argument("--m", type=float, default=1.0)
-    s.add_argument("--a", type=float, default=1.0)
+    s.add_argument("--beta", type=_finite_float)
+    s.add_argument("--m", type=_finite_float, default=1.0)
+    s.add_argument("--a", type=_finite_float, default=1.0)
     s.add_argument("--levels", type=_parse_levels,
                    help="half-plane l, range, or 'all'")
     s.add_argument("--k", type=int)
-    s.add_argument("--rho", type=float, default=1.0)
+    s.add_argument("--rho", type=_finite_float, default=1.0)
     s.add_argument("--l", type=_parse_range, help="sphere l or range")
     s.set_defaults(func=_cmd_spectrum)
 
     t = sub.add_parser("trajectory", help="integrate the classical motion")
-    t.add_argument("--x0", type=float, default=0.0)
-    t.add_argument("--y0", type=float, default=1.0)
-    t.add_argument("--px0", type=float, default=-1.0)
-    t.add_argument("--py0", type=float, default=0.0)
-    t.add_argument("--beta", type=float, default=4.0)
-    t.add_argument("--a", type=float, default=1.0)
-    t.add_argument("--dt", type=float, required=True)
+    t.add_argument("--x0", type=_finite_float, default=0.0)
+    t.add_argument("--y0", type=_finite_float, default=1.0)
+    t.add_argument("--px0", type=_finite_float, default=-1.0)
+    t.add_argument("--py0", type=_finite_float, default=0.0)
+    t.add_argument("--beta", type=_finite_float, default=4.0)
+    t.add_argument("--a", type=_finite_float, default=1.0)
+    t.add_argument("--dt", type=_finite_float, required=True)
     t.add_argument("--steps", type=int, required=True)
     t.add_argument("--out")
     t.set_defaults(func=_cmd_trajectory)
 
     o = sub.add_parser("oracle", help="finite-difference bound-state solver")
-    o.add_argument("--beta", type=float, required=True)
-    o.add_argument("--smin", type=float, default=1e-3)
-    o.add_argument("--smax", type=float, required=True)
+    o.add_argument("--beta", type=_finite_float, required=True)
+    o.add_argument("--smin", type=_finite_float, default=1e-3)
+    o.add_argument("--smax", type=_finite_float, required=True)
     o.add_argument("--points", type=int, required=True)
     o.add_argument("--levels", type=int, required=True)
-    o.add_argument("--m", type=float, default=1.0)
-    o.add_argument("--a", type=float, default=1.0)
+    o.add_argument("--m", type=_finite_float, default=1.0)
+    o.add_argument("--a", type=_finite_float, default=1.0)
     o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
     e = sub.add_parser("eigenfunction", help="sample a bound eigenfunction")
-    e.add_argument("--beta", type=float, required=True)
+    e.add_argument("--beta", type=_finite_float, required=True)
     e.add_argument("--l", type=int, required=True)
-    e.add_argument("--c", type=float, required=True)
-    e.add_argument("--x", type=float, default=0.0)
-    e.add_argument("--y", required=True,
+    e.add_argument("--c", type=_finite_float, required=True)
+    e.add_argument("--x", type=_finite_float, default=0.0)
+    e.add_argument("--y", type=_parse_floats, required=True,
                    help="y value or comma-separated list")
     e.add_argument("--out")
     e.set_defaults(func=_cmd_eigenfunction)
@@ -188,7 +206,14 @@ def _cmd_trajectory(args, parser):
 
 
 def _cmd_oracle(args, parser):
-    grid = numverify.FDGrid(args.smin, args.smax, args.points)
+    try:
+        grid = numverify.FDGrid(args.smin, args.smax, args.points)
+        count = spectra.halfplane_level_count(args.beta)
+    except ValueError as ex:
+        parser.error(str(ex))
+    if not 1 <= args.levels <= count:
+        parser.error(f"--levels must be between 1 and {count}, the number of "
+                     f"bound states 0 <= l < beta - 1/2 for beta={args.beta}")
     spec = numverify.whittaker_oracle(args.beta, grid, args.levels,
                                       m=args.m, a=args.a)
     analytic = [spectra.landau_halfplane(args.beta, l, args.m, args.a).energy
@@ -198,9 +223,8 @@ def _cmd_oracle(args, parser):
 
 
 def _cmd_eigenfunction(args, parser):
-    ys = [float(v) for v in str(args.y).split(",")]
     rows = ["x,y,re,im,abs"]
-    for y in ys:
+    for y in args.y:
         v = spectra.eigenfunction_halfplane(args.beta, args.l, args.c,
                                             (args.x, y))
         rows.append(f"{args.x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g},"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .opalg import DiffOp, I, LaurentPoly, RationalFunc, Ring
+from .opalg import DiffOp, I, RationalFunc, Ring
 
 HALFPLANE_PARAMS = ("beta", "a", "m")
 DISK_PARAMS = ("B", "rho", "m")
@@ -62,12 +62,8 @@ class Metric2D:
         return self.param_values[name]
 
     def factor_at(self, point):
-        vals = {"x": point[0], "y": point[1], "m": 1.0, **self.param_values}
-        if self.kind == "halfplane":
-            vals.setdefault("beta", 0.0)
-        if self.kind == "disk":
-            vals.setdefault("B", 0.0)
-        return self.factor.eval(vals).real
+        return self.factor.eval({"x": point[0], "y": point[1],
+                                 **self.param_values}).real
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,7 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
         op = sandwich * core * sandwich
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    half_inv_m = RationalFunc(ring.monomial(
-        tuple(-1 if v == "m" else 0 for v in ring.vars), Fraction(1, 2)))
+    half_inv_m = RationalFunc(ring.var("m", -1) * Fraction(1, 2))
     return DiffOp.mult(ring, GEOM, half_inv_m) * op
 
 

@@ -75,7 +75,7 @@ def laughlin(cfg, m):
     return acc * cfg.gaussian()
 
 
-def antisymmetry_check(cfg, m, rng=None):
+def antisymmetry_check(cfg, m):
     """True iff swapping the first two particles negates (odd m) or
     preserves (even m) the value, to machine precision."""
     if cfg.n < 2:

@@ -10,7 +10,6 @@ the cross-check the package exists for.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import product as _iterprod
 
@@ -68,16 +67,15 @@ _STENCILS = {
 }
 
 
-def fd_partial(f, coords, var, h, order=1):
-    """4th-order central difference of a scalar field along one variable."""
-    if order not in _STENCILS:
-        raise ValueError("stencils cover derivative orders 0..2")
+def fd_partial(f, coords, var, h):
+    """4th-order central first derivative of a scalar field along one
+    variable."""
     acc = 0j
-    for off, w in _STENCILS[order]:
+    for off, w in _STENCILS[1]:
         shifted = dict(coords)
         shifted[var] = coords[var] + off * h
         acc += w * f(shifted)
-    return acc / h ** order
+    return acc / h
 
 
 def fd_apply(H, f, point, h):
@@ -121,10 +119,11 @@ def residual_check(H, psi, energy, points, h):
     return worst
 
 
-def tuned_residual(H, psi, energy, points, hs=(1e-2, 3e-3, 1e-3)):
+def tuned_residual(H, psi, energy, points):
     """Best residual over a small ladder of step sizes (the FD error has
     an h^4 regime and a rounding plateau; the minimum sits between)."""
-    return min(residual_check(H, psi, energy, points, h) for h in hs)
+    return min(residual_check(H, psi, energy, points, h)
+               for h in (1e-2, 3e-3, 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +143,9 @@ def _sturm_count(d, e2, x):
     return count
 
 
-def tridiag_eigs(diag, offdiag, k, tol=1e-12, upper=None):
-    """k smallest eigenvalues of a symmetric tridiagonal matrix."""
+def tridiag_eigs(diag, offdiag, k, upper=None):
+    """k smallest eigenvalues of a symmetric tridiagonal matrix, each
+    bisected to a bracket of width 1e-12."""
     d = [float(v) for v in diag]
     e = [float(v) for v in offdiag]
     n = len(d)
@@ -173,7 +173,7 @@ def tridiag_eigs(diag, offdiag, k, tol=1e-12, upper=None):
     out = []
     for j in range(1, k + 1):
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > 1e-12:
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
@@ -264,10 +264,11 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
             + _adaptive(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
 
 
-def adaptive_simpson(f, a, b, tol=1e-12, max_depth=40):
+def adaptive_simpson(f, a, b):
+    """Adaptive Simpson rule to 1e-12, at most 40 bisections deep."""
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
     whole = _simpson(a, b, fa, fm, fb)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive(f, a, b, fa, fm, fb, whole, 1e-12, 40)
 
 
 def norm_quadrature(psi, beta, l, c, a=1.0, cutoff_scale=40.0):

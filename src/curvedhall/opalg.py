@@ -13,6 +13,12 @@ normalized result, so equality checks reduce to "does the difference
 normalize to zero".  Denominators stay in factored form (powers of a few
 irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
 and avoids multivariate GCDs.
+
+Mixed operands follow one lift rule: each layer's ``_lift`` turns a
+scalar or a lower-layer value into its own layer (``Ring.const``,
+``RationalFunc``, ``DiffOp.mult``), raises ``DeclarationError`` on a ring
+mismatch, and returns None for anything else, so the operator returns
+NotImplemented and a higher-layer right operand takes over.
 """
 
 from __future__ import annotations
@@ -24,6 +30,17 @@ from fractions import Fraction
 
 class DeclarationError(ValueError):
     """Raised when operands live over different variable declarations."""
+
+
+def _power(base, k, one):
+    """base**k for an integer k >= 0, by square-and-multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +88,10 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = self._try(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return self.coerce(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
         other = self._try(other)
@@ -103,24 +117,14 @@ class GaussianRational:
         return self.coerce(other) * self.inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self.inverse() if k < 0 else self, abs(k), ONE)
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
     def __eq__(self, other):
-        try:
-            other = self.coerce(other)
-        except TypeError:
+        other = self._try(other)
+        if other is None:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -272,14 +276,19 @@ class LaurentPoly:
 
     # -- ring ops ----------------------------------------------------------
 
-    def _check(self, other):
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self.ring.const(other)
+        if not isinstance(other, LaurentPoly):
+            return None
         if self.ring != other.ring:
             raise DeclarationError("operands declared over different rings")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.ring.const(other)
-        self._check(other)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             s = out.get(exps, ZERO) + coeff
@@ -295,18 +304,15 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.ring.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            return LaurentPoly(self.ring, {e: k * c for e, k in self.terms.items()})
-        self._check(other)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -323,21 +329,15 @@ class LaurentPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("use RationalFunc for negative polynomial powers")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.ring.one())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.ring.const(other)
-        if not isinstance(other, LaurentPoly):
+        if isinstance(other, LaurentPoly) and self.ring != other.ring:
+            return False
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -557,18 +557,15 @@ class RationalFunc:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other, ring):
-        if isinstance(other, RationalFunc):
-            return other
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return RationalFunc.const(self.ring, other)
         if isinstance(other, LaurentPoly):
             return RationalFunc(other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RationalFunc.const(ring, other)
-        return None
+        return other if isinstance(other, RationalFunc) else None
 
     def __add__(self, other):
-        other = self._coerce(other, self.ring)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         if self.den == other.den:
@@ -593,16 +590,13 @@ class RationalFunc:
         return RationalFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other, self.ring)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other, self.ring) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other, self.ring)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         den = dict(self.den)
@@ -618,19 +612,11 @@ class RationalFunc:
         return RationalFunc(self.den_poly(), ((self.num, 1),))
 
     def __truediv__(self, other):
-        return self * self._coerce(other, self.ring).inverse()
+        return self * self._lift(other).inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RationalFunc.const(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self.inverse() if k < 0 else self, abs(k),
+                      RationalFunc.const(self.ring, 1))
 
     def diff(self, var):
         out = RationalFunc(self.num.diff(var), self.den)
@@ -644,7 +630,7 @@ class RationalFunc:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other, self.ring)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         # cross-multiplied comparison: a/b = c/d  <=>  a*d - c*b = 0
@@ -704,19 +690,14 @@ class DiffOp:
                 coeff = RationalFunc(coeff)
             elif not isinstance(coeff, RationalFunc):
                 coeff = RationalFunc.const(ring, coeff)
+            if coeff.ring != ring:
+                raise DeclarationError("coefficient declared over another ring")
             if coeff.is_zero:
                 continue
             alpha = tuple(alpha)
             if len(alpha) != len(self.geom_vars) or any(a < 0 for a in alpha):
                 raise DeclarationError(f"bad derivative multi-index {alpha}")
-            if alpha in cleaned:
-                s = cleaned[alpha] + coeff
-                if s.is_zero:
-                    del cleaned[alpha]
-                else:
-                    cleaned[alpha] = s
-            else:
-                cleaned[alpha] = coeff
+            cleaned[alpha] = coeff
         self.terms = cleaned
 
     # -- builders ----------------------------------------------------------
@@ -736,18 +717,21 @@ class DiffOp:
         alpha[geom_vars.index(var)] = 1
         return cls(ring, geom_vars, {tuple(alpha): coeff})
 
-    def _check(self, other):
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
+            return DiffOp.mult(self.ring, self.geom_vars, other)
         if not isinstance(other, DiffOp):
-            raise TypeError("expected DiffOp")
+            return None
         if self.ring != other.ring or self.geom_vars != other.geom_vars:
             raise DeclarationError("operators declared over different variables")
+        return other
 
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            other = DiffOp.mult(self.ring, self.geom_vars, other)
-        self._check(other)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for alpha, coeff in other.terms.items():
             s = out.get(alpha)
@@ -764,14 +748,13 @@ class DiffOp:
         return DiffOp(self.ring, self.geom_vars, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            other = DiffOp.mult(self.ring, self.geom_vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def _coeff_derivative(self, coeff, alpha):
+        """d^alpha of a coefficient, one first-order partial at a time."""
         for var, k in zip(self.geom_vars, alpha):
             for _ in range(k):
                 coeff = coeff.diff(var)
@@ -779,9 +762,9 @@ class DiffOp:
 
     def __mul__(self, other):
         """Operator composition self o other, normal ordered via Leibniz."""
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            other = DiffOp.mult(self.ring, self.geom_vars, other)
-        self._check(other)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         out = {}
         for alpha, f in self.terms.items():
             ranges = [range(a + 1) for a in alpha]
@@ -801,27 +784,21 @@ class DiffOp:
         return DiffOp(self.ring, self.geom_vars, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            return DiffOp.mult(self.ring, self.geom_vars, other) * self
-        return NotImplemented
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other * self
 
     def commutator(self, other):
         return self * other - other * self
-
-    def __pow__(self, k):
-        out = DiffOp.mult(self.ring, self.geom_vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     @property
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            other = DiffOp.mult(self.ring, self.geom_vars, other)
-        if not isinstance(other, DiffOp):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return (self - other).is_zero
 
@@ -836,11 +813,7 @@ class DiffOp:
             f = RationalFunc(f)
         out = RationalFunc.zero(self.ring)
         for alpha, coeff in self.terms.items():
-            g = f
-            for var, k in zip(self.geom_vars, alpha):
-                for _ in range(k):
-                    g = g.diff(var)
-            out = out + coeff * g
+            out = out + coeff * self._coeff_derivative(f, alpha)
         return out
 
     def apply_poly(self, f):
@@ -894,21 +867,19 @@ class DiffOp:
 # needs to know which variables are coordinates and which are momenta.
 PHASE_COORDS = ("x", "y")
 PHASE_MOMENTA = ("px", "py")
+PHASE_PARAMS = ("beta", "a")
 
 
-def phase_ring(extra_params=("beta", "a")):
-    return Ring(
-        PHASE_COORDS + PHASE_MOMENTA + tuple(extra_params),
-        laurent=("y",) + tuple(extra_params),
-        params=tuple(extra_params),
-    )
+def phase_ring():
+    return Ring(PHASE_COORDS + PHASE_MOMENTA + PHASE_PARAMS,
+                laurent=("y",) + PHASE_PARAMS, params=PHASE_PARAMS)
 
 
-def poisson_bracket(F, G, coords=PHASE_COORDS, momenta=PHASE_MOMENTA):
+def poisson_bracket(F, G):
     """{F, G} = sum_r dF/dq_r dG/dp_r - dF/dp_r dG/dq_r, exactly."""
     if F.ring != G.ring:
         raise DeclarationError("phase polynomials over different rings")
     out = F.ring.zero()
-    for q, p in zip(coords, momenta):
+    for q, p in zip(PHASE_COORDS, PHASE_MOMENTA):
         out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
     return out

@@ -26,8 +26,8 @@ class SeriesResult:
     est_abs_error: float
 
 
-def _is_nonpositive_int(v, tol=1e-12):
-    return v <= 0.5 and abs(v - round(v)) < tol and round(v) <= 0
+def _is_nonpositive_int(v):
+    return v <= 0.5 and abs(v - round(v)) < 1e-12 and round(v) <= 0
 
 
 def laguerre(n, tau, z):
@@ -47,11 +47,11 @@ def laguerre(n, tau, z):
     return float(cur)
 
 
-def hyp1f1(alpha, b, z, tol=1e-14):
+def hyp1f1(alpha, b, z):
     """1F1(alpha; b; z) = sum_k (alpha)_k z^k / ((b)_k k!).
 
     Truncates exactly when alpha is a nonpositive integer; otherwise sums
-    until the term magnitude drops below ``tol`` with a geometric tail
+    until the term magnitude drops below 1e-14 with a geometric tail
     bound.  A nonpositive-integer b without prior truncation is a pole.
     """
     truncates = _is_nonpositive_int(alpha)
@@ -79,7 +79,7 @@ def hyp1f1(alpha, b, z, tol=1e-14):
         term *= ratio
         total += term
         k += 1
-        if abs(term) < tol:
+        if abs(term) < 1e-14:
             # crude geometric tail estimate once terms are decaying
             nxt = abs((alpha + k) * z / ((b + k) * (k + 1)))
             if nxt < 0.5:
@@ -87,12 +87,12 @@ def hyp1f1(alpha, b, z, tol=1e-14):
                 return SeriesResult(total, k + 1, True, est)
 
 
-def whittaker_m(beta, n, s, tol=1e-14):
+def whittaker_m(beta, n, s):
     """M_{beta,n}(s) = e^{-s/2} s^{1/2+n} 1F1(1/2 + n - beta; 1 + 2n; s).
 
     The mirror M_{beta,-n} is this function with the sign of n flipped.
     """
     if s <= 0:
         raise ValueError("whittaker_m needs s > 0")
-    f = hyp1f1(0.5 + n - beta, 1.0 + 2.0 * n, s, tol)
+    f = hyp1f1(0.5 + n - beta, 1.0 + 2.0 * n, s)
     return math.exp(-s / 2.0) * s ** (0.5 + n) * f.value

@@ -94,3 +94,20 @@ def test_period_positive_and_stable():
     T2 = classical.estimate_period(preset(), A, BETA, probe_dt=5e-4)
     assert T1 > 0
     assert T1 == pytest.approx(T2, rel=1e-3)
+
+
+@pytest.mark.parametrize("a, beta, dt", [
+    (math.nan, BETA, 1e-3), (A, math.nan, 1e-3), (A, math.inf, 1e-3),
+    (A, BETA, math.inf),
+])
+def test_rk4_rejects_non_finite_parameters(a, beta, dt):
+    with pytest.raises(ValueError):
+        classical.integrate_rk4(preset(), a, beta, dt, 3)
+
+
+def test_drift_summary_keeps_nan():
+    # hand-built, since integrate_rk4 refuses beta = nan; every charge is
+    # nonzero, so no scale is zero and only the NaN can hide
+    s = classical.PhaseState(0.0, 0.5, 1.0, -1.0, 0.2)
+    traj = classical.Trajectory(1.0, math.nan, 0.01, (s, s))
+    assert all(math.isnan(v) for v in classical.drift_summary(traj).values())

@@ -126,6 +126,44 @@ def test_oracle_small_grid(capsys):
     assert all(r <= 1e-3 for r in data["relerr"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--geometry", "flat", "--n", "0", "--omega-c", "nan"],
+    ["spectrum", "--geometry", "flat", "--n", "0", "--hbar", "inf"],
+    ["spectrum", "--geometry", "halfplane", "--beta", "inf", "--levels", "0"],
+    ["spectrum", "--geometry", "sphere", "--k", "2", "--l", "0", "--rho", "inf"],
+    ["trajectory", "--beta", "nan", "--dt", "0.01", "--steps", "3"],
+    ["trajectory", "--dt", "nan", "--steps", "3"],
+    ["oracle", "--beta", "5", "--smax", "nan", "--points", "1000", "--levels", "1"],
+    ["eigenfunction", "--beta", "5", "--l", "0", "--c", "1", "--y", "1,nan"],
+    ["eigenfunction", "--beta", "5", "--l", "0", "--c", "1", "--y", "1,abc"],
+])
+def test_non_finite_number_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "50", "--levels", "1"], "n_points must be >= 100"),
+    (["--points", "1000", "--levels", "1", "--smin", "1"], "s_min excludes"),
+    (["--points", "1000", "--levels", "6"], "0 <= l < beta - 1/2"),
+    (["--points", "1000", "--levels", "0"], "0 <= l < beta - 1/2"),
+])
+def test_oracle_bad_request_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--beta", "5", "--smax", "80"] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_coarse_grid_is_numerical_failure(capsys):
+    # five bound states exist, but 100 points resolve only four of them
+    code, _, err = run(capsys, "oracle", "--beta", "5", "--smax", "80",
+                       "--points", "100", "--levels", "5")
+    assert code == 3
+    assert "resolves only 4" in err
+
+
 def test_eigenfunction_value(capsys):
     code, out, _ = run(capsys, "eigenfunction", "--beta", "5", "--l", "0",
                        "--c", "1", "--x", "0", "--y", "1")

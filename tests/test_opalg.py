@@ -1,12 +1,14 @@
 """Exact-arithmetic kernel: scalars, polynomials, rational functions,
 and normal-ordered differential operators."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedhall.opalg import (
+    DeclarationError,
     DiffOp,
     GaussianRational,
     I,
@@ -209,6 +211,27 @@ def test_commutator_jacobi(ring, data):
 def test_scalar_premultiplication(ring):
     dx = _d(ring, "x")
     assert ((-I) * dx).terms == (dx * (-I)).terms
+
+
+def _higher_layer(ring, kind):
+    x, y = ring.var("x"), ring.var("y")
+    if kind == "RationalFunc":
+        return RationalFunc(x * y, ((x + y, 1),))
+    return _d(ring, "x") * DiffOp.mult(ring, GV, y) + DiffOp.mult(ring, GV, x)
+
+
+@pytest.mark.parametrize("kind", ["RationalFunc", "DiffOp"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul"])
+def test_polynomial_left_of_higher_layer(ring, name, kind):
+    p = ring.var("y", 2) + ring.var("x")
+    g = _higher_layer(ring, kind)
+    # a polynomial on the left defers to the higher layer's reflected method
+    assert getattr(operator, name)(p, g) == getattr(g, f"__r{name}__")(p)
+    other = Ring(("x", "y"))
+    with pytest.raises(DeclarationError):
+        getattr(operator, name)(other.var("x"), g)
+    with pytest.raises(TypeError):
+        p + "s"
 
 
 # -- phase-space bracket -----------------------------------------------------
