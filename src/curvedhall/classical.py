@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, FitSingularError
+from .errors import DomainError, FitSingularError, UsageError
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ def integrate_rk4(s0, a, beta, dt, steps):
         raise ValueError("a, beta and dt must be finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if a == 0:
+        raise UsageError("a must be nonzero")
     states = [s0]
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     t = s0.t
@@ -123,7 +125,7 @@ def conserved_values(s, a, beta):
 
 def drift_summary(traj):
     """Max relative drift of each conserved scalar along the trajectory;
-    all NaN if any conserved value is NaN."""
+    all NaN if any conserved value is NaN, all 0 if every value is 0."""
     names = ("H", "L1", "L2", "L3")
     ref = conserved_values(traj.states[0], traj.a, traj.beta)
     vals = [conserved_values(s, traj.a, traj.beta) for s in traj.states]
@@ -134,6 +136,9 @@ def drift_summary(traj):
     # L1 = 0) has no scale of its own; judge every charge against the
     # largest charge magnitude the orbit attains
     common = max(abs(v[k]) for v in vals for k in range(4))
+    if common == 0.0:
+        # every charge is exactly 0 at every step: no drift, and no scale
+        return dict.fromkeys(names, 0.0)
     scales = [max(abs(ref[k]), common) for k in range(4)]
     worst = [0.0] * 4
     for now in vals[1:]:

@@ -11,10 +11,12 @@ import math
 import sys
 
 from . import classical, manybody, models, numverify, spectra
+from .errors import UsageError
 
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
+EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
@@ -249,6 +251,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except UsageError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,6 +1,11 @@
 """Shared exception types."""
 
 
+class UsageError(ValueError):
+    """A request the caller got wrong (a zero mass or scale, a point or
+    radius outside the domain); the CLI answers it with exit code 2."""
+
+
 class DomainError(ValueError):
     """Point or parameter outside the geometry's domain of validity."""
 

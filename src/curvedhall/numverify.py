@@ -10,12 +10,15 @@ the cross-check the package exists for.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product as _iterprod
+from itertools import chain, islice, product as _iterprod
 
 import numpy as np
 
-from .errors import (NonNormalizableError, ResolutionError, SingularityError)
+from .errors import (NonNormalizableError, ResolutionError, SingularityError,
+                     UsageError)
 
 
 @dataclass(frozen=True)
@@ -130,16 +133,58 @@ def tuned_residual(H, psi, energy, points):
 # tridiagonal eigenvalues by Sturm-sequence bisection
 # ---------------------------------------------------------------------------
 
-def _sturm_count(d, e2, x):
-    """Number of eigenvalues < x (negative pivots of the LDL^T recursion)."""
+def _gershgorin(d, ae):
+    """(lo, hi, floor) for a symmetric tridiagonal with diagonal ``d`` and
+    off-diagonal magnitudes ``ae``: the Gershgorin bounds of the spectrum,
+    and floor[i] <= min over k >= i of the margin d_k - radius_k.
+
+    ``floor`` is non-decreasing and is built in place over the radius list.
+    Its allowance of 1e-15 (|d_k| + radius_k) covers the rounding of the
+    margin and of the pivot recursion, so ``_sturm_count``'s exit holds for
+    the float pivots, not only in exact arithmetic.
+    """
+    radius = [l + r for l, r in zip(chain((0.0,), ae), chain(ae, (0.0,)))]
+    lo = min(di - ri for di, ri in zip(d, radius))
+    hi = max(di + ri for di, ri in zip(d, radius))
+    floor = radius
+    m = math.inf
+    for i in range(len(d) - 1, -1, -1):
+        di, ri = d[i], radius[i]
+        m = min(m, di - ri - 1e-15 * (abs(di) + ri))
+        floor[i] = m
+    return lo, hi, floor
+
+
+def _sturm_count(d, e2, x, ae, floor):
+    """Number of eigenvalues < x (negative pivots of the LDL^T recursion).
+
+    The count stops at the first row i whose pivot q_i exceeds |e_i| while
+    every later row has Gershgorin margin floor[i+1] > x.  There the Schur
+    complement of the leading block of T - x is strictly diagonally dominant
+    with a positive diagonal, hence positive definite, so by Haynsworth's
+    inertia additivity no later pivot is negative.
+
+    ``ae`` holds |e_i|; ``floor`` comes from ``_gershgorin``.
+    """
+    # every row after j is certified; the exit test runs from row j on
+    j = max(bisect_right(floor, x) - 1, 0)
     count = 0
     q = 1.0
-    for i in range(len(d)):
-        q = d[i] - x - (e2[i - 1] / q if i else 0.0)
-        if q == 0.0:
-            q = -1e-300
-        if q < 0.0:
+    for di, b in zip(islice(d, j + 1), chain((0.0,), e2)):
+        q = di - x - b / q
+        if q <= 0.0:
             count += 1
+            if q == 0.0:
+                q = -1e-300
+    for di, b, a in zip(islice(d, j + 1, None), islice(e2, j, None),
+                        islice(ae, j, None)):
+        if q > a:
+            return count
+        q = di - x - b / q
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -1e-300
     return count
 
 
@@ -147,25 +192,16 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
     """k smallest eigenvalues of a symmetric tridiagonal matrix, each
     bisected to a bracket of width 1e-12."""
     d = [float(v) for v in diag]
-    e = [float(v) for v in offdiag]
+    ae = [abs(float(v)) for v in offdiag]
     n = len(d)
-    if len(e) != max(n - 1, 0):
+    if len(ae) != max(n - 1, 0):
         raise ValueError("offdiag must have length n-1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if n == 1:
         return [d[0]]
-    e2 = [v * v for v in e]
-    radius = [0.0] * n
-    for i in range(n):
-        r = 0.0
-        if i > 0:
-            r += abs(e[i - 1])
-        if i < n - 1:
-            r += abs(e[i])
-        radius[i] = r
-    lo = min(di - ri for di, ri in zip(d, radius))
-    hi = max(di + ri for di, ri in zip(d, radius))
+    e2 = [v * v for v in ae]
+    lo, hi, floor = _gershgorin(d, ae)
     if upper is not None:
         # caller-supplied search ceiling: eigenvalues above it converge to
         # the ceiling itself, which the caller can detect and reject
@@ -177,7 +213,7 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
-            if _sturm_count(d, e2, mid) >= j:
+            if _sturm_count(d, e2, mid, ae, floor) >= j:
                 b = mid
             else:
                 a = mid
@@ -209,6 +245,8 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ValueError("beta must exceed 1/2 for any bound state")
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
+    if m == 0 or a == 0:
+        raise UsageError("m and a must be nonzero")
     h = grid.h
     s = h * np.arange(1, grid.n_points + 1)
     inv_h2 = 1.0 / (h * h)

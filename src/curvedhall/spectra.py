@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoBoundStateError
+from .errors import NoBoundStateError, UsageError
 from .specfun import laguerre
 
 
@@ -72,6 +72,8 @@ def _check_window(beta, l):
 def landau_halfplane(beta, l, m=1, a=1):
     """E_{beta,l} = (1/2 m a^2) (beta^2 + 1/4 - (l - beta + 1/2)^2)."""
     _check_window(beta, l)
+    if m == 0 or a == 0:
+        raise UsageError("m and a must be nonzero")
     return _line(
         "halfplane", {"l": l, "beta": beta},
         lambda b, mm, aa: (b * b + Fraction(1, 4) - (l - b + Fraction(1, 2)) ** 2)
@@ -82,6 +84,8 @@ def landau_halfplane(beta, l, m=1, a=1):
 def energy_from_whittaker_index(n, beta, m=1, a=1):
     """E = (1/2 m a^2)(1/4 - n^2 + beta^2); n = beta - l - 1/2 recovers
     the half-plane Landau formula exactly."""
+    if m == 0 or a == 0:
+        raise UsageError("m and a must be nonzero")
     _, (n, beta, m, a) = _coerce((n, beta, m, a))
     return float((Fraction(1, 4) - n ** 2 + beta ** 2) / (2 * m * a ** 2))
 
@@ -91,7 +95,7 @@ def sphere_spectrum(l, k, rho=1):
     if l < 0:
         raise ValueError("l must be nonnegative")
     if not float(rho) > 0:
-        raise ValueError("rho must be positive")
+        raise UsageError("rho must be positive")
     return _line(
         "sphere", {"l": l, "k": k},
         lambda kk, rr: 2 * ((l - kk / 2) * (l - kk / 2 + 1) - kk * kk / 4) / (rr * rr),
@@ -107,7 +111,7 @@ def eigenfunction_halfplane(beta, l, c, point):
         raise ValueError("separation constant c must be positive")
     x, y = point
     if not y > 0:
-        raise ValueError("point must lie in the upper half-plane")
+        raise UsageError("point must lie in the upper half-plane")
     beta = float(beta)
     return (cmath.exp(-1j * c * x - c * y) * y ** (beta - l)
             * laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvedhall import classical
-from curvedhall.errors import DomainError, FitSingularError
+from curvedhall.errors import DomainError, FitSingularError, UsageError
 
 BETA, A = 4.0, 1.0
 
@@ -111,3 +111,16 @@ def test_drift_summary_keeps_nan():
     s = classical.PhaseState(0.0, 0.5, 1.0, -1.0, 0.2)
     traj = classical.Trajectory(1.0, math.nan, 0.01, (s, s))
     assert all(math.isnan(v) for v in classical.drift_summary(traj).values())
+
+
+def test_drift_summary_all_charges_zero():
+    # at rest with beta = 0 every charge is exactly 0 at every step
+    s0 = classical.PhaseState(0.0, 0.0, 1.0, 0.0, 0.0)
+    traj = classical.integrate_rk4(s0, 1.0, 0.0, 0.01, 2)
+    assert classical.drift_summary(traj) == dict.fromkeys(
+        ("H", "L1", "L2", "L3"), 0.0)
+
+
+def test_rk4_rejects_zero_scale():
+    with pytest.raises(UsageError):
+        classical.integrate_rk4(preset(), 0.0, BETA, 0.01, 2)

@@ -164,6 +164,29 @@ def test_oracle_coarse_grid_is_numerical_failure(capsys):
     assert "resolves only 4" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--dt", "0.01", "--steps", "2", "--a", "0"],
+    ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",
+     "--levels", "1", "--m", "0"],
+    ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "0",
+     "--m", "0"],
+    ["spectrum", "--geometry", "sphere", "--k", "2", "--l", "0", "--rho", "0"],
+    ["eigenfunction", "--beta", "5", "--l", "0", "--c", "1", "--y", "0"],
+])
+def test_domain_request_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_trajectory_all_charges_zero(capsys):
+    code, _, err = run(capsys, "trajectory", "--dt", "0.01", "--steps", "2",
+                       "--x0", "0", "--px0", "0", "--py0", "0", "--beta", "0")
+    assert code == 0
+    assert "H=0.000e+00 L1=0.000e+00 L2=0.000e+00 L3=0.000e+00" in err
+
+
 def test_eigenfunction_value(capsys):
     code, out, _ = run(capsys, "eigenfunction", "--beta", "5", "--l", "0",
                        "--c", "1", "--x", "0", "--y", "1")

@@ -3,13 +3,14 @@ Sturm-Liouville eigensolver, and quadrature norms."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from curvedhall import models, numverify, spectra
 from curvedhall.errors import (NonNormalizableError, ResolutionError,
-                               SingularityError)
+                               SingularityError, UsageError)
 from curvedhall.geometry import dewitt_momenta, make_metric
 from curvedhall.opalg import DiffOp
 
@@ -99,6 +100,69 @@ def test_tridiag_closed_form():
                                   abs=1e-11)
 
 
+def oracle_matrix(beta, n):
+    """The symmetrized Whittaker matrix ``whittaker_oracle`` solves, built
+    with the same float operations (entries reach ~1e9, so a reordered
+    expression moves mu by ~1e-9)."""
+    h = numverify.FDGrid(1e-3, 80.0, n).h
+    s = h * np.arange(1, n + 1)
+    inv_h2 = 1.0 / (h * h)
+    return (s * s * (2.0 * inv_h2 + 0.25) - beta * s,
+            -(s[:-1] * s[1:]) * inv_h2)
+
+
+def full_sturm_count(d, e2, x):
+    """Reference: the LDL^T pivot recursion over every row."""
+    count, q = 0, 1.0
+    for i in range(len(d)):
+        q = d[i] - x - (e2[i - 1] / q if i else 0.0)
+        q = -1e-300 if q == 0.0 else q
+        count += q < 0.0
+    return count
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0, None])
+def test_sturm_early_exit_matches_full_recurrence(beta):
+    # beta=None is the [2, -1] Laplacian: no dominant tail, every row runs
+    if beta is None:
+        n = 300
+        diag, off = [2.0] * n, [-1.0] * (n - 1)
+        eigs = [2 - 2 * math.cos(j * math.pi / (n + 1)) for j in (1, 2, 150)]
+        top = 4.0
+    else:
+        diag, off = oracle_matrix(beta, 4000)
+        eigs = numverify.tridiag_eigs(
+            diag, off, spectra.halfplane_level_count(beta), upper=1.0)
+        top = 1.0  # the oracle's search ceiling
+    d = [float(v) for v in diag]
+    ae = [abs(float(v)) for v in off]
+    e2 = [v * v for v in ae]
+    lo, _, floor = numverify._gershgorin(d, ae)
+    rng = random.Random(f"sturm:{beta}")
+    shifts = [rng.uniform(lo, top) for _ in range(40)]
+    shifts += [v + dv for v in eigs for dv in (-1e-10, 0.0, 1e-10)]
+    shifts += [lo - 1.0, lo]
+    for x in shifts:
+        assert numverify._sturm_count(d, e2, x, ae, floor) \
+            == full_sturm_count(d, e2, x), x
+    assert numverify._sturm_count(d, e2, lo - 1.0, ae, floor) == 0
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
+def test_oracle_matches_lapack_bisection(beta, n):
+    linalg = pytest.importorskip("scipy.linalg")
+    levels = spectra.halfplane_level_count(beta)
+    diag, off = oracle_matrix(beta, n)
+    # dstebz to 1e-14; the default driver is off by up to 9e-8 here
+    ref = linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=(0, levels - 1),
+                                  lapack_driver="stebz", tol=1e-14)
+    spec = numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, 80.0, n),
+                                      levels)
+    assert max(abs(a - b) for a, b in zip(spec.mu, ref)) <= 1e-9
+
+
 def test_tridiag_diagonal_and_single():
     assert numverify.tridiag_eigs([3.0, -1.0, 2.0], [0.0, 0.0], 3) \
         == pytest.approx([-1.0, 2.0, 3.0], abs=1e-11)
@@ -115,6 +179,16 @@ def test_oracle_matches_analytic():
         assert e == pytest.approx(spectra.landau_halfplane(5, l).energy,
                                   rel=1e-3)
     assert len(spec.bound_states()) == 5
+
+
+@pytest.mark.parametrize("m, a", [(0.0, 1.0), (1.0, 0.0)])
+def test_oracle_rejects_zero_mass_or_scale(m, a, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen-solve reached")
+    monkeypatch.setattr(numverify, "tridiag_eigs", no_solve)
+    with pytest.raises(UsageError):
+        numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 1000), 1,
+                                   m=m, a=a)
 
 
 def test_oracle_resolution_error():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from curvedhall import spectra
-from curvedhall.errors import NoBoundStateError
+from curvedhall.errors import NoBoundStateError, UsageError
 
 
 def test_flat_levels_exact_rationals():
@@ -50,6 +50,14 @@ def test_whittaker_index_consistency():
         n = 5 - l - 0.5
         assert spectra.energy_from_whittaker_index(n, 5) == pytest.approx(
             spectra.landau_halfplane(5, l).energy)
+
+
+@pytest.mark.parametrize("m, a", [(0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0)])
+def test_zero_mass_or_scale_rejected(m, a):
+    with pytest.raises(UsageError):
+        spectra.landau_halfplane(5, 0, m, a)
+    with pytest.raises(UsageError):
+        spectra.energy_from_whittaker_index(4.5, 5, m, a)
 
 
 def test_sphere_spectrum_values():
