@@ -1,13 +1,15 @@
 """Command-line surface: verify / spectrum / trajectory / oracle /
 eigenfunction / laughlin.  Data goes to stdout or ``--out``; diagnostics
 to stderr.  Exit codes: 0 success, 1 strict-verify failure, 2 usage
-error, 3 numerical failure.
+error, 3 numerical failure, 141 when the reader of stdout has closed it
+(128 + SIGPIPE, as in ``curvedhall verify | true``).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import classical, manybody, models, numverify, spectra
@@ -18,6 +20,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141     # 128 + SIGPIPE (13): the reader closed stdout
 
 
 def _finite_float(text):
@@ -250,7 +253,17 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        # a reader that has gone shows up here, not in the exit-time flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's final flush of
+        # what is still buffered does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

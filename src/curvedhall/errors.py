@@ -1,9 +1,18 @@
-"""Shared exception types."""
+"""Shared exception types, and the mass and scale check of the curved
+spectra and their oracle."""
 
 
 class UsageError(ValueError):
     """A request the caller got wrong (a zero mass or scale, a point or
     radius outside the domain); the CLI answers it with exit code 2."""
+
+
+def check_mass_and_scale(m, a):
+    """Reject a mass that is not positive and a zero length scale a."""
+    if not m > 0:
+        raise UsageError("m must be positive")
+    if a == 0:
+        raise UsageError("a must be nonzero")
 
 
 class DomainError(ValueError):

@@ -18,7 +18,7 @@ from itertools import chain, islice, product as _iterprod
 import numpy as np
 
 from .errors import (NonNormalizableError, ResolutionError, SingularityError,
-                     UsageError)
+                     check_mass_and_scale)
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,7 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ValueError("beta must exceed 1/2 for any bound state")
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
-    if m == 0 or a == 0:
-        raise UsageError("m and a must be nonzero")
+    check_mass_and_scale(m, a)
     h = grid.h
     s = h * np.arange(1, grid.n_points + 1)
     inv_h2 = 1.0 / (h * h)

@@ -3,7 +3,7 @@
 Everything downstream (metric Hamiltonians, symmetry generators, Casimir
 identities, Poisson brackets) is built from four layers:
 
-    GaussianRational  -- complex numbers with Fraction real/imag parts
+    GaussianRational  -- (a + b*i)/d over ints, d > 0, gcd(a, b, d) == 1
     LaurentPoly       -- multivariate Laurent polynomials over a Ring
     RationalFunc      -- LaurentPoly divided by a product of monic factors
     DiffOp            -- sums of RationalFunc * (partial-derivative monomial)
@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 
 class DeclarationError(ValueError):
@@ -48,23 +49,43 @@ def _power(base, k, one):
 # ---------------------------------------------------------------------------
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    A value is three ints ``(a, b, d)`` meaning ``(a + b*i)/d``, kept in
+    lowest terms: ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is unique,
+    so ``==`` compares the triples.  Every result is built by ``_norm``
+    from integer products and sums, reduced by one ``math.gcd``.  ``re``
+    and ``im`` are read-only Fraction views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        g = math.gcd(q, s)
+        # over the common denominator lcm(q, s); both parts are in lowest
+        # terms, so no prime of that denominator divides both numerators
+        self._a = re.numerator * (s // g)
+        self._b = im.numerator * (q // g)
+        self._d = q * (s // g)
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @classmethod
     def coerce(cls, v):
         if isinstance(v, GaussianRational):
             return v
-        if isinstance(v, (int, Fraction)):
-            return cls(v)
+        if isinstance(v, int):
+            return _make(int(v), 0, 1)
+        if isinstance(v, Fraction):
+            return _make(v.numerator, 0, v.denominator)
         if isinstance(v, complex):
             raise TypeError("floats are not exact; build from Fraction instead")
         raise TypeError(f"cannot coerce {v!r} to GaussianRational")
@@ -77,15 +98,20 @@ class GaussianRational:
             return None
 
     def __add__(self, other):
-        other = self._try(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = self._try(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _norm(self._a + other._a, self._b + other._b, d1)
+        return _norm(self._a * d2 + other._a * d1,
+                     self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -94,21 +120,24 @@ class GaussianRational:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._try(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = self._try(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if not b1 and not b2:
+            return _norm(a1 * a2, 0, self._d * other._d)
+        return _norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        return _norm(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * self.coerce(other).inverse()
@@ -120,19 +149,25 @@ class GaussianRational:
         return _power(self.inverse() if k < 0 else self, abs(k), ONE)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        other = self._try(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = self._try(other)
+            if other is None:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
+        # hash((re, im)); over d == 1 both parts are ints, and an integral
+        # Fraction hashes like its int
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
@@ -141,17 +176,38 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        im = "+ " + (f"{self.im}*i" if self.im != 1 else "i") if self.im > 0 \
-            else "- " + (f"{-self.im}*i" if self.im != -1 else "i")
-        return f"({self.re} {im})"
+            return f"{im}*i"
+        im = "+ " + (f"{im}*i" if im != 1 else "i") if im > 0 \
+            else "- " + (f"{-im}*i" if im != -1 else "i")
+        return f"({re} {im})"
+
+
+def _make(a, b, d):
+    """GaussianRational (a + b*i)/d from a triple already in lowest terms."""
+    z = object.__new__(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _norm(a, b, d):
+    """GaussianRational (a + b*i)/d for ints with d > 0, in lowest terms."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -186,6 +242,9 @@ class Ring:
         if unknown:
             raise DeclarationError(f"undeclared names: {sorted(unknown)}")
         self.index = {v: k for k, v in enumerate(self.vars)}
+        # positions whose exponent may not go negative
+        self._plain = tuple(k for k, v in enumerate(self.vars)
+                            if v not in self.laurent)
         # var -> (delta exponent vector, scalar factor) applied per v^2
         self.power_rules = {}
         for var, (delta, coeff) in (power_rules or {}).items():
@@ -240,12 +299,15 @@ class LaurentPoly:
 
     def __init__(self, ring, terms):
         self.ring = ring
+        rules = ring.power_rules
         cleaned = {}
         for exps, coeff in terms.items():
-            coeff = GaussianRational.coerce(coeff)
+            if type(coeff) is not GaussianRational:
+                coeff = GaussianRational.coerce(coeff)
             if not coeff:
                 continue
-            exps, coeff = self._reduce_powers(ring, exps, coeff)
+            if rules:
+                exps, coeff = self._reduce_powers(rules, exps, coeff)
             if exps in cleaned:
                 s = cleaned[exps] + coeff
                 if s:
@@ -254,20 +316,19 @@ class LaurentPoly:
                     del cleaned[exps]
             else:
                 cleaned[exps] = coeff
+        plain = ring._plain
         for exps in cleaned:
-            for k, e in enumerate(exps):
-                if e < 0 and ring.vars[k] not in ring.laurent:
+            for k in plain:
+                if exps[k] < 0:
                     raise DeclarationError(
                         f"negative power of non-Laurent variable {ring.vars[k]!r}")
         self.terms = cleaned
         self._hash = None
 
     @staticmethod
-    def _reduce_powers(ring, exps, coeff):
-        if not ring.power_rules:
-            return tuple(exps), coeff
+    def _reduce_powers(rules, exps, coeff):
         exps = list(exps)
-        for idx, (delta, factor) in ring.power_rules.items():
+        for idx, (delta, factor) in rules.items():
             while exps[idx] >= 2:
                 for k, d in enumerate(delta):
                     exps[k] += d
@@ -316,12 +377,10 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
-                if e in out:
-                    out[e] = out[e] + c
-                else:
-                    out[e] = c
+                s = out.get(e)
+                out[e] = c if s is None else s + c
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -766,6 +825,7 @@ class DiffOp:
         if other is None:
             return NotImplemented
         out = {}
+        derivs = {}     # (beta, delta) -> d^delta of other's beta coefficient
         for alpha, f in self.terms.items():
             ranges = [range(a + 1) for a in alpha]
             for beta, g in other.terms.items():
@@ -773,8 +833,10 @@ class DiffOp:
                     binom = 1
                     for a, c in zip(alpha, gamma):
                         binom *= math.comb(a, c)
-                    dg = self._coeff_derivative(
-                        g, tuple(a - c for a, c in zip(alpha, gamma)))
+                    key = (beta, tuple(a - c for a, c in zip(alpha, gamma)))
+                    dg = derivs.get(key)
+                    if dg is None:
+                        dg = derivs[key] = self._coeff_derivative(g, key[1])
                     if dg.is_zero:
                         continue
                     coeff = f * dg * binom

@@ -51,8 +51,12 @@ def hyp1f1(alpha, b, z):
     """1F1(alpha; b; z) = sum_k (alpha)_k z^k / ((b)_k k!).
 
     Truncates exactly when alpha is a nonpositive integer; otherwise sums
-    until the term magnitude drops below 1e-14 with a geometric tail
-    bound.  A nonpositive-integer b without prior truncation is a pole.
+    until the term magnitude drops below 1e-14.  The error estimate of the
+    float sum is a geometric tail bound plus max|term| * 2^-52 per term
+    summed: where the terms change sign (z < 0, or the first terms for
+    alpha < 0) they cancel, and the rounding relative to the largest term
+    outweighs the tail.  A nonpositive-integer b without prior truncation
+    is a pole.
     """
     truncates = _is_nonpositive_int(alpha)
     n_stop = -round(alpha) if truncates else None
@@ -71,6 +75,7 @@ def hyp1f1(alpha, b, z):
         return SeriesResult(float(total_q), n_stop + 1, True, 0.0)
     total = 1.0
     term = 1.0
+    biggest = 1.0
     k = 0
     while True:
         if k >= TERM_CAP:
@@ -78,13 +83,15 @@ def hyp1f1(alpha, b, z):
         ratio = (alpha + k) * z / ((b + k) * (k + 1))
         term *= ratio
         total += term
+        biggest = max(biggest, abs(term))
         k += 1
         if abs(term) < 1e-14:
             # crude geometric tail estimate once terms are decaying
             nxt = abs((alpha + k) * z / ((b + k) * (k + 1)))
             if nxt < 0.5:
-                est = abs(term) * nxt / (1.0 - nxt)
-                return SeriesResult(total, k + 1, True, est)
+                tail = abs(term) * nxt / (1.0 - nxt)
+                rounding = biggest * 2.0 ** -52 * (k + 1)
+                return SeriesResult(total, k + 1, True, tail + rounding)
 
 
 def whittaker_m(beta, n, s):

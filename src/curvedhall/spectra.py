@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoBoundStateError, UsageError
+from .errors import NoBoundStateError, UsageError, check_mass_and_scale
 from .specfun import laguerre
 
 
@@ -72,8 +72,7 @@ def _check_window(beta, l):
 def landau_halfplane(beta, l, m=1, a=1):
     """E_{beta,l} = (1/2 m a^2) (beta^2 + 1/4 - (l - beta + 1/2)^2)."""
     _check_window(beta, l)
-    if m == 0 or a == 0:
-        raise UsageError("m and a must be nonzero")
+    check_mass_and_scale(m, a)
     return _line(
         "halfplane", {"l": l, "beta": beta},
         lambda b, mm, aa: (b * b + Fraction(1, 4) - (l - b + Fraction(1, 2)) ** 2)
@@ -84,8 +83,7 @@ def landau_halfplane(beta, l, m=1, a=1):
 def energy_from_whittaker_index(n, beta, m=1, a=1):
     """E = (1/2 m a^2)(1/4 - n^2 + beta^2); n = beta - l - 1/2 recovers
     the half-plane Landau formula exactly."""
-    if m == 0 or a == 0:
-        raise UsageError("m and a must be nonzero")
+    check_mass_and_scale(m, a)
     _, (n, beta, m, a) = _coerce((n, beta, m, a))
     return float((Fraction(1, 4) - n ** 2 + beta ** 2) / (2 * m * a ** 2))
 

@@ -1,7 +1,11 @@
 """Command-line surface: subcommands, formats, and the exit-code
-contract (0 success, 1 strict-verify, 2 usage, 3 numerical)."""
+contract (0 success, 1 strict-verify, 2 usage, 3 numerical, 141 closed
+stdout)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,6 +176,10 @@ def test_oracle_coarse_grid_is_numerical_failure(capsys):
      "--m", "0"],
     ["spectrum", "--geometry", "sphere", "--k", "2", "--l", "0", "--rho", "0"],
     ["eigenfunction", "--beta", "5", "--l", "0", "--c", "1", "--y", "0"],
+    ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",
+     "--levels", "1", "--m", "-1"],
+    ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "0",
+     "--m", "-1"],
 ])
 def test_domain_request_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -225,3 +233,25 @@ def test_deterministic_output(capsys):
     _, out2, _ = run(capsys, "spectrum", "--geometry", "halfplane",
                      "--beta", "5", "--levels", "all", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["oracle", "--beta", "5", "--smax", "80", "--points", "2000", "--levels", "5"],
+])
+def test_closed_stdout_exits_141(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)      # the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "curvedhall.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -181,7 +181,7 @@ def test_oracle_matches_analytic():
     assert len(spec.bound_states()) == 5
 
 
-@pytest.mark.parametrize("m, a", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("m, a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
 def test_oracle_rejects_zero_mass_or_scale(m, a, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigen-solve reached")

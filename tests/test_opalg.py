@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: scalars, polynomials, rational functions,
 and normal-ordered differential operators."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -52,6 +53,91 @@ def test_gaussian_mul_distributes(a, b, c):
 @given(gaussians, gaussians)
 def test_gaussian_conjugate_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+# -- the (a + b*i)/d layout against a reference pair of Fractions -----------
+
+fraction_pairs = st.tuples(small_fracs, small_fracs)
+
+
+def _pair_mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
+
+
+def _pair_inverse(p):
+    a, b = p
+    n = a * a + b * b
+    return a / n, -b / n
+
+
+def _pair_str(re, im):
+    """GaussianRational rendering over a (re, im) pair of Fractions."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{im}*i"
+    im = "+ " + (f"{im}*i" if im != 1 else "i") if im > 0 \
+        else "- " + (f"{-im}*i" if im != -1 else "i")
+    return f"({re} {im})"
+
+
+def _agrees(z, pair):
+    """z equals the pair, and its triple is the normal form."""
+    return ((z.re, z.im) == pair and z._d > 0
+            and math.gcd(z._a, z._b, z._d) == 1)
+
+
+@given(fraction_pairs, fraction_pairs, small_fracs)
+def test_gaussian_layout_matches_fraction_pair(p, q, r):
+    z, w = GaussianRational(*p), GaussianRational(*q)
+    (a, b), (c, d) = p, q
+    assert _agrees(z, p)
+    assert _agrees(z + w, (a + c, b + d))
+    assert _agrees(z - w, (a - c, b - d))
+    assert _agrees(z * w, _pair_mul(p, q))
+    assert _agrees(-z, (-a, -b))
+    assert _agrees(z.conjugate(), (a, -b))
+    # mixed with an int or a Fraction on either side
+    assert _agrees(z + 3, (a + 3, b))
+    assert _agrees(r - z, (r - a, -b))
+    assert _agrees(z * r, (a * r, b * r))
+    assert _agrees(r * z, (r * a, r * b))
+    if q != (0, 0):
+        assert _agrees(z / w, _pair_mul(p, _pair_inverse(q)))
+        assert _agrees(w.inverse(), _pair_inverse(q))
+    if p != (0, 0):
+        assert _agrees(r / z, _pair_mul((r, 0), _pair_inverse(p)))
+    assert (z == w) == (p == q)
+    assert (z == r) == (p == (r, 0))
+    assert hash(z) == hash(p)
+    assert bool(z) == (p != (0, 0))
+
+
+@given(fraction_pairs, st.integers(-4, 4))
+def test_gaussian_power_matches_fraction_pair(p, k):
+    z = GaussianRational(*p)
+    if k < 0 and p == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            z ** k
+        return
+    base = _pair_inverse(p) if k < 0 else p
+    expect = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        expect = _pair_mul(expect, base)
+    assert _agrees(z ** k, expect)
+
+
+@given(fraction_pairs)
+def test_gaussian_rendering_matches_fraction_pair(p):
+    z = GaussianRational(*p)
+    assert str(z) == _pair_str(*p)
+    assert repr(z) == f"GaussianRational({p[0]!r}, {p[1]!r})"
+    assert complex(z) == complex(p[0]) + 1j * complex(p[1])
 
 
 # -- Laurent polynomials -----------------------------------------------------

@@ -52,7 +52,8 @@ def test_whittaker_index_consistency():
             spectra.landau_halfplane(5, l).energy)
 
 
-@pytest.mark.parametrize("m, a", [(0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0)])
+@pytest.mark.parametrize("m, a", [(0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0),
+                                  (-1, 1), (Fraction(-1, 2), 1), (-1.0, 1.0)])
 def test_zero_mass_or_scale_rejected(m, a):
     with pytest.raises(UsageError):
         spectra.landau_halfplane(5, 0, m, a)
