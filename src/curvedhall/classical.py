@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .errors import DomainError, FitSingularError, UsageError
 
 
@@ -152,29 +150,58 @@ def circle_fit(traj_or_points):
 
     Returns (cx, cy, r, rms) with rms the geometric residual
     sqrt(mean((dist - r)^2)).  Collinear data raises FitSingularError.
+
+    Both the collinearity test and the least-squares solve work on a
+    modified Gram-Schmidt factorisation Q R of the centred n x 2 data, so
+    the smaller singular value is resolved to ~1e-16 of the larger.  The
+    2 x 2 Gram (covariance) matrix and the normal equations square the
+    condition number and cannot resolve a ratio below ~1e-8.
     """
     if isinstance(traj_or_points, Trajectory):
-        pts = np.array([[s.x, s.y] for s in traj_or_points.states])
+        pts = [(s.x, s.y) for s in traj_or_points.states]
     else:
-        pts = np.asarray(traj_or_points, dtype=float)
-    if len(pts) < 10:
+        pts = [(float(x), float(y)) for x, y in traj_or_points]
+    n = len(pts)
+    if n < 10:
         raise ValueError("need at least 10 points for a circle fit")
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1.0):
+    if not all(math.isfinite(v) for v in chain.from_iterable(pts)):
+        raise ValueError("circle fit needs finite points")
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    u = [x - mx for x in xs]
+    v = [y - my for y in ys]
+    # R = [[r11, r12], [0, r22]]; q1 = u / r11, and w is v minus its q1 part
+    r11 = math.hypot(*u)
+    if r11 == 0.0:
         raise FitSingularError("points are collinear; no circle")
-    x, y = pts[:, 0], pts[:, 1]
-    A = np.column_stack([x, y, np.ones_like(x)])
-    rhs = -(x * x + y * y)
-    (D, E, F), *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    cx, cy = -D / 2.0, -E / 2.0
-    r2 = cx * cx + cy * cy - F
+    q1 = [ui / r11 for ui in u]
+    r12 = math.fsum(qi * vi for qi, vi in zip(q1, v))
+    w = [vi - r12 * qi for qi, vi in zip(q1, v)]
+    r22 = math.hypot(*w)
+    # singular values of R: the larger without cancellation, the smaller
+    # as |det R| / sigma_max
+    s_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
+    s_min = r11 * r22 / s_max
+    if s_min < 1e-12 * max(s_max, 1.0):
+        raise FitSingularError("points are collinear; no circle")
+    # in centred coordinates x^2 + y^2 + D x + E y + F = 0 has the same
+    # residuals; the constant column is orthogonal to u and v, so F is the
+    # mean of the rhs and (D, E) solve R [D, E] = Q^T g for the centred g
+    rhs = [-(a * a + b * b) for a, b in zip(u, v)]
+    F = math.fsum(rhs) / n
+    g = [t - F for t in rhs]
+    c1 = math.fsum(qi * gi for qi, gi in zip(q1, g))
+    c2 = math.fsum(wi * gi for wi, gi in zip(w, g)) / r22
+    E = c2 / r22
+    D = (c1 - r12 * E) / r11
+    cu, cv = -D / 2.0, -E / 2.0
+    r2 = cu * cu + cv * cv - F
     if r2 <= 0:
         raise FitSingularError("degenerate circle fit (nonpositive radius)")
     r = math.sqrt(r2)
-    dist = np.hypot(x - cx, y - cy)
-    rms = float(np.sqrt(np.mean((dist - r) ** 2)))
-    return cx, cy, r, rms
+    rms = math.sqrt(math.fsum((math.hypot(a - cu, b - cv) - r) ** 2
+                              for a, b in zip(u, v)) / n)
+    return mx + cu, my + cv, r, rms
 
 
 def estimate_period(s0, a, beta, probe_dt=1e-3):

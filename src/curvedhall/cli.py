@@ -267,6 +267,9 @@ def main(argv=None):
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as ex:
+        print(f"error: floating-point overflow: {ex}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, RuntimeError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NUMERIC

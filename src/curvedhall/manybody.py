@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, PauliViolationError
 
 
@@ -42,8 +40,13 @@ class ParticleConfig:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        pts = [complex(re, im) for re, im in data["points"]]
-        return cls(tuple(pts), float(data["z0"]))
+        try:
+            pts = [complex(re, im) for re, im in data["points"]]
+            z0 = float(data["z0"])
+        except (TypeError, KeyError) as ex:
+            raise ValueError('config must be {"z0": r, "points": '
+                             f'[[re, im], ...]}} ({ex})') from None
+        return cls(tuple(pts), z0)
 
 
 def slater_lll(cfg, orbitals):
@@ -59,8 +62,27 @@ def slater_lll(cfg, orbitals):
         raise ValueError("orbitals are nonnegative integers")
     if len(set(n)) != len(n):
         raise PauliViolationError(f"repeated orbital in {tuple(n)}")
-    mat = np.array([[z ** k for k in n] for z in cfg.points], dtype=complex)
-    return complex(np.linalg.det(mat)) * cfg.gaussian()
+    return _det([[z ** k for k in n] for z in cfg.points]) * cfg.gaussian()
+
+
+def _det(a):
+    """Determinant of a square complex matrix (a list of rows, overwritten)
+    by Gaussian elimination with partial pivoting."""
+    det = 1.0 + 0j
+    for j in range(len(a)):
+        p = max(range(j, len(a)), key=lambda i: abs(a[i][j]))
+        if not a[p][j]:
+            return 0j
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            det = -det
+        pivot = a[j]
+        det *= pivot[j]
+        for row in a[j + 1:]:
+            f = row[j] / pivot[j]
+            for k in range(j + 1, len(a)):
+                row[k] -= f * pivot[k]
+    return det
 
 
 def laughlin(cfg, m):

@@ -15,10 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, product as _iterprod
 
-import numpy as np
-
 from .errors import (NonNormalizableError, ResolutionError, SingularityError,
-                     check_mass_and_scale)
+                     UsageError, check_mass_and_scale)
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,19 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ValueError("k_levels must be >= 1")
     check_mass_and_scale(m, a)
     h = grid.h
-    s = h * np.arange(1, grid.n_points + 1)
-    inv_h2 = 1.0 / (h * h)
-    diag = s * s * (2.0 * inv_h2 + 0.25) - beta * s
-    off = -(s[:-1] * s[1:]) * inv_h2
+    inv_h2 = 1.0 / (h * h) if h * h else math.inf
+    if not math.isfinite(inv_h2):
+        raise UsageError(f"grid spacing h = {h!r} is too small: 1/h^2 is "
+                         "not finite")
+    s = [h * k for k in range(1, grid.n_points + 1)]
+    c = 2.0 * inv_h2 + 0.25
+    diag = [si * si * c - beta * si for si in s]
+    off = [-(si * sj) * inv_h2 for si, sj in zip(s, islice(s, 1, None))]
+    # every product above grows with k, so an overflow in any row shows
+    # as an inf or nan in the last one
+    if not (math.isfinite(diag[-1]) and math.isfinite(off[-1])):
+        raise UsageError(f"s_max = {grid.s_max!r} overflows the Whittaker "
+                         "matrix; its entries are not all finite")
     # all bound states sit below mu = 1/4; capping the search window there
     # (with headroom) both speeds bisection and turns an under-resolved
     # request into a detectable pile-up at the cap

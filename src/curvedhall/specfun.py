@@ -50,13 +50,15 @@ def laguerre(n, tau, z):
 def hyp1f1(alpha, b, z):
     """1F1(alpha; b; z) = sum_k (alpha)_k z^k / ((b)_k k!).
 
-    Truncates exactly when alpha is a nonpositive integer; otherwise sums
-    until the term magnitude drops below 1e-14.  The error estimate of the
-    float sum is a geometric tail bound plus max|term| * 2^-52 per term
-    summed: where the terms change sign (z < 0, or the first terms for
-    alpha < 0) they cancel, and the rounding relative to the largest term
-    outweighs the tail.  A nonpositive-integer b without prior truncation
-    is a pole.
+    Truncates when alpha is within 1e-12 of a nonpositive integer -n;
+    otherwise sums until the term magnitude drops below 1e-14.  The error
+    estimate of the float sum is a geometric tail bound plus max|term| *
+    2^-52 per term summed: where the terms change sign (z < 0, or the first
+    terms for alpha < 0) they cancel, and the rounding relative to the
+    largest term outweighs the tail.  A truncation at an alpha that is not
+    exactly -n drops a tail of size ~|alpha + n| e^z; its estimate is the
+    distance to the full float series plus that series' own estimate.  A
+    nonpositive-integer b without prior truncation is a pole.
     """
     truncates = _is_nonpositive_int(alpha)
     n_stop = -round(alpha) if truncates else None
@@ -72,7 +74,21 @@ def hyp1f1(alpha, b, z):
         for k in range(n_stop):
             term_q *= (alpha_q + k) * z_q / ((b_q + k) * (k + 1))
             total_q += term_q
-        return SeriesResult(float(total_q), n_stop + 1, True, 0.0)
+        value = float(total_q)
+        if alpha == -n_stop:
+            return SeriesResult(value, n_stop + 1, True, 0.0)
+        try:
+            full = _series(alpha, b, z)
+        except (ZeroDivisionError, ConvergenceError):
+            # b on a pole, or a series too long to sum: no finite bound
+            return SeriesResult(value, n_stop + 1, True, math.inf)
+        return SeriesResult(value, n_stop + 1, True,
+                            abs(full.value - value) + full.est_abs_error)
+    return _series(alpha, b, z)
+
+
+def _series(alpha, b, z):
+    """The non-truncating float sum of ``hyp1f1`` with its estimate."""
     total = 1.0
     term = 1.0
     biggest = 1.0

@@ -46,6 +46,10 @@ def landau_flat(n, omega_c=1, hbar=1):
     """E_n = (n + 1/2) hbar omega_c."""
     if n < 0:
         raise ValueError("Landau index n must be nonnegative")
+    if not omega_c > 0:
+        raise UsageError("omega_c must be positive")
+    if not hbar > 0:
+        raise UsageError("hbar must be positive")
     return _line("flat", {"n": n},
                  lambda w, h: (n + Fraction(1, 2)) * h * w, (omega_c, hbar))
 
@@ -57,9 +61,11 @@ def halfplane_window(beta):
 
 
 def halfplane_level_count(beta):
+    """len(halfplane_window(beta)) without building the window: every
+    integer 0 <= l < ceil(beta - 1/2) lies strictly below beta - 1/2."""
     if not float(beta) > 0:
         raise ValueError("beta must be positive")
-    return len(halfplane_window(beta))
+    return max(0, math.ceil(float(beta) - 0.5))
 
 
 def _check_window(beta, l):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -76,6 +77,71 @@ def test_domain_exit_flagged():
 def test_circle_fit_rejects_collinear():
     pts = [(float(k), 2.0 * k + 1.0) for k in range(30)]
     with pytest.raises(FitSingularError):
+        classical.circle_fit(pts)
+
+
+def kasa_reference(pts):
+    """The fit as numpy computes it: the singular-value ratio of the centred
+    data that decides collinearity, and lstsq on the uncentred n x 3
+    system."""
+    pts = np.asarray(pts, dtype=float)
+    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    x, y = pts[:, 0], pts[:, 1]
+    A = np.column_stack([x, y, np.ones_like(x)])
+    (D, E, F), *_ = np.linalg.lstsq(A, -(x * x + y * y), rcond=None)
+    cx, cy = -D / 2.0, -E / 2.0
+    r = math.sqrt(cx * cx + cy * cy - F)
+    rms = float(np.sqrt(np.mean((np.hypot(x - cx, y - cy) - r) ** 2)))
+    return sv[-1] / max(sv[0], 1.0), (cx, cy, r, rms)
+
+
+def test_circle_fit_matches_lstsq_on_noisy_arcs():
+    rng = random.Random("kasa-arcs")
+    for _ in range(100):
+        cx, cy, r = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 5)
+        t0, span = rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 2 * math.pi)
+        n = rng.randint(10, 200)
+        noise = rng.choice((1e-6, 1e-4, 1e-2)) * r
+        pts = [(cx + r * math.cos(t0 + span * k / (n - 1)) + rng.gauss(0, noise),
+                cy + r * math.sin(t0 + span * k / (n - 1)) + rng.gauss(0, noise))
+               for k in range(n)]
+        _, want = kasa_reference(pts)
+        got = classical.circle_fit(pts)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * abs(w)
+
+
+def test_circle_fit_collinearity_threshold_matches_svd():
+    # points within rho of a line, rho from 1e-13 to 1e-8 of the spread:
+    # rejected exactly where numpy's singular values put the ratio below
+    # 1e-12 max(sigma_max, 1), finite everywhere else; draws within a
+    # factor 2 of the threshold are skipped
+    rng = random.Random("kasa-lines")
+    seen = {"rejected": 0, "fitted": 0}
+    for _ in range(300):
+        rho = 10 ** rng.uniform(-13, -8)
+        scale = rng.choice((0.01, 1.0, 100.0))
+        th = rng.uniform(0, math.pi)
+        ox, oy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        pts = []
+        for _ in range(rng.randint(10, 100)):
+            t, off = rng.uniform(-1, 1) * scale, rng.gauss(0, 1) * rho * scale
+            pts.append((ox + t * math.cos(th) - off * math.sin(th),
+                        oy + t * math.sin(th) + off * math.cos(th)))
+        ratio, _ = kasa_reference(pts)
+        if ratio < 0.5e-12:
+            with pytest.raises(FitSingularError):
+                classical.circle_fit(pts)
+            seen["rejected"] += 1
+        elif ratio > 2e-12:
+            assert all(math.isfinite(v) for v in classical.circle_fit(pts))
+            seen["fitted"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_circle_fit_rejects_non_finite_points():
+    pts = [(math.cos(k), math.sin(k)) for k in range(12)] + [(math.nan, 0.0)]
+    with pytest.raises(ValueError):
         classical.circle_fit(pts)
 
 

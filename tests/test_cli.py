@@ -180,12 +180,37 @@ def test_oracle_coarse_grid_is_numerical_failure(capsys):
      "--levels", "1", "--m", "-1"],
     ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "0",
      "--m", "-1"],
+    ["spectrum", "--geometry", "flat", "--n", "0", "--omega-c", "-1"],
+    ["spectrum", "--geometry", "flat", "--n", "0", "--hbar", "0"],
+    ["oracle", "--beta", "5", "--smax", "1e300", "--points", "1000",
+     "--levels", "1"],
+    ["oracle", "--beta", "5", "--smax", "1e-200", "--smin", "1e-300",
+     "--points", "1000", "--levels", "1"],
 ])
 def test_domain_request_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_overflow_is_numerical_failure(capsys):
+    code, out, err = run(capsys, "eigenfunction", "--beta", "5", "--l", "0",
+                         "--c", "1", "--y", "1e308")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"z0": 1, "points": [["a", 0]]}'])
+def test_laughlin_config_of_wrong_shape(capsys, tmp_path, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "laughlin", "--m", "1", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: config must be") and err.count("\n") == 1
 
 
 def test_trajectory_all_charges_zero(capsys):
@@ -255,3 +280,12 @@ def test_closed_stdout_exits_141(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_import_loads_no_numpy():
+    # numpy is a test-only reference; the package and its CLI run without it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curvedhall, curvedhall.cli; "
+         "sys.exit('numpy' in sys.modules)"], env=env, timeout=120)
+    assert proc.returncode == 0

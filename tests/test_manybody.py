@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvedhall import manybody
@@ -54,6 +55,56 @@ def test_slater_row_swap_negates():
     a = manybody.slater_lll(cfg, [0, 1, 2])
     b = manybody.slater_lll(swapped, [0, 1, 2])
     assert b == pytest.approx(-a)
+
+
+def vandermonde(z):
+    """prod_{i<j} (z_j - z_i) = det[z_i^j], j = 0..N-1."""
+    out = 1.0 + 0j
+    for j in range(len(z)):
+        for i in range(j):
+            out *= z[j] - z[i]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_slater_matches_numpy_and_vandermonde(n):
+    rng = random.Random(f"slater:{n}")
+    for _ in range(5):
+        # jittered points near the unit circle keep the Vandermonde matrix
+        # well conditioned up to N = 12
+        z = tuple(cmath.rect(rng.uniform(0.8, 1.2),
+                             2 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n)
+                  for k in range(n))
+        cfg = manybody.ParticleConfig(z, rng.choice((1.0, 1.5)))
+        g = cfg.gaussian()
+        assert manybody.slater_lll(cfg, range(n)) / g \
+            == pytest.approx(vandermonde(z), rel=1e-11)
+        orbitals = rng.sample(range(2 * n + 3), n)
+        mat = np.array([[zi ** k for k in orbitals] for zi in z])
+        want = complex(np.linalg.det(mat))
+        got = manybody.slater_lll(cfg, orbitals) / g
+        # LU with partial pivoting on both sides: agree to rounding of the
+        # largest entry products (Hadamard's bound)
+        bound = math.prod(math.hypot(*map(abs, row)) for row in mat.tolist())
+        assert abs(got - want) <= 1e-13 * bound
+
+
+def test_slater_singular_matrix_is_zero():
+    # two particles at one point: equal rows, determinant exactly zero
+    cfg = manybody.ParticleConfig((0.5 + 0.5j, 0.5 + 0.5j, -1j), 1.0)
+    assert manybody.slater_lll(cfg, [0, 1, 2]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"z0": 1, "points": [["a", 0]]}',
+    '{"points": [[0, 0]]}',
+    '{"z0": null, "points": [[0, 0]]}',
+    '{"z0": 1, "points": 5}',
+])
+def test_config_of_wrong_shape_is_value_error(text):
+    with pytest.raises(ValueError, match="config must be"):
+        manybody.ParticleConfig.from_json(text)
 
 
 def test_pauli_violation():

@@ -111,6 +111,34 @@ def oracle_matrix(beta, n):
             -(s[:-1] * s[1:]) * inv_h2)
 
 
+@pytest.mark.parametrize("n", [4000, 8000, 16000])
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
+def test_oracle_matrix_bit_equal_to_numpy_expression(beta, n, monkeypatch):
+    # the benchmark's nine oracle cells: the pure-Python build hands the
+    # eigen-solve the very floats the numpy expression gives
+    seen = {}
+
+    def capture(diag, off, k, upper=None):
+        seen["diag"], seen["off"] = diag, off
+        return [0.0] * k
+    monkeypatch.setattr(numverify, "tridiag_eigs", capture)
+    numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, 80.0, n), 1)
+    diag, off = oracle_matrix(beta, n)
+    assert [v.hex() for v in seen["diag"]] == [v.hex() for v in diag.tolist()]
+    assert [v.hex() for v in seen["off"]] == [v.hex() for v in off.tolist()]
+
+
+@pytest.mark.parametrize("s_min, s_max", [(1e-3, 1e300), (1e-300, 1e-200)])
+def test_oracle_rejects_non_finite_matrix(s_min, s_max, monkeypatch):
+    # 1e300: h^2 overflows, so 1/h^2 = 0 and the entries are inf or nan;
+    # 1e-200: h^2 underflows to 0 and 1/h^2 would divide by zero
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen-solve reached")
+    monkeypatch.setattr(numverify, "tridiag_eigs", no_solve)
+    with pytest.raises(UsageError):
+        numverify.whittaker_oracle(5.0, numverify.FDGrid(s_min, s_max, 1000), 1)
+
+
 def full_sturm_count(d, e2, x):
     """Reference: the LDL^T pivot recursion over every row."""
     count, q = 0, 1.0

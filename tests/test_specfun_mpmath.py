@@ -52,3 +52,18 @@ def test_laguerre_matches_reference(n, tau, z):
     with mpmath.workdps(40):
         mp = mpmath.laguerre(n, tau, z)
     assert _within(specfun.laguerre(n, tau, z), 0.0, mp)
+
+
+@pytest.mark.parametrize("alpha, b, z", [
+    (-2 + 1e-13, 1.0, 40.0),
+    (-3 - 1e-13, 2.5, 30.0),
+    (1e-13, 1.0, 35.0),
+    (-4 + 5e-13, 1.5, -20.0),
+])
+def test_hyp1f1_near_integer_alpha_estimate_covers_the_tail(alpha, b, z):
+    # alpha within 1e-12 of -n truncates at the polynomial; the dropped
+    # tail ~ |alpha + n| e^z goes into the estimate
+    r = specfun.hyp1f1(alpha, b, z)
+    with mpmath.workdps(40):
+        mp = mpmath.hyp1f1(alpha, b, z)
+    assert _within(r.value, r.est_abs_error, mp)

@@ -27,6 +27,27 @@ def test_halfplane_window_and_count():
     assert spectra.halfplane_level_count(0.5) == 0
 
 
+def test_level_count_matches_window_length():
+    rng = random.Random("level-count")
+    betas = [k / 4 for k in range(1, 400)]                  # half-integers too
+    betas += [k + 0.5 for k in (1, 99, 9999)]
+    betas += [math.nextafter(k + 0.5, d) for k in (0, 7, 9999)
+              for d in (0.0, math.inf)]
+    betas += [rng.uniform(0.01, 1e4) for _ in range(50)] + [1e4]
+    for beta in betas:
+        assert spectra.halfplane_level_count(beta) \
+            == len(spectra.halfplane_window(beta)), beta
+
+
+def test_level_count_is_constant_time(monkeypatch):
+    def no_window(beta):
+        raise AssertionError("halfplane_window built")
+    monkeypatch.setattr(spectra, "halfplane_window", no_window)
+    assert spectra.halfplane_level_count(1e9) == 10 ** 9
+    assert spectra.halfplane_level_count(1e300) == int(1e300)
+    assert spectra.halfplane_level_count(0.25) == 0
+
+
 def test_halfplane_energies_beta5():
     vals = [spectra.landau_halfplane(5, l).energy
             for l in spectra.halfplane_window(5)]
