@@ -251,8 +251,14 @@ def _cmd_laughlin(args, parser):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # argparse has printed --help (or a usage error) and is exiting;
+            # flush here, so that a closed stdout is handled below
+            sys.stdout.flush()
+            raise
         code = args.func(args, parser)
         # a reader that has gone shows up here, not in the exit-time flush
         sys.stdout.flush()

@@ -128,8 +128,15 @@ def tuned_residual(H, psi, energy, points):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigenvalues by Sturm-sequence bisection
+# tridiagonal eigenvalues: shared Sturm brackets, certified Newton steps
 # ---------------------------------------------------------------------------
+
+_NEWTON_WIDTH = 1e-2    # an isolated level's bracket width that starts Newton
+_NEWTON_STEPS = 8       # Newton walks per level before falling back
+_NEWTON_STOP = 1e-9     # a step this short ends the walk
+_CERT = 1e-9            # half-width of the window a Sturm count certifies
+_BISECT_WIDTH = 1e-12   # final bracket width of the bisection path
+
 
 def _gershgorin(d, ae):
     """(lo, hi, floor) for a symmetric tridiagonal with diagonal ``d`` and
@@ -186,9 +193,48 @@ def _sturm_count(d, e2, x, ae, floor):
     return count
 
 
+def _sturm_slope(d, e2, x):
+    """(count, slope) at shift x from the LDL^T pivots over every row:
+    the number of eigenvalues < x as ``_sturm_count`` gives it, and
+    d/dx log|det(T - x)| = sum dq_i/q_i, with the pivot derivatives
+    dq_i = -1 + e_{i-1}^2 dq_{i-1} / q_{i-1}^2 (Parlett, ch. 4).
+
+    No row may be skipped: near an eigenvalue the tail's pivots carry the
+    slope.  A zero pivot is moved to -1e-300 as in the count, so the slope
+    may come out huge, infinite or nan; the caller rejects a non-finite one.
+    """
+    count = 0
+    q = 1.0
+    r = 0.0     # dq/q of the previous row
+    s = 0.0
+    for di, b in zip(d, chain((0.0,), e2)):
+        t = b / q
+        q = di - x - t
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -1e-300
+        r = (t * r - 1.0) / q
+        s += r
+    return count, s
+
+
 def tridiag_eigs(diag, offdiag, k, upper=None):
-    """k smallest eigenvalues of a symmetric tridiagonal matrix, each
-    bisected to a bracket of width 1e-12."""
+    """k smallest eigenvalues of a symmetric tridiagonal matrix.
+
+    Level j keeps one bracket (a_j, b_j] with the Sturm count at each end,
+    and every count taken for any level narrows the brackets of all of
+    them (Barth-Martin-Wilkinson; LAPACK dstebz).  Level j is bisected
+    until its bracket holds lambda_j alone and is at most 1e-2 wide; then
+    Newton steps on d/dx log|det(T - x)|, clamped to the closed bracket,
+    run from its midpoint until a step is under 1e-9.  The root x is kept
+    only with a certificate: a Sturm count at x - 1e-9 gives j - 1 and one
+    at x + 1e-9 gives at least j, so |x - lambda_j| <= 1e-9.  A bracket end
+    inside that window, with the right count, stands in for either count.
+    A level that is never isolated (a repeated eigenvalue), whose walk
+    does not converge or whose certificate fails is bisected to a bracket
+    of width 1e-12 instead.
+    """
     d = [float(v) for v in diag]
     ae = [abs(float(v)) for v in offdiag]
     n = len(d)
@@ -204,19 +250,67 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
         # caller-supplied search ceiling: eigenvalues above it converge to
         # the ceiling itself, which the caller can detect and reject
         hi = min(hi, float(upper))
+    # level i (0-based): ca[i] <= i eigenvalues lie below a[i] and
+    # cb[i] > i below b[i]; n + 1 marks the ceiling, whose count is unknown
+    a, ca = [lo] * k, [0] * k
+    b, cb = [hi] * k, [n + 1] * k
     out = []
-    for j in range(1, k + 1):
-        a, b = lo, hi
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
+
+    def narrow(x, c):
+        for i in range(len(out), k):
+            if c > i:
+                if x < b[i]:
+                    b[i], cb[i] = x, c
+            elif x > a[i]:
+                a[i], ca[i] = x, c
+
+    def count(x):
+        c = _sturm_count(d, e2, x, ae, floor)
+        narrow(x, c)
+        return c
+
+    def bisect(j):
+        """One bisection step on level j; False once the bracket is at
+        its last ulp or at most 1e-12 wide."""
+        if b[j] - a[j] <= _BISECT_WIDTH:
+            return False
+        mid = 0.5 * (a[j] + b[j])
+        if mid == a[j] or mid == b[j]:
+            return False
+        count(mid)
+        return True
+
+    def isolated(j):
+        return ca[j] == j and cb[j] == j + 1
+
+    def newton(j):
+        """Certified Newton root of level j, or None."""
+        x = 0.5 * (a[j] + b[j])
+        for _ in range(_NEWTON_STEPS):
+            c, s = _sturm_slope(d, e2, x)
+            narrow(x, c)
+            if not (s and math.isfinite(s)):
+                return None
+            nxt = min(max(x - 1.0 / s, a[j]), b[j])
+            step, x = abs(nxt - x), nxt
+            if step < _NEWTON_STOP:
                 break
-            if _sturm_count(d, e2, mid, ae, floor) >= j:
-                b = mid
-            else:
-                a = mid
-        out.append(0.5 * (a + b))
-        lo = out[-1]  # eigenvalues are sorted; narrow the next search
+        else:
+            return None
+        below = (a[j] >= x - _CERT and ca[j] == j) or count(x - _CERT) == j
+        above = (b[j] <= x + _CERT and cb[j] <= n) or count(x + _CERT) > j
+        return x if below and above else None
+
+    for j in range(k):
+        while not (isolated(j) and b[j] - a[j] <= _NEWTON_WIDTH) \
+                and bisect(j):
+            pass
+        x = newton(j) if isolated(j) else None
+        if x is None:
+            while bisect(j):
+                pass
+            x = 0.5 * (a[j] + b[j])
+        out.append(x)
     return out
 
 
@@ -266,6 +360,15 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ResolutionError(
             f"grid resolves only {sum(v < 0.25 for v in mu)} bound states, "
             f"{k_levels} requested")
+    # U(s) = s^2/4 - beta s is the potential of the s^2-scaled equation; a
+    # level whose allowed region U <= mu reaches the last node is held up
+    # by the Dirichlet wall, not by the potential
+    wall = s[-1] * s[-1] / 4.0 - beta * s[-1]
+    if wall <= mu[-1]:
+        raise ResolutionError(
+            f"level {len(mu) - 1} (mu = {mu[-1]:.6g}) reaches the wall at "
+            f"s = {s[-1]:.6g}, where U(s) = s^2/4 - beta s = {wall:.6g}; "
+            "raise s_max")
     energies = tuple((v + beta * beta) / (2.0 * m * a * a) for v in mu)
     return OracleSpectrum(tuple(mu), energies, grid, float(beta))
 

@@ -168,6 +168,17 @@ def test_oracle_coarse_grid_is_numerical_failure(capsys):
     assert "resolves only 4" in err
 
 
+def test_oracle_wall_bound_level_is_numerical_failure(capsys):
+    # mu ~ -8e10 against an analytic -1e18: the ground state's allowed
+    # region runs into the wall at s_max
+    code, out, err = run(capsys, "oracle", "--beta", "1e9", "--smax", "80",
+                         "--points", "1000", "--levels", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "reaches the wall" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--dt", "0.01", "--steps", "2", "--a", "0"],
     ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",
@@ -260,12 +271,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [
-    ["verify"],
-    ["oracle", "--beta", "5", "--smax", "80", "--points", "2000", "--levels", "5"],
-])
-def test_closed_stdout_exits_141(argv, unbuffered):
+def run_into_closed_stdout(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)      # the reader is gone before anything is written
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -273,11 +279,29 @@ def test_closed_stdout_exits_141(argv, unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run([sys.executable, "-m", "curvedhall.cli"] + argv,
+        return subprocess.run([sys.executable, "-m", "curvedhall.cli"] + argv,
                               stdout=write_end, stderr=subprocess.PIPE,
                               env=env, timeout=120)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["oracle", "--beta", "5", "--smax", "80", "--points", "2000", "--levels", "5"],
+])
+def test_closed_stdout_exits_141(argv, unbuffered):
+    proc = run_into_closed_stdout(argv, unbuffered)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_help_into_closed_stdout_exits_141(argv):
+    # argparse prints the help and exits inside parse_args; with a buffered
+    # stdout the failed write shows only when the buffer is flushed
+    proc = run_into_closed_stdout(argv, unbuffered=False)
     assert proc.returncode == 141
     assert proc.stderr == b""
 

@@ -191,6 +191,97 @@ def test_oracle_matches_lapack_bisection(beta, n):
     assert max(abs(a - b) for a, b in zip(spec.mu, ref)) <= 1e-9
 
 
+def oracle_floats(beta, n):
+    diag, off = oracle_matrix(beta, n)
+    d = [float(v) for v in diag]
+    ae = [abs(float(v)) for v in off]
+    return d, ae, [v * v for v in ae]
+
+
+def log_abs_det(d, e2, x):
+    """Reference: sum of log|q_i| over the LDL^T pivots of T - x."""
+    logs, q = [], 1.0
+    for i in range(len(d)):
+        q = d[i] - x - (e2[i - 1] / q if i else 0.0)
+        logs.append(math.log(abs(q)))
+    return math.fsum(logs)
+
+
+def test_sturm_slope_is_count_and_log_det_derivative():
+    d, ae, e2 = oracle_floats(5.0, 4000)
+    eigs = numverify.tridiag_eigs(d, ae, 5, upper=1.0)
+    # the count agrees everywhere, on an eigenvalue's either side too
+    for x in [v + dv for v in eigs for dv in (-1e-10, 0.0, 1e-10)]:
+        assert numverify._sturm_slope(d, e2, x)[0] \
+            == full_sturm_count(d, e2, x), x
+    # the slope matches a central difference away from the eigenvalues
+    shifts = [0.5 * (u + v) for u, v in zip(eigs, eigs[1:])] + [eigs[0] - 1]
+    h = 1e-4
+    for x in shifts:
+        count, slope = numverify._sturm_slope(d, e2, x)
+        assert count == full_sturm_count(d, e2, x)
+        fd = (log_abs_det(d, e2, x + h) - log_abs_det(d, e2, x - h)) / (2 * h)
+        assert slope == pytest.approx(fd, rel=1e-6), x
+
+
+def test_tridiag_repeated_eigenvalue_bisects(monkeypatch):
+    # no bracket ever holds one of the five 1s alone, so no level is
+    # isolated and none may take the Newton path
+    def no_newton(*args):
+        raise AssertionError("Newton walk on a level that is not isolated")
+    monkeypatch.setattr(numverify, "_sturm_slope", no_newton)
+    eigs = numverify.tridiag_eigs([1.0] * 5 + [2.0], [0.0] * 5, 6)
+    assert eigs == pytest.approx([1.0] * 5 + [2.0], abs=1e-11)
+
+
+def test_tridiag_wrong_slope_fails_certificate(monkeypatch):
+    # a slope of 1e300 makes every walk stop at once at its bracket's
+    # midpoint; the certificate must reject that point and bisection finish
+    walked, shifts = [], []
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def wrong_slope(d, e2, x):
+        walked.append(x)
+        return slope(d, e2, x)[0], 1e300
+
+    def recorded_count(d, e2, x, ae, floor):
+        shifts.append(x)
+        return count(d, e2, x, ae, floor)
+    monkeypatch.setattr(numverify, "_sturm_slope", wrong_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    n = 120
+    eigs = numverify.tridiag_eigs([2.0] * n, [-1.0] * (n - 1), 4)
+    for j, v in enumerate(eigs, start=1):
+        assert v == pytest.approx(2 - 2 * math.cos(j * math.pi / (n + 1)),
+                                  abs=1e-11)
+    assert len(walked) == 4
+    for x in walked:
+        assert x not in eigs
+        # a certificate count was taken beside the rejected point
+        assert x - 1e-9 in shifts or x + 1e-9 in shifts
+
+
+def test_tridiag_work_bound(monkeypatch):
+    # guards against a silent fallback to bisection on every level, which
+    # takes ~44 counts per level here
+    calls = {"count": 0, "slope": 0}
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def counted_slope(*args):
+        calls["slope"] += 1
+        return slope(*args)
+
+    def counted_count(*args):
+        calls["count"] += 1
+        return count(*args)
+    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    levels = spectra.halfplane_level_count(8.0)
+    numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
+    assert calls["count"] <= 16 * levels
+    assert calls["slope"] <= 5 * levels
+
+
 def test_tridiag_diagonal_and_single():
     assert numverify.tridiag_eigs([3.0, -1.0, 2.0], [0.0, 0.0], 3) \
         == pytest.approx([-1.0, 2.0, 3.0], abs=1e-11)
@@ -223,6 +314,28 @@ def test_oracle_resolution_error():
     grid = numverify.FDGrid(1e-3, 80.0, 400)
     with pytest.raises(ResolutionError):
         numverify.whittaker_oracle(5.0, grid, 6)
+
+
+@pytest.mark.parametrize("beta, s_max, n, levels", [
+    (1e9, 80.0, 1000, 1),
+    (1e3, 80.0, 2000, 1),
+    (40.0, 80.0, 4000, 1),
+    (5.0, 20.0, 1000, 5),
+])
+def test_oracle_rejects_wall_bound_level(beta, s_max, n, levels):
+    # U(s_n) = s_n^2/4 - beta s_n <= max mu: the deepest-reaching level is
+    # held by the right wall; these grids miss the closed form by 0.047 to 1e9
+    with pytest.raises(ResolutionError, match="reaches the wall"):
+        numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, s_max, n),
+                                   levels)
+
+
+def test_oracle_wall_check_passes_resolved_grid():
+    spec = numverify.whittaker_oracle(20.0, numverify.FDGrid(1e-3, 80.0, 4000),
+                                      5)
+    for l, e in enumerate(spec.energies):
+        assert e == pytest.approx(spectra.landau_halfplane(20, l).energy,
+                                  rel=1e-3)
 
 
 def test_oracle_report_json():
