@@ -241,5 +241,7 @@ def trajectory_csv(traj, stream):
     stream.write("t,x,y,px,py,H,L1,L2,L3\n")
     for s in traj.states:
         H, L1, L2, L3 = conserved_values(s, traj.a, traj.beta)
+        if not all(map(math.isfinite, (H, L1, L2, L3))):
+            raise OverflowError(f"conserved values are not finite at t={s.t!r}")
         row = (s.t, s.x, s.y, s.px, s.py, H, L1, L2, L3)
         stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

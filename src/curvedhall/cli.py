@@ -70,8 +70,18 @@ def _emit(text, out_path):
             sys.stdout.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own writer swallows an OSError, so that with an
+    unbuffered stdout a closed pipe under ``--help`` would exit 0; this one
+    lets the BrokenPipeError reach ``main``.  Subparsers inherit it."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="curvedhall",
         description="Landau-problem identities, spectra, and oracles on "
                     "flat, half-plane, and disk geometries "
@@ -273,8 +283,9 @@ def main(argv=None):
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as ex:
-        print(f"error: floating-point overflow: {ex}", file=sys.stderr)
+    except ArithmeticError as ex:
+        # an overflow or a division by an underflowed zero
+        print(f"error: floating-point failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, RuntimeError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ class ParticleConfig:
                            tuple(complex(z) for z in self.points))
         if not 1 <= len(self.points) <= 12:
             raise DomainError("particle count must be between 1 and 12")
-        if not self.z0 > 0:
-            raise DomainError("z0 must be positive")
+        if not all(map(cmath.isfinite, self.points)):
+            raise DomainError("particle positions must be finite")
+        if not 0 < self.z0 < math.inf:
+            raise DomainError("z0 must be positive and finite")
 
     @property
     def n(self):

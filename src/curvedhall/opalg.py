@@ -227,12 +227,13 @@ class Ring:
     """Ordered variable declaration shared by all polynomials of a model.
 
     ``laurent`` names may carry negative exponents; ``params`` are inert
-    under the geometric derivatives of a DiffOp.  ``power_rules`` rewrites
-    even powers of a symbol (used for kappa^2 = hbar/(2 m omega_c), which
-    keeps square roots out of the coefficient field).
+    under the geometric derivatives of a DiffOp.  A ring carries no
+    relations among its symbols: a model that needs a square root, such as
+    the magnetic length of the flat plane, takes it as a parameter and
+    writes the square as a monomial.
     """
 
-    def __init__(self, variables, laurent=(), params=(), power_rules=None):
+    def __init__(self, variables, laurent=(), params=()):
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise DeclarationError("duplicate variable names")
@@ -245,14 +246,6 @@ class Ring:
         # positions whose exponent may not go negative
         self._plain = tuple(k for k, v in enumerate(self.vars)
                             if v not in self.laurent)
-        # var -> (delta exponent vector, scalar factor) applied per v^2
-        self.power_rules = {}
-        for var, (delta, coeff) in (power_rules or {}).items():
-            vec = [0] * len(self.vars)
-            for name, e in delta.items():
-                vec[self.index[name]] = e
-            vec[self.index[var]] -= 2
-            self.power_rules[self.index[var]] = (tuple(vec), GaussianRational.coerce(coeff))
 
     def __eq__(self, other):
         return self is other or (
@@ -260,12 +253,10 @@ class Ring:
             and self.vars == other.vars
             and self.laurent == other.laurent
             and self.params == other.params
-            and self.power_rules == other.power_rules
         )
 
     def __hash__(self):
-        return hash((self.vars, self.laurent, self.params,
-                     frozenset(self.power_rules.items())))
+        return hash((self.vars, self.laurent, self.params))
 
     def zero(self):
         return LaurentPoly(self, {})
@@ -299,22 +290,11 @@ class LaurentPoly:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        rules = ring.power_rules
         cleaned = {}
         for exps, coeff in terms.items():
             if type(coeff) is not GaussianRational:
                 coeff = GaussianRational.coerce(coeff)
-            if not coeff:
-                continue
-            if rules:
-                exps, coeff = self._reduce_powers(rules, exps, coeff)
-            if exps in cleaned:
-                s = cleaned[exps] + coeff
-                if s:
-                    cleaned[exps] = s
-                else:
-                    del cleaned[exps]
-            else:
+            if coeff:
                 cleaned[exps] = coeff
         plain = ring._plain
         for exps in cleaned:
@@ -324,16 +304,6 @@ class LaurentPoly:
                         f"negative power of non-Laurent variable {ring.vars[k]!r}")
         self.terms = cleaned
         self._hash = None
-
-    @staticmethod
-    def _reduce_powers(rules, exps, coeff):
-        exps = list(exps)
-        for idx, (delta, factor) in rules.items():
-            while exps[idx] >= 2:
-                for k, d in enumerate(delta):
-                    exps[k] += d
-                coeff = coeff * factor
-        return tuple(exps), coeff
 
     # -- ring ops ----------------------------------------------------------
 
@@ -352,11 +322,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = out.get(exps, ZERO) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, ZERO) + coeff
         return LaurentPoly(self.ring, out)
 
     __radd__ = __add__
@@ -794,11 +760,7 @@ class DiffOp:
         out = dict(self.terms)
         for alpha, coeff in other.terms.items():
             s = out.get(alpha)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
+            out[alpha] = coeff if s is None else s + coeff
         return DiffOp(self.ring, self.geom_vars, out)
 
     __radd__ = __add__
@@ -869,18 +831,13 @@ class DiffOp:
 
     # -- actions -----------------------------------------------------------
 
-    def apply_rf(self, f):
-        """Image of a RationalFunc (or LaurentPoly) under the operator."""
-        if isinstance(f, LaurentPoly):
-            f = RationalFunc(f)
+    def apply_poly(self, f):
+        """Exact image of a LaurentPoly; raises if the image leaves the ring."""
+        f = RationalFunc(f)
         out = RationalFunc.zero(self.ring)
         for alpha, coeff in self.terms.items():
             out = out + coeff * self._coeff_derivative(f, alpha)
-        return out
-
-    def apply_poly(self, f):
-        """Exact image of a LaurentPoly; raises if the image leaves the ring."""
-        return self.apply_rf(f).as_poly()
+        return out.as_poly()
 
     def substitute(self, coeff_images, deriv_images):
         """Change of variables.

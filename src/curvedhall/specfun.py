@@ -50,41 +50,31 @@ def laguerre(n, tau, z):
 def hyp1f1(alpha, b, z):
     """1F1(alpha; b; z) = sum_k (alpha)_k z^k / ((b)_k k!).
 
-    Truncates when alpha is within 1e-12 of a nonpositive integer -n;
-    otherwise sums until the term magnitude drops below 1e-14.  The error
+    Truncates, summing the polynomial exactly, when alpha is exactly a
+    nonpositive integer -n; any other alpha, however close to -n, sums the
+    float series until the term magnitude drops below 1e-14.  The error
     estimate of the float sum is a geometric tail bound plus max|term| *
     2^-52 per term summed: where the terms change sign (z < 0, or the first
     terms for alpha < 0) they cancel, and the rounding relative to the
-    largest term outweighs the tail.  A truncation at an alpha that is not
-    exactly -n drops a tail of size ~|alpha + n| e^z; its estimate is the
-    distance to the full float series plus that series' own estimate.  A
-    nonpositive-integer b without prior truncation is a pole.
+    largest term outweighs the tail.  A b within 1e-12 of a nonpositive
+    integer is a pole unless the polynomial stops before it.
     """
-    truncates = _is_nonpositive_int(alpha)
+    truncates = alpha <= 0 and float(alpha).is_integer()
     n_stop = -round(alpha) if truncates else None
     if _is_nonpositive_int(b):
         if not (truncates and n_stop <= -round(b)):
             raise PoleError(f"1F1 pole: b = {b} is a nonpositive integer")
-    if truncates:
-        # polynomial case: sum exactly in rational arithmetic (floats are
-        # rationals); this is where the bound-state eigenfunctions live
-        # and where alternating-sign cancellation would otherwise bite
-        alpha_q, b_q, z_q = Fraction(round(alpha)), Fraction(b), Fraction(z)
-        total_q = term_q = Fraction(1)
-        for k in range(n_stop):
-            term_q *= (alpha_q + k) * z_q / ((b_q + k) * (k + 1))
-            total_q += term_q
-        value = float(total_q)
-        if alpha == -n_stop:
-            return SeriesResult(value, n_stop + 1, True, 0.0)
-        try:
-            full = _series(alpha, b, z)
-        except (ZeroDivisionError, ConvergenceError):
-            # b on a pole, or a series too long to sum: no finite bound
-            return SeriesResult(value, n_stop + 1, True, math.inf)
-        return SeriesResult(value, n_stop + 1, True,
-                            abs(full.value - value) + full.est_abs_error)
-    return _series(alpha, b, z)
+    if not truncates:
+        return _series(alpha, b, z)
+    # polynomial case: sum exactly in rational arithmetic (floats are
+    # rationals); this is where the bound-state eigenfunctions live and
+    # where alternating-sign cancellation would otherwise bite
+    alpha_q, b_q, z_q = Fraction(-n_stop), Fraction(b), Fraction(z)
+    total_q = term_q = Fraction(1)
+    for k in range(n_stop):
+        term_q *= (alpha_q + k) * z_q / ((b_q + k) * (k + 1))
+        total_q += term_q
+    return SeriesResult(float(total_q), n_stop + 1, True, 0.0)
 
 
 def _series(alpha, b, z):

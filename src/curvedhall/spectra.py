@@ -39,7 +39,10 @@ def _coerce(args):
 def _line(geometry, qn, expr, args):
     exact, args = _coerce(args)
     e = expr(*args)
-    return SpectrumLine(geometry, qn, float(e), e if exact else None)
+    value = float(e)
+    if not math.isfinite(value):
+        raise OverflowError(f"{geometry} energy is not finite ({value})")
+    return SpectrumLine(geometry, qn, value, e if exact else None)
 
 
 def landau_flat(n, omega_c=1, hbar=1):
@@ -117,8 +120,11 @@ def eigenfunction_halfplane(beta, l, c, point):
     if not y > 0:
         raise UsageError("point must lie in the upper half-plane")
     beta = float(beta)
-    return (cmath.exp(-1j * c * x - c * y) * y ** (beta - l)
-            * laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y))
+    v = (cmath.exp(-1j * c * x - c * y) * y ** (beta - l)
+         * laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y))
+    if not cmath.isfinite(v):
+        raise OverflowError(f"eigenfunction value is not finite ({v})")
+    return v
 
 
 def ground_state_flat(z, z0):

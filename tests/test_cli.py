@@ -300,10 +300,12 @@ def test_closed_stdout_exits_141(argv, unbuffered):
 @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
 def test_help_into_closed_stdout_exits_141(argv):
     # argparse prints the help and exits inside parse_args; with a buffered
-    # stdout the failed write shows only when the buffer is flushed
-    proc = run_into_closed_stdout(argv, unbuffered=False)
-    assert proc.returncode == 141
-    assert proc.stderr == b""
+    # stdout the failed write shows only when the buffer is flushed, and an
+    # unbuffered one fails inside argparse's own write
+    for unbuffered in (False, True):
+        proc = run_into_closed_stdout(argv, unbuffered)
+        assert proc.returncode == 141, unbuffered
+        assert proc.stderr == b""
 
 
 def test_import_loads_no_numpy():

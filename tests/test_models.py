@@ -1,11 +1,13 @@
 """The exact identity suite and individual model operators."""
 
+import cmath
 import json
+import math
 import time
 
 import pytest
 
-from curvedhall import models
+from curvedhall import models, numverify, spectra
 from curvedhall.opalg import DeclarationError, Ring, poisson_bracket
 
 
@@ -88,18 +90,40 @@ def test_ladder_commutator_is_identity():
     a_op, a_dag = models.ladder_operators()
     c = a_op.commutator(a_dag)
     ring = a_op.ring
-    # [a, a+] = 1 after the kappa^2 rewrite folds in all the constants
+    # [a, a+] = 1: the kappa of each prefactor meets the 1/(8 kappa^2) of
+    # the other operator's multiplication term
     assert list(c.terms) == [(0, 0)]
     assert c.terms[(0, 0)].num == ring.one()
 
 
-def test_ring_equality_includes_power_rules():
-    ring = models.ladder_ring()
-    bare = Ring(ring.vars, laurent=ring.laurent, params=ring.params)
-    assert bare != ring
-    # without the kappa^2 rewrite the product would silently stay kappa**2
-    with pytest.raises(DeclarationError):
-        ring.var("kappa") * bare.var("kappa")
+def test_rings_differing_in_declarations_do_not_mix():
+    ring = Ring(("x", "y", "beta"), laurent=("y",), params=("beta",))
+    # the same variables, with beta no longer a parameter / now Laurent
+    for other in (Ring(ring.vars, laurent=("y",)),
+                  Ring(ring.vars, laurent=("y", "beta"), params=("beta",))):
+        assert other != ring
+        with pytest.raises(DeclarationError):
+            ring.var("x") * other.var("x")
+
+
+@pytest.mark.parametrize("z0, z", [(1.0, 0.3 - 0.4j), (0.7, -1.1 + 0.2j)])
+def test_ladder_lowering_annihilates_flat_ground_state(z0, z):
+    # kappa = l_B / sqrt(2) with l_B = z0 at m = omega_c = 1
+    kappa = z0 / math.sqrt(2.0)
+    a_op, a_dag = models.ladder_operators()
+    # psi_0 continued off the real slice zb = conj(z), as the Wirtinger
+    # derivatives need: z and zb vary independently in the stencils
+    psi = lambda co: cmath.exp(-co["z"] * co["zb"] / (4.0 * z0 * z0))
+    point = {"z": z, "zb": z.conjugate(), "m": 1.0, "omega_c": 1.0,
+             "kappa": kappa}
+    assert psi(point) == pytest.approx(spectra.ground_state_flat(z, z0),
+                                       abs=1e-15)
+    assert abs(numverify.fd_apply(a_op, psi, point, 1e-3)) < 1e-8
+    # control: a_dag psi_0 = i kappa zb psi_0 / z0^2 is far from zero
+    raised = 1j * kappa * z.conjugate() * psi(point) / (z0 * z0)
+    assert abs(raised) > 0.1
+    assert numverify.fd_apply(a_dag, psi, point, 1e-3) == pytest.approx(
+        raised, abs=1e-8)
 
 
 def test_sandwich_ordering_matches_expanded():

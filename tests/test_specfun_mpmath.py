@@ -61,9 +61,10 @@ def test_laguerre_matches_reference(n, tau, z):
     (-4 + 5e-13, 1.5, -20.0),
 ])
 def test_hyp1f1_near_integer_alpha_estimate_covers_the_tail(alpha, b, z):
-    # alpha within 1e-12 of -n truncates at the polynomial; the dropped
-    # tail ~ |alpha + n| e^z goes into the estimate
+    # only an exactly integer alpha truncates; a near-integer one sums the
+    # full series, whose tail beyond the polynomial is ~|alpha + n| e^z
     r = specfun.hyp1f1(alpha, b, z)
     with mpmath.workdps(40):
         mp = mpmath.hyp1f1(alpha, b, z)
     assert _within(r.value, r.est_abs_error, mp)
+    assert _within(r.value, 0.0, mp)
