@@ -159,8 +159,8 @@ def _build_parser():
 def _cmd_verify(args, parser):
     reports = models.run_identity_suite()
     _emit(models.render_suite(reports, fmt=args.format), args.out)
-    bad = [r for r in reports if r.status == "fail"]
-    diff = [r for r in reports if r.status == "documented-diff"]
+    bad = [r for r in reports if r.status == models.FAIL]
+    diff = [r for r in reports if r.status == models.DOCUMENTED_DIFF]
     if bad:
         print(f"# {len(bad)} identity failure(s)", file=sys.stderr)
         return EXIT_VERIFY

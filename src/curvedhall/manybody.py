@@ -97,7 +97,10 @@ def laughlin(cfg, m):
     for i in range(cfg.n):
         for j in range(i + 1, cfg.n):
             acc *= (z[i] - z[j]) ** m
-    return acc * cfg.gaussian()
+    v = acc * cfg.gaussian()
+    if not cmath.isfinite(v):
+        raise OverflowError(f"Laughlin value is not finite ({v})")
+    return v
 
 
 def antisymmetry_check(cfg, m):

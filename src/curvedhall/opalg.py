@@ -23,7 +23,6 @@ NotImplemented and a higher-layer right operand takes over.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -265,9 +264,6 @@ class Ring:
         return self.const(1)
 
     def const(self, c):
-        c = GaussianRational.coerce(c)
-        if not c:
-            return self.zero()
         return LaurentPoly(self, {(0,) * len(self.vars): c})
 
     def var(self, name, power=1):
@@ -737,10 +733,9 @@ class DiffOp:
         return cls(ring, geom_vars, {(0,) * len(geom_vars): coeff})
 
     @classmethod
-    def d(cls, ring, geom_vars, var, coeff=1):
-        alpha = [0] * len(geom_vars)
-        alpha[geom_vars.index(var)] = 1
-        return cls(ring, geom_vars, {tuple(alpha): coeff})
+    def d(cls, ring, geom_vars, var):
+        """The first partial d_var, as d_var o 1."""
+        return cls.mult(ring, geom_vars, 1)._partial(var)
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
@@ -774,38 +769,36 @@ class DiffOp:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _coeff_derivative(self, coeff, alpha):
-        """d^alpha of a coefficient, one first-order partial at a time."""
-        for var, k in zip(self.geom_vars, alpha):
-            for _ in range(k):
-                coeff = coeff.diff(var)
-        return coeff
+    def _partial(self, var):
+        """d_var o self, normal ordered: each term g d^beta becomes
+        (d_var g) d^beta + g d^(beta + e_var)."""
+        k = self.geom_vars.index(var)
+        dg = {beta: g.diff(var) for beta, g in self.terms.items()}
+        shifted = {beta[:k] + (beta[k] + 1,) + beta[k + 1:]: g
+                   for beta, g in self.terms.items()}
+        return (DiffOp(self.ring, self.geom_vars, dg)
+                + DiffOp(self.ring, self.geom_vars, shifted))
 
     def __mul__(self, other):
-        """Operator composition self o other, normal ordered via Leibniz."""
+        """Operator composition self o other, normal ordered.
+
+        For each term f d^alpha of self, ``_partial`` carries d^alpha
+        through other one partial at a time by d_v o g = g d_v + (d_v g),
+        and f multiplies the result on the left.  Repeating that rule sums
+        the Leibniz binomials as it goes, so no binomial is formed.
+        """
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = {}
-        derivs = {}     # (beta, delta) -> d^delta of other's beta coefficient
+        out = DiffOp.zero(self.ring, self.geom_vars)
         for alpha, f in self.terms.items():
-            ranges = [range(a + 1) for a in alpha]
-            for beta, g in other.terms.items():
-                for gamma in itertools.product(*ranges):
-                    binom = 1
-                    for a, c in zip(alpha, gamma):
-                        binom *= math.comb(a, c)
-                    key = (beta, tuple(a - c for a, c in zip(alpha, gamma)))
-                    dg = derivs.get(key)
-                    if dg is None:
-                        dg = derivs[key] = self._coeff_derivative(g, key[1])
-                    if dg.is_zero:
-                        continue
-                    coeff = f * dg * binom
-                    idx = tuple(b + c for b, c in zip(beta, gamma))
-                    s = out.get(idx)
-                    out[idx] = coeff if s is None else s + coeff
-        return DiffOp(self.ring, self.geom_vars, out)
+            h = other
+            for var, k in zip(self.geom_vars, alpha):
+                for _ in range(k):
+                    h = h._partial(var)
+            out = out + DiffOp(self.ring, self.geom_vars,
+                               {beta: f * g for beta, g in h.terms.items()})
+        return out
 
     def __rmul__(self, other):
         other = self._lift(other)
@@ -836,7 +829,11 @@ class DiffOp:
         f = RationalFunc(f)
         out = RationalFunc.zero(self.ring)
         for alpha, coeff in self.terms.items():
-            out = out + coeff * self._coeff_derivative(f, alpha)
+            df = f
+            for var, k in zip(self.geom_vars, alpha):
+                for _ in range(k):
+                    df = df.diff(var)
+            out = out + coeff * df
         return out.as_poly()
 
     def substitute(self, coeff_images, deriv_images):

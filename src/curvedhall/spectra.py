@@ -59,8 +59,7 @@ def landau_flat(n, omega_c=1, hbar=1):
 
 def halfplane_window(beta):
     """Allowed integers l: 0 <= l < beta - 1/2 (strict inequality)."""
-    return [l for l in range(max(0, math.ceil(float(beta) - 0.5)))
-            if l < float(beta) - 0.5]
+    return list(range(max(0, math.ceil(float(beta) - 0.5))))
 
 
 def halfplane_level_count(beta):

@@ -256,6 +256,18 @@ def test_laughlin_from_config(capsys, tmp_path):
     assert lines[1] == "antisymmetry: PASS"
 
 
+def test_laughlin_overflow_is_numerical_failure(capsys, tmp_path):
+    # the pair product of six points ~1e60 apart overflows to nan, which
+    # would read as a failed antisymmetry check
+    cfg = tmp_path / "far.json"
+    cfg.write_text('{"z0": 1e200, "points": [[1e60, 0], [0, 1e60], '
+                   '[-1e60, 0], [0, -1e60], [2e60, 1e60], [-1e60, 2e60]]}')
+    code, out, err = run(capsys, "laughlin", "--m", "3", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_laughlin_missing_config(capsys):
     code, _, err = run(capsys, "laughlin", "--m", "3",
                        "--config", "/nonexistent.json")

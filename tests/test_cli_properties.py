@@ -9,13 +9,14 @@ in and the work bounded (``--points`` <= 2000, ``--steps`` <= 1000,
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curvedhall import cli
+from curvedhall import cli, spectra
 
 EXTREME = ["0", "-0.0", "5e-324", "1e-320", "-1e-200", "1e-200", "1e200",
            "-1e200", "1e308", "-1e308", "1.7976931348623157e308",
@@ -157,3 +158,31 @@ def test_exit_code_contract(workdir, argv, config):
     assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), (code, err)
     if code == 0:
         assert not re.search(r"nan|inf", out, re.IGNORECASE), out
+
+
+@st.composite
+def oracle_argv(draw):
+    """An oracle request on a valid grid, so that the eigen-solve runs:
+    the draws of ARGV rarely get that far."""
+    beta = draw(st.floats(0.75, 12))
+    levels = draw(st.integers(1, spectra.halfplane_level_count(beta)))
+    return ["oracle", f"--beta={beta!r}",
+            f"--smax={draw(st.floats(20, 120))!r}",
+            f"--points={draw(st.integers(100, 2000))}", f"--levels={levels}"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=oracle_argv())
+def test_oracle_on_valid_grid(argv):
+    code, out, err = run(argv)
+    assert code in (0, 3), (code, err)
+    if code == 3:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    report = json.loads(out)
+    mu = report["mu"]
+    assert len(mu) == int(argv[-1].split("=")[1])
+    assert all(math.isfinite(x) and x < 0.25 for x in mu)
+    assert all(a < b for a, b in zip(mu, mu[1:]))
+    assert all(map(math.isfinite, report["relerr"]))

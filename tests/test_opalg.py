@@ -275,6 +275,28 @@ def test_apply_compose_consistency(ring):
     assert lhs == rhs
 
 
+def _diffop_strategy(ring):
+    """1-3 terms c * d^alpha, alpha in {0, 1, 2}^2, each coefficient a
+    Laurent polynomial of 1-3 monomials."""
+    exps = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 1))
+    coeff = st.lists(st.tuples(exps, small_fracs), min_size=1, max_size=3).map(
+        lambda ts: sum((ring.monomial(e, c) for e, c in ts), ring.zero()))
+    alpha = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.lists(st.tuples(alpha, coeff), min_size=1, max_size=3).map(
+        lambda ts: sum((DiffOp(ring, GV, {a: c}) for a, c in ts),
+                       DiffOp.zero(ring, GV)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_composition_associative_and_acts_as_composition(ring, data):
+    ops = _diffop_strategy(ring)
+    A, B, C = data.draw(ops), data.draw(ops), data.draw(ops)
+    assert (A * B) * C == A * (B * C)
+    f = data.draw(_poly_strategy(ring))
+    assert (A * B).apply_poly(f) == A.apply_poly(B.apply_poly(f))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_commutator_jacobi(ring, data):
