@@ -29,7 +29,7 @@ class PhaseState:
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("non-finite phase-space state")
         if not self.y > 0:
-            raise DomainError("state left the upper half-plane (y <= 0)")
+            raise DomainError("y must be positive (upper half-plane)")
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,13 @@ def integrate_rk4(s0, a, beta, dt, steps):
     the partial trajectory is returned with ``domain_exit`` set (orbits
     tangent to the boundary are meaningful limits, not errors)."""
     if not all(math.isfinite(v) for v in (a, beta, dt)):
-        raise ValueError("a, beta and dt must be finite")
+        raise UsageError("a, beta and dt must be finite")
     if not dt > 0:
-        raise ValueError("dt must be positive")
+        raise UsageError("dt must be positive")
     if a == 0:
         raise UsageError("a must be nonzero")
+    if steps < 0:
+        raise UsageError("steps must be nonnegative")
     states = [s0]
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     t = s0.t

@@ -1,8 +1,11 @@
 """Command-line surface: verify / spectrum / trajectory / oracle /
 eigenfunction / laughlin.  Data goes to stdout or ``--out``; diagnostics
-to stderr.  Exit codes: 0 success, 1 strict-verify failure, 2 usage
-error, 3 numerical failure, 141 when the reader of stdout has closed it
-(128 + SIGPIPE, as in ``curvedhall verify | true``).
+to stderr.  Exit codes: 0 success, 1 strict-verify failure, 2 a wrong
+request (argparse cannot parse it, a check after parsing raises
+``UsageError``, or a file it names cannot be read or written), 3
+numerical failure, 141 when the reader of stdout has closed it (128 +
+SIGPIPE, as in ``curvedhall verify | true``).  The subcommands raise;
+``main`` alone maps an exception to an exit code.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def _build_parser():
     return p
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     reports = models.run_identity_suite()
     _emit(models.render_suite(reports, fmt=args.format), args.out)
     bad = [r for r in reports if r.status == models.FAIL]
@@ -171,16 +174,16 @@ def _cmd_verify(args, parser):
     return EXIT_OK
 
 
-def _cmd_spectrum(args, parser):
+def _cmd_spectrum(args):
     if args.geometry == "flat":
         if args.n is None:
-            parser.error("flat geometry needs --n")
+            raise UsageError("flat geometry needs --n")
         lines = [spectra.landau_flat(n, args.omega_c, args.hbar)
                  for n in args.n]
         params = {"omega_c": args.omega_c, "hbar": args.hbar}
     elif args.geometry == "halfplane":
         if args.beta is None or args.levels is None:
-            parser.error("halfplane geometry needs --beta and --levels")
+            raise UsageError("halfplane geometry needs --beta and --levels")
         ls = (spectra.halfplane_window(args.beta) if args.levels == "all"
               else args.levels)
         lines = [spectra.landau_halfplane(args.beta, l, args.m, args.a)
@@ -188,7 +191,7 @@ def _cmd_spectrum(args, parser):
         params = {"beta": args.beta, "m": args.m, "a": args.a}
     else:
         if args.k is None or args.l is None:
-            parser.error("sphere geometry needs --k and --l")
+            raise UsageError("sphere geometry needs --k and --l")
         lines = [spectra.sphere_spectrum(l, args.k, args.rho)
                  for l in args.l]
         params = {"k": args.k, "rho": args.rho}
@@ -199,11 +202,7 @@ def _cmd_spectrum(args, parser):
     return EXIT_OK
 
 
-def _cmd_trajectory(args, parser):
-    if args.y0 <= 0:
-        parser.error("--y0 must be positive (upper half-plane)")
-    if args.dt <= 0 or args.steps < 0:
-        parser.error("--dt must be positive and --steps nonnegative")
+def _cmd_trajectory(args):
     s0 = classical.PhaseState(0.0, args.x0, args.y0, args.px0, args.py0)
     traj = classical.integrate_rk4(s0, args.a, args.beta, args.dt, args.steps)
     import io
@@ -220,15 +219,13 @@ def _cmd_trajectory(args, parser):
     return EXIT_OK
 
 
-def _cmd_oracle(args, parser):
-    try:
-        grid = numverify.FDGrid(args.smin, args.smax, args.points)
-        count = spectra.halfplane_level_count(args.beta)
-    except ValueError as ex:
-        parser.error(str(ex))
+def _cmd_oracle(args):
+    grid = numverify.FDGrid(args.smin, args.smax, args.points)
+    count = spectra.halfplane_level_count(args.beta)
     if not 1 <= args.levels <= count:
-        parser.error(f"--levels must be between 1 and {count}, the number of "
-                     f"bound states 0 <= l < beta - 1/2 for beta={args.beta}")
+        raise UsageError(
+            f"--levels must be between 1 and {count}, the number of bound "
+            f"states 0 <= l < beta - 1/2 for beta={args.beta}")
     spec = numverify.whittaker_oracle(args.beta, grid, args.levels,
                                       m=args.m, a=args.a)
     analytic = [spectra.landau_halfplane(args.beta, l, args.m, args.a).energy
@@ -237,7 +234,7 @@ def _cmd_oracle(args, parser):
     return EXIT_OK
 
 
-def _cmd_eigenfunction(args, parser):
+def _cmd_eigenfunction(args):
     rows = ["x,y,re,im,abs"]
     for y in args.y:
         v = spectra.eigenfunction_halfplane(args.beta, args.l, args.c,
@@ -248,7 +245,7 @@ def _cmd_eigenfunction(args, parser):
     return EXIT_OK
 
 
-def _cmd_laughlin(args, parser):
+def _cmd_laughlin(args):
     with open(args.config) as fh:
         cfg = manybody.ParticleConfig.from_json(fh.read())
     val = manybody.laughlin(cfg, args.m)
@@ -269,7 +266,7 @@ def main(argv=None):
             # flush here, so that a closed stdout is handled below
             sys.stdout.flush()
             raise
-        code = args.func(args, parser)
+        code = args.func(args)
         # a reader that has gone shows up here, not in the exit-time flush
         sys.stdout.flush()
         return code
@@ -280,14 +277,14 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except UsageError as ex:
+    except (UsageError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as ex:
         # an overflow or a division by an underflowed zero
         print(f"error: floating-point failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, RuntimeError, OSError) as ex:
+    except (ValueError, RuntimeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
 

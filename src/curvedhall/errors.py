@@ -3,8 +3,9 @@ spectra and their oracle."""
 
 
 class UsageError(ValueError):
-    """A request the caller got wrong (a zero mass or scale, a point or
-    radius outside the domain); the CLI answers it with exit code 2."""
+    """A request the caller got wrong (a zero mass or scale, a point,
+    level or config outside its domain); the CLI answers it, and each
+    subclass, with exit code 2."""
 
 
 def check_mass_and_scale(m, a):
@@ -15,8 +16,8 @@ def check_mass_and_scale(m, a):
         raise UsageError("a must be nonzero")
 
 
-class DomainError(ValueError):
-    """Point or parameter outside the geometry's domain of validity."""
+class DomainError(UsageError):
+    """Point or parameter outside the domain of validity: a usage error."""
 
 
 class PoleError(ValueError):
@@ -31,8 +32,9 @@ class SingularityError(ValueError):
     """Numeric evaluation hit a coefficient pole (e.g. y = 0)."""
 
 
-class NoBoundStateError(ValueError):
-    """Requested level lies outside the bound-state window 0 <= l < beta - 1/2."""
+class NoBoundStateError(UsageError):
+    """Level outside the bound-state window 0 <= l < beta - 1/2: a usage
+    error."""
 
 
 class NonNormalizableError(ValueError):

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PauliViolationError
+from .errors import DomainError, PauliViolationError, UsageError
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,13 @@ class ParticleConfig:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             pts = [complex(re, im) for re, im in data["points"]]
             z0 = float(data["z0"])
-        except (TypeError, KeyError) as ex:
-            raise ValueError('config must be {"z0": r, "points": '
-                             f'[[re, im], ...]}} ({ex})') from None
+        except (TypeError, KeyError, ValueError) as ex:
+            raise UsageError('config must be {"z0": r, "points": '
+                              f'[[re, im], ...]}} ({ex})') from None
         return cls(tuple(pts), z0)
 
 
@@ -91,7 +91,7 @@ def _det(a):
 def laughlin(cfg, m):
     """Pair-product state: prod_{i<j} (z_i - z_j)^m times the Gaussian."""
     if not (isinstance(m, int) and m >= 1):
-        raise ValueError("m must be a positive integer")
+        raise UsageError("m must be a positive integer")
     acc = 1.0 + 0j
     z = cfg.points
     for i in range(cfg.n):

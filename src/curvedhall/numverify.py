@@ -32,11 +32,11 @@ class FDGrid:
 
     def __post_init__(self):
         if not (0 < self.s_min < self.s_max):
-            raise ValueError("need 0 < s_min < s_max")
+            raise UsageError("need 0 < s_min < s_max")
         if self.n_points < 100:
-            raise ValueError("n_points must be >= 100")
+            raise UsageError("n_points must be >= 100")
         if self.s_min >= self.h:
-            raise ValueError(
+            raise UsageError(
                 "s_min excludes the first lattice node; lower it or coarsen")
 
     @property
@@ -50,9 +50,6 @@ class OracleSpectrum:
     energies: tuple
     grid: FDGrid
     beta: float
-
-    def bound_states(self):
-        return tuple(v for v in self.mu if v < 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +331,9 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     excluded singular neighborhood, below the first lattice node.
     """
     if not beta > 0.5:
-        raise ValueError("beta must exceed 1/2 for any bound state")
+        raise UsageError("beta must exceed 1/2 for any bound state")
     if k_levels < 1:
-        raise ValueError("k_levels must be >= 1")
+        raise UsageError("k_levels must be >= 1")
     check_mass_and_scale(m, a)
     h = grid.h
     inv_h2 = 1.0 / (h * h) if h * h else math.inf

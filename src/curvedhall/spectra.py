@@ -48,7 +48,7 @@ def _line(geometry, qn, expr, args):
 def landau_flat(n, omega_c=1, hbar=1):
     """E_n = (n + 1/2) hbar omega_c."""
     if n < 0:
-        raise ValueError("Landau index n must be nonnegative")
+        raise UsageError("Landau index n must be nonnegative")
     if not omega_c > 0:
         raise UsageError("omega_c must be positive")
     if not hbar > 0:
@@ -59,14 +59,14 @@ def landau_flat(n, omega_c=1, hbar=1):
 
 def halfplane_window(beta):
     """Allowed integers l: 0 <= l < beta - 1/2 (strict inequality)."""
-    return list(range(max(0, math.ceil(float(beta) - 0.5))))
+    return list(range(halfplane_level_count(beta)))
 
 
 def halfplane_level_count(beta):
-    """len(halfplane_window(beta)) without building the window: every
-    integer 0 <= l < ceil(beta - 1/2) lies strictly below beta - 1/2."""
+    """The number of bound states, in O(1): every integer
+    0 <= l < ceil(beta - 1/2) lies strictly below beta - 1/2."""
     if not float(beta) > 0:
-        raise ValueError("beta must be positive")
+        raise UsageError("beta must be positive")
     return max(0, math.ceil(float(beta) - 0.5))
 
 
@@ -99,7 +99,7 @@ def energy_from_whittaker_index(n, beta, m=1, a=1):
 def sphere_spectrum(l, k, rho=1):
     """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ]."""
     if l < 0:
-        raise ValueError("l must be nonnegative")
+        raise UsageError("l must be nonnegative")
     if not float(rho) > 0:
         raise UsageError("rho must be positive")
     return _line(
@@ -114,7 +114,7 @@ def eigenfunction_halfplane(beta, l, c, point):
     copies of each level."""
     _check_window(beta, l)
     if not c > 0:
-        raise ValueError("separation constant c must be positive")
+        raise UsageError("separation constant c must be positive")
     x, y = point
     if not y > 0:
         raise UsageError("point must lie in the upper half-plane")

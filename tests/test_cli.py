@@ -18,6 +18,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_rejected(code, out, err):
+    """Exit 2 from a check after parsing: no data, one ``error:`` line."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify")
     lines = [ln for ln in out.splitlines() if ln and not ln.startswith(" ")]
@@ -67,9 +74,7 @@ def test_spectrum_sphere(capsys):
 
 
 def test_spectrum_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--geometry", "flat"])
-    assert exc.value.code == 2
+    assert_rejected(*run(capsys, "spectrum", "--geometry", "flat"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -108,10 +113,8 @@ def test_trajectory_zero_steps(capsys):
 
 
 def test_trajectory_bad_y0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["trajectory", "--dt", "0.01", "--steps", "5",
-                  "--y0", "-1.0"])
-    assert exc.value.code == 2
+    assert_rejected(*run(capsys, "trajectory", "--dt", "0.01", "--steps", "5",
+                         "--y0", "-1.0"))
 
 
 def test_trajectory_domain_exit(capsys):
@@ -154,10 +157,10 @@ def test_non_finite_number_is_usage_error(capsys, argv):
     (["--points", "1000", "--levels", "0"], "0 <= l < beta - 1/2"),
 ])
 def test_oracle_bad_request_is_usage_error(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--beta", "5", "--smax", "80"] + argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    code, out, err = run(capsys, "oracle", "--beta", "5", "--smax", "80",
+                         *argv)
+    assert_rejected(code, out, err)
+    assert message in err
 
 
 def test_oracle_coarse_grid_is_numerical_failure(capsys):
@@ -219,9 +222,39 @@ def test_laughlin_config_of_wrong_shape(capsys, tmp_path, text):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
     code, out, err = run(capsys, "laughlin", "--m", "1", "--config", str(cfg))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: config must be") and err.count("\n") == 1
+    assert_rejected(code, out, err)
+    assert err.startswith("error: config must be")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["eigenfunction", "--beta", "5", "--l", "7", "--c", "1", "--y", "1"],
+     None),
+    (["eigenfunction", "--beta", "5", "--l", "0", "--c", "0", "--y", "1"],
+     None),
+    (["spectrum", "--geometry", "halfplane", "--beta=-1", "--levels", "0"],
+     None),
+    (["spectrum", "--geometry", "halfplane", "--beta=-1", "--levels", "all"],
+     None),
+    (["spectrum", "--geometry", "flat", "--n=-1"], None),
+    (["spectrum", "--geometry", "sphere", "--k", "2", "--l=-1"], None),
+    (["spectrum", "--geometry", "flat", "--n", "0", "--out", "{missing}/x"],
+     None),
+    (["laughlin", "--m", "0", "--config", "{cfg}"],
+     '{"z0": 1, "points": [[0, 0], [1, 0]]}'),
+    (["laughlin", "--m", "3", "--config", "{missing}"], None),
+    (["laughlin", "--m", "1", "--config", "{cfg}"], "[1]"),
+    (["laughlin", "--m", "1", "--config", "{cfg}"], "not json"),
+    (["laughlin", "--m", "1", "--config", "{cfg}"], '{"z0": 1, "points": []}'),
+])
+def test_rejected_request_exits_2(capsys, tmp_path, argv, config):
+    # a level outside the window, a bad index or count, a file that cannot
+    # be read or written: each is a wrong request, not a numerical failure
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [a.replace("{cfg}", str(cfg))
+             .replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    assert_rejected(*run(capsys, *argv))
 
 
 def test_trajectory_all_charges_zero(capsys):
@@ -242,7 +275,7 @@ def test_eigenfunction_value(capsys):
 def test_eigenfunction_outside_window(capsys):
     code, _, err = run(capsys, "eigenfunction", "--beta", "5", "--l", "7",
                        "--c", "1", "--y", "1")
-    assert code == 3
+    assert code == 2
     assert "error" in err
 
 
@@ -271,7 +304,7 @@ def test_laughlin_overflow_is_numerical_failure(capsys, tmp_path):
 def test_laughlin_missing_config(capsys):
     code, _, err = run(capsys, "laughlin", "--m", "3",
                        "--config", "/nonexistent.json")
-    assert code == 3
+    assert code == 2
     assert "error" in err
 
 

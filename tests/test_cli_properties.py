@@ -4,7 +4,8 @@ argv is drawn from each subcommand's options, with extreme floats mixed
 in and the work bounded (``--points`` <= 2000, ``--steps`` <= 1000,
 |beta| <= 1e3, ranges of at most 50 entries).  Whatever the input,
 ``cli.main`` raises nothing but argparse's SystemExit, exits 0, 2 or 3
-(1 only from ``verify``), and on exit 0 prints no nan or inf.
+(1 only from ``verify``), on exit 0 prints no nan or inf, and when it
+returns 2 itself prints no data and one ``error:`` line.
 """
 
 import io
@@ -115,13 +116,16 @@ ESCAPES = [
 
 
 def run(argv):
+    """(code, stdout, stderr, parsed): ``parsed`` is False when argparse
+    rejected argv with SystemExit, True when ``cli.main`` returned."""
     out, err = io.StringIO(), io.StringIO()
+    parsed = True
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as ex:
-            code = ex.code
-    return code, out.getvalue(), err.getvalue()
+            code, parsed = ex.code, False
+    return code, out.getvalue(), err.getvalue(), parsed
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ def workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", ESCAPES)
 def test_numeric_escape_exits_3(argv):
-    code, out, err = run(argv)
+    code, out, err, _ = run(argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -153,11 +157,14 @@ def test_exit_code_contract(workdir, argv, config):
         cfg.write_text(config)
     argv = [a.replace("{cfg}", str(cfg))
              .replace("{out}", str(workdir / "missing" / "out")) for a in argv]
-    code, out, err = run(argv)
+    code, out, err, parsed = run(argv)
     assert "Traceback" not in err
     assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), (code, err)
     if code == 0:
         assert not re.search(r"nan|inf", out, re.IGNORECASE), out
+    if parsed and code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @st.composite
@@ -174,7 +181,7 @@ def oracle_argv(draw):
 @settings(max_examples=50, deadline=None)
 @given(argv=oracle_argv())
 def test_oracle_on_valid_grid(argv):
-    code, out, err = run(argv)
+    code, out, err, _ = run(argv)
     assert code in (0, 3), (code, err)
     if code == 3:
         assert out == ""

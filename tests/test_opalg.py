@@ -342,6 +342,24 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
         p + "s"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda r: r.var("x", -1), "negative power of non-Laurent variable"),
+    (lambda r: r.monomial((-1, 0, 0)),
+     "negative power of non-Laurent variable"),
+    (lambda r: DiffOp.d(r, ("x", "beta"), "x"), "bad geometric variable"),
+    (lambda r: DiffOp.zero(r, ("x", "z")), "bad geometric variable"),
+    (lambda r: DiffOp.mult(r, GV, Ring(("x", "y")).var("x")),
+     "coefficient declared over another ring"),
+    (lambda r: DiffOp(r, GV, {(1,): 1}), "bad derivative multi-index"),
+    (lambda r: DiffOp(r, GV, {(-1, 0): 1}), "bad derivative multi-index"),
+    (lambda r: DiffOp.d(r, GV, "x") + DiffOp.d(r, ("y", "x"), "x"),
+     "declared over different variables"),
+])
+def test_declaration_checks(ring, build, message):
+    with pytest.raises(DeclarationError, match=message):
+        build(ring)
+
+
 # -- phase-space bracket -----------------------------------------------------
 
 def test_poisson_canonical_pairs():

@@ -48,6 +48,13 @@ def test_level_count_is_constant_time(monkeypatch):
     assert spectra.halfplane_level_count(0.25) == 0
 
 
+@pytest.mark.parametrize("beta", [0, -1])
+def test_window_rejects_nonpositive_beta(beta):
+    # the window and the level count share one rule
+    with pytest.raises(UsageError, match="beta must be positive"):
+        spectra.halfplane_window(beta)
+
+
 def test_halfplane_energies_beta5():
     vals = [spectra.landau_halfplane(5, l).energy
             for l in spectra.halfplane_window(5)]
