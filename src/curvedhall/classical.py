@@ -48,13 +48,6 @@ def _rhs(x, y, px, py, a, beta):
             -(y * (px * px + py * py) + beta * px) * inv)
 
 
-def hamilton_rhs(s, a, beta):
-    """(xdot, ydot, pxdot, pydot); p_x is exactly conserved."""
-    if not s.y > 0:
-        raise DomainError("y must be positive")
-    return _rhs(s.x, s.y, s.px, s.py, a, beta)
-
-
 def _rk4_step(x, y, px, py, a, beta, h):
     """One classic RK4 step: the next (x, y, px, py), or None once a stage
     or the result leaves the upper half-plane."""

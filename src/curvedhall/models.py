@@ -151,7 +151,7 @@ def hamiltonian_halfplane(ring=None):
     ring = ring or geometry.halfplane_ring()
     y, beta = ring.var("y"), ring.var("beta")
     pre = _prefactor(ring)
-    return DiffOp(ring, GEOM, {
+    return DiffOp.from_terms(ring, GEOM, {
         (2, 0): pre * -(y * y),
         (0, 2): pre * -(y * y),
         (1, 0): pre * ((-2 * I) * (beta * y)),
@@ -414,7 +414,7 @@ def run_identity_suite():
     # 7. Casimir reduction and its explicit expansion
     C = casimir(qring)
     y, b = qring.var("y"), qring.var("beta")
-    neg_C_target = DiffOp(qring, GEOM, {
+    neg_C_target = DiffOp.from_terms(qring, GEOM, {
         (2, 0): -(y * y), (0, 2): -(y * y), (1, 0): (-2 * I) * (b * y)})
     reports.append(_report("casimir-reduction", [
         C - (-(L2 * L3) - L1 * L1 + I * L1),

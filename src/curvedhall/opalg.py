@@ -10,9 +10,12 @@ identities, Poisson brackets) is built from four layers:
 
 All values are immutable after construction and every operation returns a
 normalized result, so equality checks reduce to "does the difference
-normalize to zero".  Denominators stay in factored form (powers of a few
-irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
-and avoids multivariate GCDs.
+normalize to zero".  Input is checked once, where it enters (``Ring.const``,
+``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``,
+``DiffOp.from_terms``); the constructors only store kernel-built parts.
+Denominators stay in factored form (powers of a few irreducibles such as
+1 - (x^2+y^2)/rho^2), which keeps cancellation cheap and avoids
+multivariate GCDs.
 
 Mixed operands follow one lift rule: each layer's ``_lift`` turns a
 scalar or a lower-layer value into its own layer (``Ring.const``,
@@ -264,7 +267,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c):
-        return LaurentPoly(self, {(0,) * len(self.vars): c})
+        return LaurentPoly(self, {(0,) * len(self.vars): GaussianRational.coerce(c)})
 
     def var(self, name, power=1):
         vec = [0] * len(self.vars)
@@ -272,7 +275,7 @@ class Ring:
         return self.monomial(tuple(vec))
 
     def monomial(self, exps, coeff=1):
-        return LaurentPoly(self, {tuple(exps): GaussianRational.coerce(coeff)})
+        return self.const(coeff).shift(exps)
 
 
 def _grlex_key(exps):
@@ -280,25 +283,14 @@ def _grlex_key(exps):
 
 
 class LaurentPoly:
-    """Multivariate Laurent polynomial with GaussianRational coefficients."""
+    """Multivariate Laurent polynomial with GaussianRational coefficients,
+    built by the ``Ring`` builders; the constructor only drops zero terms."""
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        cleaned = {}
-        for exps, coeff in terms.items():
-            if type(coeff) is not GaussianRational:
-                coeff = GaussianRational.coerce(coeff)
-            if coeff:
-                cleaned[exps] = coeff
-        plain = ring._plain
-        for exps in cleaned:
-            for k in plain:
-                if exps[k] < 0:
-                    raise DeclarationError(
-                        f"negative power of non-Laurent variable {ring.vars[k]!r}")
-        self.terms = cleaned
+        self.terms = {e: c for e, c in terms.items() if c}
         self._hash = None
 
     # -- ring ops ----------------------------------------------------------
@@ -397,10 +389,12 @@ class LaurentPoly:
         return tuple(mins) if mins else (0,) * len(self.ring.vars)
 
     def shift(self, delta):
-        return LaurentPoly(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
-        )
+        terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
+        for k in self.ring._plain:
+            if any(e[k] < 0 for e in terms):
+                raise DeclarationError(
+                    f"negative power of non-Laurent variable {self.ring.vars[k]!r}")
+        return LaurentPoly(self.ring, terms)
 
     def eval(self, values):
         """Numeric evaluation; every variable present must get a value."""
@@ -472,7 +466,7 @@ def exact_divide(num, den):
     sn = num.monomial_content()
     sd = den.monomial_content()
     n = dict(num.shift(tuple(-v for v in sn)).terms)
-    d = LaurentPoly(ring, dict(den.shift(tuple(-v for v in sd)).terms))
+    d = den.shift(tuple(-v for v in sd))
     dl_exps, dl_coeff = d.leading()
     q = {}
     while n:
@@ -695,14 +689,24 @@ class DiffOp:
     ``geom_vars`` are the variables derivatives act on; every other ring
     variable is inert.  Terms map derivative multi-indices to RationalFunc
     coefficients, with all derivatives to the right of all coefficients.
+    Built by ``mult``, ``d``, ``zero`` and ``from_terms``; the constructor
+    drops zero terms and trusts the rest.
     """
 
     __slots__ = ("ring", "geom_vars", "terms")
 
     def __init__(self, ring, geom_vars, terms):
         self.ring = ring
-        self.geom_vars = tuple(geom_vars)
-        for v in self.geom_vars:
+        self.geom_vars = geom_vars
+        self.terms = {a: c for a, c in terms.items() if not c.is_zero}
+
+    # -- builders ----------------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, ring, geom_vars, terms):
+        """Checked builder: the sum of coeff * d^alpha over ``terms``."""
+        geom_vars = tuple(geom_vars)
+        for v in geom_vars:
             if v not in ring.index or v in ring.params:
                 raise DeclarationError(f"bad geometric variable {v!r}")
         cleaned = {}
@@ -713,24 +717,20 @@ class DiffOp:
                 coeff = RationalFunc.const(ring, coeff)
             if coeff.ring != ring:
                 raise DeclarationError("coefficient declared over another ring")
-            if coeff.is_zero:
-                continue
             alpha = tuple(alpha)
-            if len(alpha) != len(self.geom_vars) or any(a < 0 for a in alpha):
+            if len(alpha) != len(geom_vars) or any(a < 0 for a in alpha):
                 raise DeclarationError(f"bad derivative multi-index {alpha}")
             cleaned[alpha] = coeff
-        self.terms = cleaned
-
-    # -- builders ----------------------------------------------------------
+        return cls(ring, geom_vars, cleaned)
 
     @classmethod
     def zero(cls, ring, geom_vars):
-        return cls(ring, geom_vars, {})
+        return cls.from_terms(ring, geom_vars, {})
 
     @classmethod
     def mult(cls, ring, geom_vars, coeff):
         """Multiplication operator by a polynomial / rational function."""
-        return cls(ring, geom_vars, {(0,) * len(geom_vars): coeff})
+        return cls.from_terms(ring, geom_vars, {(0,) * len(geom_vars): coeff})
 
     @classmethod
     def d(cls, ring, geom_vars, var):

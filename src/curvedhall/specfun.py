@@ -21,8 +21,6 @@ TERM_CAP = 10_000
 @dataclass(frozen=True)
 class SeriesResult:
     value: float
-    terms_used: int
-    converged: bool
     est_abs_error: float
 
 
@@ -74,7 +72,7 @@ def hyp1f1(alpha, b, z):
     for k in range(n_stop):
         term_q *= (alpha_q + k) * z_q / ((b_q + k) * (k + 1))
         total_q += term_q
-    return SeriesResult(float(total_q), n_stop + 1, True, 0.0)
+    return SeriesResult(float(total_q), 0.0)
 
 
 def _series(alpha, b, z):
@@ -97,7 +95,7 @@ def _series(alpha, b, z):
             if nxt < 0.5:
                 tail = abs(term) * nxt / (1.0 - nxt)
                 rounding = biggest * 2.0 ** -52 * (k + 1)
-                return SeriesResult(total, k + 1, True, tail + rounding)
+                return SeriesResult(total, tail + rounding)
 
 
 def whittaker_m(beta, n, s):

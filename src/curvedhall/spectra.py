@@ -119,8 +119,15 @@ def eigenfunction_halfplane(beta, l, c, point):
     if not y > 0:
         raise UsageError("point must lie in the upper half-plane")
     beta = float(beta)
-    v = (cmath.exp(-1j * c * x - c * y) * y ** (beta - l)
-         * laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y))
+    lag = laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y)
+    try:
+        v = cmath.exp(-1j * c * x - c * y) * y ** (beta - l) * lag
+    except OverflowError:
+        v = math.inf
+    if not cmath.isfinite(v) and lag:
+        # y^(beta-l) overflows where e^(-cy) decays: |Psi| in log space
+        v = cmath.exp(-1j * c * x) * math.copysign(
+            math.exp((beta - l) * math.log(y) - c * y + math.log(abs(lag))), lag)
     if not cmath.isfinite(v):
         raise OverflowError(f"eigenfunction value is not finite ({v})")
     return v

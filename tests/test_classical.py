@@ -23,8 +23,8 @@ def test_state_rejects_lower_halfplane():
 
 
 def test_rhs_px_conserved():
-    rhs = classical.hamilton_rhs(preset(), A, BETA)
-    assert rhs[2] == 0.0
+    traj = classical.integrate_rk4(preset(), A, BETA, 1e-3, 50)
+    assert all(s.px == -1.0 for s in traj.states)
 
 
 def test_preset_orbit_is_bounded():

@@ -210,11 +210,20 @@ def test_domain_request_is_usage_error(capsys, argv):
 
 
 def test_overflow_is_numerical_failure(capsys):
-    code, out, err = run(capsys, "eigenfunction", "--beta", "5", "--l", "0",
-                         "--c", "1", "--y", "1e308")
+    code, out, err = run(capsys, "eigenfunction", "--beta", "200", "--l", "0",
+                         "--c", "0.001", "--y", "1e3")
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("y", ["1e308", "1e62"])
+def test_underflowing_tail_is_zero(capsys, y):
+    # y^(beta-l) overflows, but the product with e^(-cy) is 0
+    code, out, err = run(capsys, "eigenfunction", "--beta", "5", "--l", "0",
+                         "--c", "1", "--y", y)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[1].split(",")[4]) == 0.0
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"z0": 1, "points": [["a", 0]]}'])

@@ -154,6 +154,32 @@ def _poly_strategy(ring):
         lambda ts: sum((ring.monomial(e, c) for e, c in ts), ring.zero()))
 
 
+def _assert_normal(v):
+    """The invariant the LaurentPoly and DiffOp constructors trust of the
+    values the kernel builds: nonzero coefficients of the layer's type,
+    no negative power of a non-Laurent variable, valid multi-indices."""
+    ring = v.ring
+    if isinstance(v, DiffOp):
+        for alpha, c in v.terms.items():
+            assert type(c) is RationalFunc and c.ring == ring and not c.is_zero
+            assert type(alpha) is tuple and len(alpha) == len(v.geom_vars)
+            assert all(type(a) is int and a >= 0 for a in alpha)
+            for p in (c.num,) + tuple(f for f, _ in c.den):
+                _assert_normal(p)
+        return
+    assert type(v) is LaurentPoly
+    for exps, c in v.terms.items():
+        assert type(c) is GaussianRational and c
+        assert type(exps) is tuple and len(exps) == len(ring.vars)
+        assert all(e >= 0 for e, name in zip(exps, ring.vars)
+                   if name not in ring.laurent)
+
+
+def test_const_rejects_float(ring):
+    with pytest.raises(TypeError):
+        ring.const(1.5)
+
+
 def test_laurent_rejects_negative_plain_exponent(ring):
     with pytest.raises(Exception):
         ring.var("x", -1)
@@ -283,7 +309,7 @@ def _diffop_strategy(ring):
         lambda ts: sum((ring.monomial(e, c) for e, c in ts), ring.zero()))
     alpha = st.tuples(st.integers(0, 2), st.integers(0, 2))
     return st.lists(st.tuples(alpha, coeff), min_size=1, max_size=3).map(
-        lambda ts: sum((DiffOp(ring, GV, {a: c}) for a, c in ts),
+        lambda ts: sum((DiffOp.from_terms(ring, GV, {a: c}) for a, c in ts),
                        DiffOp.zero(ring, GV)))
 
 
@@ -292,9 +318,14 @@ def _diffop_strategy(ring):
 def test_composition_associative_and_acts_as_composition(ring, data):
     ops = _diffop_strategy(ring)
     A, B, C = data.draw(ops), data.draw(ops), data.draw(ops)
-    assert (A * B) * C == A * (B * C)
+    AB = A * B
+    AB_C, A_BC = AB * C, A * (B * C)
+    assert AB_C == A_BC
     f = data.draw(_poly_strategy(ring))
-    assert (A * B).apply_poly(f) == A.apply_poly(B.apply_poly(f))
+    image = AB.apply_poly(f)
+    assert image == A.apply_poly(B.apply_poly(f))
+    for v in (A, B, C, AB, AB_C, A_BC, image):
+        _assert_normal(v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,10 +341,11 @@ def test_commutator_jacobi(ring, data):
     A = op(data.draw(strat), data.draw(strat), data.draw(strat))
     B = op(data.draw(strat), data.draw(strat), data.draw(strat))
     C = op(data.draw(strat), data.draw(strat), data.draw(strat))
-    J = (A.commutator(B.commutator(C))
-         + B.commutator(C.commutator(A))
-         + C.commutator(A.commutator(B)))
+    BC, CA, AB = B.commutator(C), C.commutator(A), A.commutator(B)
+    J = A.commutator(BC) + B.commutator(CA) + C.commutator(AB)
     assert not J.terms
+    for v in (A, B, C, BC, CA, AB):
+        _assert_normal(v)
 
 
 def test_scalar_premultiplication(ring):
@@ -346,12 +378,19 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
     (lambda r: r.var("x", -1), "negative power of non-Laurent variable"),
     (lambda r: r.monomial((-1, 0, 0)),
      "negative power of non-Laurent variable"),
+    # a monomial denominator folds into the numerator through shift
+    (lambda r: RationalFunc(r.one(), ((r.var("x"), 1),)),
+     "negative power of non-Laurent variable"),
     (lambda r: DiffOp.d(r, ("x", "beta"), "x"), "bad geometric variable"),
     (lambda r: DiffOp.zero(r, ("x", "z")), "bad geometric variable"),
     (lambda r: DiffOp.mult(r, GV, Ring(("x", "y")).var("x")),
      "coefficient declared over another ring"),
-    (lambda r: DiffOp(r, GV, {(1,): 1}), "bad derivative multi-index"),
-    (lambda r: DiffOp(r, GV, {(-1, 0): 1}), "bad derivative multi-index"),
+    (lambda r: DiffOp.from_terms(r, ("x", "beta"), {}), "bad geometric variable"),
+    pytest.param(
+        lambda r: DiffOp.from_terms(r, GV, {(0, 1): Ring(("x", "y")).var("y")}),
+        "coefficient declared over another ring", id="from_terms-foreign-ring"),
+    (lambda r: DiffOp.from_terms(r, GV, {(1,): 1}), "bad derivative multi-index"),
+    (lambda r: DiffOp.from_terms(r, GV, {(-1, 0): 1}), "bad derivative multi-index"),
     (lambda r: DiffOp.d(r, GV, "x") + DiffOp.d(r, ("y", "x"), "x"),
      "declared over different variables"),
 ])
@@ -380,4 +419,6 @@ def test_poisson_antisymmetry(data):
     strat = st.lists(st.tuples(exps, small_fracs), max_size=4).map(
         lambda ts: sum((ring.monomial(e, c) for e, c in ts), ring.zero()))
     f, g = data.draw(strat), data.draw(strat)
-    assert poisson_bracket(f, g) == -poisson_bracket(g, f)
+    fg = poisson_bracket(f, g)
+    assert fg == -poisson_bracket(g, f)
+    _assert_normal(fg)
