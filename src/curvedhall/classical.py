@@ -10,26 +10,30 @@ are verified to be Euclidean circles by a least-squares fit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DomainError, FitSingularError, UsageError
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    t: float
-    x: float
-    y: float
-    px: float
-    py: float
+class PhaseState(namedtuple("PhaseState", "t x y px py")):
+    """A phase-space point at time t: every field finite, and y > 0 (the
+    upper half-plane).  The constructor and ``_replace`` check both;
+    ``_make`` does not, for code that has checked the fields itself."""
 
-    def __post_init__(self):
-        vals = (self.t, self.x, self.y, self.px, self.py)
-        if not all(math.isfinite(v) for v in vals):
+    __slots__ = ()
+
+    def __new__(cls, t, x, y, px, py):
+        if not all(math.isfinite(v) for v in (t, x, y, px, py)):
             raise DomainError("non-finite phase-space state")
-        if not self.y > 0:
+        if not y > 0:
             raise DomainError("y must be positive (upper half-plane)")
+        return super().__new__(cls, t, x, y, px, py)
+
+    def _replace(self, **changes):
+        # namedtuple's own _replace builds through _make, past the check
+        return type(self)(*super()._replace(**changes))
 
 
 @dataclass(frozen=True)
@@ -41,37 +45,53 @@ class Trajectory:
     domain_exit: bool = False
 
 
-def _rhs(x, y, px, py, a, beta):
-    y2 = y * y
-    inv = 1.0 / (2.0 * a * a)
-    return ((y2 * px + beta * y) * inv, y2 * py * inv, 0.0,
-            -(y * (px * px + py * py) + beta * px) * inv)
-
-
 def _rk4_step(x, y, px, py, a, beta, h):
     """One classic RK4 step: the next (x, y, px, py), or None once a stage
-    or the result leaves the upper half-plane."""
-    k1 = _rhs(x, y, px, py, a, beta)
-    y2 = y + 0.5 * h * k1[1]
+    or the result leaves the upper half-plane.
+
+    Hamilton's equations are written out at each stage:
+    dx = (y^2 px + beta y) / 2a^2, dy = y^2 py / 2a^2, dpx = 0 and
+    dpy = -(y (px^2 + py^2) + beta px) / 2a^2.  A stage's px is still
+    px + (h/2) * 0.0, which turns a -0.0 into 0.0 as the full step does.
+    """
+    inv = 1.0 / (2.0 * a * a)
+    hh = 0.5 * h
+    yy = y * y
+    dx1 = (yy * px + beta * y) * inv
+    dy1 = yy * py * inv
+    dq1 = -(y * (px * px + py * py) + beta * px) * inv
+    y2 = y + hh * dy1
     if y2 <= 0:
         return None
-    k2 = _rhs(x + 0.5 * h * k1[0], y2, px + 0.5 * h * k1[2],
-              py + 0.5 * h * k1[3], a, beta)
-    y3 = y + 0.5 * h * k2[1]
+    p2 = px + hh * 0.0
+    q2 = py + hh * dq1
+    yy = y2 * y2
+    dx2 = (yy * p2 + beta * y2) * inv
+    dy2 = yy * q2 * inv
+    dq2 = -(y2 * (p2 * p2 + q2 * q2) + beta * p2) * inv
+    y3 = y + hh * dy2
     if y3 <= 0:
         return None
-    k3 = _rhs(x + 0.5 * h * k2[0], y3, px + 0.5 * h * k2[2],
-              py + 0.5 * h * k2[3], a, beta)
-    y4 = y + h * k3[1]
+    q3 = py + hh * dq2
+    yy = y3 * y3
+    dx3 = (yy * p2 + beta * y3) * inv
+    dy3 = yy * q3 * inv
+    dq3 = -(y3 * (p2 * p2 + q3 * q3) + beta * p2) * inv
+    y4 = y + h * dy3
     if y4 <= 0:
         return None
-    k4 = _rhs(x + h * k3[0], y4, px + h * k3[2], py + h * k3[3], a, beta)
-    y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    p4 = px + h * 0.0
+    q4 = py + h * dq3
+    yy = y4 * y4
+    dx4 = (yy * p4 + beta * y4) * inv
+    dy4 = yy * q4 * inv
+    dq4 = -(y4 * (p4 * p4 + q4 * q4) + beta * p4) * inv
+    h6 = h / 6.0
+    y += h6 * (dy1 + 2 * dy2 + 2 * dy3 + dy4)
     if y <= 0:
         return None
-    return (x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]), y,
-            px + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            py + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+    return (x + h6 * (dx1 + 2 * dx2 + 2 * dx3 + dx4), y, px + h6 * 0.0,
+            py + h6 * (dq1 + 2 * dq2 + 2 * dq3 + dq4))
 
 
 def integrate_rk4(s0, a, beta, dt, steps):
@@ -87,15 +107,19 @@ def integrate_rk4(s0, a, beta, dt, steps):
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     states = [s0]
-    x, y, px, py = s0.x, s0.y, s0.px, s0.py
-    t = s0.t
+    t, x, y, px, py = s0
+    make = PhaseState._make
     for _ in range(steps):
         nxt = _rk4_step(x, y, px, py, a, beta, dt)
-        if nxt is None or not all(math.isfinite(v) for v in nxt):
+        if nxt is None or not all(map(math.isfinite, nxt)):
             return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
         x, y, px, py = nxt
         t += dt
-        states.append(PhaseState(t, x, y, px, py))
+        if t == math.inf:
+            # the one field the step does not check: dt > 0, so only +inf
+            raise DomainError("non-finite phase-space state")
+        # every field is checked, so past the constructor's own check
+        states.append(make((t, x, y, px, py)))
     return Trajectory(a, beta, dt, tuple(states))
 
 
@@ -105,14 +129,14 @@ def conserved_values(s, a, beta):
     L2 is the translation charge p_x (the choice that closes the bracket
     algebra; see the identity suite).
     """
-    if not s.y > 0:
+    _, x, y, px, py = s
+    if not y > 0:
         raise DomainError("y must be positive")
-    y2 = s.y * s.y
-    H = (y2 * (s.px * s.px + s.py * s.py) + 2 * beta * s.y * s.px
-         + beta * beta) / (4 * a * a)
-    L1 = s.x * s.px + s.y * s.py
-    L2 = s.px
-    L3 = (y2 - s.x * s.x) * s.px - 2 * s.x * s.y * s.py + 2 * beta * s.y
+    y2 = y * y
+    H = (y2 * (px * px + py * py) + 2 * beta * y * px + beta * beta) / (4 * a * a)
+    L1 = x * px + y * py
+    L2 = px
+    L3 = (y2 - x * x) * px - 2 * x * y * py + 2 * beta * y
     return H, L1, L2, L3
 
 
@@ -120,7 +144,6 @@ def drift_summary(traj):
     """Max relative drift of each conserved scalar along the trajectory;
     all NaN if any conserved value is NaN, all 0 if every value is 0."""
     names = ("H", "L1", "L2", "L3")
-    ref = conserved_values(traj.states[0], traj.a, traj.beta)
     vals = [conserved_values(s, traj.a, traj.beta) for s in traj.states]
     if any(map(math.isnan, chain.from_iterable(vals))):
         # max() below would drop the NaN and report a perfect drift
@@ -128,16 +151,15 @@ def drift_summary(traj):
     # a charge whose exact value on the orbit is zero (the preset orbit has
     # L1 = 0) has no scale of its own; judge every charge against the
     # largest charge magnitude the orbit attains
-    common = max(abs(v[k]) for v in vals for k in range(4))
+    common = max(map(abs, chain.from_iterable(vals)))
     if common == 0.0:
         # every charge is exactly 0 at every step: no drift, and no scale
         return dict.fromkeys(names, 0.0)
-    scales = [max(abs(ref[k]), common) for k in range(4)]
-    worst = [0.0] * 4
-    for now in vals[1:]:
-        for k in range(4):
-            worst[k] = max(worst[k], abs(now[k] - ref[k]) / scales[k])
-    return dict(zip(names, worst))
+    # dividing by a positive scale is monotone, so the largest deviation
+    # divided once is the largest relative drift
+    ref = vals[0]
+    return {name: max(abs(v[k] - ref[k]) for v in vals) / common
+            for k, name in enumerate(names)}
 
 
 def circle_fit(traj_or_points):
@@ -234,9 +256,9 @@ def estimate_period(s0, a, beta, probe_dt=1e-3):
 def trajectory_csv(traj, stream):
     """CSV with conserved columns, full double precision."""
     stream.write("t,x,y,px,py,H,L1,L2,L3\n")
+    row = ",".join(["%.17g"] * 9) + "\n"
     for s in traj.states:
         H, L1, L2, L3 = conserved_values(s, traj.a, traj.beta)
         if not all(map(math.isfinite, (H, L1, L2, L3))):
             raise OverflowError(f"conserved values are not finite at t={s.t!r}")
-        row = (s.t, s.x, s.y, s.px, s.py, H, L1, L2, L3)
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write(row % (*s, H, L1, L2, L3))

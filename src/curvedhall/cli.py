@@ -6,16 +6,19 @@ request (argparse cannot parse it, a check after parsing raises
 numerical failure, 141 when the reader of stdout has closed it (128 +
 SIGPIPE, as in ``curvedhall verify | true``).  The subcommands raise;
 ``main`` alone maps an exception to an exit code.
+
+Each subcommand imports the modules it runs, so that a command pays at
+start-up only for its own code.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
 
-from . import classical, manybody, models, numverify, spectra
 from .errors import UsageError
 
 
@@ -160,6 +163,7 @@ def _build_parser():
 
 
 def _cmd_verify(args):
+    from . import models
     reports = models.run_identity_suite()
     _emit(models.render_suite(reports, fmt=args.format), args.out)
     bad = [r for r in reports if r.status == models.FAIL]
@@ -175,6 +179,7 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
+    from . import spectra
     if args.geometry == "flat":
         if args.n is None:
             raise UsageError("flat geometry needs --n")
@@ -203,9 +208,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_trajectory(args):
+    from . import classical
     s0 = classical.PhaseState(0.0, args.x0, args.y0, args.px0, args.py0)
     traj = classical.integrate_rk4(s0, args.a, args.beta, args.dt, args.steps)
-    import io
     buf = io.StringIO()
     classical.trajectory_csv(traj, buf)
     _emit(buf.getvalue(), args.out)
@@ -220,6 +225,7 @@ def _cmd_trajectory(args):
 
 
 def _cmd_oracle(args):
+    from . import numverify, spectra
     grid = numverify.FDGrid(args.smin, args.smax, args.points)
     count = spectra.halfplane_level_count(args.beta)
     if not 1 <= args.levels <= count:
@@ -235,6 +241,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_eigenfunction(args):
+    from . import spectra
     rows = ["x,y,re,im,abs"]
     for y in args.y:
         v = spectra.eigenfunction_halfplane(args.beta, args.l, args.c,
@@ -246,6 +253,7 @@ def _cmd_eigenfunction(args):
 
 
 def _cmd_laughlin(args):
+    from . import manybody
     with open(args.config) as fh:
         cfg = manybody.ParticleConfig.from_json(fh.read())
     val = manybody.laughlin(cfg, args.m)

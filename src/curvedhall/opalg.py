@@ -389,6 +389,10 @@ class LaurentPoly:
         return tuple(mins) if mins else (0,) * len(self.ring.vars)
 
     def shift(self, delta):
+        if len(delta) != len(self.ring.vars):
+            raise DeclarationError(
+                f"exponent vector of length {len(delta)} for "
+                f"{len(self.ring.vars)} variables")
         terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
         for k in self.ring._plain:
             if any(e[k] < 0 for e in terms):

@@ -29,20 +29,26 @@ def _is_nonpositive_int(v):
 
 
 def laguerre(n, tau, z):
-    """Generalized Laguerre polynomial L_n^(tau)(z) by the three-term
-    recurrence, run in exact rational arithmetic (every float is a
-    rational, and the polynomial degree is small, so exactness is free
-    and removes the cancellation loss near the polynomial's roots)."""
+    """Generalized Laguerre polynomial L_n^(tau)(z) as a float; see
+    ``_laguerre_exact``.  OverflowError where the value is beyond a double."""
+    return float(_laguerre_exact(n, tau, z))
+
+
+def _laguerre_exact(n, tau, z):
+    """L_n^(tau)(z) as a Fraction, by the three-term recurrence run in
+    exact rational arithmetic (every float is a rational, and the
+    polynomial degree is small, so exactness is free and removes the
+    cancellation loss near the polynomial's roots)."""
     if n < 0:
         raise ValueError("laguerre needs n >= 0")
     if n == 0:
-        return 1.0
+        return Fraction(1)
     tau, z = Fraction(tau), Fraction(z)
     prev, cur = Fraction(1), tau + 1 - z
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1 + tau - z) * cur
                           - (k - 1 + tau) * prev) / k
-    return float(cur)
+    return cur
 
 
 def hyp1f1(alpha, b, z):

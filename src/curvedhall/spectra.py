@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoBoundStateError, UsageError, check_mass_and_scale
-from .specfun import laguerre
+from .specfun import _laguerre_exact, laguerre
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,29 @@ def eigenfunction_halfplane(beta, l, c, point):
     if not y > 0:
         raise UsageError("point must lie in the upper half-plane")
     beta = float(beta)
-    lag = laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y)
+    tau, z = 2 * beta - 2 * l - 1, 2 * c * y
+    if not math.isfinite(z):
+        # c y > 8.9e307: e^(-cy) puts |Psi| below every double, whatever
+        # beta and l
+        return cmath.exp(-1j * c * x) * 0.0
+    log_lag = None
+    try:
+        lag = laguerre(l, tau, z)
+    except OverflowError:
+        # L itself is beyond a double: its sign and ln|L| from the exact value
+        q = _laguerre_exact(l, tau, z)
+        lag = math.inf if q > 0 else -math.inf
+        log_lag = math.log(abs(q.numerator)) - math.log(q.denominator)
     try:
         v = cmath.exp(-1j * c * x - c * y) * y ** (beta - l) * lag
     except OverflowError:
         v = math.inf
     if not cmath.isfinite(v) and lag:
-        # y^(beta-l) overflows where e^(-cy) decays: |Psi| in log space
+        # y^(beta-l) or L overflows where e^(-cy) decays: |Psi| in log space
+        if log_lag is None:
+            log_lag = math.log(abs(lag))
         v = cmath.exp(-1j * c * x) * math.copysign(
-            math.exp((beta - l) * math.log(y) - c * y + math.log(abs(lag))), lag)
+            math.exp((beta - l) * math.log(y) - c * y + log_lag), lag)
     if not cmath.isfinite(v):
         raise OverflowError(f"eigenfunction value is not finite ({v})")
     return v

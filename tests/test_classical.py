@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvedhall import classical
 from curvedhall.errors import DomainError, FitSingularError, UsageError
@@ -20,6 +21,34 @@ def preset():
 def test_state_rejects_lower_halfplane():
     with pytest.raises(DomainError):
         classical.PhaseState(0.0, 0.0, -1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("y", -1.0, "upper half-plane"), ("y", 0.0, "upper half-plane"),
+    ("px", math.nan, "non-finite"), ("t", math.inf, "non-finite"),
+])
+def test_state_checks_constructor_and_replace(field, value, message):
+    fields = {**preset()._asdict(), field: value}
+    with pytest.raises(DomainError, match=message):
+        classical.PhaseState(**fields)
+    # namedtuple's own _replace would skip the check
+    with pytest.raises(DomainError, match=message):
+        preset()._replace(**{field: value})
+    assert preset()._replace(x=2.0) == classical.PhaseState(0.0, 2.0, 1.0, -1.0, 0.0)
+
+
+def test_integrated_states_are_phase_states():
+    traj = classical.integrate_rk4(preset(), A, BETA, 1e-2, 20)
+    assert len(traj.states) == 21
+    assert all(type(s) is classical.PhaseState for s in traj.states)
+
+
+def test_time_overflow_is_domain_error():
+    # at rest with beta = 0 the state never moves; t is the one field the
+    # integrator builds without the constructor, and it still may not be inf
+    s0 = classical.PhaseState(0.0, 0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        classical.integrate_rk4(s0, 1.0, 0.0, 1e308, 2)
 
 
 def test_rhs_px_conserved():
@@ -190,3 +219,95 @@ def test_drift_summary_all_charges_zero():
 def test_rk4_rejects_zero_scale():
     with pytest.raises(UsageError):
         classical.integrate_rk4(preset(), 0.0, BETA, 0.01, 2)
+
+
+# -- the step and the drift against frozen copies of the earlier code -------
+
+def _rhs_reference(x, y, px, py, a, beta):
+    y2 = y * y
+    inv = 1.0 / (2.0 * a * a)
+    return ((y2 * px + beta * y) * inv, y2 * py * inv, 0.0,
+            -(y * (px * px + py * py) + beta * px) * inv)
+
+
+def _rk4_step_reference(x, y, px, py, a, beta, h):
+    """The step as it was with a separate right-hand side."""
+    k1 = _rhs_reference(x, y, px, py, a, beta)
+    y2 = y + 0.5 * h * k1[1]
+    if y2 <= 0:
+        return None
+    k2 = _rhs_reference(x + 0.5 * h * k1[0], y2, px + 0.5 * h * k1[2],
+                        py + 0.5 * h * k1[3], a, beta)
+    y3 = y + 0.5 * h * k2[1]
+    if y3 <= 0:
+        return None
+    k3 = _rhs_reference(x + 0.5 * h * k2[0], y3, px + 0.5 * h * k2[2],
+                        py + 0.5 * h * k2[3], a, beta)
+    y4 = y + h * k3[1]
+    if y4 <= 0:
+        return None
+    k4 = _rhs_reference(x + h * k3[0], y4, px + h * k3[2], py + h * k3[3],
+                        a, beta)
+    y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    if y <= 0:
+        return None
+    return (x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]), y,
+            px + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+            py + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+
+
+def _outcome(step, *args):
+    """The step's result with signed zeros told apart, or its exception."""
+    try:
+        result = step(*args)
+    except ArithmeticError as ex:
+        return type(ex)
+    return None if result is None else tuple(map(repr, result))
+
+
+_reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-10.0, 10.0), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300)
+@given(x=_reals, y=st.one_of(st.floats(0.01, 10.0), st.floats(min_value=0.0)),
+       px=_reals, py=_reals, a=_reals, beta=_reals,
+       h=st.one_of(st.sampled_from([1e-3, 0.01, 1.0, -0.01]), st.floats(-2.0, 2.0)))
+@example(x=-0.0, y=1.0, px=-0.0, py=0.0, a=1.0, beta=-0.0, h=0.01)
+@example(x=0.0, y=1.0, px=-0.0, py=-0.0, a=-2.0, beta=-3.0, h=-0.5)
+def test_rk4_step_matches_reference(x, y, px, py, a, beta, h):
+    args = (x, y, px, py, a, beta, h)
+    assert _outcome(classical._rk4_step, *args) == \
+        _outcome(_rk4_step_reference, *args)
+
+
+def _drift_reference(traj):
+    """drift_summary as it was: a per-element maximum of relative drifts."""
+    names = ("H", "L1", "L2", "L3")
+    ref = classical.conserved_values(traj.states[0], traj.a, traj.beta)
+    vals = [classical.conserved_values(s, traj.a, traj.beta)
+            for s in traj.states]
+    if any(math.isnan(v) for row in vals for v in row):
+        return dict.fromkeys(names, math.nan)
+    common = max(abs(v[k]) for v in vals for k in range(4))
+    if common == 0.0:
+        return dict.fromkeys(names, 0.0)
+    scales = [max(abs(ref[k]), common) for k in range(4)]
+    worst = [0.0] * 4
+    for now in vals[1:]:
+        for k in range(4):
+            worst[k] = max(worst[k], abs(now[k] - ref[k]) / scales[k])
+    return dict(zip(names, worst))
+
+
+@pytest.mark.parametrize("s0, a, beta, dt, steps", [
+    ((0.0, 0.0, 1.0, -1.0, 0.0), A, BETA, 2e-3, 3000),
+    ((0.0, 0.3, 0.7, 0.4, -0.2), -1.5, 2.0, 1e-2, 800),
+    ((0.0, -1.0, 2.0, 0.5, 0.5), 1.0, -3.0, 5e-2, 400),
+    ((0.0, 0.0, 0.5, 0.0, -10.0), A, BETA, 1.0, 100),      # domain exit
+    ((0.0, 0.0, 1.0, 0.0, 0.0), A, 0.0, 1e-2, 5),           # all zero
+    ((0.0, 0.0, 1.0, -1.0, 0.0), A, BETA, 1e-2, 0),         # one state
+])
+def test_drift_summary_matches_reference(s0, a, beta, dt, steps):
+    traj = classical.integrate_rk4(classical.PhaseState(*s0), a, beta, dt, steps)
+    assert classical.drift_summary(traj) == _drift_reference(traj)

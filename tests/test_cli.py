@@ -125,6 +125,18 @@ def test_trajectory_domain_exit(capsys):
     assert out.splitlines()[0].startswith("t,")
 
 
+def test_trajectory_keeps_signed_zeros(capsys):
+    # a stage's px is px + (h/2) * 0.0, so the step turns -0.0 into 0.0
+    code, out, err = run(capsys, "trajectory", "--x0", "-0", "--px0", "-0",
+                         "--beta", "-0", "--dt", "0.01", "--steps", "1")
+    assert code == 0
+    assert out == ("t,x,y,px,py,H,L1,L2,L3\n"
+                   "0,-0,1,-0,0,0,0,-0,0\n"
+                   "0.01,0,1,0,0,0,0,0,0\n")
+    assert err == ("# drift H=0.000e+00 L1=0.000e+00 L2=0.000e+00 "
+                   "L3=0.000e+00\n")
+
+
 def test_oracle_small_grid(capsys):
     code, out, _ = run(capsys, "oracle", "--beta", "5", "--smax", "80",
                        "--points", "1500", "--levels", "3")
@@ -224,6 +236,19 @@ def test_underflowing_tail_is_zero(capsys, y):
                          "--c", "1", "--y", y)
     assert (code, err) == (0, "")
     assert float(out.splitlines()[1].split(",")[4]) == 0.0
+
+
+@pytest.mark.parametrize("l, y", [
+    ("1", "1e308"),     # 2 c y is inf before the Laguerre factor is built
+    ("2", "1e200"),     # L_2(2 c y) is beyond a double
+    ("4", "1e100"),
+])
+def test_overflowing_laguerre_factor_is_zero(capsys, l, y):
+    # e^(-cy) outweighs the Laguerre factor, so the value is 0
+    code, out, err = run(capsys, "eigenfunction", "--beta", "5", "--l", l,
+                         "--c", "1", "--y", y)
+    assert (code, err) == (0, "")
+    assert [float(v) for v in out.splitlines()[1].split(",")[2:]] == [0.0] * 3
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"z0": 1, "points": [["a", 0]]}'])
@@ -360,6 +385,21 @@ def test_help_into_closed_stdout_exits_141(argv):
         proc = run_into_closed_stdout(argv, unbuffered)
         assert proc.returncode == 141, unbuffered
         assert proc.stderr == b""
+
+
+def test_import_loads_only_the_cli():
+    # each subcommand imports its own modules when it runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curvedhall.cli; "
+         "print(*sorted(m for m in sys.modules if m.startswith('curvedhall'))); "
+         "import curvedhall; print(curvedhall.models.FAIL); "
+         "from curvedhall import *; print(spectra.__name__)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, fail, star = proc.stdout.splitlines()
+    assert loaded.split() == ["curvedhall", "curvedhall.cli", "curvedhall.errors"]
+    assert (fail, star) == ("fail", "curvedhall.spectra")
 
 
 def test_import_loads_no_numpy():

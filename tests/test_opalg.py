@@ -393,6 +393,13 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
     (lambda r: DiffOp.from_terms(r, GV, {(-1, 0): 1}), "bad derivative multi-index"),
     (lambda r: DiffOp.d(r, GV, "x") + DiffOp.d(r, ("y", "x"), "x"),
      "declared over different variables"),
+    # an exponent vector must have one entry per variable of the ring
+    pytest.param(lambda r: Ring(("x", "y"), laurent=("x", "y")).monomial((1,)),
+                 "exponent vector of length 1", id="monomial-short-laurent"),
+    pytest.param(lambda r: Ring(("x", "y")).monomial((1, 2, 3)),
+                 "exponent vector of length 3", id="monomial-long"),
+    pytest.param(lambda r: Ring(("x", "y")).monomial((1,)),
+                 "exponent vector of length 1", id="monomial-short"),
 ])
 def test_declaration_checks(ring, build, message):
     with pytest.raises(DeclarationError, match=message):
