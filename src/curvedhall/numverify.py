@@ -152,7 +152,10 @@ def _gershgorin(d, ae):
     m = math.inf
     for i in range(len(d) - 1, -1, -1):
         di, ri = d[i], radius[i]
-        m = min(m, di - ri - 1e-15 * (abs(di) + ri))
+        v = di - ri - 1e-15 * (abs(di) + ri)
+        # min(m, v) without the call, half the cost of this loop
+        if v < m:
+            m = v
         floor[i] = m
     return lo, hi, floor
 
@@ -221,7 +224,12 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
 
     Level j keeps one bracket (a_j, b_j] with the Sturm count at each end,
     and every count taken for any level narrows the brackets of all of
-    them (Barth-Martin-Wilkinson; LAPACK dstebz).  Level j is bisected
+    them (Barth-Martin-Wilkinson; LAPACK dstebz).  From level 3 on, the
+    levels already found predict the next by quadratic extrapolation,
+    g = 3 lambda_{j-1} - 3 lambda_{j-2} + lambda_{j-3}, and one count is
+    taken at each of g -/+ 5e-3 that lies inside (a_j, b_j); when g is
+    right these two counts isolate lambda_j in a 1e-2 bracket, and when it
+    is wrong they have still narrowed the brackets.  Level j is bisected
     until its bracket holds lambda_j alone and is at most 1e-2 wide; then
     Newton steps on d/dx log|det(T - x)|, clamped to the closed bracket,
     run from its midpoint until a step is under 1e-9.  The root x is kept
@@ -299,6 +307,13 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
         return x if below and above else None
 
     for j in range(k):
+        if j >= 3:
+            # the levels lie on a smooth curve in j: counts on either side
+            # of the quadratic extrapolation usually isolate level j at once
+            g = 3.0 * (out[j - 1] - out[j - 2]) + out[j - 3]
+            for x in (g - 0.5 * _NEWTON_WIDTH, g + 0.5 * _NEWTON_WIDTH):
+                if a[j] < x < b[j]:
+                    count(x)
         while not (isolated(j) and b[j] - a[j] <= _NEWTON_WIDTH) \
                 and bisect(j):
             pass
@@ -335,6 +350,10 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     if k_levels < 1:
         raise UsageError("k_levels must be >= 1")
     check_mass_and_scale(m, a)
+    if k_levels > grid.n_points:
+        raise ResolutionError(
+            f"a grid of {grid.n_points} points holds at most "
+            f"{grid.n_points} levels, {k_levels} requested")
     h = grid.h
     inv_h2 = 1.0 / (h * h) if h * h else math.inf
     if not math.isfinite(inv_h2):

@@ -183,6 +183,16 @@ def test_oracle_coarse_grid_is_numerical_failure(capsys):
     assert "resolves only 4" in err
 
 
+def test_oracle_more_levels_than_points_is_numerical_failure(capsys):
+    # 500 bound states exist, but 100 points hold at most 100 levels
+    code, out, err = run(capsys, "oracle", "--beta", "500", "--smax", "80",
+                         "--points", "100", "--levels", "400")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: a grid of 100 points holds at most 100 levels, "
+                   "400 requested\n")
+
+
 def test_oracle_wall_bound_level_is_numerical_failure(capsys):
     # mu ~ -8e10 against an analytic -1e18: the ground state's allowed
     # region runs into the wall at s_max

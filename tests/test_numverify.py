@@ -176,7 +176,7 @@ def test_sturm_early_exit_matches_full_recurrence(beta):
     assert numverify._sturm_count(d, e2, lo - 1.0, ae, floor) == 0
 
 
-@pytest.mark.parametrize("n", [4000, 16000])
+@pytest.mark.parametrize("n", [4000, 8000, 16000])
 @pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
 def test_oracle_matches_lapack_bisection(beta, n):
     linalg = pytest.importorskip("scipy.linalg")
@@ -278,8 +278,45 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    assert calls["count"] <= 16 * levels
-    assert calls["slope"] <= 5 * levels
+    # measured: 55 counts and 22 walks over the 8 levels; without the
+    # predicted brackets of levels 3..7 the counts are 92
+    assert calls["count"] <= 8 * levels
+    assert calls["slope"] <= 3 * levels
+
+
+def test_tridiag_wrong_prediction(monkeypatch):
+    # the levels 0, 1, 2, 3.4, 10, 10.5, 30 are not smooth in j: level 3 is
+    # predicted at 3, inside its bracket, and levels 4..6 at 5.2, 21.8 and
+    # 4.9, outside theirs
+    counts = []
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def recorded_slope(d, e2, x):
+        c, s = slope(d, e2, x)
+        counts.append((x, c))
+        return c, s
+
+    def recorded_count(d, e2, x, ae, floor):
+        c = count(d, e2, x, ae, floor)
+        counts.append((x, c))
+        return c
+    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    diag = [0.0, 1.0, 2.0, 3.4, 10.0, 10.5, 30.0]
+    off = [1e-3] * 6
+    eigs = numverify.tridiag_eigs(diag, off, 7)
+    ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                             + np.diag(off, -1))
+    assert eigs == pytest.approx(ref, abs=1e-9)
+    shifts = [x for x, _ in counts]
+    for j, x in enumerate(eigs):
+        # the certificate: counts within 1e-9 below and above the root
+        assert any(x - 1e-9 <= y <= x and c == j for y, c in counts), j
+        assert any(x <= y <= x + 1e-9 and c > j for y, c in counts), j
+        if j >= 3:
+            g = 3.0 * (eigs[j - 1] - eigs[j - 2]) + eigs[j - 3]
+            taken = [g - 5e-3 in shifts, g + 5e-3 in shifts]
+            assert taken == [j == 3] * 2, (j, g)
 
 
 def test_tridiag_diagonal_and_single():
@@ -309,6 +346,16 @@ def test_oracle_rejects_zero_mass_or_scale(m, a, monkeypatch):
     with pytest.raises(UsageError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 1000), 1,
                                    m=m, a=a)
+
+
+def test_oracle_rejects_more_levels_than_points(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen-solve reached")
+    monkeypatch.setattr(numverify, "tridiag_eigs", no_solve)
+    with pytest.raises(ResolutionError,
+                       match="100 points holds at most 100 levels, 400"):
+        numverify.whittaker_oracle(500.0, numverify.FDGrid(1e-3, 80.0, 100),
+                                   400)
 
 
 def test_oracle_resolution_error():
