@@ -230,15 +230,15 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
     taken at each of g -/+ 5e-3 that lies inside (a_j, b_j); when g is
     right these two counts isolate lambda_j in a 1e-2 bracket, and when it
     is wrong they have still narrowed the brackets.  Level j is bisected
-    until its bracket holds lambda_j alone and is at most 1e-2 wide; then
-    Newton steps on d/dx log|det(T - x)|, clamped to the closed bracket,
-    run from its midpoint until a step is under 1e-9.  The root x is kept
-    only with a certificate: a Sturm count at x - 1e-9 gives j - 1 and one
-    at x + 1e-9 gives at least j, so |x - lambda_j| <= 1e-9.  A bracket end
-    inside that window, with the right count, stands in for either count.
-    A level that is never isolated (a repeated eigenvalue), whose walk
-    does not converge or whose certificate fails is bisected to a bracket
-    of width 1e-12 instead.
+    until its bracket holds lambda_j alone and is at most 1e-2 wide (up to
+    a few ulps of its ends); then Newton steps on d/dx log|det(T - x)|,
+    clamped to the closed bracket, run from its midpoint until a step is
+    under 1e-9.  The root x is kept only with a certificate: a Sturm count
+    at x - 1e-9 gives j - 1 and one at x + 1e-9 gives at least j, so
+    |x - lambda_j| <= 1e-9.  A bracket end inside that window, with the
+    right count, stands in for either count.  A level that is never
+    isolated (a repeated eigenvalue), whose walk does not converge or whose
+    certificate fails is bisected to a bracket of width 1e-12 instead.
     """
     d = [float(v) for v in diag]
     ae = [abs(float(v)) for v in offdiag]
@@ -288,6 +288,11 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
     def isolated(j):
         return ca[j] == j and cb[j] == j + 1
 
+    def narrow_enough(j):
+        # the prediction counts at g -/+ 5e-3 can land a few ulps of g
+        # further apart than 1e-2; the slack keeps such a bracket
+        return b[j] - a[j] <= _NEWTON_WIDTH + 1e-15 * (abs(a[j]) + abs(b[j]))
+
     def newton(j):
         """Certified Newton root of level j, or None."""
         x = 0.5 * (a[j] + b[j])
@@ -314,8 +319,7 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
             for x in (g - 0.5 * _NEWTON_WIDTH, g + 0.5 * _NEWTON_WIDTH):
                 if a[j] < x < b[j]:
                     count(x)
-        while not (isolated(j) and b[j] - a[j] <= _NEWTON_WIDTH) \
-                and bisect(j):
+        while not (isolated(j) and narrow_enough(j)) and bisect(j):
             pass
         x = newton(j) if isolated(j) else None
         if x is None:
@@ -329,6 +333,85 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
 # ---------------------------------------------------------------------------
 # Whittaker-equation oracle
 # ---------------------------------------------------------------------------
+
+_WALL_RELERR = 1e-3     # the oracle's promised relative energy accuracy
+
+
+def wall_decay_exponent(beta, mu, s_max):
+    """Agmon decay exponent of a Whittaker level between its outer turning
+    point s_t and a Dirichlet wall at s_max,
+
+        S = integral_{s_t}^{s_max} sqrt(1/4 - beta/s - mu/s^2) ds,
+
+    where U(s) = s^2/4 - beta s equals mu at s_t = 2 beta + 2 r,
+    r = sqrt(beta^2 + mu) (Agmon, Lectures on Exponential Decay of
+    Solutions of Second-Order Elliptic Equations, 1982).  The wall moves
+    the level by e^{-2S} times an amplitude (``wall_shift``).  S = 0 when
+    the wall stands at or inside s_t.  Requires mu > -beta^2, which every level of the Whittaker matrix
+    meets, since its eigenvalues exceed the minimum of U.
+
+    With s = 2 beta + 2 r cosh t the integrand becomes
+    r cosh t - beta - mu / (beta + r cosh t), whose antiderivative is
+    elementary: artanh for mu < 0, arctan for mu > 0.
+    """
+    r = math.sqrt(beta * beta + mu)
+    if s_max <= 2.0 * (beta + r):
+        return 0.0
+    t = math.acosh((s_max - 2.0 * beta) / (2.0 * r))
+    half = math.tanh(0.5 * t)
+    if mu < 0.0:
+        last = 2.0 * math.sqrt(-mu) * math.atanh(
+            math.sqrt((beta - r) / (beta + r)) * half)
+    elif mu > 0.0:
+        last = -2.0 * math.sqrt(mu) * math.atan(
+            math.sqrt((r - beta) / (r + beta)) * half)
+    else:
+        last = 0.0
+    return r * math.sinh(t) - beta * t + last
+
+
+def wall_shift(beta, mu, s_max):
+    """How far the Dirichlet wall at s_max raises a Whittaker level mu:
+    (sqrt(-mu)/pi + 1/4) e^{-2S}, S from ``wall_decay_exponent``, or inf
+    when the level's allowed region reaches the wall (S = 0).
+
+    Moving a Dirichlet end from infinity to s_max raises mu by about
+    2 kappa phi(s_max)^2 / int phi^2 ds/s^2.  With the WKB tail
+    phi ~ C e^{-S} / sqrt(kappa) and its allowed-region norm
+    2 C^2 int ds / (s sqrt((s - s1)(s2 - s))) = 2 pi C^2 / sqrt(s1 s2),
+    s1 s2 = -4 mu, that is (sqrt(-mu)/pi) e^{-2S}.  The 1/4 covers the
+    levels near mu = 0, whose allowed region reaches s = 0 where WKB
+    fails.  Measured against a wall 1.7 to 13 times further out, at
+    h = 0.02 and beta in {0.75, 1.2, 2.5, 4.9, 5, 8, 12, 20}, every shift
+    with e^{-2S} > 1e-7 lay at or below 0.98 of this bound.  A bound of
+    2 e^{-2S} alone is exceeded from beta ~ 7 on: the shift of level 0 is
+    2.4 e^{-2S} at beta = 8 and 6.3 e^{-2S} at beta = 20.
+    """
+    S = wall_decay_exponent(beta, mu, s_max)
+    if S == 0.0:
+        return math.inf
+    return (math.sqrt(max(-mu, 0.0)) / math.pi + 0.25) * math.exp(-2.0 * S)
+
+
+def whittaker_matrix(beta, grid):
+    """(diag, off) of the symmetric tridiagonal B = S A S of
+    ``whittaker_oracle``, whose eigenvalues are the mu values."""
+    h = grid.h
+    inv_h2 = 1.0 / (h * h) if h * h else math.inf
+    if not math.isfinite(inv_h2):
+        raise UsageError(f"grid spacing h = {h!r} is too small: 1/h^2 is "
+                         "not finite")
+    s = [h * k for k in range(1, grid.n_points + 1)]
+    c = 2.0 * inv_h2 + 0.25
+    diag = [si * si * c - beta * si for si in s]
+    off = [-(si * sj) * inv_h2 for si, sj in zip(s, islice(s, 1, None))]
+    # every product above grows with k, so an overflow in any row shows
+    # as an inf or nan in the last one
+    if not (math.isfinite(diag[-1]) and math.isfinite(off[-1])):
+        raise UsageError(f"s_max = {grid.s_max!r} overflows the Whittaker "
+                         "matrix; its entries are not all finite")
+    return diag, off
+
 
 def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     """Discrete spectrum of -phi'' + (1/4 - beta/s) phi = mu phi / s^2.
@@ -344,6 +427,10 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     shallowest eigenvalue by O(s0^{2n}), which for n = 1/2 is linear in
     s0 and would swamp the O(h^2) scheme error.  ``grid.s_min`` is the
     excluded singular neighborhood, below the first lattice node.
+
+    The right wall at s_max raises each level by at most ``wall_shift``.
+    A level for which that exceeds 1e-3 of its energy mu + beta^2, or
+    whose allowed region reaches the wall, raises ``ResolutionError``.
     """
     if not beta > 0.5:
         raise UsageError("beta must exceed 1/2 for any bound state")
@@ -354,20 +441,7 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ResolutionError(
             f"a grid of {grid.n_points} points holds at most "
             f"{grid.n_points} levels, {k_levels} requested")
-    h = grid.h
-    inv_h2 = 1.0 / (h * h) if h * h else math.inf
-    if not math.isfinite(inv_h2):
-        raise UsageError(f"grid spacing h = {h!r} is too small: 1/h^2 is "
-                         "not finite")
-    s = [h * k for k in range(1, grid.n_points + 1)]
-    c = 2.0 * inv_h2 + 0.25
-    diag = [si * si * c - beta * si for si in s]
-    off = [-(si * sj) * inv_h2 for si, sj in zip(s, islice(s, 1, None))]
-    # every product above grows with k, so an overflow in any row shows
-    # as an inf or nan in the last one
-    if not (math.isfinite(diag[-1]) and math.isfinite(off[-1])):
-        raise UsageError(f"s_max = {grid.s_max!r} overflows the Whittaker "
-                         "matrix; its entries are not all finite")
+    diag, off = whittaker_matrix(beta, grid)
     # all bound states sit below mu = 1/4; capping the search window there
     # (with headroom) both speeds bisection and turns an under-resolved
     # request into a detectable pile-up at the cap
@@ -376,15 +450,23 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
         raise ResolutionError(
             f"grid resolves only {sum(v < 0.25 for v in mu)} bound states, "
             f"{k_levels} requested")
-    # U(s) = s^2/4 - beta s is the potential of the s^2-scaled equation; a
-    # level whose allowed region U <= mu reaches the last node is held up
-    # by the Dirichlet wall, not by the potential
-    wall = s[-1] * s[-1] / 4.0 - beta * s[-1]
-    if wall <= mu[-1]:
-        raise ResolutionError(
-            f"level {len(mu) - 1} (mu = {mu[-1]:.6g}) reaches the wall at "
-            f"s = {s[-1]:.6g}, where U(s) = s^2/4 - beta s = {wall:.6g}; "
-            "raise s_max")
+    # the highest level reaches furthest out, so it is checked first
+    s_max = grid.s_max
+    for j in range(len(mu) - 1, -1, -1):
+        v = mu[j]
+        shift = wall_shift(beta, v, s_max)
+        if shift == math.inf:
+            wall = s_max * s_max / 4.0 - beta * s_max
+            raise ResolutionError(
+                f"level {j} (mu = {v:.6g}) reaches the wall at "
+                f"s = {s_max:.6g}, where U(s) = s^2/4 - beta s = {wall:.6g}; "
+                "raise s_max")
+        rel = shift / (v + beta * beta)
+        if rel > _WALL_RELERR:
+            raise ResolutionError(
+                f"level {j} (mu = {v:.6g}) is cut off by the wall at "
+                f"s = {s_max:.6g}, which may move its energy by {rel:.2g} "
+                f"relative, more than {_WALL_RELERR:g}; raise s_max")
     energies = tuple((v + beta * beta) / (2.0 * m * a * a) for v in mu)
     return OracleSpectrum(tuple(mu), energies, grid, float(beta))
 

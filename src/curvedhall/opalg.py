@@ -17,6 +17,13 @@ Denominators stay in factored form (powers of a few irreducibles such as
 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap and avoids
 multivariate GCDs.
 
+Operator composition and the commutator share one Leibniz carry,
+``DiffOp._hits``: it pushes each derivative of the left operator through
+the right one a partial at a time and keeps only the terms in which a
+derivative lands on a coefficient.  ``*`` adds the plain products
+f g d^(alpha+beta) to those; ``commutator`` never builds them, because
+they are the same in A o B and B o A and cancel exactly.
+
 Mixed operands follow one lift rule: each layer's ``_lift`` turns a
 scalar or a lower-layer value into its own layer (``Ring.const``,
 ``RationalFunc``, ``DiffOp.mult``), raises ``DeclarationError`` on a ring
@@ -687,6 +694,27 @@ class RationalFunc:
 # differential operators
 # ---------------------------------------------------------------------------
 
+def _accumulate(out, key, value):
+    """out[key] += value for a RationalFunc value, skipping a zero one."""
+    if value.is_zero:
+        return
+    s = out.get(key)
+    out[key] = value if s is None else s + value
+
+
+def _carry(rest, shift, k, var, dg):
+    """rest_(shift + e_k) of ``DiffOp._hits`` from rest_shift: d_var o rest,
+    plus (d_var g_beta) d^(beta + shift) for each (beta, d_var g_beta) in
+    ``dg``, the partial landing on the coefficients of the shifted other."""
+    out = {}
+    for beta, h in rest.items():
+        _accumulate(out, beta, h.diff(var))
+        _accumulate(out, beta[:k] + (beta[k] + 1,) + beta[k + 1:], h)
+    for beta, g in dg:
+        _accumulate(out, tuple(map(add, beta, shift)), g)
+    return out
+
+
 class DiffOp:
     """Normal-ordered differential operator: sum of coeff * d^alpha.
 
@@ -783,26 +811,52 @@ class DiffOp:
         return (DiffOp(self.ring, self.geom_vars, dg)
                 + DiffOp(self.ring, self.geom_vars, shifted))
 
-    def __mul__(self, other):
-        """Operator composition self o other, normal ordered.
+    def _hits(self, other):
+        """self o other minus its product terms f_alpha g_beta d^(alpha+beta):
+        the terms in which some partial of self lands on a coefficient of
+        other, as a dict beta -> RationalFunc.
 
-        For each term f d^alpha of self, ``_partial`` carries d^alpha
-        through other one partial at a time by d_v o g = g d_v + (d_v g),
-        and f multiplies the result on the left.  Repeating that rule sums
-        the Leibniz binomials as it goes, so no binomial is formed.
+        d^p o other is carried as rest_p + (other shifted by p), where
+        rest_p holds the terms a partial has already hit.  The next partial
+        d_v gives rest_(p+e_v) = d_v o rest_p + sum_beta (d_v g_beta)
+        d^(beta+p), and the shifted part moves on to p + e_v unchanged.
+        rest_0 is empty, so the alpha = 0 terms of self are skipped, and
+        each rest_p is kept for every alpha of self that passes through p.
+        Repeating the rule sums the Leibniz binomials, so none is formed.
         """
+        gv = self.geom_vars
+        zero = (0,) * len(gv)
+        rests = {zero: {}}
+        dgs = {}
+        out = {}
+        for alpha, f in self.terms.items():
+            p = zero
+            for k, n in enumerate(alpha):
+                for _ in range(n):
+                    prev, p = p, p[:k] + (p[k] + 1,) + p[k + 1:]
+                    if p in rests:
+                        continue
+                    var = gv[k]
+                    dg = dgs.get(var)
+                    if dg is None:
+                        dg = dgs[var] = [(beta, g.diff(var))
+                                         for beta, g in other.terms.items()]
+                    rests[p] = _carry(rests[prev], prev, k, var, dg)
+            for beta, h in rests[p].items():
+                _accumulate(out, beta, f * h)
+        return out
+
+    def __mul__(self, other):
+        """Operator composition self o other, normal ordered: ``_hits``
+        plus the product terms f_alpha g_beta d^(alpha+beta)."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = DiffOp.zero(self.ring, self.geom_vars)
+        out = self._hits(other)
         for alpha, f in self.terms.items():
-            h = other
-            for var, k in zip(self.geom_vars, alpha):
-                for _ in range(k):
-                    h = h._partial(var)
-            out = out + DiffOp(self.ring, self.geom_vars,
-                               {beta: f * g for beta, g in h.terms.items()})
-        return out
+            for beta, g in other.terms.items():
+                _accumulate(out, tuple(map(add, alpha, beta)), f * g)
+        return DiffOp(self.ring, self.geom_vars, out)
 
     def __rmul__(self, other):
         other = self._lift(other)
@@ -811,7 +865,22 @@ class DiffOp:
         return other * self
 
     def commutator(self, other):
-        return self * other - other * self
+        """[self, other] = self o other - other o self.
+
+        The product terms f_alpha g_beta d^(alpha+beta) of the two
+        compositions are equal, because coefficients commute, so they
+        cancel exactly and are never built: the bracket is
+        ``self._hits(other) - other._hits(self)``.  ``other`` is lifted as
+        for ``*``.
+        """
+        lifted = self._lift(other)
+        if lifted is None:
+            raise TypeError(f"cannot take the commutator of a DiffOp with "
+                            f"{type(other).__name__}")
+        out = self._hits(lifted)
+        for beta, h in lifted._hits(self).items():
+            _accumulate(out, beta, -h)
+        return DiffOp(self.ring, self.geom_vars, out)
 
     @property
     def is_zero(self):

@@ -204,6 +204,17 @@ def test_oracle_wall_bound_level_is_numerical_failure(capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_tail_cut_off_by_wall_is_numerical_failure(capsys):
+    # the ground state turns at s = 17.5 but has not decayed by s_max = 20;
+    # the wall moves its energy by 0.047
+    code, out, err = run(capsys, "oracle", "--beta", "5", "--smax", "20",
+                         "--points", "1000", "--levels", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: level 0 ") and "cut off by the wall" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--dt", "0.01", "--steps", "2", "--a", "0"],
     ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",

@@ -278,10 +278,37 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    # measured: 55 counts and 22 walks over the 8 levels; without the
+    # measured: 54 counts and 21 walks over the 8 levels; without the
     # predicted brackets of levels 3..7 the counts are 92
     assert calls["count"] <= 8 * levels
     assert calls["slope"] <= 3 * levels
+
+
+def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
+    # at beta = 8 every prediction lands within 5e-3 of its level; the
+    # counts at g -/+ 5e-3 can lie a few ulps more than 1e-2 apart, and
+    # that bracket must still start Newton at once: level j's counts are
+    # the two predictions and at most the two certificate counts
+    shifts = []
+    count = numverify._sturm_count
+
+    def recorded_count(d, e2, x, ae, floor):
+        shifts.append(x)
+        return count(d, e2, x, ae, floor)
+    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    levels = spectra.halfplane_level_count(8.0)
+    mu = numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000),
+                                    levels).mu
+    for j in range(3, levels):
+        g = 3.0 * (mu[j - 1] - mu[j - 2]) + mu[j - 3]
+        assert abs(mu[j] - g) < 5e-3, j
+        level_shifts = shifts[shifts.index(g - 5e-3):]
+        if j + 1 < levels:
+            g1 = 3.0 * (mu[j] - mu[j - 1]) + mu[j - 2]
+            level_shifts = level_shifts[:level_shifts.index(g1 - 5e-3)]
+        assert level_shifts[:2] == [g - 5e-3, g + 5e-3], j
+        allowed = {g - 5e-3, g + 5e-3, mu[j] - 1e-9, mu[j] + 1e-9}
+        assert set(level_shifts) <= allowed, (j, level_shifts)
 
 
 def test_tridiag_wrong_prediction(monkeypatch):
@@ -376,6 +403,54 @@ def test_oracle_rejects_wall_bound_level(beta, s_max, n, levels):
     with pytest.raises(ResolutionError, match="reaches the wall"):
         numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, s_max, n),
                                    levels)
+
+
+def test_oracle_rejects_tail_cut_off_by_wall():
+    # level 0's allowed region ends at s = 17.5, inside the grid, but its
+    # tail is still e^-0.83 at the wall: the energy is off by 0.047
+    with pytest.raises(ResolutionError, match="cut off by the wall at s = 20"):
+        numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 20.0, 1000), 1)
+
+
+@pytest.mark.parametrize("beta, mu, s_max", [
+    (5.0, -20.0, 20.0), (5.0, -20.0, 80.0), (8.0, -2.0, 45.0),
+    (2.5, 0.0, 30.0), (0.75, 0.1875, 12.0), (20.0, -240.0, 80.0),
+])
+def test_wall_decay_exponent_matches_quadrature(beta, mu, s_max):
+    s_t = 2.0 * beta + 2.0 * math.sqrt(beta * beta + mu)
+
+    def integrand(s):
+        return math.sqrt(max(0.25 - beta / s - mu / (s * s), 0.0))
+    S = numverify.wall_decay_exponent(beta, mu, s_max)
+    assert S == pytest.approx(numverify.adaptive_simpson(integrand, s_t, s_max),
+                              rel=1e-6)
+    assert numverify.wall_decay_exponent(beta, mu, s_t) == 0.0
+    assert numverify.wall_shift(beta, mu, 0.5 * s_t) == math.inf
+
+
+def _mu_at_h(beta, s_max, levels, h=0.02):
+    n = round(s_max / h) - 1
+    diag, off = numverify.whittaker_matrix(
+        beta, numverify.FDGrid(1e-3, s_max, n))
+    return numverify.tridiag_eigs(diag, off, levels, upper=1.0)
+
+
+@pytest.mark.parametrize("beta, levels, s_maxes, s_ref", [
+    (2.5, 2, (22.0, 30.0), 80.0),
+    (5.0, 5, (26.0, 34.0), 80.0),
+    (8.0, 5, (34.0, 50.0), 100.0),
+    (20.0, 5, (72.0,), 140.0),
+])
+def test_wall_shift_bounds_measured_shift(beta, levels, s_maxes, s_ref):
+    # the same h puts the nodes of every grid on those of the far-wall
+    # reference, so the difference is the wall's move alone; from beta = 8
+    # on it exceeds 2 e^{-2S}, a bound without the WKB amplitude
+    ref = _mu_at_h(beta, s_ref, levels)
+    for s_max in s_maxes:
+        mu = _mu_at_h(beta, s_max, levels)
+        for j in range(levels):
+            bound = numverify.wall_shift(beta, mu[j], s_max)
+            assert 0.25 * bound <= mu[j] - ref[j] <= bound, (s_max, j)
 
 
 def test_oracle_wall_check_passes_resolved_grid():

@@ -348,6 +348,56 @@ def test_commutator_jacobi(ring, data):
         _assert_normal(v)
 
 
+def _phi_diffop_strategy(ring):
+    """Second-order operators whose coefficients carry a power of the
+    disk's factored denominator phi = 1 - x^2 - y^2."""
+    x, y = ring.var("x"), ring.var("y")
+    phi = ring.one() - x * x - y * y
+    coeff = st.tuples(_poly_strategy(ring), st.integers(0, 2)).map(
+        lambda pp: RationalFunc(pp[0], ((phi, pp[1]),)))
+    alpha = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    return st.dictionaries(alpha, coeff, min_size=1, max_size=4).map(
+        lambda terms: DiffOp.from_terms(ring, GV, terms))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_commutator_is_the_difference_of_compositions(ring, data):
+    # the bracket skips the product terms of A*B and B*A; what is left must
+    # be the whole difference, not only something the Jacobi identity kills
+    ops = _phi_diffop_strategy(ring)
+    A, B = data.draw(ops), data.draw(ops)
+    AB, BA, C = A * B, B * A, A.commutator(B)
+    assert C.terms == (AB - BA).terms
+    for v in (AB, BA, C):
+        _assert_normal(v)
+
+
+def test_commutator_lifts_lower_layers(ring):
+    x, y = ring.var("x"), ring.var("y")
+    A = (_d(ring, "x") * DiffOp.mult(ring, GV, y)
+         + _d(ring, "y") * _d(ring, "y") * DiffOp.mult(ring, GV, x))
+    for other in (3, y * y + x, RationalFunc(x, ((ring.one() - y * y, 1),))):
+        C = A.commutator(other)
+        assert C.terms == (A * other - other * A).terms
+        _assert_normal(C)
+    assert A.commutator(3).is_zero
+    assert not A.commutator(y * y).is_zero
+
+
+def test_commutator_checks_declarations(ring):
+    other = Ring(("x", "y"))
+    A = _d(ring, "x")
+    with pytest.raises(DeclarationError, match="different variables"):
+        A.commutator(DiffOp.d(other, GV, "x"))
+    with pytest.raises(DeclarationError, match="different variables"):
+        A.commutator(DiffOp.d(ring, ("y", "x"), "x"))
+    with pytest.raises(DeclarationError, match="another ring"):
+        A.commutator(other.var("x"))
+    with pytest.raises(TypeError):
+        A.commutator("x")
+
+
 def test_scalar_premultiplication(ring):
     dx = _d(ring, "x")
     assert ((-I) * dx).terms == (dx * (-I)).terms
