@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DomainError, FitSingularError, UsageError
@@ -36,13 +35,8 @@ class PhaseState(namedtuple("PhaseState", "t x y px py")):
         return type(self)(*super()._replace(**changes))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    a: float
-    beta: float
-    dt: float
-    states: tuple
-    domain_exit: bool = False
+Trajectory = namedtuple("Trajectory", "a beta states domain_exit",
+                        defaults=(False,))
 
 
 def _rk4_step(x, y, px, py, a, beta, h):
@@ -112,7 +106,7 @@ def integrate_rk4(s0, a, beta, dt, steps):
     for _ in range(steps):
         nxt = _rk4_step(x, y, px, py, a, beta, dt)
         if nxt is None or not all(map(math.isfinite, nxt)):
-            return Trajectory(a, beta, dt, tuple(states), domain_exit=True)
+            return Trajectory(a, beta, tuple(states), domain_exit=True)
         x, y, px, py = nxt
         t += dt
         if t == math.inf:
@@ -120,7 +114,7 @@ def integrate_rk4(s0, a, beta, dt, steps):
             raise DomainError("non-finite phase-space state")
         # every field is checked, so past the constructor's own check
         states.append(make((t, x, y, px, py)))
-    return Trajectory(a, beta, dt, tuple(states))
+    return Trajectory(a, beta, tuple(states))
 
 
 def conserved_values(s, a, beta):

@@ -11,8 +11,8 @@ the rational coefficient ring.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .opalg import DiffOp, I, RationalFunc, Ring
@@ -38,14 +38,13 @@ def flat_ring():
 GEOM = ("x", "y")
 
 
-@dataclass(frozen=True)
-class Metric2D:
-    """Diagonal metric ds^2 = factor^2 (dx^2 + dy^2)."""
+class Metric2D(namedtuple("Metric2D", "kind ring factor param_values")):
+    """Diagonal metric ds^2 = factor^2 (dx^2 + dy^2).
 
-    kind: str                    # flat | halfplane | disk
-    ring: Ring
-    factor: RationalFunc         # conformal factor, exact
-    param_values: dict = field(default_factory=dict)
+    ``kind`` is flat, halfplane or disk; ``factor`` is the exact conformal
+    factor, and ``param_values`` the numeric parameters it was given."""
+
+    __slots__ = ()
 
     def inside(self, point):
         x, y = point
@@ -62,14 +61,15 @@ class Metric2D:
         return self.param_values[name]
 
     def factor_at(self, point):
+        if self.kind != "flat":
+            # the factor's parameter needs a value: a DomainError, not the
+            # KeyError of an unbound name in eval
+            self._value("a" if self.kind == "halfplane" else "rho")
         return self.factor.eval({"x": point[0], "y": point[1],
                                  **self.param_values}).real
 
 
-@dataclass(frozen=True)
-class GaugePotential:
-    A_x: RationalFunc
-    A_y: RationalFunc
+GaugePotential = namedtuple("GaugePotential", "A_x A_y")
 
 
 def make_metric(kind, a=None, rho=None):
@@ -77,17 +77,17 @@ def make_metric(kind, a=None, rho=None):
     needed for the numeric (curvature / residual) checks."""
     if kind == "flat":
         ring = flat_ring()
-        return Metric2D("flat", ring, RationalFunc.const(ring, 1))
+        return Metric2D("flat", ring, RationalFunc.const(ring, 1), {})
     if kind == "halfplane":
-        if a is not None and not a > 0:
-            raise DomainError("half-plane scale a must be positive")
+        if a is not None and not 0 < a < math.inf:
+            raise DomainError("half-plane scale a must be positive and finite")
         ring = halfplane_ring()
         factor = RationalFunc(ring.var("a") * ring.var("y", -1))
         return Metric2D("halfplane", ring, factor,
                         {} if a is None else {"a": float(a)})
     if kind == "disk":
-        if rho is not None and not rho > 0:
-            raise DomainError("disk radius rho must be positive")
+        if rho is not None and not 0 < rho < math.inf:
+            raise DomainError("disk radius rho must be positive and finite")
         ring = disk_ring()
         phi = disk_phi(ring)
         return Metric2D("disk", ring, RationalFunc(ring.one(), ((phi, 1),)),

@@ -5,28 +5,33 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, PauliViolationError, UsageError
 
 
-@dataclass(frozen=True)
-class ParticleConfig:
-    """Particle positions z_i in the complex plane with magnetic length z0."""
+class ParticleConfig(namedtuple("ParticleConfig", "points z0")):
+    """Particle positions z_i in the complex plane with magnetic length z0.
+    The constructor, ``_make`` and ``_replace`` coerce the points to a
+    tuple of complex and check both fields."""
 
-    points: tuple
-    z0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "points",
-                           tuple(complex(z) for z in self.points))
-        if not 1 <= len(self.points) <= 12:
+    def __new__(cls, points, z0):
+        points = tuple(complex(z) for z in points)
+        if not 1 <= len(points) <= 12:
             raise DomainError("particle count must be between 1 and 12")
-        if not all(map(cmath.isfinite, self.points)):
+        if not all(map(cmath.isfinite, points)):
             raise DomainError("particle positions must be finite")
-        if not 0 < self.z0 < math.inf:
+        if not 0 < z0 < math.inf:
             raise DomainError("z0 must be positive and finite")
+        return super().__new__(cls, points, z0)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
     @property
     def n(self):

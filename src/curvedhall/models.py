@@ -21,7 +21,7 @@ Two convention questions are settled empirically rather than assumed:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry
@@ -300,16 +300,8 @@ DOCUMENTED_DIFF = "documented-diff"
 FAIL = "fail"
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    status: str
-    rendered: str = ""
-    note: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "status": self.status,
-                "residual_text": self.rendered, "note": self.note}
+IdentityReport = namedtuple("IdentityReport", "name status rendered note",
+                            defaults=("", ""))
 
 
 def _report(name, residuals, note=""):
@@ -485,7 +477,9 @@ def _classify_disk_diff(diff):
 
 def render_suite(reports, fmt="text"):
     if fmt == "json":
-        return json.dumps([r.as_dict() for r in reports], indent=2)
+        return json.dumps([{"name": r.name, "status": r.status,
+                            "residual_text": r.rendered, "note": r.note}
+                           for r in reports], indent=2)
     lines = []
     for r in reports:
         line = f"{r.name:34s} {r.status}"

@@ -12,44 +12,44 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, product as _iterprod
 
 from .errors import (NonNormalizableError, ResolutionError, SingularityError,
                      UsageError, check_mass_and_scale)
 
 
-@dataclass(frozen=True)
-class FDGrid:
+class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
     """Uniform lattice s_k = h k, k = 1..n_points, h = s_max/(n_points+1),
     with Dirichlet ends at s = 0 and s = s_max.  ``s_min`` is not a grid
     parameter: it is the excluded neighbourhood of the singular point
-    s = 0 and must lie below the first node."""
+    s = 0 and must lie below the first node.  The constructor,
+    ``_make`` and ``_replace`` check all three."""
 
-    s_min: float
-    s_max: float
-    n_points: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.s_min < self.s_max):
+    def __new__(cls, s_min, s_max, n_points):
+        if not (0 < s_min < s_max):
             raise UsageError("need 0 < s_min < s_max")
-        if self.n_points < 100:
+        if n_points < 100:
             raise UsageError("n_points must be >= 100")
-        if self.s_min >= self.h:
+        self = super().__new__(cls, s_min, s_max, n_points)
+        if s_min >= self.h:
             raise UsageError(
                 "s_min excludes the first lattice node; lower it or coarsen")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
     @property
     def h(self):
         return self.s_max / (self.n_points + 1)
 
 
-@dataclass(frozen=True)
-class OracleSpectrum:
-    mu: tuple
-    energies: tuple
-    grid: FDGrid
-    beta: float
+OracleSpectrum = namedtuple("OracleSpectrum", "mu energies grid beta")
 
 
 # ---------------------------------------------------------------------------

@@ -766,8 +766,11 @@ class DiffOp:
 
     @classmethod
     def d(cls, ring, geom_vars, var):
-        """The first partial d_var, as d_var o 1."""
-        return cls.mult(ring, geom_vars, 1)._partial(var)
+        """The first partial d_var."""
+        if var not in geom_vars:
+            raise DeclarationError(f"bad geometric variable {var!r}")
+        return cls.from_terms(ring, geom_vars,
+                              {tuple(int(v == var) for v in geom_vars): 1})
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
@@ -800,16 +803,6 @@ class DiffOp:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def _partial(self, var):
-        """d_var o self, normal ordered: each term g d^beta becomes
-        (d_var g) d^beta + g d^(beta + e_var)."""
-        k = self.geom_vars.index(var)
-        dg = {beta: g.diff(var) for beta, g in self.terms.items()}
-        shifted = {beta[:k] + (beta[k] + 1,) + beta[k + 1:]: g
-                   for beta, g in self.terms.items()}
-        return (DiffOp(self.ring, self.geom_vars, dg)
-                + DiffOp(self.ring, self.geom_vars, shifted))
 
     def _hits(self, other):
         """self o other minus its product terms f_alpha g_beta d^(alpha+beta):

@@ -10,7 +10,7 @@ states live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConvergenceError, PoleError
@@ -18,10 +18,7 @@ from .errors import ConvergenceError, PoleError
 TERM_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    est_abs_error: float
+SeriesResult = namedtuple("SeriesResult", "value est_abs_error")
 
 
 def _is_nonpositive_int(v):

@@ -13,19 +13,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NoBoundStateError, UsageError, check_mass_and_scale
 from .specfun import _laguerre_exact, laguerre
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    geometry: str                       # flat | halfplane | sphere
-    quantum_numbers: dict
-    energy: float
-    energy_exact: Fraction | None = None
+# energy_exact is the Fraction the float came from, or None for float input
+SpectrumLine = namedtuple("SpectrumLine", "quantum_numbers energy energy_exact")
 
 
 def _coerce(args):
@@ -42,7 +38,7 @@ def _line(geometry, qn, expr, args):
     value = float(e)
     if not math.isfinite(value):
         raise OverflowError(f"{geometry} energy is not finite ({value})")
-    return SpectrumLine(geometry, qn, value, e if exact else None)
+    return SpectrumLine(qn, value, e if exact else None)
 
 
 def landau_flat(n, omega_c=1, hbar=1):

@@ -204,7 +204,7 @@ def test_drift_summary_keeps_nan():
     # hand-built, since integrate_rk4 refuses beta = nan; every charge is
     # nonzero, so no scale is zero and only the NaN can hide
     s = classical.PhaseState(0.0, 0.5, 1.0, -1.0, 0.2)
-    traj = classical.Trajectory(1.0, math.nan, 0.01, (s, s))
+    traj = classical.Trajectory(1.0, math.nan, (s, s))
     assert all(math.isnan(v) for v in classical.drift_summary(traj).values())
 
 

@@ -423,6 +423,32 @@ def test_import_loads_only_the_cli():
     assert (fail, star) == ("fail", "curvedhall.spectra")
 
 
+def test_commands_load_no_dataclasses(tmp_path):
+    # the records are named tuples: no command pays for dataclasses and the
+    # inspect / ast / dis modules it imports
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"z0": 1.0, "points": [[0, 0], [1, 0], [0, 1]]}')
+    commands = [
+        ["verify"],
+        ["spectrum", "--geometry", "flat", "--n", "0..2"],
+        ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "all"],
+        ["spectrum", "--geometry", "sphere", "--k", "2", "--l", "0..2"],
+        ["trajectory", "--dt", "0.01", "--steps", "5"],
+        ["oracle", "--beta", "5", "--smax", "80", "--points", "1000", "--levels", "1"],
+        ["eigenfunction", "--beta", "5", "--l", "0", "--c", "1", "--y", "1"],
+        ["laughlin", "--m", "3", "--config", str(cfg)],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from curvedhall import cli; "
+         "codes = [cli.main(a) for a in json.loads(sys.argv[1])]; "
+         "print(codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules, "
+         "file=sys.stderr)", json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{[0] * len(commands)} False False"
+
+
 def test_import_loads_no_numpy():
     # numpy is a test-only reference; the package and its CLI run without it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))

@@ -1,6 +1,7 @@
 """Metrics, gauges, de Witt momenta, and the gauged Laplace-Beltrami
 builder."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,16 @@ def test_disk_factor_and_domain():
 
 
 def test_make_metric_rejects_bad_parameters():
-    with pytest.raises(DomainError):
-        geometry.make_metric("halfplane", a=-1.0)
-    with pytest.raises(DomainError):
-        geometry.make_metric("disk", rho=0.0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            geometry.make_metric("halfplane", a=bad)
+        with pytest.raises(DomainError):
+            geometry.make_metric("disk", rho=bad)
+    # a metric built without its numeric parameter has no curvature value
+    for kind in ("halfplane", "disk"):
+        with pytest.raises(DomainError, match="without a numeric value"):
+            geometry.scalar_curvature_fd(geometry.make_metric(kind),
+                                         (0.0, 0.5), 1e-3)
 
 
 def test_flat_metric_is_unit():

@@ -25,6 +25,13 @@ def test_config_invariants():
         manybody.ParticleConfig(tuple(range(13)), 1.0)
     with pytest.raises(DomainError):
         manybody.ParticleConfig((0j,), -1.0)
+    # points are stored as a tuple of complex, and a copy is checked too
+    cfg = manybody.ParticleConfig([1, 2j], 1.0)
+    assert cfg.points == (1 + 0j, 2j)
+    with pytest.raises(DomainError):
+        cfg._replace(z0=math.inf)
+    with pytest.raises(DomainError):
+        cfg._replace(points=[complex("nan")])
 
 
 def test_config_json_roundtrip():

@@ -36,6 +36,12 @@ def test_grid_invariants():
     # s_min is the excluded neighbourhood of s = 0, below the first node
     with pytest.raises(ValueError):
         numverify.FDGrid(80.0 / 1001, 80.0, 1000)
+    # a copy is checked as the constructor is
+    assert g._replace(n_points=2000) == numverify.FDGrid(1e-3, 80.0, 2000)
+    with pytest.raises(ValueError):
+        g._replace(n_points=10)
+    with pytest.raises(ValueError):
+        numverify.FDGrid._make((1e-3, 80.0, 10))
 
 
 def test_fd_apply_polynomial_exact():

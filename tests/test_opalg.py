@@ -432,6 +432,9 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
     (lambda r: RationalFunc(r.one(), ((r.var("x"), 1),)),
      "negative power of non-Laurent variable"),
     (lambda r: DiffOp.d(r, ("x", "beta"), "x"), "bad geometric variable"),
+    # a partial along a variable outside geom_vars, declared or not
+    (lambda r: DiffOp.d(r, GV, "q"), "bad geometric variable 'q'"),
+    (lambda r: DiffOp.d(r, GV, "beta"), "bad geometric variable 'beta'"),
     (lambda r: DiffOp.zero(r, ("x", "z")), "bad geometric variable"),
     (lambda r: DiffOp.mult(r, GV, Ring(("x", "y")).var("x")),
      "coefficient declared over another ring"),
