@@ -4,7 +4,9 @@ Everything downstream (metric Hamiltonians, symmetry generators, Casimir
 identities, Poisson brackets) is built from four layers:
 
     GaussianRational  -- (a + b*i)/d over ints, d > 0, gcd(a, b, d) == 1
-    LaurentPoly       -- multivariate Laurent polynomials over a Ring
+    LaurentPoly       -- multivariate Laurent polynomials over a Ring, kept
+                         as one int denominator over Gaussian-integer
+                         numerators
     RationalFunc      -- LaurentPoly divided by a product of monic factors
     DiffOp            -- sums of RationalFunc * (partial-derivative monomial)
 
@@ -13,9 +15,16 @@ normalized result, so equality checks reduce to "does the difference
 normalize to zero".  Input is checked once, where it enters (``Ring.const``,
 ``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``,
 ``DiffOp.from_terms``); the constructors only store kernel-built parts.
-Denominators stay in factored form (powers of a few irreducibles such as
-1 - (x^2+y^2)/rho^2), which keeps cancellation cheap and avoids
-multivariate GCDs.
+A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
+(a + b*i)/den over one denominator ``den`` for the whole polynomial, as
+FLINT's ``fmpq_poly`` keeps rational polynomials, so a sum, a product or a
+derivative is int arithmetic over the numerators and one content gcd at
+the end.  ``GaussianRational`` stays the public scalar;
+``LaurentPoly.terms`` builds one per term when it is read.
+
+RationalFunc denominators stay in factored form (powers of a few
+irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
+and avoids multivariate GCDs.
 
 Operator composition and the commutator share one Leibniz carry,
 ``DiffOp._hits``: it pushes each derivative of the left operator through
@@ -34,12 +43,16 @@ NotImplemented and a higher-layer right operand takes over.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
 
 
 class DeclarationError(ValueError):
     """Raised when operands live over different variable declarations."""
+
+
+_INEXACT = "floats are not exact; build from Fraction instead"
 
 
 def _power(base, k, one):
@@ -70,6 +83,8 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise TypeError(_INEXACT)
         re, im = Fraction(re), Fraction(im)
         q, s = re.denominator, im.denominator
         g = math.gcd(q, s)
@@ -95,8 +110,8 @@ class GaussianRational:
             return _make(int(v), 0, 1)
         if isinstance(v, Fraction):
             return _make(v.numerator, 0, v.denominator)
-        if isinstance(v, complex):
-            raise TypeError("floats are not exact; build from Fraction instead")
+        if isinstance(v, (float, complex)):
+            raise TypeError(_INEXACT)
         raise TypeError(f"cannot coerce {v!r} to GaussianRational")
 
     @classmethod
@@ -268,13 +283,16 @@ class Ring:
         return hash((self.vars, self.laurent, self.params))
 
     def zero(self):
-        return LaurentPoly(self, {})
+        return LaurentPoly(self, {}, 1)
 
     def one(self):
         return self.const(1)
 
     def const(self, c):
-        return LaurentPoly(self, {(0,) * len(self.vars): GaussianRational.coerce(c)})
+        z = GaussianRational.coerce(c)
+        if not z:
+            return self.zero()
+        return LaurentPoly(self, {(0,) * len(self.vars): (z._a, z._b)}, z._d)
 
     def var(self, name, power=1):
         vec = [0] * len(self.vars)
@@ -290,40 +308,80 @@ def _grlex_key(exps):
 
 
 class LaurentPoly:
-    """Multivariate Laurent polynomial with GaussianRational coefficients,
-    built by the ``Ring`` builders; the constructor only drops zero terms."""
+    """Multivariate Laurent polynomial with Gaussian-rational coefficients,
+    built by the ``Ring`` builders.
 
-    __slots__ = ("ring", "terms", "_hash")
+    A value is one positive int ``den`` over ``num``, a dict
+    ``{exps: (a, b)}`` of Gaussian-integer numerators: the coefficient of
+    the monomial ``exps`` is (a + b*i)/den.  No numerator is (0, 0), the
+    content gcd(den, every a, every b) is 1, and the zero polynomial has
+    den == 1.  The form is unique, so ``==`` and the hash read
+    ``(den, num)``.  Arithmetic is int arithmetic over the numerators, and
+    ``_reduced`` makes one content pass per result; the constructor only
+    stores parts already in the form.  ``terms`` is a read-only view that
+    builds each coefficient as a GaussianRational when it is read.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "num", "den", "_hash")
+
+    def __init__(self, ring, num, den):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def terms(self):
+        """Read-only ``{exps: GaussianRational}`` view of the coefficients."""
+        return _Terms(self.num, self.den)
 
     # -- ring ops ----------------------------------------------------------
 
     def _lift(self, other):
+        if type(other) is LaurentPoly:
+            if self.ring != other.ring:
+                raise DeclarationError("operands declared over different rings")
+            return other
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.ring.const(other)
-        if not isinstance(other, LaurentPoly):
-            return None
-        if self.ring != other.ring:
-            raise DeclarationError("operands declared over different rings")
-        return other
+        return None
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, ZERO) + coeff
-        return LaurentPoly(self.ring, out)
+        den = d1 = self.den
+        d2 = other.den
+        if d1 == d2:
+            out = dict(self.num)
+            m = 1
+        else:
+            # over lcm(d1, d2): self's numerators times d2/g, other's d1/g
+            g = math.gcd(d1, d2)
+            k, m = d2 // g, d1 // g
+            den = d1 * k
+            out = {e: (a * k, b * k) for e, (a, b) in self.num.items()}
+        for e, (a, b) in other.num.items():
+            if m != 1:
+                a *= m
+                b *= m
+            s = out.get(e)
+            if s is None:
+                out[e] = (a, b)
+                continue
+            a += s[0]
+            b += s[1]
+            if a or b:
+                out[e] = (a, b)
+            else:
+                del out[e]
+        return _reduced(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        num = {e: (-a, -b) for e, (a, b) in self.num.items()}
+        return LaurentPoly(self.ring, num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -336,13 +394,26 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        cancelled = False
+        for e1, (a1, b1) in self.num.items():
+            for e2, (a2, b2) in other.num.items():
                 e = tuple(map(add, e1, e2))
-                c = c1 * c2
+                if b1 or b2:
+                    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                else:
+                    a, b = a1 * a2, 0
                 s = out.get(e)
-                out[e] = c if s is None else s + c
-        return LaurentPoly(self.ring, out)
+                if s is not None:
+                    a += s[0]
+                    b += s[1]
+                    # a cancelled sum keeps its place until the end: a
+                    # later product may land on it, and eval sums the
+                    # terms in this order
+                    cancelled = cancelled or not (a or b)
+                out[e] = (a, b)
+        if cancelled:
+            out = {e: ab for e, ab in out.items() if ab[0] or ab[1]}
+        return _reduced(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -357,38 +428,38 @@ class LaurentPoly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.num.items())))
         return self._hash
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def diff(self, var):
-        """Formal partial derivative; exponent-weighted shift."""
+        """Formal partial derivative; exponent-weighted shift.  Distinct
+        monomials stay distinct, so no two terms land on one."""
         k = self.ring.index[var]
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, (a, b) in self.num.items():
             e = exps[k]
-            if e == 0:
-                continue
-            ne = exps[:k] + (e - 1,) + exps[k + 1:]
-            out[ne] = out.get(ne, ZERO) + coeff * e
-        return LaurentPoly(self.ring, out)
+            if e:
+                out[exps[:k] + (e - 1,) + exps[k + 1:]] = (a * e, b * e)
+        return _reduced(self.ring, out, self.den)
 
     def leading(self):
         """(exponents, coeff) of the graded-lex leading term."""
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.num, key=_grlex_key)
+        a, b = self.num[exps]
+        return exps, _norm(a, b, self.den)
 
     def monomial_content(self):
         """Per-variable minimum exponent over all terms."""
         mins = None
-        for exps in self.terms:
+        for exps in self.num:
             if mins is None:
                 mins = list(exps)
             else:
@@ -400,12 +471,12 @@ class LaurentPoly:
             raise DeclarationError(
                 f"exponent vector of length {len(delta)} for "
                 f"{len(self.ring.vars)} variables")
-        terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
+        num = {tuple(map(add, e, delta)): ab for e, ab in self.num.items()}
         for k in self.ring._plain:
-            if any(e[k] < 0 for e in terms):
+            if any(e[k] < 0 for e in num):
                 raise DeclarationError(
                     f"negative power of non-Laurent variable {self.ring.vars[k]!r}")
-        return LaurentPoly(self.ring, terms)
+        return LaurentPoly(self.ring, num, self.den)
 
     def eval(self, values):
         """Numeric evaluation; every variable present must get a value."""
@@ -439,11 +510,12 @@ class LaurentPoly:
         return out
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         bits = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=_grlex_key, reverse=True):
+            coeff = terms[exps]
             factors = []
             for v, e in zip(self.ring.vars, exps):
                 if e == 1:
@@ -463,6 +535,60 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+class _Terms(Mapping):
+    """``LaurentPoly.terms``: builds each coefficient as a GaussianRational
+    when it is read; its length and keys come from the numerators."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps):
+        a, b = self._num[exps]
+        return _norm(a, b, self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
+def _reduced(ring, num, den):
+    """LaurentPoly of the numerators ``num`` (no (0, 0) among them) over
+    ``den`` > 0, with the content gcd(den, every a, every b) divided out.
+    The gcd pass stops at the first 1."""
+    if den != 1:
+        if not num:
+            return LaurentPoly(ring, num, 1)
+        g = den
+        for a, b in num.values():
+            g = math.gcd(g, a, b)
+            if g == 1:
+                break
+        if g != 1:
+            num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+            den //= g
+    return LaurentPoly(ring, num, den)
+
+
+def _from_scalars(ring, terms):
+    """LaurentPoly of nonzero ``{exps: GaussianRational}`` coefficients.
+
+    Over den = lcm of their denominators the content is already 1: for each
+    prime p of den, some coefficient's own denominator holds p's full power
+    in den, so den over it is prime to p, and p does not divide both parts
+    of that coefficient's numerator.
+    """
+    den = 1
+    for z in terms.values():
+        den = den // math.gcd(den, z._d) * z._d
+    return LaurentPoly(ring, {e: (z._a * (den // z._d), z._b * (den // z._d))
+                              for e, z in terms.items()}, den)
+
+
 def exact_divide(num, den):
     """Exact multivariate division num/den, or None if not divisible.
 
@@ -479,6 +605,7 @@ def exact_divide(num, den):
     n = dict(num.shift(tuple(-v for v in sn)).terms)
     d = den.shift(tuple(-v for v in sd))
     dl_exps, dl_coeff = d.leading()
+    d_terms = list(d.terms.items())
     q = {}
     while n:
         exps = max(n, key=_grlex_key)
@@ -488,7 +615,7 @@ def exact_divide(num, den):
             return None
         tc = coeff / dl_coeff
         q[t] = tc
-        for de, dc in d.terms.items():
+        for de, dc in d_terms:
             e = tuple(a + b for a, b in zip(t, de))
             s = n.get(e, ZERO) - tc * dc
             if s:
@@ -497,7 +624,7 @@ def exact_divide(num, den):
                 n.pop(e, None)
     net = tuple(a - b for a, b in zip(sn, sd))
     try:
-        return LaurentPoly(ring, q).shift(net)
+        return _from_scalars(ring, q).shift(net)
     except DeclarationError:
         return None
 
@@ -517,6 +644,9 @@ class RationalFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
+        if not den:
+            self.num, self.den = num, ()
+            return
         factors = {}
         for f, p in den:
             if p == 0:
@@ -525,7 +655,7 @@ class RationalFunc:
                 raise ValueError("denominator powers must be positive")
             if f.is_zero:
                 raise ZeroDivisionError("zero denominator factor")
-            if len(f.terms) == 1:
+            if len(f.num) == 1:
                 # monomial factor: fold into the numerator
                 exps, coeff = f.leading()
                 num = num.shift(tuple(-p * e for e in exps)) * (coeff ** (-p))
@@ -549,7 +679,8 @@ class RationalFunc:
                 reduced.append((f, p))
         if self.num.is_zero:
             reduced = []
-        reduced.sort(key=lambda fp: (_grlex_key(fp[0].leading()[0]), sorted(fp[0].terms)))
+        reduced.sort(key=lambda fp: (_grlex_key(max(fp[0].num, key=_grlex_key)),
+                                     sorted(fp[0].num)))
         self.den = tuple(reduced)
 
     # -- constructors ------------------------------------------------------
@@ -584,11 +715,13 @@ class RationalFunc:
     # -- arithmetic --------------------------------------------------------
 
     def _lift(self, other):
+        if type(other) is RationalFunc:
+            return other
+        if type(other) is LaurentPoly:
+            return RationalFunc(other)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return RationalFunc.const(self.ring, other)
-        if isinstance(other, LaurentPoly):
-            return RationalFunc(other)
-        return other if isinstance(other, RationalFunc) else None
+        return None
 
     def __add__(self, other):
         other = self._lift(other)
@@ -681,7 +814,7 @@ class RationalFunc:
     def __str__(self):
         if not self.den:
             s = str(self.num)
-            return f"({s})" if len(self.num.terms) > 1 else s
+            return f"({s})" if len(self.num.num) > 1 else s
         dbits = []
         for f, p in self.den:
             dbits.append(f"({f})**{p}" if p > 1 else f"({f})")

@@ -132,6 +132,21 @@ def test_gaussian_power_matches_fraction_pair(p, k):
     assert _agrees(z ** k, expect)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GaussianRational(0.1),
+    lambda: GaussianRational(1, 0.5),
+    lambda: GaussianRational(1j),
+    lambda: GaussianRational(Fraction(1, 2), 2j),
+    lambda: GaussianRational.coerce(0.5),
+    lambda: GaussianRational.coerce(1j),
+], ids=["re-float", "im-float", "re-complex", "im-complex", "coerce-float",
+        "coerce-complex"])
+def test_gaussian_rejects_inexact_parts(build):
+    with pytest.raises(TypeError,
+                       match="^floats are not exact; build from Fraction instead$"):
+        build()
+
+
 @given(fraction_pairs)
 def test_gaussian_rendering_matches_fraction_pair(p):
     z = GaussianRational(*p)
@@ -156,7 +171,9 @@ def _poly_strategy(ring):
 
 def _assert_normal(v):
     """The invariant the LaurentPoly and DiffOp constructors trust of the
-    values the kernel builds: nonzero coefficients of the layer's type,
+    values the kernel builds: a LaurentPoly is one int denominator > 0
+    over nonzero Gaussian-integer numerators with content 1 (den == 1 when
+    there is no term); a DiffOp has nonzero RationalFunc coefficients;
     no negative power of a non-Laurent variable, valid multi-indices."""
     ring = v.ring
     if isinstance(v, DiffOp):
@@ -168,8 +185,13 @@ def _assert_normal(v):
                 _assert_normal(p)
         return
     assert type(v) is LaurentPoly
-    for exps, c in v.terms.items():
-        assert type(c) is GaussianRational and c
+    den, num = v.den, v.num
+    assert type(den) is int and den > 0
+    assert num or den == 1
+    assert math.gcd(den, *(n for ab in num.values() for n in ab)) == 1
+    for exps, ab in num.items():
+        assert type(ab) is tuple and len(ab) == 2
+        assert all(type(n) is int for n in ab) and ab != (0, 0)
         assert type(exps) is tuple and len(exps) == len(ring.vars)
         assert all(e >= 0 for e, name in zip(exps, ring.vars)
                    if name not in ring.laurent)
@@ -213,6 +235,93 @@ def test_poly_diff_is_derivation(ring, data):
     strat = _poly_strategy(ring)
     a, b = data.draw(strat), data.draw(strat)
     assert (a * b).diff("x") == a.diff("x") * b + a * b.diff("x")
+
+
+# -- the one-denominator layout against a per-term reference ----------------
+#
+# The reference keeps one GaussianRational per term, as the kernel once did,
+# and drops zero coefficients only at the end of each operation, so it also
+# fixes the order of the terms (which LaurentPoly.eval sums in).
+
+_ZERO = GaussianRational(0)
+
+
+def _ref_nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, _ZERO) + c
+    return _ref_nonzero(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, _ZERO) + c1 * c2
+    return _ref_nonzero(out)
+
+
+def _ref_diff(p, k):
+    out = {}
+    for e, c in p.items():
+        if e[k]:
+            de = e[:k] + (e[k] - 1,) + e[k + 1:]
+            out[de] = out.get(de, _ZERO) + c * e[k]
+    return _ref_nonzero(out)
+
+
+def _gaussian_terms():
+    """Terms with mixed denominators and nonzero imaginary parts; the
+    bench's jacobi draws real coefficients only."""
+    exps = st.tuples(st.integers(0, 3), st.integers(-2, 3), st.integers(0, 2))
+    return st.lists(st.tuples(exps, gaussians), max_size=5)
+
+
+def _same(poly, ref):
+    """Same coefficients in the same order, and the normal form."""
+    assert list(poly.terms.items()) == list(ref.items())
+    _assert_normal(poly)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_poly_layout_matches_per_term_reference(ring, data):
+    polys, refs = [], []
+    for _ in range(3):
+        poly, ref = ring.zero(), {}
+        for e, c in data.draw(_gaussian_terms()):
+            poly = poly + ring.monomial(e, c)
+            ref = _ref_add(ref, {e: c})
+        _same(poly, ref)
+        polys.append(poly)
+        refs.append(ref)
+    (a, b, c), (ra, rb, rc) = polys, refs
+    _same(a + b, _ref_add(ra, rb))
+    _same(a - b, _ref_add(ra, {e: -z for e, z in rb.items()}))
+    _same(-a, {e: -z for e, z in ra.items()})
+    _same(a * b, _ref_mul(ra, rb))
+    for k, var in enumerate(ring.vars):
+        _same(a.diff(var), _ref_diff(ra, k))
+    delta = data.draw(st.tuples(st.integers(0, 2), st.integers(-2, 2),
+                                st.integers(0, 1)))
+    _same(a.shift(delta), {tuple(map(operator.add, e, delta)): z
+                           for e, z in ra.items()})
+    if ra:
+        top = max(ra, key=lambda e: (sum(e), e))
+        assert a.leading() == (top, ra[top])
+    # one value built by two routes: equal, hashed alike, one factor key
+    f1, f2 = (a + b) * c, a * c + b * c
+    assert f1 == f2 and hash(f1) == hash(f2) and len({f1, f2}) == 1
+    if len(f1.num) > 1:
+        _, lead = f1.leading()
+        monic = f1 * lead.inverse()
+        r = RationalFunc(ring.one(), ((f1, 1), (f2, 1)))
+        assert r.den == ((monic, 2),)
 
 
 def test_exact_divide_roundtrip(ring):
