@@ -127,17 +127,16 @@ def quantum_generators_ordered(ring=None):
     return L1, L2, L3
 
 
-def su11_basis(ring=None):
-    L1, L2, L3 = quantum_generators(ring)
+def su11_basis(L1, L2, L3):
+    """J0, J1, J2 from the generators of ``quantum_generators``."""
     J0 = frac(1, 2) * (L2 - L3)
     J1 = frac(1, 2) * (L2 + L3)
     J2 = L1
     return J0, J1, J2
 
 
-def casimir(ring=None):
-    """C = J0^2 - J1^2 - J2^2 in the su(1,1) basis."""
-    J0, J1, J2 = su11_basis(ring)
+def casimir(J0, J1, J2):
+    """C = J0^2 - J1^2 - J2^2 in the su(1,1) basis of ``su11_basis``."""
     return J0 * J0 - J1 * J1 - J2 * J2
 
 
@@ -319,7 +318,7 @@ def sphere_identity():
     content of the Haldane-sphere Hamiltonian."""
     ring = sphere_ring()
     L1, L2, L3 = quantum_generators(ring)
-    C = casimir(ring)
+    C = casimir(*su11_basis(L1, L2, L3))
     two_over_rho2 = RationalFunc(ring.var("rho", -2) * 2)
     pre = DiffOp.mult(ring, GEOM, two_over_rho2)
     lhs = -(pre * (L2 * L3 - I * L1))
@@ -396,7 +395,7 @@ def run_identity_suite():
     ], note="includes ordered-form == right-moved-form"))
 
     # 6. su(1,1) brackets
-    J0, J1, J2 = su11_basis(qring)
+    J0, J1, J2 = su11_basis(L1, L2, L3)
     reports.append(_report("su11-brackets", [
         J0.commutator(J1) - I * J2,
         J0.commutator(J2) + I * J1,
@@ -404,7 +403,7 @@ def run_identity_suite():
     ]))
 
     # 7. Casimir reduction and its explicit expansion
-    C = casimir(qring)
+    C = casimir(J0, J1, J2)
     y, b = qring.var("y"), qring.var("beta")
     neg_C_target = DiffOp.from_terms(qring, GEOM, {
         (2, 0): -(y * y), (0, 2): -(y * y), (1, 0): (-2 * I) * (b * y)})

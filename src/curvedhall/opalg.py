@@ -19,12 +19,16 @@ A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
 (a + b*i)/den over one denominator ``den`` for the whole polynomial, as
 FLINT's ``fmpq_poly`` keeps rational polynomials, so a sum, a product or a
 derivative is int arithmetic over the numerators and one content gcd at
-the end.  ``GaussianRational`` stays the public scalar;
-``LaurentPoly.terms`` builds one per term when it is read.
+the end.  ``exact_divide`` runs on those numerators too.
+``GaussianRational`` stays the public scalar; ``LaurentPoly.terms``
+builds one per term when it is read.
 
 RationalFunc denominators stay in factored form (powers of a few
 irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
-and avoids multivariate GCDs.
+and avoids multivariate GCDs.  The factors must be irreducible and
+pairwise coprime: a value is kept in lowest terms, and a product only
+cancels each operand's numerator against the factors of the other
+operand's denominator before it multiplies.
 
 Operator composition and the commutator share one Leibniz carry,
 ``DiffOp._hits``: it pushes each derivative of the left operator through
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
+from operator import add, le, sub
 
 
 class DeclarationError(ValueError):
@@ -56,7 +60,12 @@ _INEXACT = "floats are not exact; build from Fraction instead"
 
 
 def _power(base, k, one):
-    """base**k for an integer k >= 0, by square-and-multiply."""
+    """base**k for an int k, by square-and-multiply; k < 0 raises the
+    inverse of base to -k."""
+    if not isinstance(k, int):
+        raise TypeError("exponent must be an int")
+    if k < 0:
+        base, k = base.inverse(), -k
     out = one
     while k:
         if k & 1:
@@ -170,7 +179,7 @@ class GaussianRational:
         return self.coerce(other) * self.inverse()
 
     def __pow__(self, k):
-        return _power(self.inverse() if k < 0 else self, abs(k), ONE)
+        return _power(self, k, ONE)
 
     def conjugate(self):
         return _make(self._a, -self._b, self._d)
@@ -234,7 +243,6 @@ def _norm(a, b, d):
     return _make(a, b, d)
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
@@ -456,16 +464,6 @@ class LaurentPoly:
         a, b = self.num[exps]
         return exps, _norm(a, b, self.den)
 
-    def monomial_content(self):
-        """Per-variable minimum exponent over all terms."""
-        mins = None
-        for exps in self.num:
-            if mins is None:
-                mins = list(exps)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exps)]
-        return tuple(mins) if mins else (0,) * len(self.ring.vars)
-
     def shift(self, delta):
         if len(delta) != len(self.ring.vars):
             raise DeclarationError(
@@ -574,59 +572,80 @@ def _reduced(ring, num, den):
     return LaurentPoly(ring, num, den)
 
 
-def _from_scalars(ring, terms):
-    """LaurentPoly of nonzero ``{exps: GaussianRational}`` coefficients.
-
-    Over den = lcm of their denominators the content is already 1: for each
-    prime p of den, some coefficient's own denominator holds p's full power
-    in den, so den over it is prime to p, and p does not divide both parts
-    of that coefficient's numerator.
-    """
-    den = 1
-    for z in terms.values():
-        den = den // math.gcd(den, z._d) * z._d
-    return LaurentPoly(ring, {e: (z._a * (den // z._d), z._b * (den // z._d))
-                              for e, z in terms.items()}, den)
-
-
 def exact_divide(num, den):
     """Exact multivariate division num/den, or None if not divisible.
 
-    Laurent inputs are shifted to non-negative exponents first; the result
-    carries the net shift back.
+    Runs on the integer numerators.  A monomial is keyed (degree,) + exps,
+    so ``max`` picks the graded-lex leading term and keys add.  The
+    divisor is made monic once: its numerators are multiplied by the
+    conjugate of the leading one and their content is divided out, which
+    leaves h with an int leading numerator n > 0.  The loop keeps
+    s * (num's numerators) == q * h + rem, and scales s, q and rem by an
+    int when rem's leading numerator is not a multiple of n.
+
+    Per coordinate of the key, the minima and the maxima of the terms add
+    in a product, so every quotient term lies in the box [lo, hi] of their
+    differences.  A box that is empty, or that the leading or trailing
+    terms miss, rejects the input before the loop; so does a negative
+    lower bound on a non-Laurent variable, and a step that leaves the box
+    ends the loop.
     """
+    if num.ring != den.ring:
+        raise DeclarationError("operands declared over different rings")
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
         return num
-    ring = num.ring
-    sn = num.monomial_content()
-    sd = den.monomial_content()
-    n = dict(num.shift(tuple(-v for v in sn)).terms)
-    d = den.shift(tuple(-v for v in sd))
-    dl_exps, dl_coeff = d.leading()
-    d_terms = list(d.terms.items())
-    q = {}
-    while n:
-        exps = max(n, key=_grlex_key)
-        coeff = n[exps]
-        t = tuple(a - b for a, b in zip(exps, dl_exps))
-        if any(e < 0 for e in t):
-            return None
-        tc = coeff / dl_coeff
-        q[t] = tc
-        for de, dc in d_terms:
-            e = tuple(a + b for a, b in zip(t, de))
-            s = n.get(e, ZERO) - tc * dc
-            if s:
-                n[e] = s
-            else:
-                n.pop(e, None)
-    net = tuple(a - b for a, b in zip(sn, sd))
-    try:
-        return _from_scalars(ring, q).shift(net)
-    except DeclarationError:
+    rem = {(sum(e),) + e: ab for e, ab in num.num.items()}
+    g = {(sum(e),) + e: ab for e, ab in den.num.items()}
+    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*g))))
+    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*g))))
+    top, bottom = max(g), min(g)
+    if (not all(map(le, lo, hi))
+            or any(lo[k + 1] < 0 for k in num.ring._plain)
+            or not _inside(tuple(map(sub, max(rem), top)), lo, hi)
+            or not _inside(tuple(map(sub, min(rem), bottom)), lo, hi)):
         return None
+    la, lb = g[top]
+    h = {e: (a * la + b * lb, b * la - a * lb) for e, (a, b) in g.items()}
+    content = math.gcd(*(x for ab in h.values() for x in ab))
+    n = h.pop(top)[0] // content
+    h = {e: (a // content, b // content) for e, (a, b) in h.items()}
+    q = {}
+    s = 1
+    while rem:
+        lead = max(rem)
+        t = tuple(map(sub, lead, top))
+        if not _inside(t, lo, hi):
+            return None
+        a, b = rem.pop(lead)
+        c = math.gcd(n, a, b)
+        if c != n:
+            k = n // c
+            s *= k
+            rem = {e: (x * k, y * k) for e, (x, y) in rem.items()}
+            q = {e: (x * k, y * k) for e, (x, y) in q.items()}
+        a //= c
+        b //= c
+        q[t] = (a, b)
+        for e, (ha, hb) in h.items():
+            e = tuple(map(add, t, e))
+            ra, rb = rem.get(e, (0, 0))
+            ra -= a * ha - b * hb
+            rb -= a * hb + b * ha
+            if ra or rb:
+                rem[e] = (ra, rb)
+            else:
+                del rem[e]
+    # num/den = q * conj(lead) * den.den / (s * content * num.den)
+    ca, cb = la * den.den, -lb * den.den
+    return _reduced(num.ring, {t[1:]: (a * ca - b * cb, a * cb + b * ca)
+                               for t, (a, b) in q.items()},
+                    s * content * num.den)
+
+
+def _inside(t, lo, hi):
+    return all(map(le, lo, t)) and all(map(le, t, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +658,14 @@ class RationalFunc:
     The factored denominator covers everything the model produces (powers
     of phi on the disk, powers of z - zbar after the complex substitution);
     monomial denominators live inside the Laurent numerator instead.
+
+    Factors must be irreducible and pairwise coprime.  The constructor
+    divides each factor out of the numerator as often as it goes, so a
+    value is in lowest terms: no factor of ``den`` divides ``num``.  A
+    product then only cancels across (Henrici; Knuth, TAOCP 2, 4.5.1): a
+    factor of one operand's denominator that the other lacks is divided
+    out of the other's numerator, and one they share cannot divide the
+    product, so the product itself is never trial-divided.
     """
 
     __slots__ = ("num", "den")
@@ -649,6 +676,8 @@ class RationalFunc:
             return
         factors = {}
         for f, p in den:
+            if f.ring != num.ring:
+                raise DeclarationError("operands declared over different rings")
             if p == 0:
                 continue
             if p < 0:
@@ -665,22 +694,15 @@ class RationalFunc:
                 f = f * lead.inverse()
                 num = num * (lead ** (-p))
             factors[f] = factors.get(f, 0) + p
-        self.num = num
-        # cancel factors into the numerator where possible
         reduced = []
         for f, p in factors.items():
-            while p > 0:
-                q = exact_divide(self.num, f)
-                if q is None:
-                    break
-                self.num = q
-                p -= 1
-            if p > 0:
+            num, p = _cancel(num, f, p)
+            if p:
                 reduced.append((f, p))
-        if self.num.is_zero:
+        self.num = num
+        if num.is_zero:
             reduced = []
-        reduced.sort(key=lambda fp: (_grlex_key(max(fp[0].num, key=_grlex_key)),
-                                     sorted(fp[0].num)))
+        reduced.sort(key=_factor_key)
         self.den = tuple(reduced)
 
     # -- constructors ------------------------------------------------------
@@ -727,6 +749,8 @@ class RationalFunc:
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        if not (self.den or other.den):
+            return _rational(self.num + other.num, ())
         if self.den == other.den:
             return RationalFunc(self.num + other.num, self.den)
         union = dict(self.den)
@@ -746,7 +770,7 @@ class RationalFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc(-self.num, self.den)
+        return _rational(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -755,13 +779,31 @@ class RationalFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        """Cancel across, then multiply (see the class docstring)."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        if not (self.den or other.den):
+            return _rational(self.num * other.num, ())
+        n1, n2 = self.num, other.num
         den = dict(self.den)
+        theirs = dict(other.den)
+        for f, p in self.den:
+            if f not in theirs:
+                n2, den[f] = _cancel(n2, f, p)
         for f, p in other.den:
-            den[f] = den.get(f, 0) + p
-        return RationalFunc(self.num * other.num, tuple(den.items()))
+            if f in den:
+                den[f] += p
+            else:
+                n1, den[f] = _cancel(n1, f, p)
+        num = n1 * n2
+        if num.is_zero:
+            return RationalFunc(num)
+        factors = [fp for fp in den.items() if fp[1]]
+        if self.den and other.den:
+            # only a merge of two denominators can leave them out of order
+            factors.sort(key=_factor_key)
+        return _rational(num, tuple(factors))
 
     __rmul__ = __mul__
 
@@ -774,10 +816,11 @@ class RationalFunc:
         return self * self._lift(other).inverse()
 
     def __pow__(self, k):
-        return _power(self.inverse() if k < 0 else self, abs(k),
-                      RationalFunc.const(self.ring, 1))
+        return _power(self, k, RationalFunc.const(self.ring, 1))
 
     def diff(self, var):
+        if not self.den:
+            return _rational(self.num.diff(var), ())
         out = RationalFunc(self.num.diff(var), self.den)
         for f, p in self.den:
             df = f.diff(var)
@@ -821,6 +864,30 @@ class RationalFunc:
         return f"({self.num})/({'*'.join(dbits)})"
 
     __repr__ = __str__
+
+
+def _rational(num, den):
+    """RationalFunc of parts already in lowest terms and in order."""
+    r = object.__new__(RationalFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _cancel(num, f, p):
+    """(num / f^k, p - k) for the largest k <= p with f^k dividing num."""
+    while p:
+        q = exact_divide(num, f)
+        if q is None:
+            break
+        num, p = q, p - 1
+    return num, p
+
+
+def _factor_key(fp):
+    """Order of the factors in ``RationalFunc.den``."""
+    f = fp[0].num
+    return _grlex_key(max(f, key=_grlex_key)), sorted(f)
 
 
 # ---------------------------------------------------------------------------

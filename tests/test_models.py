@@ -1,6 +1,7 @@
 """The exact identity suite and individual model operators."""
 
 import cmath
+import collections
 import hashlib
 import json
 import math
@@ -72,6 +73,22 @@ def test_render_bytes_match_bench_golden(suite):
     for fmt, key in (("text", "verify_text_sha256"), ("json", "verify_json_sha256")):
         rendered = models.render_suite(suite, fmt=fmt).encode()
         assert hashlib.sha256(rendered).hexdigest() == golden[key], fmt
+
+
+def test_suite_builds_each_generator_set_once_per_run(monkeypatch):
+    calls = collections.Counter()
+    build = models.quantum_generators
+
+    def counting(ring=None):
+        calls[ring] += 1
+        return build(ring)
+
+    monkeypatch.setattr(models, "quantum_generators", counting)
+    first = models.run_identity_suite()
+    assert calls and set(calls.values()) == {1}
+    # a second run builds its own operators and reports the same
+    assert models.run_identity_suite() == first
+    assert set(calls.values()) == {2}
 
 
 def test_translation_charge_determination():

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvedhall.opalg import (
     DeclarationError,
@@ -330,6 +330,84 @@ def test_exact_divide_roundtrip(ring):
     q = exact_divide(a * b, b)
     assert q == a
     assert exact_divide(a * b + ring.one(), b) is None
+    # y is a Laurent variable and x is not: y/x is not in the ring
+    x, y = ring.var("x"), ring.var("y")
+    assert exact_divide(x, y) == x * ring.var("y", -1)
+    assert exact_divide(y, x * y) is None
+
+
+def _ref_divide(num, den):
+    """Long division with one GaussianRational per step, on exponents
+    shifted to be non-negative: the kernel's algorithm before it divided
+    the integer numerators."""
+    if num.is_zero:
+        return num
+    grlex = lambda e: (sum(e), e)
+    sn = tuple(map(min, zip(*num.num)))
+    sd = tuple(map(min, zip(*den.num)))
+    n = {tuple(map(operator.sub, e, sn)): c for e, c in num.terms.items()}
+    d = {tuple(map(operator.sub, e, sd)): c for e, c in den.terms.items()}
+    dl = max(d, key=grlex)
+    q = {}
+    while n:
+        t = tuple(map(operator.sub, max(n, key=grlex), dl))
+        if min(t) < 0:
+            return None
+        q[t] = tc = n[tuple(map(operator.add, t, dl))] / d[dl]
+        for de, dc in d.items():
+            e = tuple(map(operator.add, t, de))
+            rest = n.get(e, _ZERO) - tc * dc
+            if rest:
+                n[e] = rest
+            else:
+                n.pop(e, None)
+    net = tuple(map(operator.sub, sn, sd))
+    try:
+        return sum((num.ring.monomial(tuple(map(operator.add, t, net)), c)
+                    for t, c in q.items()), num.ring.zero())
+    except DeclarationError:
+        return None
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_exact_divide_matches_scalar_long_division(ring, data):
+    # Gaussian, non-monic leading coefficients over mixed denominators
+    a, b, c = (sum((ring.monomial(e, z) for e, z in data.draw(_gaussian_terms())),
+                   ring.zero()) for _ in range(3))
+    assume(not b.is_zero)
+    # the early rejects never turn down a divisible input
+    q = exact_divide(a * b, b)
+    assert q == a == _ref_divide(a * b, b)
+    _assert_normal(q)
+    for r in (a * b + c, a * b + ring.one(), c):
+        q = exact_divide(r, b)
+        assert q == _ref_divide(r, b)
+        if q is not None:
+            assert q * b == r
+            _assert_normal(q)
+
+
+def test_mixed_rings_are_rejected():
+    xy, uv = Ring(("x", "y")), Ring(("u", "v"))
+    x, y, u = xy.var("x"), xy.var("y"), uv.var("u")
+    with pytest.raises(DeclarationError,
+                       match="^operands declared over different rings$"):
+        exact_divide(x * y, u)
+    with pytest.raises(DeclarationError,
+                       match="^operands declared over different rings$"):
+        RationalFunc(x, ((u + uv.one(), 1),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: GaussianRational(1, 1),
+    lambda r: r.var("x") + r.one(),
+    lambda r: RationalFunc(r.var("x"), ((r.var("x") + r.one(), 1),)),
+], ids=["GaussianRational", "LaurentPoly", "RationalFunc"])
+@pytest.mark.parametrize("k", [0.5, Fraction(1, 2), Fraction(2)])
+def test_power_needs_an_int_exponent(ring, build, k):
+    with pytest.raises(TypeError, match="^exponent must be an int$"):
+        build(ring) ** k
 
 
 # -- rational functions ------------------------------------------------------
@@ -340,6 +418,26 @@ def test_rational_cancellation(ring):
     den_factor = y + ring.one()
     r = num * RationalFunc(ring.one(), ((den_factor, 1),))
     assert r == RationalFunc(y)
+
+
+def test_product_cancels_across_like_the_full_trial(ring):
+    # pairwise coprime irreducible factors: a product that cancels across
+    # keeps the representation of the constructor, which trial-divides the
+    # whole product by every factor
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    phi, d, s = one - x * x - y * y, x - y, one + x + y * y
+    nums = (one, x * ring.var("y", -1), phi * d, s * s * y, phi * phi * s * 3)
+    dens = ((), ((phi, 1),), ((d, 2), (s, 1)), ((phi, 2), (s, 1)), ((s, 1),))
+    values = [RationalFunc(n, den) for n in nums for den in dens]
+    for r1 in values:
+        for r2 in values:
+            merged = dict(r1.den)
+            for f, p in r2.den:
+                merged[f] = merged.get(f, 0) + p
+            full = RationalFunc(r1.num * r2.num, tuple(merged.items()))
+            product = r1 * r2
+            assert product.num == full.num and product.den == full.den
+            _assert_normal(product.num)
 
 
 def test_rational_add_cross_denominator(ring):
