@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import DomainError, FitSingularError, UsageError
 
@@ -137,8 +137,12 @@ def conserved_values(s, a, beta):
 def drift_summary(traj):
     """Max relative drift of each conserved scalar along the trajectory;
     all NaN if any conserved value is NaN, all 0 if every value is 0."""
+    return _drift([conserved_values(s, traj.a, traj.beta) for s in traj.states])
+
+
+def _drift(vals):
+    """``drift_summary`` of the charges ``vals``, one tuple per state."""
     names = ("H", "L1", "L2", "L3")
-    vals = [conserved_values(s, traj.a, traj.beta) for s in traj.states]
     if any(map(math.isnan, chain.from_iterable(vals))):
         # max() below would drop the NaN and report a perfect drift
         return dict.fromkeys(names, math.nan)
@@ -247,12 +251,19 @@ def estimate_period(s0, a, beta, probe_dt=1e-3):
     raise DomainError("no full revolution within the probe window")
 
 
-def trajectory_csv(traj, stream):
-    """CSV with conserved columns, full double precision."""
-    stream.write("t,x,y,px,py,H,L1,L2,L3\n")
-    row = ",".join(["%.17g"] * 9) + "\n"
-    for s in traj.states:
-        H, L1, L2, L3 = conserved_values(s, traj.a, traj.beta)
-        if not all(map(math.isfinite, (H, L1, L2, L3))):
+def trajectory_csv(traj):
+    """(CSV text as an iterator of pieces, ``drift_summary``), both from
+    one computation of each state's charges.  The CSV has conserved columns
+    in full double precision.  A charge that is not finite raises
+    ``OverflowError`` here, before any text is made."""
+    states = traj.states
+    vals = [conserved_values(s, traj.a, traj.beta) for s in states]
+    for s, v in zip(states, vals):
+        if not all(map(math.isfinite, v)):
             raise OverflowError(f"conserved values are not finite at t={s.t!r}")
-        stream.write(row % (*s, H, L1, L2, L3))
+    row = ",".join(["%.17g"] * 9) + "\n"
+    rows = (row % (*s, *v) for s, v in zip(states, vals))
+    # ~150 kB a piece: a pipe's reader gets a few large reads, not one
+    # per 8 kB that a stream flushes of single rows
+    blocks = iter(lambda: "".join(islice(rows, 1024)), "")
+    return chain(("t,x,y,px,py,H,L1,L2,L3\n",), blocks), _drift(vals)

@@ -14,7 +14,6 @@ start-up only for its own code.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -66,14 +65,18 @@ def _parse_levels(text):
     return text if text == "all" else _parse_range(text)
 
 
-def _emit(text, out_path):
+def _emit(pieces, out_path):
+    """Write the strings ``pieces`` to ``out_path``, or to stdout ending
+    in a newline."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.writelines(pieces)
+        return
+    last = ""
+    for last in pieces:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +168,7 @@ def _build_parser():
 def _cmd_verify(args):
     from . import models
     reports = models.run_identity_suite()
-    _emit(models.render_suite(reports, fmt=args.format), args.out)
+    _emit([models.render_suite(reports, fmt=args.format)], args.out)
     bad = [r for r in reports if r.status == models.FAIL]
     diff = [r for r in reports if r.status == models.DOCUMENTED_DIFF]
     if bad:
@@ -201,9 +204,9 @@ def _cmd_spectrum(args):
                  for l in args.l]
         params = {"k": args.k, "rho": args.rho}
     if args.format == "json":
-        _emit(spectra.spectrum_json(args.geometry, params, lines), args.out)
+        _emit([spectra.spectrum_json(args.geometry, params, lines)], args.out)
     else:
-        _emit(spectra.spectrum_csv(lines), args.out)
+        _emit([spectra.spectrum_csv(lines)], args.out)
     return EXIT_OK
 
 
@@ -211,10 +214,9 @@ def _cmd_trajectory(args):
     from . import classical
     s0 = classical.PhaseState(0.0, args.x0, args.y0, args.px0, args.py0)
     traj = classical.integrate_rk4(s0, args.a, args.beta, args.dt, args.steps)
-    buf = io.StringIO()
-    classical.trajectory_csv(traj, buf)
-    _emit(buf.getvalue(), args.out)
-    drift = classical.drift_summary(traj)
+    # every charge is checked before the first byte is written
+    pieces, drift = classical.trajectory_csv(traj)
+    _emit(pieces, args.out)
     print("# drift " + " ".join(f"{k}={v:.3e}" for k, v in drift.items()),
           file=sys.stderr)
     if traj.domain_exit:
@@ -236,19 +238,19 @@ def _cmd_oracle(args):
                                       m=args.m, a=args.a)
     analytic = [spectra.landau_halfplane(args.beta, l, args.m, args.a).energy
                 for l in range(args.levels)]
-    _emit(numverify.oracle_report(spec, analytic), args.out)
+    _emit([numverify.oracle_report(spec, analytic)], args.out)
     return EXIT_OK
 
 
 def _cmd_eigenfunction(args):
     from . import spectra
-    rows = ["x,y,re,im,abs"]
+    rows = ["x,y,re,im,abs\n"]
     for y in args.y:
         v = spectra.eigenfunction_halfplane(args.beta, args.l, args.c,
                                             (args.x, y))
         rows.append(f"{args.x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g},"
-                    f"{abs(v):.17g}")
-    _emit("\n".join(rows) + "\n", args.out)
+                    f"{abs(v):.17g}\n")
+    _emit(rows, args.out)
     return EXIT_OK
 
 
@@ -259,8 +261,8 @@ def _cmd_laughlin(args):
     val = manybody.laughlin(cfg, args.m)
     ok = manybody.antisymmetry_check(cfg, args.m)
     sym = "antisymmetry" if args.m % 2 else "symmetry"
-    _emit(f"{val.real:.17g}{val.imag:+.17g}j\n"
-          f"{sym}: {'PASS' if ok else 'FAIL'}\n", args.out)
+    _emit([f"{val.real:.17g}{val.imag:+.17g}j\n"
+           f"{sym}: {'PASS' if ok else 'FAIL'}\n"], args.out)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

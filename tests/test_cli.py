@@ -137,6 +137,34 @@ def test_trajectory_keeps_signed_zeros(capsys):
                    "L3=0.000e+00\n")
 
 
+@pytest.mark.parametrize("out_name", ["t.csv", "missing/t.csv"])
+def test_trajectory_overflow_writes_nothing(capsys, tmp_path, out_name):
+    # the charges are checked before the --out file is opened, so an
+    # overflow exits 3 even when the path could not be written
+    out_file = tmp_path / out_name
+    code, out, err = run(capsys, "trajectory", "--dt", "0.01", "--steps", "0",
+                         "--beta", "1e200", "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_trajectory_computes_each_charge_once(capsys, monkeypatch):
+    from curvedhall import classical
+    calls = []
+    real = classical.conserved_values
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(classical, "conserved_values", counted)
+    code, out, _ = run(capsys, "trajectory", "--dt", "0.01", "--steps", "50")
+    assert code == 0
+    assert len(calls) == 51 == len(out.splitlines()) - 1
+
+
 def test_oracle_small_grid(capsys):
     code, out, _ = run(capsys, "oracle", "--beta", "5", "--smax", "80",
                        "--points", "1500", "--levels", "3")

@@ -465,6 +465,14 @@ def test_rational_inverse(ring):
     assert r * r.inverse() == RationalFunc(ring.one())
 
 
+def test_rational_inverse_of_reducible_numerator(ring):
+    # inverse does not factor its numerator, so the product keeps the
+    # form (x - y)/(x^2 - y^2); it is still equal by value
+    x, y = ring.var("x"), ring.var("y")
+    r = RationalFunc(x * x - y * y).inverse() * (x - y)
+    assert r == RationalFunc(x + y).inverse()
+
+
 def test_rational_quotient_rule(ring):
     x, y = ring.var("x"), ring.var("y")
     r = RationalFunc(x * x, ((x + y, 1),))
