@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
-from .opalg import DiffOp, I, RationalFunc, Ring
+from .opalg import DiffOp, I, Ring
 
 HALFPLANE_PARAMS = ("beta", "a", "m")
 DISK_PARAMS = ("B", "rho", "m")
@@ -77,20 +77,19 @@ def make_metric(kind, a=None, rho=None):
     needed for the numeric (curvature / residual) checks."""
     if kind == "flat":
         ring = flat_ring()
-        return Metric2D("flat", ring, RationalFunc.const(ring, 1), {})
+        return Metric2D("flat", ring, ring.one(), {})
     if kind == "halfplane":
         if a is not None and not 0 < a < math.inf:
             raise DomainError("half-plane scale a must be positive and finite")
         ring = halfplane_ring()
-        factor = RationalFunc(ring.var("a") * ring.var("y", -1))
+        factor = ring.var("a") * ring.var("y", -1)
         return Metric2D("halfplane", ring, factor,
                         {} if a is None else {"a": float(a)})
     if kind == "disk":
         if rho is not None and not 0 < rho < math.inf:
             raise DomainError("disk radius rho must be positive and finite")
         ring = disk_ring()
-        phi = disk_phi(ring)
-        return Metric2D("disk", ring, RationalFunc(ring.one(), ((phi, 1),)),
+        return Metric2D("disk", ring, disk_phi(ring).inverse(),
                         {} if rho is None else {"rho": float(rho)})
     raise DomainError(f"unknown metric kind {kind!r}")
 
@@ -105,18 +104,14 @@ def disk_phi(ring):
 def halfplane_gauge(metric):
     """A = (-beta/y, 0), the rescaled-field Landau gauge."""
     ring = metric.ring
-    return GaugePotential(
-        RationalFunc(-(ring.var("beta") * ring.var("y", -1))),
-        RationalFunc.zero(ring),
-    )
+    return GaugePotential(-(ring.var("beta") * ring.var("y", -1)), ring.zero())
 
 
 def disk_gauge(metric):
     """A = B (y, -x), the symmetric gauge on the disk."""
     ring = metric.ring
     B = ring.var("B")
-    return GaugePotential(RationalFunc(B * ring.var("y")),
-                          RationalFunc(-(B * ring.var("x"))))
+    return GaugePotential(B * ring.var("y"), -(B * ring.var("x")))
 
 
 def dewitt_momenta(metric):
@@ -156,7 +151,7 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
         op = sandwich * core * sandwich
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    half_inv_m = RationalFunc(ring.var("m", -1) * Fraction(1, 2))
+    half_inv_m = ring.var("m", -1) * Fraction(1, 2)
     return DiffOp.mult(ring, GEOM, half_inv_m) * op
 
 

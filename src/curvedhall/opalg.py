@@ -7,8 +7,10 @@ identities, Poisson brackets) is built from four layers:
     LaurentPoly       -- multivariate Laurent polynomials over a Ring, kept
                          as one int denominator over Gaussian-integer
                          numerators
-    RationalFunc      -- LaurentPoly divided by a product of monic factors
-    DiffOp            -- sums of RationalFunc * (partial-derivative monomial)
+    RationalFunc      -- LaurentPoly divided by a nonempty product of monic
+                         factors; it exists only where a factor survives
+    DiffOp            -- sums of coefficient * (partial-derivative monomial),
+                         each coefficient a LaurentPoly or a RationalFunc
 
 All values are immutable after construction and every operation returns a
 normalized result, so equality checks reduce to "does the difference
@@ -28,7 +30,9 @@ irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
 and avoids multivariate GCDs.  The factors must be irreducible and
 pairwise coprime: a value is kept in lowest terms, and a product only
 cancels each operand's numerator against the factors of the other
-operand's denominator before it multiplies.
+operand's denominator before it multiplies.  A constructor, sum, product
+or derivative whose factors all cancel returns the numerator itself, so
+a value with no denominator is always a LaurentPoly.
 
 Operator composition and the commutator share one Leibniz carry,
 ``DiffOp._hits``: it pushes each derivative of the left operator through
@@ -37,11 +41,14 @@ derivative lands on a coefficient.  ``*`` adds the plain products
 f g d^(alpha+beta) to those; ``commutator`` never builds them, because
 they are the same in A o B and B o A and cancel exactly.
 
-Mixed operands follow one lift rule: each layer's ``_lift`` turns a
-scalar or a lower-layer value into its own layer (``Ring.const``,
-``RationalFunc``, ``DiffOp.mult``), raises ``DeclarationError`` on a ring
-mismatch, and returns None for anything else, so the operator returns
-NotImplemented and a higher-layer right operand takes over.
+Mixed operands follow one lift rule: each layer's ``_lift`` takes a
+scalar or a lower-layer value into its own layer, and returns None for
+anything else, so the operator returns NotImplemented and a higher-layer
+right operand takes over.  ``LaurentPoly`` lifts a scalar by
+``Ring.const`` and hands a ``RationalFunc`` operand over that way;
+``RationalFunc._lift`` reads any operand as a ``(num, den)`` pair, a
+``LaurentPoly`` or a scalar as ``(num, ())``; ``DiffOp`` lifts by
+``DiffOp.mult``.  A ring mismatch raises ``DeclarationError``.
 """
 
 from __future__ import annotations
@@ -61,18 +68,21 @@ _INEXACT = "floats are not exact; build from Fraction instead"
 
 def _power(base, k, one):
     """base**k for an int k, by square-and-multiply; k < 0 raises the
-    inverse of base to -k."""
+    inverse of base to -k.  ``one`` is only the value of k == 0: the
+    product starts from base, so a LaurentPoly one never multiplies a
+    RationalFunc inverse."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an int")
     if k < 0:
         base, k = base.inverse(), -k
-    out = one
+    out = None
     while k:
         if k & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         k >>= 1
-    return out
+        if k:
+            base = base * base
+    return one if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +313,8 @@ class Ring:
         return LaurentPoly(self, {(0,) * len(self.vars): (z._a, z._b)}, z._d)
 
     def var(self, name, power=1):
+        if name not in self.index:
+            raise DeclarationError(f"undeclared variable {name!r}")
         vec = [0] * len(self.vars)
         vec[self.index[name]] = power
         return self.monomial(tuple(vec))
@@ -426,9 +438,13 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("use RationalFunc for negative polynomial powers")
         return _power(self, k, self.ring.one())
+
+    def inverse(self):
+        """1 / self.  self becomes one denominator factor unfactored, so the
+        result is in lowest terms only when self is irreducible; the
+        inverse of a monomial folds back into a LaurentPoly."""
+        return RationalFunc(self.ring.one(), ((self, 1),))
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly) and self.ring != other.ring:
@@ -492,18 +508,19 @@ class LaurentPoly:
         return out
 
     def substitute(self, images):
-        """Map named variables to RationalFunc images (same or new ring)."""
+        """Map named variables to LaurentPoly or RationalFunc images (same
+        or new ring)."""
         tgt = next(iter(images.values())).ring
-        out = RationalFunc.zero(tgt)
+        out = tgt.zero()
         for exps, coeff in self.terms.items():
-            term = RationalFunc.const(tgt, coeff)
+            term = tgt.const(coeff)
             for var, e in zip(self.ring.vars, exps):
                 if e == 0:
                     continue
                 img = images.get(var)
                 if img is None:
-                    img = RationalFunc(tgt.var(var))
-                term = term * img ** e
+                    img = tgt.var(var)
+                term = _times(term, img ** e)
             out = out + term
         return out
 
@@ -653,7 +670,8 @@ def _inside(t, lo, hi):
 # ---------------------------------------------------------------------------
 
 class RationalFunc:
-    """num / prod(factor^power) with monic non-monomial factors.
+    """num / prod(factor^power) with monic non-monomial factors, at least
+    one of them.
 
     The factored denominator covers everything the model produces (powers
     of phi on the disk, powers of z - zbar after the complex substitution);
@@ -661,19 +679,21 @@ class RationalFunc:
 
     Factors must be irreducible and pairwise coprime.  The constructor
     divides each factor out of the numerator as often as it goes, so a
-    value is in lowest terms: no factor of ``den`` divides ``num``.  A
-    product then only cancels across (Henrici; Knuth, TAOCP 2, 4.5.1): a
-    factor of one operand's denominator that the other lacks is divided
-    out of the other's numerator, and one they share cannot divide the
-    product, so the product itself is never trial-divided.
+    value is in lowest terms: no factor of ``den`` divides ``num``.  When
+    no factor is left it returns ``num`` itself, and so does every sum,
+    product and derivative: a RationalFunc is never zero, and equals a
+    polynomial only when ``inverse`` left it unreduced.  A product only
+    cancels across (Henrici; Knuth, TAOCP 2, 4.5.1): a factor of one
+    operand's denominator that the other lacks is divided out of the
+    other's numerator, and one they share cannot divide the product, so
+    the product itself is never trial-divided.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=()):
-        if not den:
-            self.num, self.den = num, ()
-            return
+    is_zero = False
+
+    def __new__(cls, num, den=()):
         factors = {}
         for f, p in den:
             if f.ring != num.ring:
@@ -699,72 +719,44 @@ class RationalFunc:
             num, p = _cancel(num, f, p)
             if p:
                 reduced.append((f, p))
-        self.num = num
-        if num.is_zero:
-            reduced = []
         reduced.sort(key=_factor_key)
-        self.den = tuple(reduced)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, ring, c):
-        return cls(ring.const(c))
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring.zero())
+        return _rational(num, tuple(reduced))
 
     @property
     def ring(self):
         return self.num.ring
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def den_poly(self):
-        out = self.ring.one()
-        for f, p in self.den:
-            out = out * f ** p
-        return out
-
-    def as_poly(self):
-        if self.den:
-            raise ValueError(f"not polynomial: {self}")
-        return self.num
-
     # -- arithmetic --------------------------------------------------------
 
     def _lift(self, other):
+        """(num, den) of an operand; a LaurentPoly or a scalar has den ()."""
         if type(other) is RationalFunc:
-            return other
+            return other.num, other.den
         if type(other) is LaurentPoly:
-            return RationalFunc(other)
+            return other, ()
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return RationalFunc.const(self.ring, other)
+            return self.ring.const(other), ()
         return None
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if not (self.den or other.den):
-            return _rational(self.num + other.num, ())
-        if self.den == other.den:
-            return RationalFunc(self.num + other.num, self.den)
+        n2, d2 = other
+        if self.den == d2:
+            return RationalFunc(self.num + n2, d2)
         union = dict(self.den)
-        for f, p in other.den:
+        for f, p in d2:
             union[f] = max(union.get(f, 0), p)
-        mine, theirs = dict(self.den), dict(other.den)
-        n1, n2 = self.num, other.num
+        mine, theirs = dict(self.den), dict(d2)
+        n1 = self.num
         for f, p in union.items():
-            d1 = p - mine.get(f, 0)
-            d2 = p - theirs.get(f, 0)
-            if d1:
-                n1 = n1 * f ** d1
-            if d2:
-                n2 = n2 * f ** d2
+            e1 = p - mine.get(f, 0)
+            e2 = p - theirs.get(f, 0)
+            if e1:
+                n1 = n1 * f ** e1
+            if e2:
+                n2 = n2 * f ** e2
         return RationalFunc(n1 + n2, tuple(union.items()))
 
     __radd__ = __add__
@@ -783,24 +775,22 @@ class RationalFunc:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if not (self.den or other.den):
-            return _rational(self.num * other.num, ())
-        n1, n2 = self.num, other.num
+        n1, (n2, d2) = self.num, other
         den = dict(self.den)
-        theirs = dict(other.den)
+        theirs = dict(d2)
         for f, p in self.den:
             if f not in theirs:
                 n2, den[f] = _cancel(n2, f, p)
-        for f, p in other.den:
+        for f, p in d2:
             if f in den:
                 den[f] += p
             else:
                 n1, den[f] = _cancel(n1, f, p)
         num = n1 * n2
         if num.is_zero:
-            return RationalFunc(num)
+            return num
         factors = [fp for fp in den.items() if fp[1]]
-        if self.den and other.den:
+        if d2:
             # only a merge of two denominators can leave them out of order
             factors.sort(key=_factor_key)
         return _rational(num, tuple(factors))
@@ -810,19 +800,15 @@ class RationalFunc:
     def inverse(self):
         """1 / self.  The numerator becomes one denominator factor unfactored,
         so the result is in lowest terms only when it is irreducible."""
-        if self.num.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunc(self.den_poly(), ((self.num, 1),))
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
+        den = self.ring.one()
+        for f, p in self.den:
+            den = den * f ** p
+        return RationalFunc(den, ((self.num, 1),))
 
     def __pow__(self, k):
-        return _power(self, k, RationalFunc.const(self.ring, 1))
+        return _power(self, k, self.ring.one())
 
     def diff(self, var):
-        if not self.den:
-            return _rational(self.num.diff(var), ())
         out = RationalFunc(self.num.diff(var), self.den)
         for f, p in self.den:
             df = f.diff(var)
@@ -834,14 +820,14 @@ class RationalFunc:
         return out
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if self._lift(other) is None:
             return NotImplemented
-        # cross-multiplied comparison: a/b = c/d  <=>  a*d - c*b = 0
-        return (self.num * other.den_poly() - other.num * self.den_poly()).is_zero
+        # exact also for an unreduced value (see inverse): the difference
+        # is zero only if its numerator is
+        return (self - other).is_zero
 
-    # __eq__ cross-multiplies, so equal values can differ in representation
-    # and no hash of the representation agrees with it
+    # equal values can differ in representation (see inverse), so no hash
+    # of the representation agrees with ==
     __hash__ = None
 
     def eval(self, values):
@@ -853,27 +839,31 @@ class RationalFunc:
     def substitute(self, images):
         out = self.num.substitute(images)
         for f, p in self.den:
-            out = out * f.substitute(images) ** (-p)
+            out = _times(out, f.substitute(images) ** (-p))
         return out
 
     def __str__(self):
-        if not self.den:
-            s = str(self.num)
-            return f"({s})" if len(self.num.num) > 1 else s
-        dbits = []
-        for f, p in self.den:
-            dbits.append(f"({f})**{p}" if p > 1 else f"({f})")
+        dbits = [f"({f})**{p}" if p > 1 else f"({f})" for f, p in self.den]
         return f"({self.num})/({'*'.join(dbits)})"
 
     __repr__ = __str__
 
 
 def _rational(num, den):
-    """RationalFunc of parts already in lowest terms and in order."""
+    """RationalFunc of parts already in lowest terms and in order; ``num``
+    itself when ``den`` is empty."""
+    if not den:
+        return num
     r = object.__new__(RationalFunc)
     r.num = num
     r.den = den
     return r
+
+
+def _times(f, g):
+    """f * g with a RationalFunc operand on the left: a LaurentPoly on the
+    left would return NotImplemented and hand the product over."""
+    return g * f if type(g) is RationalFunc else f * g
 
 
 def _cancel(num, f, p):
@@ -897,7 +887,7 @@ def _factor_key(fp):
 # ---------------------------------------------------------------------------
 
 def _accumulate(out, key, value):
-    """out[key] += value for a RationalFunc value, skipping a zero one."""
+    """out[key] += value for a coefficient value, skipping a zero one."""
     if value.is_zero:
         return
     s = out.get(key)
@@ -921,8 +911,9 @@ class DiffOp:
     """Normal-ordered differential operator: sum of coeff * d^alpha.
 
     ``geom_vars`` are the variables derivatives act on; every other ring
-    variable is inert.  Terms map derivative multi-indices to RationalFunc
-    coefficients, with all derivatives to the right of all coefficients.
+    variable is inert.  Terms map derivative multi-indices to LaurentPoly
+    or RationalFunc coefficients, with all derivatives to the right of all
+    coefficients.
     Built by ``mult``, ``d``, ``zero`` and ``from_terms``; the constructor
     drops zero terms and trusts the rest.
     """
@@ -945,10 +936,8 @@ class DiffOp:
                 raise DeclarationError(f"bad geometric variable {v!r}")
         cleaned = {}
         for alpha, coeff in terms.items():
-            if isinstance(coeff, LaurentPoly):
-                coeff = RationalFunc(coeff)
-            elif not isinstance(coeff, RationalFunc):
-                coeff = RationalFunc.const(ring, coeff)
+            if not isinstance(coeff, (LaurentPoly, RationalFunc)):
+                coeff = ring.const(coeff)
             if coeff.ring != ring:
                 raise DeclarationError("coefficient declared over another ring")
             alpha = tuple(alpha)
@@ -1009,7 +998,7 @@ class DiffOp:
     def _hits(self, other):
         """self o other minus its product terms f_alpha g_beta d^(alpha+beta):
         the terms in which some partial of self lands on a coefficient of
-        other, as a dict beta -> RationalFunc.
+        other, as a dict beta -> coefficient.
 
         d^p o other is carried as rest_p + (other shifted by p), where
         rest_p holds the terms a partial has already hit.  The next partial
@@ -1038,7 +1027,7 @@ class DiffOp:
                                          for beta, g in other.terms.items()]
                     rests[p] = _carry(rests[prev], prev, k, var, dg)
             for beta, h in rests[p].items():
-                _accumulate(out, beta, f * h)
+                _accumulate(out, beta, _times(f, h))
         return out
 
     def __mul__(self, other):
@@ -1050,7 +1039,7 @@ class DiffOp:
         out = self._hits(other)
         for alpha, f in self.terms.items():
             for beta, g in other.terms.items():
-                _accumulate(out, tuple(map(add, alpha, beta)), f * g)
+                _accumulate(out, tuple(map(add, alpha, beta)), _times(f, g))
         return DiffOp(self.ring, self.geom_vars, out)
 
     def __rmul__(self, other):
@@ -1094,24 +1083,25 @@ class DiffOp:
 
     def apply_poly(self, f):
         """Exact image of a LaurentPoly; raises if the image leaves the ring."""
-        f = RationalFunc(f)
-        out = RationalFunc.zero(self.ring)
+        out = self.ring.zero()
         for alpha, coeff in self.terms.items():
             df = f
             for var, k in zip(self.geom_vars, alpha):
                 for _ in range(k):
                     df = df.diff(var)
             out = out + coeff * df
-        return out.as_poly()
+        if type(out) is RationalFunc:
+            raise ValueError(f"not polynomial: {out}")
+        return out
 
     def substitute(self, coeff_images, deriv_images):
         """Change of variables.
 
-        ``coeff_images`` maps old variable names to RationalFunc images in
-        the target ring; ``deriv_images`` maps old geometric variables to
-        first-order DiffOps in the target ring (the chain-rule images of
-        the partials).  Coefficients are substituted, then composed with
-        the mapped derivative monomials.
+        ``coeff_images`` maps old variable names to LaurentPoly or
+        RationalFunc images in the target ring; ``deriv_images`` maps old
+        geometric variables to first-order DiffOps in the target ring (the
+        chain-rule images of the partials).  Coefficients are substituted,
+        then composed with the mapped derivative monomials.
         """
         some = next(iter(deriv_images.values()))
         tgt_ring, tgt_geom = some.ring, some.geom_vars
@@ -1137,6 +1127,8 @@ class DiffOp:
                 elif k > 1:
                     dsym.append(f"D{var}**{k}")
             cs = str(coeff)
+            if type(coeff) is LaurentPoly and len(coeff.num) > 1:
+                cs = f"({cs})"
             bits.append("*".join([cs] + dsym) if dsym else cs)
         return " + ".join(bits).replace("+ -", "- ")
 

@@ -122,7 +122,7 @@ def test_ladder_commutator_is_identity():
     # [a, a+] = 1: the kappa of each prefactor meets the 1/(8 kappa^2) of
     # the other operator's multiplication term
     assert list(c.terms) == [(0, 0)]
-    assert c.terms[(0, 0)].num == ring.one()
+    assert c.terms[(0, 0)] == ring.one()
 
 
 def test_rings_differing_in_declarations_do_not_mix():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curvedhall import geometry, models
 from curvedhall.opalg import (
     DeclarationError,
     DiffOp,
@@ -170,19 +171,31 @@ def _poly_strategy(ring):
 
 
 def _assert_normal(v):
-    """The invariant the LaurentPoly and DiffOp constructors trust of the
-    values the kernel builds: a LaurentPoly is one int denominator > 0
-    over nonzero Gaussian-integer numerators with content 1 (den == 1 when
-    there is no term); a DiffOp has nonzero RationalFunc coefficients;
-    no negative power of a non-Laurent variable, valid multi-indices."""
+    """The invariant the constructors trust of the values the kernel
+    builds.  A LaurentPoly is one int denominator > 0 over nonzero
+    Gaussian-integer numerators with content 1 (den == 1 when there is no
+    term), with no negative power of a non-Laurent variable.  A
+    RationalFunc has at least one factor: a monic, non-monomial
+    LaurentPoly to a positive power that does not divide the nonzero
+    numerator.  A DiffOp has nonzero coefficients of either type over its
+    ring, and valid multi-indices."""
     ring = v.ring
     if isinstance(v, DiffOp):
         for alpha, c in v.terms.items():
-            assert type(c) is RationalFunc and c.ring == ring and not c.is_zero
+            assert c.ring == ring and not c.is_zero
             assert type(alpha) is tuple and len(alpha) == len(v.geom_vars)
             assert all(type(a) is int and a >= 0 for a in alpha)
-            for p in (c.num,) + tuple(f for f, _ in c.den):
-                _assert_normal(p)
+            _assert_normal(c)
+        return
+    if type(v) is RationalFunc:
+        assert v.den, "a RationalFunc with no factor left"
+        assert not v.num.is_zero
+        _assert_normal(v.num)
+        for f, p in v.den:
+            assert type(p) is int and p > 0
+            assert len(f.num) > 1 and f.leading()[1] == 1
+            assert exact_divide(v.num, f) is None
+            _assert_normal(f)
         return
     assert type(v) is LaurentPoly
     den, num = v.den, v.num
@@ -420,10 +433,16 @@ def test_rational_cancellation(ring):
     assert r == RationalFunc(y)
 
 
+def _parts(v):
+    """(num, den) of a RationalFunc, (v, ()) of a LaurentPoly."""
+    return (v.num, v.den) if type(v) is RationalFunc else (v, ())
+
+
 def test_product_cancels_across_like_the_full_trial(ring):
     # pairwise coprime irreducible factors: a product that cancels across
     # keeps the representation of the constructor, which trial-divides the
-    # whole product by every factor
+    # whole product by every factor; a value whose factors all cancel,
+    # here or in the constructor, is a LaurentPoly
     x, y, one = ring.var("x"), ring.var("y"), ring.one()
     phi, d, s = one - x * x - y * y, x - y, one + x + y * y
     nums = (one, x * ring.var("y", -1), phi * d, s * s * y, phi * phi * s * 3)
@@ -431,13 +450,73 @@ def test_product_cancels_across_like_the_full_trial(ring):
     values = [RationalFunc(n, den) for n in nums for den in dens]
     for r1 in values:
         for r2 in values:
-            merged = dict(r1.den)
-            for f, p in r2.den:
+            (n1, d1), (n2, d2) = _parts(r1), _parts(r2)
+            merged = dict(d1)
+            for f, p in d2:
                 merged[f] = merged.get(f, 0) + p
-            full = RationalFunc(r1.num * r2.num, tuple(merged.items()))
+            full = RationalFunc(n1 * n2, tuple(merged.items()))
             product = r1 * r2
-            assert product.num == full.num and product.den == full.den
-            _assert_normal(product.num)
+            assert type(product) is type(full)
+            assert _parts(product) == _parts(full)
+            _assert_normal(product)
+
+
+def test_no_factor_left_is_a_polynomial(ring):
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    p = x + y
+    assert RationalFunc(p) is p
+    # a factor that divides the numerator, or a monomial one, folds away
+    assert type(RationalFunc(p * y, ((p, 1),))) is LaurentPoly
+    assert RationalFunc(p, ((y, 2),)) == p * ring.var("y", -2)
+    # sum, product and derivative whose factors all cancel
+    f = RationalFunc(x, ((p, 1),))
+    g = RationalFunc(y, ((p, 1),))
+    assert f + g == one and type(f + g) is LaurentPoly
+    assert type(f - f) is LaurentPoly and (f - f).is_zero
+    assert f * p == x and type(f * p) is LaurentPoly
+    assert type(p * f) is LaurentPoly and type(f * 0) is LaurentPoly
+    inv = RationalFunc(x - y, ((p, 1),)) * RationalFunc(p, ((x - y, 1),))
+    assert inv == one and type(inv) is LaurentPoly
+    # x + 1/(y + 1): its x-derivative is 1
+    h = RationalFunc(x * (y + one) + one, ((y + one, 1),))
+    assert type(h) is RationalFunc
+    assert h.diff("x") == one and type(h.diff("x")) is LaurentPoly
+    assert type(h.diff("y")) is RationalFunc
+    for v in (f, g, h, h.diff("y")):
+        _assert_normal(v)
+
+
+def test_negative_polynomial_power_is_a_rational_function(ring):
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    p = x + y
+    assert p ** -2 == RationalFunc(one, ((p, 2),))
+    assert type(p ** -2) is RationalFunc and (p ** -2).den == ((p, 2),)
+    assert p ** -1 * p == one and p.inverse() == p ** -1
+    # a monomial inverts inside the Laurent ring
+    assert y ** -2 == ring.var("y", -2) and type(y ** -2) is LaurentPoly
+    assert p ** 0 == one and RationalFunc(one, ((p, 1),)) ** 0 == one
+    with pytest.raises(ZeroDivisionError):
+        ring.zero() ** -1
+
+
+def test_polynomial_and_rational_compare_both_ways(ring):
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    f = RationalFunc(x, ((x + y, 1),))
+    assert f != x and x != f and not (f == x) and not (x == f)
+    # unreduced (the inverse keeps x^2 - y^2 whole) but equal to 1
+    unreduced = (x * x - y * y).inverse() * (x - y) * (x + y)
+    assert type(unreduced) is RationalFunc
+    assert unreduced == one and one == unreduced and unreduced == 1
+    assert unreduced != x and x != unreduced
+
+
+def test_apply_poly_rejects_an_image_with_a_denominator(ring):
+    x, y = ring.var("x"), ring.var("y")
+    A = DiffOp.mult(ring, GV, RationalFunc(ring.one(), ((x + y, 1),)))
+    with pytest.raises(ValueError, match="^not polynomial: "):
+        A.apply_poly(x)
+    # the image of x + y is 1, a polynomial
+    assert A.apply_poly(x + y) == ring.one()
 
 
 def test_rational_add_cross_denominator(ring):
@@ -633,8 +712,11 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
     # a polynomial on the left defers to the higher layer's reflected method
     assert getattr(operator, name)(p, g) == getattr(g, f"__r{name}__")(p)
     other = Ring(("x", "y"))
-    with pytest.raises(DeclarationError):
-        getattr(operator, name)(other.var("x"), g)
+    for op in (getattr(operator, name), operator.eq):
+        with pytest.raises(DeclarationError):
+            op(other.var("x"), g)
+        with pytest.raises(DeclarationError):
+            op(g, other.var("x"))
     with pytest.raises(TypeError):
         p + "s"
 
@@ -668,6 +750,8 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
                  "exponent vector of length 3", id="monomial-long"),
     pytest.param(lambda r: Ring(("x", "y")).monomial((1,)),
                  "exponent vector of length 1", id="monomial-short"),
+    pytest.param(lambda r: Ring(("x", "y")).var("q"),
+                 "^undeclared variable 'q'$", id="var-undeclared"),
 ])
 def test_declaration_checks(ring, build, message):
     with pytest.raises(DeclarationError, match=message):
@@ -697,3 +781,59 @@ def test_poisson_antisymmetry(data):
     fg = poisson_bracket(f, g)
     assert fg == -poisson_bracket(g, f)
     _assert_normal(fg)
+
+
+# -- every operator the identity suite builds --------------------------------
+
+def _metric_values(kind):
+    """Conformal factor, gauge field, de Witt momenta and both orderings of
+    the gauged kinetic operator on one metric."""
+    met = geometry.make_metric(kind)
+    if kind == "flat":
+        gauge = geometry.GaugePotential(met.ring.zero(), met.ring.zero())
+    elif kind == "halfplane":
+        gauge = geometry.halfplane_gauge(met)
+    else:
+        gauge = geometry.disk_gauge(met)
+    return (met.factor, *gauge, *geometry.dewitt_momenta(met),
+            *(geometry.laplace_beltrami(met, gauge, ordering)
+              for ordering in ("left", "symmetric")))
+
+
+def _su11_values(ring=None):
+    L = models.quantum_generators(ring)
+    J = models.su11_basis(*L)
+    return (*L, *J, models.casimir(*J))
+
+
+@pytest.mark.parametrize("build, rational", [
+    pytest.param(lambda: (*models.classical_generators(),
+                          models.classical_hamiltonian()), False, id="classical"),
+    pytest.param(models.quantum_generators_ordered, False, id="quantum-ordered"),
+    pytest.param(_su11_values, False, id="su11"),
+    pytest.param(lambda: _su11_values(models.sphere_ring()), False, id="sphere"),
+    pytest.param(lambda: (models.hamiltonian_halfplane(),
+                          models.hamiltonian_halfplane_sandwiched(),
+                          models.hamiltonian_halfplane_y2_right()),
+                 False, id="halfplane"),
+    pytest.param(lambda: (models.hamiltonian_halfplane_complex(),
+                          models.complexify_halfplane(models.hamiltonian_halfplane())),
+                 False, id="complex"),
+    pytest.param(lambda: (*models.ladder_operators(),
+                          models.flat_hamiltonian_complex()), False, id="ladder"),
+    pytest.param(lambda: (models.disk_hamiltonian_compact(),
+                          models.disk_hamiltonian_expanded()), False, id="disk"),
+    pytest.param(lambda: _metric_values("flat"), False, id="lb-flat"),
+    pytest.param(lambda: _metric_values("halfplane"), False, id="lb-halfplane"),
+    pytest.param(lambda: _metric_values("disk"), True, id="lb-disk"),
+])
+def test_identity_suite_values_are_normal(build, rational):
+    # a coefficient with no denominator left is a LaurentPoly: phi/2m
+    # clears the disk Hamiltonians' 1/phi, and only the disk's de Witt
+    # momenta keep one
+    values = build()
+    for v in values:
+        _assert_normal(v)
+    kinds = {type(c) for v in values if isinstance(v, DiffOp)
+             for c in v.terms.values()}
+    assert (RationalFunc in kinds) == rational
