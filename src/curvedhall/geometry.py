@@ -124,7 +124,7 @@ def dewitt_momenta(metric):
         logterm = metric.factor.diff(var) * metric.factor.inverse()
         p = (-I) * DiffOp.d(ring, GEOM, var)
         if not logterm.is_zero:
-            p = p + DiffOp.mult(ring, GEOM, (-I) * logterm)
+            p = p + (-I) * logterm
         out.append(p)
     return tuple(out)
 
@@ -140,15 +140,14 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
     """
     ring = metric.ring
     px, py = dewitt_momenta(metric)
-    Pi_x = px - DiffOp.mult(ring, GEOM, gauge.A_x)
-    Pi_y = py - DiffOp.mult(ring, GEOM, gauge.A_y)
+    Pi_x = px - gauge.A_x
+    Pi_y = py - gauge.A_y
     core = Pi_x * Pi_x + Pi_y * Pi_y
     inv_f = metric.factor.inverse()
     if ordering == "left":
         op = DiffOp.mult(ring, GEOM, inv_f * inv_f) * core
     elif ordering == "symmetric":
-        sandwich = DiffOp.mult(ring, GEOM, inv_f)
-        op = sandwich * core * sandwich
+        op = DiffOp.mult(ring, GEOM, inv_f) * core * inv_f
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
     half_inv_m = ring.var("m", -1) * Fraction(1, 2)

@@ -41,14 +41,15 @@ derivative lands on a coefficient.  ``*`` adds the plain products
 f g d^(alpha+beta) to those; ``commutator`` never builds them, because
 they are the same in A o B and B o A and cancel exactly.
 
-Mixed operands follow one lift rule: each layer's ``_lift`` takes a
-scalar or a lower-layer value into its own layer, and returns None for
-anything else, so the operator returns NotImplemented and a higher-layer
-right operand takes over.  ``LaurentPoly`` lifts a scalar by
-``Ring.const`` and hands a ``RationalFunc`` operand over that way;
-``RationalFunc._lift`` reads any operand as a ``(num, den)`` pair, a
-``LaurentPoly`` or a scalar as ``(num, ())``; ``DiffOp`` lifts by
-``DiffOp.mult``.  A ring mismatch raises ``DeclarationError``.
+Mixed operands follow one lift rule: a layer takes a scalar or a
+lower-layer value into its own layer and returns NotImplemented at once
+for anything else, so a higher-layer right operand takes over.
+``RationalFunc._lift`` reads an operand as a ``(num, den)`` pair;
+``DiffOp._lift`` puts a scalar or a coefficient straight into a
+zeroth-order term.  A ring mismatch raises ``DeclarationError``.  A
+polynomial left factor of a composition is written ``DiffOp.mult(p)``:
+``p * D`` passes through a NotImplemented return of
+``LaurentPoly.__mul__`` (see ``_times``).
 """
 
 from __future__ import annotations
@@ -125,26 +126,17 @@ class GaussianRational:
     def coerce(cls, v):
         if isinstance(v, GaussianRational):
             return v
-        if isinstance(v, int):
-            return _make(int(v), 0, 1)
-        if isinstance(v, Fraction):
+        if isinstance(v, (int, Fraction)):
             return _make(v.numerator, 0, v.denominator)
         if isinstance(v, (float, complex)):
             raise TypeError(_INEXACT)
         raise TypeError(f"cannot coerce {v!r} to GaussianRational")
 
-    @classmethod
-    def _try(cls, v):
-        try:
-            return cls.coerce(v)
-        except TypeError:
-            return None
-
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = self._try(other)
-            if other is None:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = self.coerce(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _norm(self._a + other._a, self._b + other._b, d1)
@@ -164,9 +156,9 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = self._try(other)
-            if other is None:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = self.coerce(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         if not b1 and not b2:
             return _norm(a1 * a2, 0, self._d * other._d)
@@ -196,9 +188,9 @@ class GaussianRational:
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
-            other = self._try(other)
-            if other is None:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = self.coerce(other)
         return (self._a == other._a and self._b == other._b
                 and self._d == other._d)
 
@@ -255,10 +247,6 @@ def _norm(a, b, d):
 
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def frac(p, q=1):
-    return GaussianRational(Fraction(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +454,10 @@ class LaurentPoly:
     def diff(self, var):
         """Formal partial derivative; exponent-weighted shift.  Distinct
         monomials stay distinct, so no two terms land on one."""
-        k = self.ring.index[var]
+        try:
+            k = self.ring.index[var]
+        except KeyError:
+            raise DeclarationError(f"undeclared variable {var!r}") from None
         out = {}
         for exps, (a, b) in self.num.items():
             e = exps[k]
@@ -510,7 +501,7 @@ class LaurentPoly:
     def substitute(self, images):
         """Map named variables to LaurentPoly or RationalFunc images (same
         or new ring)."""
-        tgt = next(iter(images.values())).ring
+        tgt = _some_image(images).ring
         out = tgt.zero()
         for exps, coeff in self.terms.items():
             term = tgt.const(coeff)
@@ -866,6 +857,13 @@ def _times(f, g):
     return g * f if type(g) is RationalFunc else f * g
 
 
+def _some_image(images):
+    """One image of a substitution; the images lie in the target ring."""
+    for img in images.values():
+        return img
+    raise DeclarationError("no image gives the target ring")
+
+
 def _cancel(num, f, p):
     """(num / f^k, p - k) for the largest k <= p with f^k dividing num."""
     while p:
@@ -964,13 +962,19 @@ class DiffOp:
                               {tuple(int(v == var) for v in geom_vars): 1})
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly, RationalFunc)):
-            return DiffOp.mult(self.ring, self.geom_vars, other)
-        if not isinstance(other, DiffOp):
+        if isinstance(other, DiffOp):
+            if self.ring != other.ring or self.geom_vars != other.geom_vars:
+                raise DeclarationError("operators declared over different variables")
+            return other
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = self.ring.const(other)
+        elif not isinstance(other, (LaurentPoly, RationalFunc)):
             return None
-        if self.ring != other.ring or self.geom_vars != other.geom_vars:
-            raise DeclarationError("operators declared over different variables")
-        return other
+        elif other.ring != self.ring:
+            raise DeclarationError("coefficient declared over another ring")
+        # self's geom_vars are already checked; the constructor drops a zero
+        return DiffOp(self.ring, self.geom_vars,
+                      {(0,) * len(self.geom_vars): other})
 
     # -- linear structure --------------------------------------------------
 
@@ -1103,7 +1107,7 @@ class DiffOp:
         chain-rule images of the partials).  Coefficients are substituted,
         then composed with the mapped derivative monomials.
         """
-        some = next(iter(deriv_images.values()))
+        some = _some_image(deriv_images)
         tgt_ring, tgt_geom = some.ring, some.geom_vars
         out = DiffOp.zero(tgt_ring, tgt_geom)
         for alpha, coeff in self.terms.items():

@@ -18,7 +18,6 @@ from curvedhall.opalg import (
     RationalFunc,
     Ring,
     exact_divide,
-    frac,
     phase_ring,
     poisson_bracket,
 )
@@ -692,9 +691,24 @@ def test_commutator_checks_declarations(ring):
         A.commutator("x")
 
 
-def test_scalar_premultiplication(ring):
-    dx = _d(ring, "x")
-    assert ((-I) * dx).terms == (dx * (-I)).terms
+def _no_repr(self):
+    raise AssertionError(f"{type(self).__name__} rendered")
+
+
+@pytest.mark.parametrize("kind", ["LaurentPoly", "RationalFunc", "DiffOp"])
+def test_scalar_premultiplication(ring, kind, monkeypatch):
+    x, y = ring.var("x"), ring.var("y")
+    v = {"LaurentPoly": x * y + 1,
+         "RationalFunc": RationalFunc(x * y, ((x + y, 1),)),
+         "DiffOp": _d(ring, "x") * DiffOp.mult(ring, GV, y) + x}[kind]
+    # a scalar on the left hands the operand over at once, without
+    # rendering it into an error message that is caught and dropped;
+    # __repr__ = __str__ was bound at class creation, so patch __repr__
+    monkeypatch.setattr(type(v), "__repr__", _no_repr)
+    assert (-I) * v == v.__rmul__(-I) == v * (-I)
+    assert I + v == v.__radd__(I)
+    # a zero coefficient lifted straight into a DiffOp is still dropped
+    assert (v * 0).is_zero and (0 * v).is_zero
 
 
 def _higher_layer(ring, kind):
@@ -752,6 +766,16 @@ def test_polynomial_left_of_higher_layer(ring, name, kind):
                  "exponent vector of length 1", id="monomial-short"),
     pytest.param(lambda r: Ring(("x", "y")).var("q"),
                  "^undeclared variable 'q'$", id="var-undeclared"),
+    pytest.param(lambda r: r.var("x").diff("q"),
+                 "^undeclared variable 'q'$", id="diff-undeclared"),
+    pytest.param(lambda r: RationalFunc(r.one(), ((r.var("x") + 1, 1),)).diff("q"),
+                 "^undeclared variable 'q'$", id="rational-diff-undeclared"),
+    pytest.param(lambda r: poisson_bracket(r.var("x"), r.var("y")),
+                 "^undeclared variable 'px'$", id="poisson-without-momenta"),
+    pytest.param(lambda r: r.var("x").substitute({}),
+                 "no image gives the target ring", id="substitute-empty"),
+    pytest.param(lambda r: DiffOp.d(r, GV, "x").substitute({}, {}),
+                 "no image gives the target ring", id="diffop-substitute-empty"),
 ])
 def test_declaration_checks(ring, build, message):
     with pytest.raises(DeclarationError, match=message):
