@@ -17,23 +17,14 @@ from fractions import Fraction
 from .errors import DomainError
 from .opalg import DiffOp, I, Ring
 
-HALFPLANE_PARAMS = ("beta", "a", "m")
-DISK_PARAMS = ("B", "rho", "m")
-
-
-def halfplane_ring():
-    return Ring(("x", "y") + HALFPLANE_PARAMS,
-                laurent=("y",) + HALFPLANE_PARAMS, params=HALFPLANE_PARAMS)
-
-
-def disk_ring():
-    return Ring(("x", "y") + DISK_PARAMS,
-                laurent=DISK_PARAMS, params=DISK_PARAMS)
-
-
-def flat_ring():
-    return Ring(("x", "y", "m"), laurent=("m",), params=("m",))
-
+# rho is inert on the half-plane: it is the sphere radius of the
+# half-plane generators' other application (Haldane-sphere identity)
+HALFPLANE_RING = Ring(("x", "y", "beta", "a", "m", "rho"),
+                      laurent=("y", "beta", "a", "m", "rho"),
+                      params=("beta", "a", "m", "rho"))
+DISK_RING = Ring(("x", "y", "B", "rho", "m"),
+                 laurent=("B", "rho", "m"), params=("B", "rho", "m"))
+FLAT_RING = Ring(("x", "y", "m"), laurent=("m",), params=("m",))
 
 GEOM = ("x", "y")
 
@@ -76,29 +67,25 @@ def make_metric(kind, a=None, rho=None):
     """Build a metric; numeric parameter values are optional and only
     needed for the numeric (curvature / residual) checks."""
     if kind == "flat":
-        ring = flat_ring()
-        return Metric2D("flat", ring, ring.one(), {})
+        return Metric2D("flat", FLAT_RING, FLAT_RING.one(), {})
     if kind == "halfplane":
         if a is not None and not 0 < a < math.inf:
             raise DomainError("half-plane scale a must be positive and finite")
-        ring = halfplane_ring()
-        factor = ring.var("a") * ring.var("y", -1)
-        return Metric2D("halfplane", ring, factor,
+        factor = HALFPLANE_RING.var("a") * HALFPLANE_RING.var("y", -1)
+        return Metric2D("halfplane", HALFPLANE_RING, factor,
                         {} if a is None else {"a": float(a)})
     if kind == "disk":
         if rho is not None and not 0 < rho < math.inf:
             raise DomainError("disk radius rho must be positive and finite")
-        ring = disk_ring()
-        return Metric2D("disk", ring, disk_phi(ring).inverse(),
+        return Metric2D("disk", DISK_RING, disk_phi().inverse(),
                         {} if rho is None else {"rho": float(rho)})
     raise DomainError(f"unknown metric kind {kind!r}")
 
 
-def disk_phi(ring):
+def disk_phi():
     """phi = 1 - (x^2 + y^2)/rho^2 as an exact polynomial."""
-    x, y = ring.var("x"), ring.var("y")
-    inv_rho2 = ring.var("rho", -2)
-    return ring.one() - (x * x + y * y) * inv_rho2
+    x, y = DISK_RING.var("x"), DISK_RING.var("y")
+    return DISK_RING.one() - (x * x + y * y) * DISK_RING.var("rho", -2)
 
 
 def halfplane_gauge(metric):

@@ -25,70 +25,62 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry
-from .geometry import GEOM, disk_gauge, disk_phi, halfplane_gauge, make_metric
-from .opalg import (
-    DiffOp,
-    I,
-    RationalFunc,
-    Ring,
-    phase_ring,
-    poisson_bracket,
+from .geometry import (
+    DISK_RING,
+    GEOM,
+    HALFPLANE_RING,
+    disk_gauge,
+    disk_phi,
+    halfplane_gauge,
+    make_metric,
 )
+from .opalg import PHASE_RING, DiffOp, I, RationalFunc, Ring, poisson_bracket
 
 
 # ---------------------------------------------------------------------------
 # rings
 # ---------------------------------------------------------------------------
 
-def sphere_ring():
-    """Half-plane generators plus the disk radius rho (for 5.10/5.11)."""
-    params = ("beta", "a", "m", "rho")
-    return Ring(("x", "y") + params, laurent=("y",) + params, params=params)
+COMPLEX_RING = Ring(("z", "zb", "beta", "a", "m"),
+                    laurent=("beta", "a", "m"), params=("beta", "a", "m"))
+
+# The flat plane in complex coordinates, parametrised by kappa = l_B/sqrt(2)
+# = sqrt(hbar/2 m omega_c): hbar = 2 m omega_c kappa^2 is a monomial, so the
+# coefficient field stays rational.
+LADDER_RING = Ring(("z", "zb", "m", "omega_c", "kappa"),
+                   laurent=("m", "omega_c", "kappa"),
+                   params=("m", "omega_c", "kappa"))
 
 
-def complex_halfplane_ring():
-    params = ("beta", "a", "m")
-    return Ring(("z", "zb") + params, laurent=params, params=params)
-
-
-def ladder_ring():
-    """Flat plane in complex coordinates, parametrised by kappa = l_B/sqrt(2)
-    = sqrt(hbar/2 m omega_c): hbar = 2 m omega_c kappa^2 is a monomial, so
-    the coefficient field stays rational."""
-    params = ("m", "omega_c", "kappa")
-    return Ring(("z", "zb") + params, laurent=params, params=params)
-
-
-def _hbar(ring):
-    """hbar = 2 m omega_c kappa^2 over ``ladder_ring``."""
-    return ring.var("m") * ring.var("omega_c") * ring.var("kappa", 2) * 2
+def _hbar():
+    """hbar = 2 m omega_c kappa^2 over ``LADDER_RING``."""
+    return (LADDER_RING.var("m") * LADDER_RING.var("omega_c")
+            * LADDER_RING.var("kappa", 2) * 2)
 
 
 # ---------------------------------------------------------------------------
 # classical sector
 # ---------------------------------------------------------------------------
 
-def classical_generators(ring=None, translation="px"):
+def classical_generators(translation="px"):
     """Noether charges L1 (dilation), L2 (translation), L3 (special
     conformal).  ``translation`` picks the candidate for L2; the closing
     choice is determined by the suite, not assumed."""
-    ring = ring or phase_ring()
-    x, y = ring.var("x"), ring.var("y")
-    px, py = ring.var("px"), ring.var("py")
-    beta = ring.var("beta")
+    x, y = PHASE_RING.var("x"), PHASE_RING.var("y")
+    px, py = PHASE_RING.var("px"), PHASE_RING.var("py")
+    beta = PHASE_RING.var("beta")
     L1 = x * px + y * py
     L2 = px if translation == "px" else py
     L3 = (y * y - x * x) * px - 2 * x * y * py + 2 * beta * y
     return L1, L2, L3
 
 
-def classical_hamiltonian(ring=None):
+def classical_hamiltonian():
     """H = (1/4a^2) [ y^2 (px^2 + py^2) + 2 beta y px + beta^2 ]."""
-    ring = ring or phase_ring()
-    y = ring.var("y")
-    px, py = ring.var("px"), ring.var("py")
-    beta = ring.var("beta")
-    inv_4a2 = ring.var("a", -2) * Fraction(1, 4)
+    y = PHASE_RING.var("y")
+    px, py = PHASE_RING.var("px"), PHASE_RING.var("py")
+    beta = PHASE_RING.var("beta")
+    inv_4a2 = PHASE_RING.var("a", -2) * Fraction(1, 4)
     return inv_4a2 * (y * y * (px * px + py * py) + 2 * beta * y * px + beta * beta)
 
 
@@ -96,33 +88,34 @@ def classical_hamiltonian(ring=None):
 # quantum sector (half-plane)
 # ---------------------------------------------------------------------------
 
-def quantum_generators(ring=None):
+def quantum_generators():
     """Right-moved generator forms: L1 = -i(x dx + y dy), L2 = -i dx,
     L3 = -i(y^2-x^2) dx + 2i x y dy + 2 beta y."""
-    ring = ring or geometry.halfplane_ring()
-    x, y, beta = ring.var("x"), ring.var("y"), ring.var("beta")
-    Dx = DiffOp.d(ring, GEOM, "x")
-    Dy = DiffOp.d(ring, GEOM, "y")
-    L1 = (-I) * (DiffOp.mult(ring, GEOM, x) * Dx + DiffOp.mult(ring, GEOM, y) * Dy)
+    x, y = HALFPLANE_RING.var("x"), HALFPLANE_RING.var("y")
+    beta = HALFPLANE_RING.var("beta")
+    Dx = DiffOp.d(HALFPLANE_RING, GEOM, "x")
+    Dy = DiffOp.d(HALFPLANE_RING, GEOM, "y")
+    L1 = (-I) * (DiffOp.mult(HALFPLANE_RING, GEOM, x) * Dx
+                 + DiffOp.mult(HALFPLANE_RING, GEOM, y) * Dy)
     L2 = (-I) * Dx
-    L3 = ((-I) * (DiffOp.mult(ring, GEOM, y * y - x * x) * Dx)
-          + (2 * I) * (DiffOp.mult(ring, GEOM, x * y) * Dy)
+    L3 = ((-I) * (DiffOp.mult(HALFPLANE_RING, GEOM, y * y - x * x) * Dx)
+          + (2 * I) * (DiffOp.mult(HALFPLANE_RING, GEOM, x * y) * Dy)
           + 2 * beta * y)
     return L1, L2, L3
 
 
-def quantum_generators_ordered(ring=None):
+def quantum_generators_ordered():
     """Operator-valued forms with the coordinate factors on the left, as
     first written down; expanding them must reproduce the right-moved
     forms exactly."""
-    ring = ring or geometry.halfplane_ring()
-    x, y, beta = ring.var("x"), ring.var("y"), ring.var("beta")
-    Dx = DiffOp.d(ring, GEOM, "x")
-    _, p_y = _halfplane_gauged_momenta(ring)
-    L1 = (-I) * Dx * x + DiffOp.mult(ring, GEOM, y) * p_y
+    x, y = HALFPLANE_RING.var("x"), HALFPLANE_RING.var("y")
+    beta = HALFPLANE_RING.var("beta")
+    Dx = DiffOp.d(HALFPLANE_RING, GEOM, "x")
+    _, p_y = _halfplane_gauged_momenta()
+    L1 = (-I) * Dx * x + DiffOp.mult(HALFPLANE_RING, GEOM, y) * p_y
     L2 = (-I) * Dx
     L3 = ((-I) * Dx * (y * y - x * x)
-          - 2 * (DiffOp.mult(ring, GEOM, x * y) * p_y) + 2 * beta * y)
+          - 2 * (DiffOp.mult(HALFPLANE_RING, GEOM, x * y) * p_y) + 2 * beta * y)
     return L1, L2, L3
 
 
@@ -139,17 +132,17 @@ def casimir(J0, J1, J2):
     return J0 * J0 - J1 * J1 - J2 * J2
 
 
-def _prefactor(ring):
-    """1/(2 m a^2) as a LaurentPoly."""
-    return ring.var("m", -1) * ring.var("a", -2) * Fraction(1, 2)
+def _prefactor():
+    """1/(2 m a^2) over ``HALFPLANE_RING``."""
+    return (HALFPLANE_RING.var("m", -1) * HALFPLANE_RING.var("a", -2)
+            * Fraction(1, 2))
 
 
-def hamiltonian_halfplane(ring=None):
+def hamiltonian_halfplane():
     """(1/2 m a^2) [ -y^2 (dx^2 + dy^2) - 2 i beta y dx + beta^2 ]."""
-    ring = ring or geometry.halfplane_ring()
-    y, beta = ring.var("y"), ring.var("beta")
-    pre = _prefactor(ring)
-    return DiffOp.from_terms(ring, GEOM, {
+    y, beta = HALFPLANE_RING.var("y"), HALFPLANE_RING.var("beta")
+    pre = _prefactor()
+    return DiffOp.from_terms(HALFPLANE_RING, GEOM, {
         (2, 0): pre * -(y * y),
         (0, 2): pre * -(y * y),
         (1, 0): pre * ((-2 * I) * (beta * y)),
@@ -157,61 +150,58 @@ def hamiltonian_halfplane(ring=None):
     })
 
 
-def _halfplane_gauged_momenta(ring):
-    y, beta = ring.var("y"), ring.var("beta")
-    inv_y = ring.var("y", -1)
-    Dx = DiffOp.d(ring, GEOM, "x")
-    Dy = DiffOp.d(ring, GEOM, "y")
-    P1 = (-I) * Dx + DiffOp.mult(ring, GEOM, beta * inv_y)
-    P2 = (-I) * Dy + DiffOp.mult(ring, GEOM, I * inv_y)
+def _halfplane_gauged_momenta():
+    beta, inv_y = HALFPLANE_RING.var("beta"), HALFPLANE_RING.var("y", -1)
+    Dx = DiffOp.d(HALFPLANE_RING, GEOM, "x")
+    Dy = DiffOp.d(HALFPLANE_RING, GEOM, "y")
+    P1 = (-I) * Dx + DiffOp.mult(HALFPLANE_RING, GEOM, beta * inv_y)
+    P2 = (-I) * Dy + DiffOp.mult(HALFPLANE_RING, GEOM, I * inv_y)
     return P1, P2
 
 
-def hamiltonian_halfplane_sandwiched(ring=None):
+def hamiltonian_halfplane_sandwiched():
     """(1/2 m a^2) y (P1^2 + P2^2) y, the ordering the model adopts."""
-    ring = ring or geometry.halfplane_ring()
-    P1, P2 = _halfplane_gauged_momenta(ring)
-    y = ring.var("y")
-    pre = DiffOp.mult(ring, GEOM, _prefactor(ring))
-    return pre * (DiffOp.mult(ring, GEOM, y) * (P1 * P1 + P2 * P2) * y)
+    P1, P2 = _halfplane_gauged_momenta()
+    y = HALFPLANE_RING.var("y")
+    pre = DiffOp.mult(HALFPLANE_RING, GEOM, _prefactor())
+    return pre * (DiffOp.mult(HALFPLANE_RING, GEOM, y) * (P1 * P1 + P2 * P2) * y)
 
 
-def hamiltonian_halfplane_y2_right(ring=None):
+def hamiltonian_halfplane_y2_right():
     """(1/2 m a^2) (P1^2 + P2^2) y^2 -- the rejected ordering; kept so the
     suite can exhibit its nonzero residual against the adopted form."""
-    ring = ring or geometry.halfplane_ring()
-    P1, P2 = _halfplane_gauged_momenta(ring)
-    pre = DiffOp.mult(ring, GEOM, _prefactor(ring))
-    return pre * ((P1 * P1 + P2 * P2) * ring.var("y") ** 2)
+    P1, P2 = _halfplane_gauged_momenta()
+    pre = DiffOp.mult(HALFPLANE_RING, GEOM, _prefactor())
+    return pre * ((P1 * P1 + P2 * P2) * HALFPLANE_RING.var("y") ** 2)
 
 
-def hamiltonian_halfplane_complex(ring=None):
+def hamiltonian_halfplane_complex():
     """Complex form over (z, zbar):
     (1/2 m a^2) [ (z-zb)^2 dzb dz - beta (z-zb)(dz + dzb) + beta^2 ]."""
-    ring = ring or complex_halfplane_ring()
     gv = ("z", "zb")
-    z, zb, beta = ring.var("z"), ring.var("zb"), ring.var("beta")
+    z, zb = COMPLEX_RING.var("z"), COMPLEX_RING.var("zb")
+    beta = COMPLEX_RING.var("beta")
     w = z - zb
-    pre = _prefactor(ring)
-    Dz = DiffOp.d(ring, gv, "z")
-    Dzb = DiffOp.d(ring, gv, "zb")
-    return (DiffOp.mult(ring, gv, pre * (w * w)) * Dzb * Dz
-            + DiffOp.mult(ring, gv, pre * (-(beta * w))) * (Dz + Dzb)
+    pre = (COMPLEX_RING.var("m", -1) * COMPLEX_RING.var("a", -2)
+           * Fraction(1, 2))
+    Dz = DiffOp.d(COMPLEX_RING, gv, "z")
+    Dzb = DiffOp.d(COMPLEX_RING, gv, "zb")
+    return (DiffOp.mult(COMPLEX_RING, gv, pre * (w * w)) * Dzb * Dz
+            + DiffOp.mult(COMPLEX_RING, gv, pre * (-(beta * w))) * (Dz + Dzb)
             + pre * (beta * beta))
 
 
-def complexify_halfplane(H_real, ring=None):
+def complexify_halfplane(H_real):
     """Push a half-plane operator through x = (z+zb)/2, y = (z-zb)/2i."""
-    ring = ring or complex_halfplane_ring()
     gv = ("z", "zb")
-    z, zb = ring.var("z"), ring.var("zb")
+    z, zb = COMPLEX_RING.var("z"), COMPLEX_RING.var("zb")
     half = Fraction(1, 2)
     images = {
         "x": (z + zb) * half,
         "y": (z - zb) * (half * (-I)),
     }
-    Dz = DiffOp.d(ring, gv, "z")
-    Dzb = DiffOp.d(ring, gv, "zb")
+    Dz = DiffOp.d(COMPLEX_RING, gv, "z")
+    Dzb = DiffOp.d(COMPLEX_RING, gv, "zb")
     derivs = {"x": Dz + Dzb, "y": I * (Dz - Dzb)}
     return H_real.substitute(images, derivs)
 
@@ -220,34 +210,36 @@ def complexify_halfplane(H_real, ring=None):
 # flat-plane ladder sector
 # ---------------------------------------------------------------------------
 
-def ladder_operators(ring=None):
+def ladder_operators():
     """a = -2 i kappa (dzb + z/(8 kappa^2)) and a_dag = -2 i kappa (dz -
     zb/(8 kappa^2)) over (z, zbar)."""
-    ring = ring or ladder_ring()
     gv = ("z", "zb")
-    z, zb, kappa = ring.var("z"), ring.var("zb"), ring.var("kappa")
+    z, zb = LADDER_RING.var("z"), LADDER_RING.var("zb")
+    kappa = LADDER_RING.var("kappa")
     # m omega_c / 4 hbar = 1 / (8 kappa^2)
-    c = ring.var("kappa", -2) * Fraction(1, 8)
-    Dz = DiffOp.d(ring, gv, "z")
-    Dzb = DiffOp.d(ring, gv, "zb")
+    c = LADDER_RING.var("kappa", -2) * Fraction(1, 8)
+    Dz = DiffOp.d(LADDER_RING, gv, "z")
+    Dzb = DiffOp.d(LADDER_RING, gv, "zb")
     pref = (-2 * I) * kappa
-    a = DiffOp.mult(ring, gv, pref) * (Dzb + c * z)
-    adag = DiffOp.mult(ring, gv, pref) * (Dz - c * zb)
+    a = DiffOp.mult(LADDER_RING, gv, pref) * (Dzb + c * z)
+    adag = DiffOp.mult(LADDER_RING, gv, pref) * (Dz - c * zb)
     return a, adag
 
 
-def flat_hamiltonian_complex(ring=None):
+def flat_hamiltonian_complex():
     """-(2 hbar^2/m) dz dzb - (hbar w_c/2)(z dz - zb dzb) + (m w_c^2/8)|z|^2."""
-    ring = ring or ladder_ring()
     gv = ("z", "zb")
-    z, zb = ring.var("z"), ring.var("zb")
-    hbar, m, omega_c = _hbar(ring), ring.var("m"), ring.var("omega_c")
-    Dz = DiffOp.d(ring, gv, "z")
-    Dzb = DiffOp.d(ring, gv, "zb")
-    t1 = DiffOp.mult(ring, gv, hbar * hbar * ring.var("m", -1) * -2) * Dz * Dzb
+    z, zb = LADDER_RING.var("z"), LADDER_RING.var("zb")
+    hbar, m = _hbar(), LADDER_RING.var("m")
+    omega_c = LADDER_RING.var("omega_c")
+    Dz = DiffOp.d(LADDER_RING, gv, "z")
+    Dzb = DiffOp.d(LADDER_RING, gv, "zb")
+    t1 = DiffOp.mult(LADDER_RING, gv,
+                     hbar * hbar * LADDER_RING.var("m", -1) * -2) * Dz * Dzb
     half_wc = hbar * omega_c * Fraction(1, 2)
-    t2 = DiffOp.mult(ring, gv, -half_wc) * (
-        DiffOp.mult(ring, gv, z) * Dz - DiffOp.mult(ring, gv, zb) * Dzb)
+    t2 = DiffOp.mult(LADDER_RING, gv, -half_wc) * (
+        DiffOp.mult(LADDER_RING, gv, z) * Dz
+        - DiffOp.mult(LADDER_RING, gv, zb) * Dzb)
     return t1 + t2 + m * omega_c * omega_c * Fraction(1, 8) * (z * zb)
 
 
@@ -255,31 +247,31 @@ def flat_hamiltonian_complex(ring=None):
 # disk sector
 # ---------------------------------------------------------------------------
 
-def disk_hamiltonian_compact(ring=None):
+def disk_hamiltonian_compact():
     """The compact form of the disk Hamiltonian:
     (phi/2m) { -phi lap - (4/rho^2)(x dx + y dy) + 2 i B phi (y dx - x dy)
                + B^2 phi - (4/rho^2)(1 + 2|w|^2/(rho^2 phi)) }."""
-    ring = ring or geometry.disk_ring()
-    x, y, B = ring.var("x"), ring.var("y"), ring.var("B")
-    phi = disk_phi(ring)
-    inv_rho2 = ring.var("rho", -2)
+    x, y, B = DISK_RING.var("x"), DISK_RING.var("y"), DISK_RING.var("B")
+    phi = disk_phi()
+    inv_rho2 = DISK_RING.var("rho", -2)
     w2 = x * x + y * y
-    Dx = DiffOp.d(ring, GEOM, "x")
-    Dy = DiffOp.d(ring, GEOM, "y")
+    Dx = DiffOp.d(DISK_RING, GEOM, "x")
+    Dy = DiffOp.d(DISK_RING, GEOM, "y")
     # x dx + y dy and B (y dx - x dy)
-    radial = DiffOp.mult(ring, GEOM, x) * Dx + DiffOp.mult(ring, GEOM, y) * Dy
-    angular = (DiffOp.mult(ring, GEOM, B * y) * Dx
-               - DiffOp.mult(ring, GEOM, B * x) * Dy)
+    radial = (DiffOp.mult(DISK_RING, GEOM, x) * Dx
+              + DiffOp.mult(DISK_RING, GEOM, y) * Dy)
+    angular = (DiffOp.mult(DISK_RING, GEOM, B * y) * Dx
+               - DiffOp.mult(DISK_RING, GEOM, B * x) * Dy)
     bracket = (
-        DiffOp.mult(ring, GEOM, -phi) * (Dx * Dx + Dy * Dy)
-        + DiffOp.mult(ring, GEOM, -4 * inv_rho2) * radial
-        + DiffOp.mult(ring, GEOM, (2 * I) * phi) * angular
+        DiffOp.mult(DISK_RING, GEOM, -phi) * (Dx * Dx + Dy * Dy)
+        + DiffOp.mult(DISK_RING, GEOM, -4 * inv_rho2) * radial
+        + DiffOp.mult(DISK_RING, GEOM, (2 * I) * phi) * angular
         + B * B * phi
         # -(4/rho^2)(1 + 2|w|^2/(rho^2 phi)) over the one factor phi
         + RationalFunc(-4 * inv_rho2 * (phi + 2 * w2 * inv_rho2), ((phi, 1),))
     )
-    inv_2m = ring.var("m", -1) * Fraction(1, 2)
-    return DiffOp.mult(ring, GEOM, inv_2m * phi) * bracket
+    inv_2m = DISK_RING.var("m", -1) * Fraction(1, 2)
+    return DiffOp.mult(DISK_RING, GEOM, inv_2m * phi) * bracket
 
 
 def disk_hamiltonian_expanded():
@@ -312,14 +304,11 @@ def _report(name, residuals, note=""):
     return IdentityReport(name, FAIL, str(bad[0]), note)
 
 
-def sphere_identity():
+def sphere_identity(L1, L2, L3, C):
     """Certify -(2/rho^2)(L2 L3 - i L1) = (2/rho^2)(C + L1^2), the operator
-    content of the Haldane-sphere Hamiltonian."""
-    ring = sphere_ring()
-    L1, L2, L3 = quantum_generators(ring)
-    C = casimir(*su11_basis(L1, L2, L3))
-    two_over_rho2 = ring.var("rho", -2) * 2
-    pre = DiffOp.mult(ring, GEOM, two_over_rho2)
+    content of the Haldane-sphere Hamiltonian, from the half-plane
+    generators of ``quantum_generators`` and their Casimir."""
+    pre = DiffOp.mult(HALFPLANE_RING, GEOM, HALFPLANE_RING.var("rho", -2) * 2)
     lhs = -(pre * (L2 * L3 - I * L1))
     rhs = pre * (C + L1 * L1)
     return _report("sphere-casimir-identity", lhs - rhs,
@@ -359,29 +348,26 @@ def run_identity_suite():
                                       "0", note))
 
     # 2. 4 a^2 H = L2 L3 + L1^2 + beta^2
-    ring = phase_ring()
-    H = classical_hamiltonian(ring)
-    L1, L2, L3 = classical_generators(ring)
-    beta = ring.var("beta")
+    H = classical_hamiltonian()
+    L1, L2, L3 = classical_generators()
+    beta = PHASE_RING.var("beta")
     reports.append(_report(
         "classical-hamiltonian-charges",
-        4 * ring.var("a", 2) * H - (L2 * L3 + L1 * L1 + beta * beta)))
+        4 * PHASE_RING.var("a", 2) * H - (L2 * L3 + L1 * L1 + beta * beta)))
 
     # 3-4. flat ladder algebra
-    lring = ladder_ring()
-    a_op, adag = ladder_operators(lring)
+    a_op, adag = ladder_operators()
     reports.append(_report("flat-ladder-commutator",
                            a_op.commutator(adag) - 1))
-    half_wc = DiffOp.mult(lring, ("z", "zb"),
-                          _hbar(lring) * lring.var("omega_c") * Fraction(1, 2))
+    half_wc = DiffOp.mult(LADDER_RING, ("z", "zb"),
+                          _hbar() * LADDER_RING.var("omega_c") * Fraction(1, 2))
     reports.append(_report(
         "flat-ladder-hamiltonian",
-        half_wc * (a_op * adag + adag * a_op) - flat_hamiltonian_complex(lring)))
+        half_wc * (a_op * adag + adag * a_op) - flat_hamiltonian_complex()))
 
     # 5. quantum generator brackets + ordered forms expand to right-moved
-    qring = geometry.halfplane_ring()
-    L1, L2, L3 = quantum_generators(qring)
-    O1, O2, O3 = quantum_generators_ordered(qring)
+    L1, L2, L3 = quantum_generators()
+    O1, O2, O3 = quantum_generators_ordered()
     reports.append(_report("quantum-generator-brackets", [
         L1.commutator(L2) - I * L2,
         L1.commutator(L3) + I * L3,
@@ -399,8 +385,8 @@ def run_identity_suite():
 
     # 7. Casimir reduction and its explicit expansion
     C = casimir(J0, J1, J2)
-    y, b = qring.var("y"), qring.var("beta")
-    neg_C_target = DiffOp.from_terms(qring, GEOM, {
+    y, b = HALFPLANE_RING.var("y"), HALFPLANE_RING.var("beta")
+    neg_C_target = DiffOp.from_terms(HALFPLANE_RING, GEOM, {
         (2, 0): -(y * y), (0, 2): -(y * y), (1, 0): (-2 * I) * (b * y)})
     reports.append(_report("casimir-reduction", [
         C - (-(L2 * L3) - L1 * L1 + I * L1),
@@ -412,9 +398,9 @@ def run_identity_suite():
                            [C.commutator(Jk) for Jk in (J0, J1, J2)]))
 
     # 9. ordering: sandwiched form == expanded form; y^2-right form differs
-    H9 = hamiltonian_halfplane(qring)
-    res_sandwich = hamiltonian_halfplane_sandwiched(qring) - H9
-    res_right = hamiltonian_halfplane_y2_right(qring) - H9
+    H9 = hamiltonian_halfplane()
+    res_sandwich = hamiltonian_halfplane_sandwiched() - H9
+    res_right = hamiltonian_halfplane_y2_right() - H9
     if res_sandwich.is_zero and not res_right.is_zero:
         reports.append(IdentityReport(
             "halfplane-ordering", EXACT_PASS, "0",
@@ -424,7 +410,8 @@ def run_identity_suite():
             "halfplane-ordering", FAIL, str(res_sandwich)))
 
     # 10. 2 m a^2 H = -C + beta^2
-    two_ma2 = DiffOp.mult(qring, GEOM, 2 * qring.var("m") * qring.var("a", 2))
+    two_ma2 = DiffOp.mult(HALFPLANE_RING, GEOM,
+                          2 * HALFPLANE_RING.var("m") * HALFPLANE_RING.var("a", 2))
     reports.append(_report("hamiltonian-casimir", two_ma2 * H9 - (-C + b * b)))
 
     # 11. de Witt builder reproduces the half-plane Hamiltonian
@@ -436,13 +423,12 @@ def run_identity_suite():
         note="g^(-1/4)-sandwich ordering; the all-left ordering differs"))
 
     # 12. complex form of the half-plane Hamiltonian
-    cring = complex_halfplane_ring()
     reports.append(_report(
         "complex-form-substitution",
-        complexify_halfplane(H9, cring) - hamiltonian_halfplane_complex(cring)))
+        complexify_halfplane(H9) - hamiltonian_halfplane_complex()))
 
-    # 13. sphere identity
-    reports.append(sphere_identity())
+    # 13. sphere identity, from the generators and Casimir of reports 5-8
+    reports.append(sphere_identity(L1, L2, L3, C))
 
     # 14. disk expansion vs compact form (expected diff in the B^2 term)
     diff = disk_hamiltonian_expanded() - disk_hamiltonian_compact()

@@ -257,10 +257,13 @@ class Ring:
     """Ordered variable declaration shared by all polynomials of a model.
 
     ``laurent`` names may carry negative exponents; ``params`` are inert
-    under the geometric derivatives of a DiffOp.  A ring carries no
-    relations among its symbols: a model that needs a square root, such as
-    the magnetic length of the flat plane, takes it as a parameter and
-    writes the square as a monomial.
+    under the geometric derivatives of a DiffOp.  A model declares its ring
+    once, as a module constant, and a ring equals only itself: values over
+    two rings built apart do not mix, even from the same declaration, and
+    raise ``DeclarationError``.  A ring carries no relations among its
+    symbols: a model that needs a square root, such as the magnetic length
+    of the flat plane, takes it as a parameter and writes the square as a
+    monomial.
     """
 
     def __init__(self, variables, laurent=(), params=()):
@@ -276,17 +279,6 @@ class Ring:
         # positions whose exponent may not go negative
         self._plain = tuple(k for k, v in enumerate(self.vars)
                             if v not in self.laurent)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Ring)
-            and self.vars == other.vars
-            and self.laurent == other.laurent
-            and self.params == other.params
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.laurent, self.params))
 
     def zero(self):
         return LaurentPoly(self, {}, 1)
@@ -1150,9 +1142,8 @@ PHASE_MOMENTA = ("px", "py")
 PHASE_PARAMS = ("beta", "a")
 
 
-def phase_ring():
-    return Ring(PHASE_COORDS + PHASE_MOMENTA + PHASE_PARAMS,
-                laurent=("y",) + PHASE_PARAMS, params=PHASE_PARAMS)
+PHASE_RING = Ring(PHASE_COORDS + PHASE_MOMENTA + PHASE_PARAMS,
+                  laurent=("y",) + PHASE_PARAMS, params=PHASE_PARAMS)
 
 
 def poisson_bracket(F, G):

@@ -41,6 +41,16 @@ def test_verify_json(capsys):
     assert len(data) == 14
 
 
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    from curvedhall import models
+    failing = models.IdentityReport("casimir-commutes", models.FAIL, "Dx")
+    monkeypatch.setattr(models, "run_identity_suite", lambda: [failing])
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    assert "residual: Dx" in out
+    assert err == "# 1 identity failure(s)\n"
+
+
 def test_verify_strict_fails(capsys):
     code, _, err = run(capsys, "verify", "--strict")
     assert code == 1
@@ -74,7 +84,12 @@ def test_spectrum_sphere(capsys):
 
 
 def test_spectrum_usage_error(capsys):
-    assert_rejected(*run(capsys, "spectrum", "--geometry", "flat"))
+    for geometry, needs in (("flat", "--n"),
+                            ("halfplane", "--beta and --levels"),
+                            ("sphere", "--k and --l")):
+        code, out, err = run(capsys, "spectrum", "--geometry", geometry)
+        assert_rejected(code, out, err)
+        assert err == f"error: {geometry} geometry needs {needs}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,7 +87,7 @@ def test_halfplane_symmetric_ordering_matches_model():
     met = geometry.make_metric("halfplane")
     gauge = geometry.halfplane_gauge(met)
     H = geometry.laplace_beltrami(met, gauge, ordering="symmetric")
-    expect = models.hamiltonian_halfplane(met.ring)
+    expect = models.hamiltonian_halfplane()
     assert (H - expect).terms == {}
 
 

@@ -1,7 +1,6 @@
 """The exact identity suite and individual model operators."""
 
 import cmath
-import collections
 import hashlib
 import json
 import math
@@ -11,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from curvedhall import models, numverify, spectra
-from curvedhall.opalg import DeclarationError, Ring, poisson_bracket
+from curvedhall.geometry import DISK_RING, GEOM
+from curvedhall.opalg import DeclarationError, DiffOp, Ring, poisson_bracket
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +76,50 @@ def test_render_bytes_match_bench_golden(suite):
 
 
 def test_suite_builds_each_generator_set_once_per_run(monkeypatch):
-    calls = collections.Counter()
+    calls = []
     build = models.quantum_generators
 
-    def counting(ring=None):
-        calls[ring] += 1
-        return build(ring)
+    def counting():
+        calls.append(1)
+        return build()
 
     monkeypatch.setattr(models, "quantum_generators", counting)
     first = models.run_identity_suite()
-    assert calls and set(calls.values()) == {1}
+    # the sphere identity reuses the generators of reports 5-8
+    assert len(calls) == 1
     # a second run builds its own operators and reports the same
     assert models.run_identity_suite() == first
-    assert set(calls.values()) == {2}
+    assert len(calls) == 2
+
+
+def test_suite_constructs_no_ring(monkeypatch):
+    built = []
+    init = Ring.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ring, "__init__", counting)
+    models.run_identity_suite()
+    # every model ring is a module constant
+    assert built == []
+
+
+@pytest.mark.parametrize("build, status", [
+    pytest.param(lambda R, B: DiffOp.zero(R, GEOM), "exact-pass", id="zero"),
+    pytest.param(lambda R, B: DiffOp.mult(R, GEOM, B * B) * DiffOp.d(R, GEOM, "x"),
+                 "fail", id="first-order"),
+    pytest.param(lambda R, B: DiffOp.mult(R, GEOM, B * B + B), "fail",
+                 id="zeroth-order-not-B2"),
+    pytest.param(lambda R, B: DiffOp.mult(R, GEOM, B * B * R.var("x")),
+                 "documented-diff", id="zeroth-order-B2"),
+])
+def test_disk_diff_classification(build, status):
+    diff = build(DISK_RING, DISK_RING.var("B"))
+    report = models._classify_disk_diff(diff)
+    assert report.status == status
+    assert report.rendered == str(diff)
 
 
 def test_translation_charge_determination():
@@ -111,7 +142,7 @@ def test_classical_brackets_py_fails():
 
 def test_hamiltonian_commutes_with_generators():
     H = models.hamiltonian_halfplane()
-    for Q in models.quantum_generators(H.ring):
+    for Q in models.quantum_generators():
         assert H.commutator(Q).terms == {}
 
 
@@ -157,7 +188,7 @@ def test_ladder_lowering_annihilates_flat_ground_state(z0, z):
 
 def test_sandwich_ordering_matches_expanded():
     H = models.hamiltonian_halfplane()
-    S = models.hamiltonian_halfplane_sandwiched(H.ring)
+    S = models.hamiltonian_halfplane_sandwiched()
     assert (H - S).terms == {}
-    wrong = models.hamiltonian_halfplane_y2_right(H.ring)
+    wrong = models.hamiltonian_halfplane_y2_right()
     assert (H - wrong).terms != {}

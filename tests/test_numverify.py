@@ -267,6 +267,34 @@ def test_tridiag_wrong_slope_fails_certificate(monkeypatch):
         assert x - 1e-9 in shifts or x + 1e-9 in shifts
 
 
+def test_tridiag_non_finite_slope_bisects(monkeypatch):
+    # a walk whose slope is nan gives up on its first step; bisection
+    # must still certify every level
+    diag, off = oracle_matrix(5.0, 1000)
+    want = numverify.tridiag_eigs(diag, off, 5)
+    walked = []
+    slope = numverify._sturm_slope
+
+    def nan_slope(d, e2, x):
+        walked.append(x)
+        return slope(d, e2, x)[0], math.nan
+    monkeypatch.setattr(numverify, "_sturm_slope", nan_slope)
+    got = numverify.tridiag_eigs(diag, off, 5)
+    assert len(walked) == 5
+    assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("diag, offdiag, k, message", [
+    ([1.0, 2.0], [], 1, "offdiag must have length n-1"),
+    ([1.0, 2.0], [0.0, 0.0], 1, "offdiag must have length n-1"),
+    ([1.0, 2.0], [0.0], 0, "need 1 <= k <= n"),
+    ([1.0, 2.0], [0.0], 3, "need 1 <= k <= n"),
+])
+def test_tridiag_rejects_bad_shape(diag, offdiag, k, message):
+    with pytest.raises(ValueError, match=message):
+        numverify.tridiag_eigs(diag, offdiag, k)
+
+
 def test_tridiag_work_bound(monkeypatch):
     # guards against a silent fallback to bisection on every level, which
     # takes ~44 counts per level here
@@ -379,6 +407,20 @@ def test_oracle_rejects_zero_mass_or_scale(m, a, monkeypatch):
     with pytest.raises(UsageError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 1000), 1,
                                    m=m, a=a)
+
+
+@pytest.mark.parametrize("beta, levels, message", [
+    (0.5, 1, "beta must exceed 1/2"),
+    (0.25, 1, "beta must exceed 1/2"),
+    (5.0, 0, "k_levels must be >= 1"),
+])
+def test_oracle_rejects_bad_request(beta, levels, message, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen-solve reached")
+    monkeypatch.setattr(numverify, "tridiag_eigs", no_solve)
+    with pytest.raises(UsageError, match=message):
+        numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, 80.0, 1000),
+                                   levels)
 
 
 def test_oracle_rejects_more_levels_than_points(monkeypatch):
