@@ -41,13 +41,17 @@ from .opalg import PHASE_RING, DiffOp, I, RationalFunc, Ring, poisson_bracket
 # rings
 # ---------------------------------------------------------------------------
 
-COMPLEX_RING = Ring(("z", "zb", "beta", "a", "m"),
+# the geometric variables of both complex-coordinate rings, as GEOM is for
+# the real ones
+_ZGEOM = ("z", "zb")
+
+COMPLEX_RING = Ring(_ZGEOM + ("beta", "a", "m"),
                     laurent=("beta", "a", "m"), params=("beta", "a", "m"))
 
 # The flat plane in complex coordinates, parametrised by kappa = l_B/sqrt(2)
 # = sqrt(hbar/2 m omega_c): hbar = 2 m omega_c kappa^2 is a monomial, so the
 # coefficient field stays rational.
-LADDER_RING = Ring(("z", "zb", "m", "omega_c", "kappa"),
+LADDER_RING = Ring(_ZGEOM + ("m", "omega_c", "kappa"),
                    laurent=("m", "omega_c", "kappa"),
                    params=("m", "omega_c", "kappa"))
 
@@ -178,30 +182,28 @@ def hamiltonian_halfplane_y2_right():
 def hamiltonian_halfplane_complex():
     """Complex form over (z, zbar):
     (1/2 m a^2) [ (z-zb)^2 dzb dz - beta (z-zb)(dz + dzb) + beta^2 ]."""
-    gv = ("z", "zb")
     z, zb = COMPLEX_RING.var("z"), COMPLEX_RING.var("zb")
     beta = COMPLEX_RING.var("beta")
     w = z - zb
     pre = (COMPLEX_RING.var("m", -1) * COMPLEX_RING.var("a", -2)
            * Fraction(1, 2))
-    Dz = DiffOp.d(COMPLEX_RING, gv, "z")
-    Dzb = DiffOp.d(COMPLEX_RING, gv, "zb")
-    return (DiffOp.mult(COMPLEX_RING, gv, pre * (w * w)) * Dzb * Dz
-            + DiffOp.mult(COMPLEX_RING, gv, pre * (-(beta * w))) * (Dz + Dzb)
+    Dz = DiffOp.d(COMPLEX_RING, _ZGEOM, "z")
+    Dzb = DiffOp.d(COMPLEX_RING, _ZGEOM, "zb")
+    return (DiffOp.mult(COMPLEX_RING, _ZGEOM, pre * (w * w)) * Dzb * Dz
+            + DiffOp.mult(COMPLEX_RING, _ZGEOM, pre * (-(beta * w))) * (Dz + Dzb)
             + pre * (beta * beta))
 
 
 def complexify_halfplane(H_real):
     """Push a half-plane operator through x = (z+zb)/2, y = (z-zb)/2i."""
-    gv = ("z", "zb")
     z, zb = COMPLEX_RING.var("z"), COMPLEX_RING.var("zb")
     half = Fraction(1, 2)
     images = {
         "x": (z + zb) * half,
         "y": (z - zb) * (half * (-I)),
     }
-    Dz = DiffOp.d(COMPLEX_RING, gv, "z")
-    Dzb = DiffOp.d(COMPLEX_RING, gv, "zb")
+    Dz = DiffOp.d(COMPLEX_RING, _ZGEOM, "z")
+    Dzb = DiffOp.d(COMPLEX_RING, _ZGEOM, "zb")
     derivs = {"x": Dz + Dzb, "y": I * (Dz - Dzb)}
     return H_real.substitute(images, derivs)
 
@@ -213,33 +215,31 @@ def complexify_halfplane(H_real):
 def ladder_operators():
     """a = -2 i kappa (dzb + z/(8 kappa^2)) and a_dag = -2 i kappa (dz -
     zb/(8 kappa^2)) over (z, zbar)."""
-    gv = ("z", "zb")
     z, zb = LADDER_RING.var("z"), LADDER_RING.var("zb")
     kappa = LADDER_RING.var("kappa")
     # m omega_c / 4 hbar = 1 / (8 kappa^2)
     c = LADDER_RING.var("kappa", -2) * Fraction(1, 8)
-    Dz = DiffOp.d(LADDER_RING, gv, "z")
-    Dzb = DiffOp.d(LADDER_RING, gv, "zb")
+    Dz = DiffOp.d(LADDER_RING, _ZGEOM, "z")
+    Dzb = DiffOp.d(LADDER_RING, _ZGEOM, "zb")
     pref = (-2 * I) * kappa
-    a = DiffOp.mult(LADDER_RING, gv, pref) * (Dzb + c * z)
-    adag = DiffOp.mult(LADDER_RING, gv, pref) * (Dz - c * zb)
+    a = DiffOp.mult(LADDER_RING, _ZGEOM, pref) * (Dzb + c * z)
+    adag = DiffOp.mult(LADDER_RING, _ZGEOM, pref) * (Dz - c * zb)
     return a, adag
 
 
 def flat_hamiltonian_complex():
     """-(2 hbar^2/m) dz dzb - (hbar w_c/2)(z dz - zb dzb) + (m w_c^2/8)|z|^2."""
-    gv = ("z", "zb")
     z, zb = LADDER_RING.var("z"), LADDER_RING.var("zb")
     hbar, m = _hbar(), LADDER_RING.var("m")
     omega_c = LADDER_RING.var("omega_c")
-    Dz = DiffOp.d(LADDER_RING, gv, "z")
-    Dzb = DiffOp.d(LADDER_RING, gv, "zb")
-    t1 = DiffOp.mult(LADDER_RING, gv,
+    Dz = DiffOp.d(LADDER_RING, _ZGEOM, "z")
+    Dzb = DiffOp.d(LADDER_RING, _ZGEOM, "zb")
+    t1 = DiffOp.mult(LADDER_RING, _ZGEOM,
                      hbar * hbar * LADDER_RING.var("m", -1) * -2) * Dz * Dzb
     half_wc = hbar * omega_c * Fraction(1, 2)
-    t2 = DiffOp.mult(LADDER_RING, gv, -half_wc) * (
-        DiffOp.mult(LADDER_RING, gv, z) * Dz
-        - DiffOp.mult(LADDER_RING, gv, zb) * Dzb)
+    t2 = DiffOp.mult(LADDER_RING, _ZGEOM, -half_wc) * (
+        DiffOp.mult(LADDER_RING, _ZGEOM, z) * Dz
+        - DiffOp.mult(LADDER_RING, _ZGEOM, zb) * Dzb)
     return t1 + t2 + m * omega_c * omega_c * Fraction(1, 8) * (z * zb)
 
 
@@ -359,7 +359,7 @@ def run_identity_suite():
     a_op, adag = ladder_operators()
     reports.append(_report("flat-ladder-commutator",
                            a_op.commutator(adag) - 1))
-    half_wc = DiffOp.mult(LADDER_RING, ("z", "zb"),
+    half_wc = DiffOp.mult(LADDER_RING, _ZGEOM,
                           _hbar() * LADDER_RING.var("omega_c") * Fraction(1, 2))
     reports.append(_report(
         "flat-ladder-hamiltonian",

@@ -13,8 +13,7 @@ identities, Poisson brackets) is built from four layers:
                          each coefficient a LaurentPoly or a RationalFunc
 
 All values are immutable after construction and every operation returns a
-normalized result, so equality checks reduce to "does the difference
-normalize to zero".  Input is checked once, where it enters (``Ring.const``,
+normalized result.  Input is checked once, where it enters (``Ring.const``,
 ``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``,
 ``DiffOp.from_terms``); the constructors only store kernel-built parts.
 A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
@@ -24,6 +23,17 @@ derivative is int arithmetic over the numerators and one content gcd at
 the end.  ``exact_divide`` runs on those numerators too.
 ``GaussianRational`` stays the public scalar; ``LaurentPoly.terms``
 builds one per term when it is read.
+
+The four types share one base, ``_Value``: ``a - b`` is ``a + (-b)``
+and ``b - a`` is ``(-a) + b``, and ``==`` lifts the operand and tests
+whether ``a - b`` is zero.  ``RationalFunc`` and ``DiffOp`` compare that
+way and have no hash: equal ``RationalFunc`` values may differ in form
+(an unreduced ``inverse``), and a ``DiffOp`` holds them as coefficients.
+``GaussianRational`` and ``LaurentPoly`` have a unique form, so ``==``
+compares it, and each hashes like the scalar it equals: a real
+``GaussianRational`` like its ``re``, a constant ``LaurentPoly`` like its
+coefficient, so ``{3, GaussianRational(3), ring.const(3)}`` has one
+element.
 
 RationalFunc denominators stay in factored form (powers of a few
 irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
@@ -86,11 +96,33 @@ def _power(base, k, one):
     return one if out is None else out
 
 
+class _Value:
+    """Base of the four value types: ``a - b`` is ``a + (-b)``, and ``==``
+    lifts the operand and tests whether the difference is zero.  A type
+    whose values have a unique form overrides ``==`` and the hash."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        if self._lift(other) is None:
+            return NotImplemented
+        return (self - other).is_zero
+
+    # equal values may differ in form, so no hash of the form agrees with ==
+    __hash__ = None
+
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
 
-class GaussianRational:
+class GaussianRational(_Value):
     """Complex number with exact rational real and imaginary parts.
 
     A value is three ints ``(a, b, d)`` meaning ``(a + b*i)/d``, kept in
@@ -102,17 +134,12 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise TypeError(_INEXACT)
         re, im = Fraction(re), Fraction(im)
         q, s = re.denominator, im.denominator
-        g = math.gcd(q, s)
-        # over the common denominator lcm(q, s); both parts are in lowest
-        # terms, so no prime of that denominator divides both numerators
-        self._a = re.numerator * (s // g)
-        self._b = im.numerator * (q // g)
-        self._d = q * (s // g)
+        return _norm(re.numerator * s, im.numerator * q, q * s)
 
     @property
     def re(self):
@@ -138,8 +165,6 @@ class GaussianRational:
                 return NotImplemented
             other = self.coerce(other)
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _norm(self._a + other._a, self._b + other._b, d1)
         return _norm(self._a * d2 + other._a * d1,
                      self._b * d2 + other._b * d1, d1 * d2)
 
@@ -148,20 +173,12 @@ class GaussianRational:
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = self.coerce(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        if not b1 and not b2:
-            return _norm(a1 * a2, 0, self._d * other._d)
         return _norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
@@ -195,11 +212,8 @@ class GaussianRational:
                 and self._d == other._d)
 
     def __hash__(self):
-        # hash((re, im)); over d == 1 both parts are ints, and an integral
-        # Fraction hashes like its int
-        if self._d == 1:
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+        # a real value equals its re, an int or a Fraction, so hashes alike
+        return hash((self.re, self.im) if self._b else self.re)
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -307,7 +321,7 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Multivariate Laurent polynomial with Gaussian-rational coefficients,
     built by the ``Ring`` builders.
 
@@ -383,12 +397,6 @@ class LaurentPoly:
         num = {e: (-a, -b) for e, (a, b) in self.num.items()}
         return LaurentPoly(self.ring, num, self.den)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -436,7 +444,14 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.den, frozenset(self.num.items())))
+            num = self.num
+            if any(map(any, num)):
+                self._hash = hash((self.den, frozenset(num.items())))
+            else:
+                # every exponent is 0: a constant equals its scalar, so
+                # hashes alike
+                a, b = next(iter(num.values()), (0, 0))
+                self._hash = hash(_make(a, b, self.den))
         return self._hash
 
     @property
@@ -652,7 +667,7 @@ def _inside(t, lo, hi):
 # rational functions
 # ---------------------------------------------------------------------------
 
-class RationalFunc:
+class RationalFunc(_Value):
     """num / prod(factor^power) with monic non-monomial factors, at least
     one of them.
 
@@ -726,8 +741,6 @@ class RationalFunc:
         if other is None:
             return NotImplemented
         n2, d2 = other
-        if self.den == d2:
-            return RationalFunc(self.num + n2, d2)
         union = dict(self.den)
         for f, p in d2:
             union[f] = max(union.get(f, 0), p)
@@ -746,12 +759,6 @@ class RationalFunc:
 
     def __neg__(self):
         return _rational(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Cancel across, then multiply (see the class docstring)."""
@@ -772,10 +779,7 @@ class RationalFunc:
         num = n1 * n2
         if num.is_zero:
             return num
-        factors = [fp for fp in den.items() if fp[1]]
-        if d2:
-            # only a merge of two denominators can leave them out of order
-            factors.sort(key=_factor_key)
+        factors = sorted((fp for fp in den.items() if fp[1]), key=_factor_key)
         return _rational(num, tuple(factors))
 
     __rmul__ = __mul__
@@ -801,17 +805,6 @@ class RationalFunc:
             den[f] = den.get(f, 0) + 1
             out = out + RationalFunc(self.num * df * (-p), tuple(den.items()))
         return out
-
-    def __eq__(self, other):
-        if self._lift(other) is None:
-            return NotImplemented
-        # exact also for an unreduced value (see inverse): the difference
-        # is zero only if its numerator is
-        return (self - other).is_zero
-
-    # equal values can differ in representation (see inverse), so no hash
-    # of the representation agrees with ==
-    __hash__ = None
 
     def eval(self, values):
         out = self.num.eval(values)
@@ -897,7 +890,7 @@ def _carry(rest, shift, k, var, dg):
     return out
 
 
-class DiffOp:
+class DiffOp(_Value):
     """Normal-ordered differential operator: sum of coeff * d^alpha.
 
     ``geom_vars`` are the variables derivatives act on; every other ring
@@ -985,12 +978,6 @@ class DiffOp:
     def __neg__(self):
         return DiffOp(self.ring, self.geom_vars, {a: -c for a, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def _hits(self, other):
         """self o other minus its product terms f_alpha g_beta d^(alpha+beta):
         the terms in which some partial of self lands on a coefficient of
@@ -1065,15 +1052,6 @@ class DiffOp:
     @property
     def is_zero(self):
         return not self.terms
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self):
-        return hash((self.ring, self.geom_vars, frozenset(self.terms)))
 
     # -- actions -----------------------------------------------------------
 
