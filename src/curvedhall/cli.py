@@ -46,8 +46,9 @@ def _parse_floats(text):
 
 
 def _parse_range(text):
-    """'0..4' -> [0, 1, 2, 3, 4]; '3' -> [3].  An argparse ``type``, so a
-    malformed range is a usage error."""
+    """'0..4' -> range(0, 5); '3' -> range(3, 4).  An argparse ``type``, so
+    a malformed range is a usage error.  No list is built, so a long
+    request is checked one level at a time."""
     lo, sep, hi = text.partition("..")
     try:
         lo = int(lo)
@@ -57,7 +58,7 @@ def _parse_range(text):
             f"expected an integer or a range LO..HI, got {text!r}") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_levels(text):
@@ -192,8 +193,8 @@ def _cmd_spectrum(args):
     elif args.geometry == "halfplane":
         if args.beta is None or args.levels is None:
             raise UsageError("halfplane geometry needs --beta and --levels")
-        ls = (spectra.halfplane_window(args.beta) if args.levels == "all"
-              else args.levels)
+        ls = (range(spectra.halfplane_level_count(args.beta))
+              if args.levels == "all" else args.levels)
         lines = [spectra.landau_halfplane(args.beta, l, args.m, args.a)
                  for l in ls]
         params = {"beta": args.beta, "m": args.m, "a": args.a}

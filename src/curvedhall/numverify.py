@@ -65,17 +65,6 @@ _STENCILS = {
 }
 
 
-def fd_partial(f, coords, var, h):
-    """4th-order central first derivative of a scalar field along one
-    variable."""
-    acc = 0j
-    for off, w in _STENCILS[1]:
-        shifted = dict(coords)
-        shifted[var] = coords[var] + off * h
-        acc += w * f(shifted)
-    return acc / h
-
-
 def fd_apply(H, f, point, h):
     """Evaluate (H f)(point) for a DiffOp with numeric parameter bindings.
 

@@ -56,9 +56,10 @@ lower-layer value into its own layer and returns NotImplemented at once
 for anything else, so a higher-layer right operand takes over.
 ``RationalFunc._lift`` reads an operand as a ``(num, den)`` pair;
 ``DiffOp._lift`` puts a scalar or a coefficient straight into a
-zeroth-order term.  A ring mismatch raises ``DeclarationError``.  A
-polynomial left factor of a composition is written ``DiffOp.mult(p)``:
-``p * D`` passes through a NotImplemented return of
+zeroth-order term.  A ring mismatch raises ``DeclarationError`` in the
+lift, so every operation raises it, ``==`` and ``poisson_bracket``
+included.  A polynomial left factor of a composition is written
+``DiffOp.mult(p)``: ``p * D`` passes through a NotImplemented return of
 ``LaurentPoly.__mul__`` (see ``_times``).
 """
 
@@ -435,8 +436,6 @@ class LaurentPoly(_Value):
         return RationalFunc(self.ring.one(), ((self, 1),))
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly) and self.ring != other.ring:
-            return False
         other = self._lift(other)
         if other is None:
             return NotImplemented
@@ -969,8 +968,7 @@ class DiffOp(_Value):
             return NotImplemented
         out = dict(self.terms)
         for alpha, coeff in other.terms.items():
-            s = out.get(alpha)
-            out[alpha] = coeff if s is None else s + coeff
+            _accumulate(out, alpha, coeff)
         return DiffOp(self.ring, self.geom_vars, out)
 
     __radd__ = __add__
@@ -1092,7 +1090,7 @@ class DiffOp(_Value):
         if not self.terms:
             return "0"
         bits = []
-        for alpha in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
+        for alpha in sorted(self.terms, key=_grlex_key, reverse=True):
             coeff = self.terms[alpha]
             dsym = []
             for var, k in zip(self.geom_vars, alpha):
@@ -1126,8 +1124,6 @@ PHASE_RING = Ring(PHASE_COORDS + PHASE_MOMENTA + PHASE_PARAMS,
 
 def poisson_bracket(F, G):
     """{F, G} = sum_r dF/dq_r dG/dp_r - dF/dp_r dG/dq_r, exactly."""
-    if F.ring != G.ring:
-        raise DeclarationError("phase polynomials over different rings")
     out = F.ring.zero()
     for q, p in zip(PHASE_COORDS, PHASE_MOMENTA):
         out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)

@@ -24,17 +24,13 @@ from .specfun import _laguerre_exact, laguerre
 SpectrumLine = namedtuple("SpectrumLine", "quantum_numbers energy energy_exact")
 
 
-def _coerce(args):
-    """All Fractions when every input is rational, else all floats.  The
-    formulas below are written once: their Fraction constants keep exact
-    inputs exact and turn into the same float literals otherwise."""
-    exact = all(isinstance(v, (int, Fraction)) for v in args)
-    return exact, [Fraction(v) if exact else float(v) for v in args]
-
-
 def _line(geometry, qn, expr, args):
-    exact, args = _coerce(args)
-    e = expr(*args)
+    """``expr`` of all Fractions when every input is rational, else of all
+    floats.  The formulas below are written once: their Fraction constants
+    keep exact inputs exact and turn into the same float literals
+    otherwise."""
+    exact = all(isinstance(v, (int, Fraction)) for v in args)
+    e = expr(*(Fraction(v) if exact else float(v) for v in args))
     value = float(e)
     if not math.isfinite(value):
         raise OverflowError(f"{geometry} energy is not finite ({value})")
@@ -53,17 +49,13 @@ def landau_flat(n, omega_c=1, hbar=1):
                  lambda w, h: (n + Fraction(1, 2)) * h * w, (omega_c, hbar))
 
 
-def halfplane_window(beta):
-    """Allowed integers l: 0 <= l < beta - 1/2 (strict inequality)."""
-    return list(range(halfplane_level_count(beta)))
-
-
 def halfplane_level_count(beta):
-    """The number of bound states, in O(1): every integer
-    0 <= l < ceil(beta - 1/2) lies strictly below beta - 1/2."""
+    """The number of bound states, in O(1): the allowed l are the integers
+    0 <= l < ceil(beta - 1/2), which lie strictly below beta - 1/2.  The
+    count is never negative, as beta - 1/2 > -1."""
     if not float(beta) > 0:
         raise UsageError("beta must be positive")
-    return max(0, math.ceil(float(beta) - 0.5))
+    return math.ceil(float(beta) - 0.5)
 
 
 def _check_window(beta, l):
@@ -82,14 +74,6 @@ def landau_halfplane(beta, l, m=1, a=1):
         lambda b, mm, aa: (b * b + Fraction(1, 4) - (l - b + Fraction(1, 2)) ** 2)
         / (2 * mm * aa * aa),
         (beta, m, a))
-
-
-def energy_from_whittaker_index(n, beta, m=1, a=1):
-    """E = (1/2 m a^2)(1/4 - n^2 + beta^2); n = beta - l - 1/2 recovers
-    the half-plane Landau formula exactly."""
-    check_mass_and_scale(m, a)
-    _, (n, beta, m, a) = _coerce((n, beta, m, a))
-    return float((Fraction(1, 4) - n ** 2 + beta ** 2) / (2 * m * a ** 2))
 
 
 def sphere_spectrum(l, k, rho=1):

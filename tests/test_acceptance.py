@@ -15,6 +15,7 @@ import pytest
 
 from curvedhall import (classical, geometry, manybody, models, numverify,
                         specfun, spectra)
+from curvedhall.opalg import DiffOp, GaussianRational
 
 
 @pytest.fixture()
@@ -108,15 +109,16 @@ def test_acceptance_5_flat_geometry(report_line):
     def psi0(co):
         return spectra.ground_state_flat(complex(co["x"], co["y"]), z0)
 
-    def dzb(co, h=1e-3):
-        return 0.5 * (numverify.fd_partial(psi0, co, "x", h)
-                      + 1j * numverify.fd_partial(psi0, co, "y", h))
-
+    # the exact operator d/dzb = (d_x + i d_y)/2, applied by the FD stencils
+    dzb = DiffOp.from_terms(geometry.FLAT_RING, geometry.GEOM,
+                            {(1, 0): Fraction(1, 2),
+                             (0, 1): GaussianRational(0, Fraction(1, 2))})
     worst = 0.0
     for k in range(10):
         co = {"x": -1.0 + 0.23 * k, "y": 0.7 - 0.15 * k}
         z = complex(co["x"], co["y"])
-        worst = max(worst, abs(dzb(co) + z / (4 * z0 * z0) * psi0(co)))
+        worst = max(worst, abs(numverify.fd_apply(dzb, psi0, co, 1e-3)
+                               + z / (4 * z0 * z0) * psi0(co)))
     ok = rationals_ok and worst <= 1e-8
     report_line(5, "flat-levels-and-annihilation", ok)
 

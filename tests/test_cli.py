@@ -370,6 +370,17 @@ def test_eigenfunction_value(capsys):
     assert float(row[4]) == pytest.approx(0.367879, abs=1e-6)
 
 
+def test_long_level_range_is_not_built(capsys):
+    # the range is checked one level at a time: the request fails at the
+    # first level outside the window without a list of 10**12 levels
+    levels = cli._parse_range("0..1000000000000")
+    assert isinstance(levels, range) and len(levels) == 10 ** 12 + 1
+    code, out, err = run(capsys, "spectrum", "--geometry", "halfplane",
+                         "--beta", "5", "--levels", "0..1000000000000")
+    assert_rejected(code, out, err)
+    assert "l=5 outside the bound-state window" in err
+
+
 def test_eigenfunction_outside_window(capsys):
     code, _, err = run(capsys, "eigenfunction", "--beta", "5", "--l", "7",
                        "--c", "1", "--y", "1")

@@ -408,6 +408,11 @@ def test_ring_equals_only_itself():
     assert a == a and a != b and len({a, b}) == 2
     with pytest.raises(DeclarationError):
         a.var("x") + b.var("x")
+    # == and != lift like every other operation: a mismatch raises
+    with pytest.raises(DeclarationError):
+        a.var("x") == b.var("x")
+    with pytest.raises(DeclarationError):
+        a.var("x") != b.var("x")
 
 
 def test_mixed_rings_are_rejected():
@@ -419,6 +424,11 @@ def test_mixed_rings_are_rejected():
     with pytest.raises(DeclarationError,
                        match="^operands declared over different rings$"):
         RationalFunc(x, ((u + uv.one(), 1),))
+    phase = ("x", "y", "px", "py")
+    f, g = Ring(phase).var("x"), Ring(phase).var("px")
+    with pytest.raises(DeclarationError,
+                       match="^operands declared over different rings$"):
+        poisson_bracket(f, g)
 
 
 @pytest.mark.parametrize("build", [

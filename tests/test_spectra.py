@@ -19,15 +19,15 @@ def test_flat_levels_exact_rationals():
         assert line.energy == pytest.approx(n + 0.5)
 
 
-def test_halfplane_window_and_count():
-    assert spectra.halfplane_window(5) == [0, 1, 2, 3, 4]
+def test_halfplane_level_count():
     assert spectra.halfplane_level_count(5) == 5
     assert spectra.halfplane_level_count(2) == 2
     assert spectra.halfplane_level_count(10.5) == 10
     assert spectra.halfplane_level_count(0.5) == 0
 
 
-def test_level_count_matches_window_length():
+def test_level_count_matches_check_window():
+    # the count is the first l that the window check rejects
     rng = random.Random("level-count")
     betas = [k / 4 for k in range(1, 400)]                  # half-integers too
     betas += [k + 0.5 for k in (1, 99, 9999)]
@@ -35,14 +35,14 @@ def test_level_count_matches_window_length():
               for d in (0.0, math.inf)]
     betas += [rng.uniform(0.01, 1e4) for _ in range(50)] + [1e4]
     for beta in betas:
-        assert spectra.halfplane_level_count(beta) \
-            == len(spectra.halfplane_window(beta)), beta
+        count = spectra.halfplane_level_count(beta)
+        if count >= 1:
+            spectra.landau_halfplane(beta, count - 1)
+        with pytest.raises(NoBoundStateError):
+            spectra.landau_halfplane(beta, count)
 
 
-def test_level_count_is_constant_time(monkeypatch):
-    def no_window(beta):
-        raise AssertionError("halfplane_window built")
-    monkeypatch.setattr(spectra, "halfplane_window", no_window)
+def test_level_count_is_constant_time():
     assert spectra.halfplane_level_count(1e9) == 10 ** 9
     assert spectra.halfplane_level_count(1e300) == int(1e300)
     assert spectra.halfplane_level_count(0.25) == 0
@@ -50,14 +50,13 @@ def test_level_count_is_constant_time(monkeypatch):
 
 @pytest.mark.parametrize("beta", [0, -1])
 def test_window_rejects_nonpositive_beta(beta):
-    # the window and the level count share one rule
     with pytest.raises(UsageError, match="beta must be positive"):
-        spectra.halfplane_window(beta)
+        spectra.halfplane_level_count(beta)
 
 
 def test_halfplane_energies_beta5():
     vals = [spectra.landau_halfplane(5, l).energy
-            for l in spectra.halfplane_window(5)]
+            for l in range(spectra.halfplane_level_count(5))]
     assert vals == [2.5, 6.5, 9.5, 11.5, 12.5]
 
 
@@ -73,20 +72,11 @@ def test_window_violation():
         spectra.landau_halfplane(5, -1)
 
 
-def test_whittaker_index_consistency():
-    for l in range(5):
-        n = 5 - l - 0.5
-        assert spectra.energy_from_whittaker_index(n, 5) == pytest.approx(
-            spectra.landau_halfplane(5, l).energy)
-
-
 @pytest.mark.parametrize("m, a", [(0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0),
                                   (-1, 1), (Fraction(-1, 2), 1), (-1.0, 1.0)])
 def test_zero_mass_or_scale_rejected(m, a):
     with pytest.raises(UsageError):
         spectra.landau_halfplane(5, 0, m, a)
-    with pytest.raises(UsageError):
-        spectra.energy_from_whittaker_index(4.5, 5, m, a)
 
 
 def test_sphere_spectrum_values():
@@ -102,7 +92,7 @@ def test_exact_and_float_inputs_share_one_formula():
         n, w = rng.randrange(20), rng.randrange(1, 50)
         h = Fraction(rng.randrange(1, 9), 4)
         beta = Fraction(rng.randrange(2, 40), 2)
-        l = rng.choice(spectra.halfplane_window(beta))
+        l = rng.choice(range(spectra.halfplane_level_count(beta)))
         m, a = rng.randrange(1, 7), rng.randrange(1, 7)
         k, ls = rng.randrange(-5, 10), rng.randrange(10)
         rho = Fraction(rng.randrange(1, 9), 2)
