@@ -5,6 +5,13 @@ are applied by finite-difference stencils, separated radial spectra come
 from a Sturm-Liouville eigensolver, and norms from adaptive quadrature.
 Agreement between these oracles and the closed forms in ``spectra`` is
 the cross-check the package exists for.
+
+The eigensolver does take the half-plane closed form as a seed: it places
+two Sturm counts per bound level, where the solver would otherwise bisect
+from the Gershgorin bracket.  Each level is still kept only with a Sturm
+count certificate |mu - lambda_j| <= 1e-9 on the discrete matrix, so the
+seed buys speed and cannot move an answer.  The seed is written here, not
+imported from ``spectra``.
 """
 
 from __future__ import annotations
@@ -208,26 +215,27 @@ def _sturm_slope(d, e2, x):
     return count, s
 
 
-def tridiag_eigs(diag, offdiag, k, upper=None):
+def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Level j keeps one bracket (a_j, b_j] with the Sturm count at each end,
     and every count taken for any level narrows the brackets of all of
-    them (Barth-Martin-Wilkinson; LAPACK dstebz).  From level 3 on, the
-    levels already found predict the next by quadratic extrapolation,
-    g = 3 lambda_{j-1} - 3 lambda_{j-2} + lambda_{j-3}, and one count is
-    taken at each of g -/+ 5e-3 that lies inside (a_j, b_j); when g is
-    right these two counts isolate lambda_j in a 1e-2 bracket, and when it
-    is wrong they have still narrowed the brackets.  Level j is bisected
-    until its bracket holds lambda_j alone and is at most 1e-2 wide (up to
-    a few ulps of its ends); then Newton steps on d/dx log|det(T - x)|,
-    clamped to the closed bracket, run from its midpoint until a step is
-    under 1e-9.  The root x is kept only with a certificate: a Sturm count
-    at x - 1e-9 gives j - 1 and one at x + 1e-9 gives at least j, so
-    |x - lambda_j| <= 1e-9.  A bracket end inside that window, with the
-    right count, stands in for either count.  A level that is never
-    isolated (a repeated eigenvalue), whose walk does not converge or whose
-    certificate fails is bisected to a bracket of width 1e-12 instead.
+    them (Barth-Martin-Wilkinson; LAPACK dstebz).  ``guess`` holds the
+    caller's prediction of the first len(guess) levels: one count is taken
+    at each of guess[j] -/+ 5e-3 that lies inside (a_j, b_j).  When the
+    guess is right these two counts isolate lambda_j in a 1e-2 bracket,
+    and when it is wrong (or nan) they have still only narrowed brackets,
+    so a guess decides where counts go, never which root is kept.  Level j
+    is bisected until its bracket holds lambda_j alone and is at most 1e-2
+    wide (up to a few ulps of its ends); then Newton steps on
+    d/dx log|det(T - x)|, clamped to the closed bracket, run from its
+    midpoint until a step is under 1e-9.  The root x is kept only with a
+    certificate: a Sturm count at x - 1e-9 gives j - 1 and one at x + 1e-9
+    gives at least j, so |x - lambda_j| <= 1e-9.  A bracket end inside
+    that window, with the right count, stands in for either count.  A
+    level that is never isolated (a repeated eigenvalue), whose walk does
+    not converge or whose certificate fails is bisected to a bracket of
+    width 1e-12 instead.
     """
     d = [float(v) for v in diag]
     ae = [abs(float(v)) for v in offdiag]
@@ -278,8 +286,8 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
         return ca[j] == j and cb[j] == j + 1
 
     def narrow_enough(j):
-        # the prediction counts at g -/+ 5e-3 can land a few ulps of g
-        # further apart than 1e-2; the slack keeps such a bracket
+        # the seed counts at guess[j] -/+ 5e-3 can land a few ulps further
+        # apart than 1e-2; the slack keeps such a bracket
         return b[j] - a[j] <= _NEWTON_WIDTH + 1e-15 * (abs(a[j]) + abs(b[j]))
 
     def newton(j):
@@ -301,10 +309,9 @@ def tridiag_eigs(diag, offdiag, k, upper=None):
         return x if below and above else None
 
     for j in range(k):
-        if j >= 3:
-            # the levels lie on a smooth curve in j: counts on either side
-            # of the quadratic extrapolation usually isolate level j at once
-            g = 3.0 * (out[j - 1] - out[j - 2]) + out[j - 3]
+        if j < len(guess):
+            # a nan guess fails both comparisons and takes no count
+            g = float(guess[j])
             for x in (g - 0.5 * _NEWTON_WIDTH, g + 0.5 * _NEWTON_WIDTH):
                 if a[j] < x < b[j]:
                     count(x)
@@ -336,8 +343,9 @@ def wall_decay_exponent(beta, mu, s_max):
     r = sqrt(beta^2 + mu) (Agmon, Lectures on Exponential Decay of
     Solutions of Second-Order Elliptic Equations, 1982).  The wall moves
     the level by e^{-2S} times an amplitude (``wall_shift``).  S = 0 when
-    the wall stands at or inside s_t.  Requires mu > -beta^2, which every level of the Whittaker matrix
-    meets, since its eigenvalues exceed the minimum of U.
+    the wall stands at or inside s_t.  Requires mu > -beta^2, which every
+    level of the Whittaker matrix meets, since its eigenvalues exceed the
+    minimum of U.
 
     With s = 2 beta + 2 r cosh t the integrand becomes
     r cosh t - beta - mu / (beta + r cosh t), whose antiderivative is
@@ -431,10 +439,15 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"a grid of {grid.n_points} points holds at most "
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
+    # the closed form mu_l = 1/4 - (beta - l - 1/2)^2 places each bound
+    # level's first two Sturm counts; past the window 0 <= l < beta - 1/2 it
+    # turns back down, so a level beyond it gets no seed
+    seed = [0.25 - (beta - l - 0.5) ** 2
+            for l in range(k_levels) if l < beta - 0.5]
     # all bound states sit below mu = 1/4; capping the search window there
     # (with headroom) both speeds bisection and turns an under-resolved
     # request into a detectable pile-up at the cap
-    mu = tridiag_eigs(diag, off, k_levels, upper=1.0)
+    mu = tridiag_eigs(diag, off, k_levels, upper=1.0, guess=seed)
     if any(v >= 0.25 for v in mu):
         raise ResolutionError(
             f"grid resolves only {sum(v < 0.25 for v in mu)} bound states, "

@@ -117,6 +117,12 @@ def oracle_matrix(beta, n):
             -(s[:-1] * s[1:]) * inv_h2)
 
 
+def closed_form_mu(beta, levels):
+    """The half-plane closed form mu_l = 1/4 - (beta - l - 1/2)^2, the
+    seed ``whittaker_oracle`` gives the eigen-solve."""
+    return [0.25 - (beta - l - 0.5) ** 2 for l in range(levels)]
+
+
 @pytest.mark.parametrize("n", [4000, 8000, 16000])
 @pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
 def test_oracle_matrix_bit_equal_to_numpy_expression(beta, n, monkeypatch):
@@ -124,7 +130,7 @@ def test_oracle_matrix_bit_equal_to_numpy_expression(beta, n, monkeypatch):
     # eigen-solve the very floats the numpy expression gives
     seen = {}
 
-    def capture(diag, off, k, upper=None):
+    def capture(diag, off, k, upper=None, guess=()):
         seen["diag"], seen["off"] = diag, off
         return [0.0] * k
     monkeypatch.setattr(numverify, "tridiag_eigs", capture)
@@ -312,17 +318,18 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    # measured: 54 counts and 21 walks over the 8 levels; without the
-    # predicted brackets of levels 3..7 the counts are 92
-    assert calls["count"] <= 8 * levels
+    # measured: 24 counts and 22 walks over the 8 levels with the
+    # closed-form seed; with no seed the counts are 92, and a quadratic
+    # extrapolation from the found levels, seeding levels 3..7, took 54
+    assert calls["count"] <= 4 * levels
     assert calls["slope"] <= 3 * levels
 
 
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
-    # at beta = 8 every prediction lands within 5e-3 of its level; the
+    # at beta = 8 the closed form lands within 5e-3 of every level; the
     # counts at g -/+ 5e-3 can lie a few ulps more than 1e-2 apart, and
     # that bracket must still start Newton at once: level j's counts are
-    # the two predictions and at most the two certificate counts
+    # its two seed counts and at most the two certificate counts
     shifts = []
     count = numverify._sturm_count
 
@@ -333,22 +340,59 @@ def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
     levels = spectra.halfplane_level_count(8.0)
     mu = numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000),
                                     levels).mu
-    for j in range(3, levels):
-        g = 3.0 * (mu[j - 1] - mu[j - 2]) + mu[j - 3]
+    seed = closed_form_mu(8.0, levels)
+    for j, g in enumerate(seed):
         assert abs(mu[j] - g) < 5e-3, j
         level_shifts = shifts[shifts.index(g - 5e-3):]
         if j + 1 < levels:
-            g1 = 3.0 * (mu[j] - mu[j - 1]) + mu[j - 2]
-            level_shifts = level_shifts[:level_shifts.index(g1 - 5e-3)]
+            end = level_shifts.index(seed[j + 1] - 5e-3)
+            level_shifts = level_shifts[:end]
         assert level_shifts[:2] == [g - 5e-3, g + 5e-3], j
         allowed = {g - 5e-3, g + 5e-3, mu[j] - 1e-9, mu[j] + 1e-9}
         assert set(level_shifts) <= allowed, (j, level_shifts)
+    assert len(shifts) == 24
+
+
+@pytest.mark.parametrize("shift", [0.3, -0.3, 1e3, -1e3, math.nan])
+def test_tridiag_wrong_seed_keeps_the_root(shift):
+    # a seed only places two counts: shifted inside the brackets, past
+    # both ends of the spectrum, or nan, it must not move a level
+    grid = numverify.FDGrid(1e-3, 80.0, 4000)
+    k = spectra.halfplane_level_count(8.0)
+    want = numverify.whittaker_oracle(8.0, grid, k).mu
+    got = numverify.tridiag_eigs(
+        *numverify.whittaker_matrix(8.0, grid), k, upper=1.0,
+        guess=[g + shift for g in closed_form_mu(8.0, k)])
+    assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def test_oracle_seeds_only_the_bound_window(monkeypatch):
+    # beta = 5 binds l = 0..4: l = 5 gets no seed, and 0 -/+ 5e-3, around
+    # the closed form mu = 0 of l = 4 (and of l = 5), is counted once each
+    seeds, shifts = [], []
+    solve, count = numverify.tridiag_eigs, numverify._sturm_count
+
+    def recorded_solve(*args, guess=(), **kwargs):
+        seeds.append(list(guess))
+        return solve(*args, guess=guess, **kwargs)
+
+    def recorded_count(d, e2, x, ae, floor):
+        shifts.append(x)
+        return count(d, e2, x, ae, floor)
+    monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
+    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    with pytest.raises(ResolutionError):
+        numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
+    assert seeds == [closed_form_mu(5.0, 5)]
+    assert shifts.count(-5e-3) == shifts.count(5e-3) == 1
 
 
 def test_tridiag_wrong_prediction(monkeypatch):
-    # the levels 0, 1, 2, 3.4, 10, 10.5, 30 are not smooth in j: level 3 is
-    # predicted at 3, inside its bracket, and levels 4..6 at 5.2, 21.8 and
-    # 4.9, outside theirs
+    # the levels are 0, 1, 2, 3.4, 10, 10.5, 30.  Level 3 is seeded at 3,
+    # inside its bracket, and takes both counts; level 0 at 0.5, where the
+    # count at 0.495 ends its bracket below 0.505, so it takes one; levels
+    # 4..6 at 5.2, 21.8 and 4.9, outside theirs, and levels 1 and 2 at
+    # nan take none
     counts = []
     slope, count = numverify._sturm_slope, numverify._sturm_count
 
@@ -365,7 +409,8 @@ def test_tridiag_wrong_prediction(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
     diag = [0.0, 1.0, 2.0, 3.4, 10.0, 10.5, 30.0]
     off = [1e-3] * 6
-    eigs = numverify.tridiag_eigs(diag, off, 7)
+    seed = [0.5, math.nan, math.nan, 3.0, 5.2, 21.8, 4.9]
+    eigs = numverify.tridiag_eigs(diag, off, 7, guess=seed)
     ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
                              + np.diag(off, -1))
     assert eigs == pytest.approx(ref, abs=1e-9)
@@ -374,10 +419,9 @@ def test_tridiag_wrong_prediction(monkeypatch):
         # the certificate: counts within 1e-9 below and above the root
         assert any(x - 1e-9 <= y <= x and c == j for y, c in counts), j
         assert any(x <= y <= x + 1e-9 and c > j for y, c in counts), j
-        if j >= 3:
-            g = 3.0 * (eigs[j - 1] - eigs[j - 2]) + eigs[j - 3]
-            taken = [g - 5e-3 in shifts, g + 5e-3 in shifts]
-            assert taken == [j == 3] * 2, (j, g)
+        g = seed[j]
+        taken = [g - 5e-3 in shifts, g + 5e-3 in shifts]
+        assert taken == [j in (0, 3), j == 3], (j, g)
 
 
 def test_tridiag_diagonal_and_single():
