@@ -1,11 +1,13 @@
 """Conformal 2D metrics, gauge potentials and the gauged kinetic operator.
 
 Supported geometries: the Euclidean plane, the upper half-plane with
-metric (a/y)^2 (dx^2 + dy^2), and the hyperbolic disk with the
-Bergman-Kahler factor 1/phi, phi = 1 - (x^2+y^2)/rho^2.  Everything is
-held exactly; curvature is the one quantity checked numerically (a
-5-point stencil on ln of the conformal factor) because logs fall outside
-the rational coefficient ring.
+metric (a/y)^2 (dx^2 + dy^2), and the hyperbolic disk with metric
+(dx^2 + dy^2)/phi^2, phi = 1 - (x^2+y^2)/rho^2.  A metric is held by its
+inverse conformal factor u (1, y/a and phi), a Laurent polynomial, and
+every operator is built over polynomials: the de Witt momenta times u and
+the kinetic operator's u-sandwiches need no 1/u, so no RationalFunc is
+made.  Curvature is the one quantity checked numerically (a 5-point
+stencil on ln u) because logs fall outside the polynomial ring.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ FLAT_RING = Ring(("x", "y", "m"), laurent=("m",), params=("m",))
 GEOM = ("x", "y")
 
 
-class Metric2D(namedtuple("Metric2D", "kind ring factor param_values")):
-    """Diagonal metric ds^2 = factor^2 (dx^2 + dy^2).
+class Metric2D(namedtuple("Metric2D", "kind ring u param_values")):
+    """Diagonal metric ds^2 = (dx^2 + dy^2) / u^2.
 
-    ``kind`` is flat, halfplane or disk; ``factor`` is the exact conformal
-    factor, and ``param_values`` the numeric parameters it was given."""
+    ``kind`` is flat, halfplane or disk; ``u`` is the exact inverse
+    conformal factor, a LaurentPoly, and ``param_values`` the numeric
+    parameters it was given."""
 
     __slots__ = ()
 
@@ -52,12 +55,15 @@ class Metric2D(namedtuple("Metric2D", "kind ring factor param_values")):
         return self.param_values[name]
 
     def factor_at(self, point):
+        """The conformal factor 1/u at a point of the domain."""
         if self.kind != "flat":
             # the factor's parameter needs a value: a DomainError, not the
             # KeyError of an unbound name in eval
             self._value("a" if self.kind == "halfplane" else "rho")
-        return self.factor.eval({"x": point[0], "y": point[1],
-                                 **self.param_values}).real
+        if not self.inside(point):
+            raise DomainError(f"point {point} outside the metric domain")
+        return 1.0 / self.u.eval({"x": point[0], "y": point[1],
+                                  **self.param_values}).real
 
 
 GaugePotential = namedtuple("GaugePotential", "A_x A_y")
@@ -71,13 +77,13 @@ def make_metric(kind, a=None, rho=None):
     if kind == "halfplane":
         if a is not None and not 0 < a < math.inf:
             raise DomainError("half-plane scale a must be positive and finite")
-        factor = HALFPLANE_RING.var("a") * HALFPLANE_RING.var("y", -1)
-        return Metric2D("halfplane", HALFPLANE_RING, factor,
+        u = HALFPLANE_RING.var("y") * HALFPLANE_RING.var("a", -1)
+        return Metric2D("halfplane", HALFPLANE_RING, u,
                         {} if a is None else {"a": float(a)})
     if kind == "disk":
         if rho is not None and not 0 < rho < math.inf:
             raise DomainError("disk radius rho must be positive and finite")
-        return Metric2D("disk", DISK_RING, disk_phi().inverse(),
+        return Metric2D("disk", DISK_RING, disk_phi(),
                         {} if rho is None else {"rho": float(rho)})
     raise DomainError(f"unknown metric kind {kind!r}")
 
@@ -102,41 +108,44 @@ def disk_gauge(metric):
 
 
 def dewitt_momenta(metric):
-    """p_j = -i (d_j + (1/2) d_j ln sqrt(g)), with the log-derivative taken
-    exactly as (d_j sqrt(g)) / sqrt(g) in the rational-function ring."""
-    ring = metric.ring
-    out = []
-    for var in GEOM:
-        # (1/2) d_j ln f^2 = (d_j f)/f
-        logterm = metric.factor.diff(var) * metric.factor.inverse()
-        p = (-I) * DiffOp.d(ring, GEOM, var)
-        if not logterm.is_zero:
-            p = p + (-I) * logterm
-        out.append(p)
-    return tuple(out)
+    """u p_j = -i (u d_j - d_j u) for j = x, y.
+
+    The de Witt momentum p_j = -i (d_j + (1/2) d_j ln sqrt(g)) has the
+    log-derivative -(d_j u)/u, since sqrt(g) = u^-2; times u it is a
+    polynomial operator, so no RationalFunc is built."""
+    ring, u = metric.ring, metric.u
+    return tuple(
+        DiffOp.from_terms(ring, GEOM, {
+            tuple(int(v == var) for v in GEOM): u * (-I),
+            (0, 0): u.diff(var) * I,
+        })
+        for var in GEOM)
 
 
 def laplace_beltrami(metric, gauge, ordering="symmetric"):
     """Gauged kinetic operator (1/2m) built from the de Witt momenta.
 
-    ordering="left" places the full 1/sqrt(g) on the far left, exactly as
-    written left-to-right; ordering="symmetric" splits it as
+    ordering="left" places the full 1/sqrt(g) = u^2 on the far left,
+    exactly as written left-to-right; ordering="symmetric" splits it as
     g^{-1/4} (...) g^{-1/4}, which is the ordering the half-plane model
     actually uses.  For a conformal metric sqrt(g) g^{ij} is the identity,
-    so both reduce to conformal-factor sandwiches around (p - A)^2.
+    so both are u-sandwiches around (p - A)^2.  With uPi_j = u p_j - u A_j
+    and [Pi_j, u] = -i d_j u they are sums of polynomial operators:
+
+        left       u^2 Pi_j^2 = (uPi_j)^2 + i (d_j u) (uPi_j)
+        symmetric  u Pi_j^2 u = (uPi_j) (uPi_j - i d_j u)
     """
-    ring = metric.ring
-    px, py = dewitt_momenta(metric)
-    Pi_x = px - gauge.A_x
-    Pi_y = py - gauge.A_y
-    core = Pi_x * Pi_x + Pi_y * Pi_y
-    inv_f = metric.factor.inverse()
-    if ordering == "left":
-        op = DiffOp.mult(ring, GEOM, inv_f * inv_f) * core
-    elif ordering == "symmetric":
-        op = DiffOp.mult(ring, GEOM, inv_f) * core * inv_f
-    else:
+    if ordering not in ("left", "symmetric"):
         raise ValueError(f"unknown ordering {ordering!r}")
+    ring, u = metric.ring, metric.u
+    op = DiffOp.zero(ring, GEOM)
+    for var, up, A in zip(GEOM, dewitt_momenta(metric), gauge):
+        uPi = up - u * A
+        i_du = u.diff(var) * I
+        if ordering == "left":
+            op = op + uPi * uPi + DiffOp.mult(ring, GEOM, i_du) * uPi
+        else:
+            op = op + uPi * (uPi - i_du)
     half_inv_m = ring.var("m", -1) * Fraction(1, 2)
     return DiffOp.mult(ring, GEOM, half_inv_m) * op
 
@@ -144,20 +153,18 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
 def scalar_curvature_fd(metric, point, step):
     """Scalar curvature R = 2K at a point, by central differences.
 
-    For ds^2 = e^{2u} (dx^2+dy^2) the Gaussian curvature is
-    K = -e^{-2u} (u_xx + u_yy); the Laplacian of u = ln(factor) is taken
-    with a second-order 5-point stencil.
+    For ds^2 = e^{2s} (dx^2+dy^2) the Gaussian curvature is
+    K = -e^{-2s} (s_xx + s_yy); the Laplacian of s = ln(factor) = -ln u is
+    taken with a second-order 5-point stencil.
     """
     x, y = point
-    if not metric.inside(point):
-        raise DomainError(f"point {point} outside the metric domain")
+    s = lambda p: math.log(metric.factor_at(p))
+    s0 = s(point)
     stencil = [(x + step, y), (x - step, y), (x, y + step), (x, y - step)]
     for p in stencil:
         if not metric.inside(p):
             raise DomainError("finite-difference stencil exits the domain")
-    u = lambda p: math.log(metric.factor_at(p))
-    u0 = u(point)
-    lap = (u(stencil[0]) + u(stencil[1]) + u(stencil[2]) + u(stencil[3])
-           - 4.0 * u0) / step**2
-    gauss = -math.exp(-2.0 * u0) * lap
+    lap = (s(stencil[0]) + s(stencil[1]) + s(stencil[2]) + s(stencil[3])
+           - 4.0 * s0) / step**2
+    gauss = -math.exp(-2.0 * s0) * lap
     return 2.0 * gauss

@@ -34,7 +34,7 @@ from .geometry import (
     halfplane_gauge,
     make_metric,
 )
-from .opalg import PHASE_RING, DiffOp, I, RationalFunc, Ring, poisson_bracket
+from .opalg import PHASE_RING, DiffOp, I, Ring, poisson_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +267,13 @@ def disk_hamiltonian_compact():
         + DiffOp.mult(DISK_RING, GEOM, -4 * inv_rho2) * radial
         + DiffOp.mult(DISK_RING, GEOM, (2 * I) * phi) * angular
         + B * B * phi
-        # -(4/rho^2)(1 + 2|w|^2/(rho^2 phi)) over the one factor phi
-        + RationalFunc(-4 * inv_rho2 * (phi + 2 * w2 * inv_rho2), ((phi, 1),))
     )
     inv_2m = DISK_RING.var("m", -1) * Fraction(1, 2)
-    return DiffOp.mult(DISK_RING, GEOM, inv_2m * phi) * bracket
+    # the prefactor's phi clears the 1/phi of the last term:
+    # (phi/2m) (-(4/rho^2)(1 + 2|w|^2/(rho^2 phi)))
+    # = (1/2m) (-(4/rho^2)(phi + 2|w|^2/rho^2))
+    return (DiffOp.mult(DISK_RING, GEOM, inv_2m * phi) * bracket
+            + inv_2m * (-4 * inv_rho2 * (phi + 2 * w2 * inv_rho2)))
 
 
 def disk_hamiltonian_expanded():

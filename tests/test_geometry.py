@@ -8,7 +8,7 @@ import pytest
 
 from curvedhall import geometry, models
 from curvedhall.errors import DomainError
-from curvedhall.opalg import DiffOp
+from curvedhall.opalg import DiffOp, I, RationalFunc
 
 
 def test_halfplane_factor_and_domain():
@@ -24,6 +24,18 @@ def test_disk_factor_and_domain():
     assert not met.inside((0.8, 0.8))
     # conformal factor (1 - |w|^2)^-2 at the origin is 1
     assert met.factor_at((0.0, 0.0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind, param, point", [
+    ("disk", {"rho": 1.0}, (2.0, 0.0)),       # outside: 1/phi reads -1/3
+    ("disk", {"rho": 1.0}, (1.0, 0.0)),       # boundary: phi = 0
+    ("halfplane", {"a": 1.0}, (0.0, -1.0)),   # below: a/y reads -1
+    ("halfplane", {"a": 1.0}, (0.0, 0.0)),    # boundary: y = 0
+])
+def test_factor_at_rejects_points_outside_the_domain(kind, param, point):
+    met = geometry.make_metric(kind, **param)
+    with pytest.raises(DomainError, match="outside the metric domain"):
+        met.factor_at(point)
 
 
 def test_make_metric_rejects_bad_parameters():
@@ -48,10 +60,11 @@ def test_dewitt_momenta_halfplane():
     met = geometry.make_metric("halfplane")
     px, py = geometry.dewitt_momenta(met)
     ring = met.ring
-    # p_y = -i d/dy + i/y; p_x = -i d/dx (sqrt(g) is x-independent)
-    y_inv = ring.var("y", -1)
-    assert py.terms[(0, 1)] == ring.const(frac_i(-1))
-    assert py.terms[(0, 0)] == y_inv * frac_i(1)
+    # u = y/a: u p_y = -i (y/a) d/dy + i/a; u p_x = -i (y/a) d/dx
+    # (sqrt(g) is x-independent)
+    u = ring.var("y") * ring.var("a", -1)
+    assert py.terms[(0, 1)] == u * frac_i(-1)
+    assert py.terms[(0, 0)] == ring.var("a", -1) * frac_i(1)
     assert list(px.terms) == [(1, 0)]
 
 
@@ -89,6 +102,66 @@ def test_halfplane_symmetric_ordering_matches_model():
     H = geometry.laplace_beltrami(met, gauge, ordering="symmetric")
     expect = models.hamiltonian_halfplane()
     assert (H - expect).terms == {}
+
+
+def _rational_reference(metric, gauge, ordering):
+    """The gauged kinetic operator built through RationalFunc coefficients:
+    the conformal factor f = 1/u, the de Witt momenta with their
+    log-derivative p_j = -i (d_j + (d_j f)/f), and the 1/f sandwiches
+    around (p - A)^2."""
+    ring = metric.ring
+    f = metric.u.inverse()
+    inv_f = f.inverse()
+    core = DiffOp.zero(ring, geometry.GEOM)
+    for var, A in zip(geometry.GEOM, gauge):
+        p = ((-I) * DiffOp.d(ring, geometry.GEOM, var)
+             + (-I) * (f.diff(var) * f.inverse()))
+        core = core + (p - A) * (p - A)
+    if ordering == "left":
+        op = DiffOp.mult(ring, geometry.GEOM, inv_f * inv_f) * core
+    else:
+        op = DiffOp.mult(ring, geometry.GEOM, inv_f) * core * inv_f
+    half_inv_m = ring.var("m", -1) * Fraction(1, 2)
+    return DiffOp.mult(ring, geometry.GEOM, half_inv_m) * op
+
+
+def _gauge(met):
+    if met.kind == "flat":
+        x, y = met.ring.var("x"), met.ring.var("y")
+        return geometry.GaugePotential(y, -x)
+    if met.kind == "halfplane":
+        return geometry.halfplane_gauge(met)
+    return geometry.disk_gauge(met)
+
+
+@pytest.mark.parametrize("ordering", ["left", "symmetric"])
+@pytest.mark.parametrize("kind", ["flat", "halfplane", "disk"])
+def test_polynomial_route_equals_rational_reference(kind, ordering):
+    met = geometry.make_metric(kind)
+    gauge = _gauge(met)
+    built = geometry.laplace_beltrami(met, gauge, ordering)
+    assert (built - _rational_reference(met, gauge, ordering)).is_zero
+
+
+def test_disk_compact_equals_rational_reference():
+    """The compact disk form with its last term kept over the factor phi,
+    (phi/2m) { ... - (4/rho^2)(phi + 2|w|^2/rho^2)/phi }."""
+    R, G = geometry.DISK_RING, geometry.GEOM
+    x, y, B = R.var("x"), R.var("y"), R.var("B")
+    phi = geometry.disk_phi()
+    inv_rho2 = R.var("rho", -2)
+    Dx, Dy = DiffOp.d(R, G, "x"), DiffOp.d(R, G, "y")
+    radial = DiffOp.mult(R, G, x) * Dx + DiffOp.mult(R, G, y) * Dy
+    angular = DiffOp.mult(R, G, B * y) * Dx - DiffOp.mult(R, G, B * x) * Dy
+    last = RationalFunc(-4 * inv_rho2 * (phi + 2 * (x * x + y * y) * inv_rho2),
+                        ((phi, 1),))
+    assert type(last) is RationalFunc
+    bracket = (DiffOp.mult(R, G, -phi) * (Dx * Dx + Dy * Dy)
+               + DiffOp.mult(R, G, -4 * inv_rho2) * radial
+               + DiffOp.mult(R, G, (2 * I) * phi) * angular
+               + B * B * phi + last)
+    ref = DiffOp.mult(R, G, R.var("m", -1) * Fraction(1, 2) * phi) * bracket
+    assert (models.disk_hamiltonian_compact() - ref).is_zero
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from curvedhall import models, numverify, spectra
+from curvedhall import geometry, models, numverify, spectra
 from curvedhall.geometry import DISK_RING, GEOM
-from curvedhall.opalg import DeclarationError, DiffOp, Ring, poisson_bracket
+from curvedhall.opalg import (DeclarationError, DiffOp, RationalFunc, Ring,
+                              poisson_bracket)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,48 @@ def test_suite_constructs_no_ring(monkeypatch):
     models.run_identity_suite()
     # every model ring is a module constant
     assert built == []
+
+
+def test_suite_and_metrics_construct_no_rational_function(monkeypatch):
+    # every RationalFunc value starts at RationalFunc.__new__: the kernel's
+    # other builder, _rational, is reached only from a RationalFunc's own
+    # methods.  A call whose factors all fold away (a monomial's negative
+    # power) returns a LaurentPoly and builds no value.
+    built = []
+    new = RationalFunc.__new__
+
+    def counting(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        if type(value) is RationalFunc:
+            built.append(value)
+        return value
+
+    monkeypatch.setattr(RationalFunc, "__new__", staticmethod(counting))
+    models.run_identity_suite()
+    for kind in ("flat", "halfplane", "disk"):
+        geometry.make_metric(kind)
+    assert built == []
+    # the counter sees a construction
+    geometry.make_metric("disk").u.inverse()
+    assert len(built) == 1
+
+
+def test_disk_residual_matches_closed_form(suite):
+    """Report 14's residual, read back by sympy, is B^2 phi^2 (|w|^2 - 1)/2m.
+
+    Both forms carry the prefactor phi/2m.  The expansion of the gauged
+    kinetic operator has the zeroth-order magnetic term
+    u^2 A^2 = phi^2 B^2 |w|^2, since A = B (y, -x), so (phi/2m) B^2 phi
+    |w|^2; the compact form writes (phi/2m) B^2 phi.  Every other term
+    agrees, so expanded - compact = B^2 phi^2 (|w|^2 - 1)/(2m)."""
+    sympy = pytest.importorskip("sympy")
+    x, y, B, rho, m = sympy.symbols("x y B rho m")
+    (report,) = [r for r in suite if r.name == "disk-expansion-vs-compact"]
+    residual = sympy.parse_expr(report.rendered, local_dict={
+        "x": x, "y": y, "B": B, "rho": rho, "m": m})
+    w2 = x**2 + y**2
+    phi = 1 - w2 / rho**2
+    assert sympy.simplify(residual - B**2 * phi**2 * (w2 - 1) / (2 * m)) == 0
 
 
 @pytest.mark.parametrize("build, status", [

@@ -11,7 +11,7 @@ import pytest
 from curvedhall import models, numverify, spectra
 from curvedhall.errors import (NonNormalizableError, ResolutionError,
                                SingularityError, UsageError)
-from curvedhall.geometry import dewitt_momenta, make_metric
+from curvedhall.geometry import GEOM, halfplane_gauge, make_metric
 from curvedhall.opalg import DiffOp
 
 
@@ -62,9 +62,10 @@ def test_fd_apply_polynomial_exact():
 
 def test_fd_apply_coefficient_pole():
     met = make_metric("halfplane")
-    _, py = dewitt_momenta(met)  # carries an i/y coefficient
+    A_x, _ = halfplane_gauge(met)  # -beta/y
+    op = DiffOp.mult(met.ring, GEOM, A_x)
     with pytest.raises(SingularityError):
-        numverify.fd_apply(py, lambda co: 1.0,
+        numverify.fd_apply(op, lambda co: 1.0,
                            {"x": 0.0, "y": 0.0, "beta": 5.0,
                             "a": 1.0, "m": 1.0}, 1e-3)
 

@@ -891,8 +891,8 @@ def test_poisson_antisymmetry(data):
 # -- every operator the identity suite builds --------------------------------
 
 def _metric_values(kind):
-    """Conformal factor, gauge field, de Witt momenta and both orderings of
-    the gauged kinetic operator on one metric."""
+    """Inverse conformal factor, gauge field, de Witt momenta times u and
+    both orderings of the gauged kinetic operator on one metric."""
     met = geometry.make_metric(kind)
     if kind == "flat":
         gauge = geometry.GaugePotential(met.ring.zero(), met.ring.zero())
@@ -900,7 +900,7 @@ def _metric_values(kind):
         gauge = geometry.halfplane_gauge(met)
     else:
         gauge = geometry.disk_gauge(met)
-    return (met.factor, *gauge, *geometry.dewitt_momenta(met),
+    return (met.u, *gauge, *geometry.dewitt_momenta(met),
             *(geometry.laplace_beltrami(met, gauge, ordering)
               for ordering in ("left", "symmetric")))
 
@@ -911,33 +911,32 @@ def _su11_values():
     return (*L, *J, models.casimir(*J))
 
 
-@pytest.mark.parametrize("build, rational", [
+@pytest.mark.parametrize("build", [
     pytest.param(lambda: (*models.classical_generators(),
-                          models.classical_hamiltonian()), False, id="classical"),
-    pytest.param(models.quantum_generators_ordered, False, id="quantum-ordered"),
-    pytest.param(_su11_values, False, id="su11"),
+                          models.classical_hamiltonian()), id="classical"),
+    pytest.param(models.quantum_generators_ordered, id="quantum-ordered"),
+    pytest.param(_su11_values, id="su11"),
     pytest.param(lambda: (models.hamiltonian_halfplane(),
                           models.hamiltonian_halfplane_sandwiched(),
                           models.hamiltonian_halfplane_y2_right()),
-                 False, id="halfplane"),
+                 id="halfplane"),
     pytest.param(lambda: (models.hamiltonian_halfplane_complex(),
                           models.complexify_halfplane(models.hamiltonian_halfplane())),
-                 False, id="complex"),
+                 id="complex"),
     pytest.param(lambda: (*models.ladder_operators(),
-                          models.flat_hamiltonian_complex()), False, id="ladder"),
+                          models.flat_hamiltonian_complex()), id="ladder"),
     pytest.param(lambda: (models.disk_hamiltonian_compact(),
-                          models.disk_hamiltonian_expanded()), False, id="disk"),
-    pytest.param(lambda: _metric_values("flat"), False, id="lb-flat"),
-    pytest.param(lambda: _metric_values("halfplane"), False, id="lb-halfplane"),
-    pytest.param(lambda: _metric_values("disk"), True, id="lb-disk"),
+                          models.disk_hamiltonian_expanded()), id="disk"),
+    pytest.param(lambda: _metric_values("flat"), id="lb-flat"),
+    pytest.param(lambda: _metric_values("halfplane"), id="lb-halfplane"),
+    pytest.param(lambda: _metric_values("disk"), id="lb-disk"),
 ])
-def test_identity_suite_values_are_normal(build, rational):
-    # a coefficient with no denominator left is a LaurentPoly: phi/2m
-    # clears the disk Hamiltonians' 1/phi, and only the disk's de Witt
-    # momenta keep one
+def test_identity_suite_values_are_normal(build):
+    # every metric operator is built over polynomials, so every
+    # coefficient is a LaurentPoly
     values = build()
     for v in values:
         _assert_normal(v)
     kinds = {type(c) for v in values if isinstance(v, DiffOp)
              for c in v.terms.values()}
-    assert (RationalFunc in kinds) == rational
+    assert RationalFunc not in kinds
