@@ -6,12 +6,12 @@ from a Sturm-Liouville eigensolver, and norms from adaptive quadrature.
 Agreement between these oracles and the closed forms in ``spectra`` is
 the cross-check the package exists for.
 
-The eigensolver does take the half-plane closed form as a seed: it places
-two Sturm counts per bound level, where the solver would otherwise bisect
-from the Gershgorin bracket.  Each level is still kept only with a Sturm
-count certificate |mu - lambda_j| <= 1e-9 on the discrete matrix, so the
-seed buys speed and cannot move an answer.  The seed is written here, not
-imported from ``spectra``.
+The eigensolver does take the half-plane closed form as a seed: each bound
+level's Newton walk starts there, where the solver would otherwise bisect
+from the Gershgorin bracket first.  Each level is still kept only with a
+Sturm count certificate |mu - lambda_j| <= 1e-9 on the discrete matrix, so
+the seed buys speed and cannot move an answer.  The seed is written here,
+not imported from ``spectra``.
 """
 
 from __future__ import annotations
@@ -220,22 +220,24 @@ def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
 
     Level j keeps one bracket (a_j, b_j] with the Sturm count at each end,
     and every count taken for any level narrows the brackets of all of
-    them (Barth-Martin-Wilkinson; LAPACK dstebz).  ``guess`` holds the
-    caller's prediction of the first len(guess) levels: one count is taken
-    at each of guess[j] -/+ 5e-3 that lies inside (a_j, b_j).  When the
-    guess is right these two counts isolate lambda_j in a 1e-2 bracket,
-    and when it is wrong (or nan) they have still only narrowed brackets,
-    so a guess decides where counts go, never which root is kept.  Level j
-    is bisected until its bracket holds lambda_j alone and is at most 1e-2
-    wide (up to a few ulps of its ends); then Newton steps on
-    d/dx log|det(T - x)|, clamped to the closed bracket, run from its
-    midpoint until a step is under 1e-9.  The root x is kept only with a
-    certificate: a Sturm count at x - 1e-9 gives j - 1 and one at x + 1e-9
-    gives at least j, so |x - lambda_j| <= 1e-9.  A bracket end inside
-    that window, with the right count, stands in for either count.  A
-    level that is never isolated (a repeated eigenvalue), whose walk does
-    not converge or whose certificate fails is bisected to a bracket of
-    width 1e-12 instead.
+    them (Barth-Martin-Wilkinson; LAPACK dstebz).  A walk is Newton steps
+    on d/dx log|det(T - x)|, clamped to the closed bracket, until a step is
+    under 1e-9.  The root x it reaches is kept only with a certificate: a
+    Sturm count at x - 1e-9 gives j and one at x + 1e-9 gives more than j,
+    so |x - lambda_j| <= 1e-9.  A bracket end inside that window, with the
+    right count, stands in for either count; the walk's last step usually
+    leaves one there, so a certified level takes one count.
+
+    ``guess`` holds the caller's prediction of the first len(guess) levels.
+    Level j walks from guess[j] when it lies inside (a_j, b_j), with no
+    count taken first.  When the guess is wrong (or nan) the walk reaches
+    another root or none and its certificate fails, so a guess decides
+    where the walk starts, never which root is kept.  A level without a
+    certified walk from its guess is bisected until its bracket holds
+    lambda_j alone and is at most 1e-2 wide, then walks from the bracket's
+    midpoint.  A level that is never isolated (a repeated eigenvalue), or
+    whose walk does not converge or is not certified, is bisected to a
+    bracket of width 1e-12 instead.
     """
     d = [float(v) for v in diag]
     ae = [abs(float(v)) for v in offdiag]
@@ -285,14 +287,8 @@ def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
     def isolated(j):
         return ca[j] == j and cb[j] == j + 1
 
-    def narrow_enough(j):
-        # the seed counts at guess[j] -/+ 5e-3 can land a few ulps further
-        # apart than 1e-2; the slack keeps such a bracket
-        return b[j] - a[j] <= _NEWTON_WIDTH + 1e-15 * (abs(a[j]) + abs(b[j]))
-
-    def newton(j):
-        """Certified Newton root of level j, or None."""
-        x = 0.5 * (a[j] + b[j])
+    def newton(j, x):
+        """Certified Newton root of level j walked from x, or None."""
         for _ in range(_NEWTON_STEPS):
             c, s = _sturm_slope(d, e2, x)
             narrow(x, c)
@@ -309,15 +305,18 @@ def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
         return x if below and above else None
 
     for j in range(k):
+        x = None
         if j < len(guess):
-            # a nan guess fails both comparisons and takes no count
+            # a nan guess fails both comparisons and takes no walk
             g = float(guess[j])
-            for x in (g - 0.5 * _NEWTON_WIDTH, g + 0.5 * _NEWTON_WIDTH):
-                if a[j] < x < b[j]:
-                    count(x)
-        while not (isolated(j) and narrow_enough(j)) and bisect(j):
-            pass
-        x = newton(j) if isolated(j) else None
+            if a[j] < g < b[j]:
+                x = newton(j, g)
+        if x is None:
+            while not (isolated(j) and b[j] - a[j] <= _NEWTON_WIDTH) \
+                    and bisect(j):
+                pass
+            if isolated(j):
+                x = newton(j, 0.5 * (a[j] + b[j]))
         if x is None:
             while bisect(j):
                 pass
@@ -439,9 +438,9 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"a grid of {grid.n_points} points holds at most "
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
-    # the closed form mu_l = 1/4 - (beta - l - 1/2)^2 places each bound
-    # level's first two Sturm counts; past the window 0 <= l < beta - 1/2 it
-    # turns back down, so a level beyond it gets no seed
+    # the closed form mu_l = 1/4 - (beta - l - 1/2)^2 starts each bound
+    # level's Newton walk; past the window 0 <= l < beta - 1/2 it turns
+    # back down, so a level beyond it gets no seed
     seed = [0.25 - (beta - l - 0.5) ** 2
             for l in range(k_levels) if l < beta - 0.5]
     # all bound states sit below mu = 1/4; capping the search window there

@@ -515,9 +515,10 @@ class LaurentPoly(_Value):
                 if e == 0:
                     continue
                 img = images.get(var)
-                if img is None:
-                    img = tgt.var(var)
-                term = _times(term, img ** e)
+                # an unmapped variable keeps its power: a negative one is a
+                # monomial, not an inverse folded back into one
+                term = _times(term, tgt.var(var, e) if img is None
+                              else img ** e)
             out = out + term
         return out
 

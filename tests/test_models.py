@@ -111,18 +111,21 @@ def test_suite_and_metrics_construct_no_rational_function(monkeypatch):
     # every RationalFunc value starts at RationalFunc.__new__: the kernel's
     # other builder, _rational, is reached only from a RationalFunc's own
     # methods.  A call whose factors all fold away (a monomial's negative
-    # power) returns a LaurentPoly and builds no value.
-    built = []
+    # power) returns a LaurentPoly and builds no value; the suite makes no
+    # such call either.
+    built, calls = [], []
     new = RationalFunc.__new__
 
     def counting(cls, *args, **kwargs):
         value = new(cls, *args, **kwargs)
+        calls.append(value)
         if type(value) is RationalFunc:
             built.append(value)
         return value
 
     monkeypatch.setattr(RationalFunc, "__new__", staticmethod(counting))
     models.run_identity_suite()
+    assert calls == []
     for kind in ("flat", "halfplane", "disk"):
         geometry.make_metric(kind)
     assert built == []

@@ -4,6 +4,7 @@ Sturm-Liouville eigensolver, and quadrature norms."""
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,10 +119,19 @@ def oracle_matrix(beta, n):
             -(s[:-1] * s[1:]) * inv_h2)
 
 
-def closed_form_mu(beta, levels):
-    """The half-plane closed form mu_l = 1/4 - (beta - l - 1/2)^2, the
-    seed ``whittaker_oracle`` gives the eigen-solve."""
-    return [0.25 - (beta - l - 0.5) ** 2 for l in range(levels)]
+def closed_form_mu(beta, levels, first=0):
+    """The half-plane closed form mu_l = 1/4 - (beta - l - 1/2)^2 for
+    ``levels`` levels from l = first, the seed ``whittaker_oracle`` gives
+    the eigen-solve."""
+    return [0.25 - (beta - l - 0.5) ** 2
+            for l in range(first, first + levels)]
+
+
+def golden_mu(beta, n):
+    """The oracle's mu at cell (beta, n) as ``bench/golden.json`` records
+    it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    return json.loads(path.read_text())["oracle_mu"][f"{beta!r}:{n}"]
 
 
 @pytest.mark.parametrize("n", [4000, 8000, 16000])
@@ -319,87 +329,102 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    # measured: 24 counts and 22 walks over the 8 levels with the
-    # closed-form seed; with no seed the counts are 92, and a quadratic
-    # extrapolation from the found levels, seeding levels 3..7, took 54
-    assert calls["count"] <= 4 * levels
+    # measured: 8 counts and 22 walks over the 8 levels with each walk
+    # started at its closed-form seed; seed counts at g -/+ 5e-3 before
+    # the walk took 24, no seed takes 92
+    assert calls["count"] <= levels
     assert calls["slope"] <= 3 * levels
 
 
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
-    # at beta = 8 the closed form lands within 5e-3 of every level; the
-    # counts at g -/+ 5e-3 can lie a few ulps more than 1e-2 apart, and
-    # that bracket must still start Newton at once: level j's counts are
-    # its two seed counts and at most the two certificate counts
-    shifts = []
-    count = numverify._sturm_count
+    # at beta = 8 the closed form lands within 5e-3 of every level, and
+    # level j's Newton walk starts at its seed g before any count: its
+    # first Sturm work is a walk at exactly g, and its counts are only
+    # certificate counts at mu_j -/+ 1e-9, one per level here
+    work = []
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def recorded_slope(d, e2, x):
+        work.append(("walk", x))
+        return slope(d, e2, x)
 
     def recorded_count(d, e2, x, ae, floor):
-        shifts.append(x)
+        work.append(("count", x))
         return count(d, e2, x, ae, floor)
+    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
     levels = spectra.halfplane_level_count(8.0)
     mu = numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000),
                                     levels).mu
     seed = closed_form_mu(8.0, levels)
+    starts = [work.index(("walk", g)) for g in seed]
+    assert starts[0] == 0
     for j, g in enumerate(seed):
         assert abs(mu[j] - g) < 5e-3, j
-        level_shifts = shifts[shifts.index(g - 5e-3):]
-        if j + 1 < levels:
-            end = level_shifts.index(seed[j + 1] - 5e-3)
-            level_shifts = level_shifts[:end]
-        assert level_shifts[:2] == [g - 5e-3, g + 5e-3], j
-        allowed = {g - 5e-3, g + 5e-3, mu[j] - 1e-9, mu[j] + 1e-9}
-        assert set(level_shifts) <= allowed, (j, level_shifts)
-    assert len(shifts) == 24
+        level_work = work[starts[j]:starts[j + 1] if j + 1 < levels else None]
+        shifts = [x for kind, x in level_work if kind == "count"]
+        assert len(shifts) == 1, (j, shifts)
+        assert set(shifts) <= {mu[j] - 1e-9, mu[j] + 1e-9}, (j, shifts)
+    assert sum(kind == "count" for kind, _ in work) == 8
 
 
-@pytest.mark.parametrize("shift", [0.3, -0.3, 1e3, -1e3, math.nan])
-def test_tridiag_wrong_seed_keeps_the_root(shift):
-    # a seed only places two counts: shifted inside the brackets, past
-    # both ends of the spectrum, or nan, it must not move a level
+BETA8_LEVELS = spectra.halfplane_level_count(8.0)
+
+
+@pytest.mark.parametrize("guess", [
+    *(pytest.param([g + shift for g in closed_form_mu(8.0, BETA8_LEVELS)],
+                   id=str(shift))
+      for shift in (0.3, -0.3, 1e3, -1e3, math.nan)),
+    # every level seeded with the closed form of its neighbour above or
+    # below: a walk that reaches the neighbour's root fails its certificate
+    pytest.param(closed_form_mu(8.0, BETA8_LEVELS, first=1), id="level+1"),
+    pytest.param(closed_form_mu(8.0, BETA8_LEVELS, first=-1), id="level-1"),
+])
+def test_tridiag_wrong_seed_keeps_the_root(guess):
+    # a seed only decides where a level's walk starts: shifted inside the
+    # brackets, past both ends of the spectrum, nan or a neighbour's, it
+    # must not move a level off the bench's recorded mu
     grid = numverify.FDGrid(1e-3, 80.0, 4000)
-    k = spectra.halfplane_level_count(8.0)
-    want = numverify.whittaker_oracle(8.0, grid, k).mu
-    got = numverify.tridiag_eigs(
-        *numverify.whittaker_matrix(8.0, grid), k, upper=1.0,
-        guess=[g + shift for g in closed_form_mu(8.0, k)])
-    assert got == pytest.approx(want, rel=0, abs=1e-9)
+    got = numverify.tridiag_eigs(*numverify.whittaker_matrix(8.0, grid),
+                                 BETA8_LEVELS, upper=1.0, guess=guess)
+    assert got == pytest.approx(golden_mu(8.0, 4000), rel=0, abs=1e-9)
 
 
 def test_oracle_seeds_only_the_bound_window(monkeypatch):
-    # beta = 5 binds l = 0..4: l = 5 gets no seed, and 0 -/+ 5e-3, around
-    # the closed form mu = 0 of l = 4 (and of l = 5), is counted once each
-    seeds, shifts = [], []
-    solve, count = numverify.tridiag_eigs, numverify._sturm_count
+    # beta = 5 binds l = 0..4: l = 5 gets no seed, so the closed form
+    # mu = 0 of l = 4 (and of l = 5) starts one walk, l = 4's
+    seeds, walks = [], []
+    solve, slope = numverify.tridiag_eigs, numverify._sturm_slope
 
     def recorded_solve(*args, guess=(), **kwargs):
         seeds.append(list(guess))
         return solve(*args, guess=guess, **kwargs)
 
-    def recorded_count(d, e2, x, ae, floor):
-        shifts.append(x)
-        return count(d, e2, x, ae, floor)
+    def recorded_slope(d, e2, x):
+        walks.append(x)
+        return slope(d, e2, x)
     monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
-    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     with pytest.raises(ResolutionError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
     assert seeds == [closed_form_mu(5.0, 5)]
-    assert shifts.count(-5e-3) == shifts.count(5e-3) == 1
+    assert walks.count(0.0) == 1
 
 
 def test_tridiag_wrong_prediction(monkeypatch):
-    # the levels are 0, 1, 2, 3.4, 10, 10.5, 30.  Level 3 is seeded at 3,
-    # inside its bracket, and takes both counts; level 0 at 0.5, where the
-    # count at 0.495 ends its bracket below 0.505, so it takes one; levels
-    # 4..6 at 5.2, 21.8 and 4.9, outside theirs, and levels 1 and 2 at
-    # nan take none
-    counts = []
+    # the levels are 0, 1, 2, 3.4, 10, 10.5, 30.  Level 0 is seeded at
+    # 0.5, inside its bracket: the walk's count there ends the bracket at
+    # 0.5, the walk stops on that end, and the certificate rejects it.
+    # Level 3 walks from 3 to 3.4.  Levels 4..6 at 5.2, 21.8 and 4.9,
+    # outside their brackets, and levels 1 and 2 at nan take no walk at
+    # their seed
+    counts, walks = [], []
     slope, count = numverify._sturm_slope, numverify._sturm_count
 
     def recorded_slope(d, e2, x):
         c, s = slope(d, e2, x)
         counts.append((x, c))
+        walks.append(x)
         return c, s
 
     def recorded_count(d, e2, x, ae, floor):
@@ -415,14 +440,14 @@ def test_tridiag_wrong_prediction(monkeypatch):
     ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
                              + np.diag(off, -1))
     assert eigs == pytest.approx(ref, abs=1e-9)
-    shifts = [x for x, _ in counts]
+    assert walks[0] == 0.5
     for j, x in enumerate(eigs):
         # the certificate: counts within 1e-9 below and above the root
         assert any(x - 1e-9 <= y <= x and c == j for y, c in counts), j
         assert any(x <= y <= x + 1e-9 and c > j for y, c in counts), j
-        g = seed[j]
-        taken = [g - 5e-3 in shifts, g + 5e-3 in shifts]
-        assert taken == [j in (0, 3), j == 3], (j, g)
+        assert (seed[j] in walks) == (j in (0, 3)), (j, seed[j])
+    # the rejected walk at 0.5: a count 1e-9 below it gives 1, not 0
+    assert (0.5 - 1e-9, 1) in counts
 
 
 def test_tridiag_diagonal_and_single():
