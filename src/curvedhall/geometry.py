@@ -5,9 +5,9 @@ metric (a/y)^2 (dx^2 + dy^2), and the hyperbolic disk with metric
 (dx^2 + dy^2)/phi^2, phi = 1 - (x^2+y^2)/rho^2.  A metric is held by its
 inverse conformal factor u (1, y/a and phi), a Laurent polynomial, and
 every operator is built over polynomials: the de Witt momenta times u and
-the kinetic operator's u-sandwiches need no 1/u, so no RationalFunc is
-made.  Curvature is the one quantity checked numerically (a 5-point
-stencil on ln u) because logs fall outside the polynomial ring.
+the kinetic operator's u-sandwiches need no 1/u, which the polynomial
+kernel does not have.  Curvature is the one quantity checked numerically
+(a 5-point stencil on ln u) because logs fall outside the polynomial ring.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def dewitt_momenta(metric):
 
     The de Witt momentum p_j = -i (d_j + (1/2) d_j ln sqrt(g)) has the
     log-derivative -(d_j u)/u, since sqrt(g) = u^-2; times u it is a
-    polynomial operator, so no RationalFunc is built."""
+    polynomial operator."""
     ring, u = metric.ring, metric.u
     return tuple(
         DiffOp.from_terms(ring, GEOM, {

@@ -1,16 +1,14 @@
 """Exact operator algebra over Gaussian-rational coefficients.
 
 Everything downstream (metric Hamiltonians, symmetry generators, Casimir
-identities, Poisson brackets) is built from four layers:
+identities, Poisson brackets) is built from three layers:
 
     GaussianRational  -- (a + b*i)/d over ints, d > 0, gcd(a, b, d) == 1
     LaurentPoly       -- multivariate Laurent polynomials over a Ring, kept
                          as one int denominator over Gaussian-integer
                          numerators
-    RationalFunc      -- LaurentPoly divided by a nonempty product of monic
-                         factors; it exists only where a factor survives
     DiffOp            -- sums of coefficient * (partial-derivative monomial),
-                         each coefficient a LaurentPoly or a RationalFunc
+                         each coefficient a LaurentPoly
 
 All values are immutable after construction and every operation returns a
 normalized result.  Input is checked once, where it enters (``Ring.const``,
@@ -20,29 +18,19 @@ A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
 (a + b*i)/den over one denominator ``den`` for the whole polynomial, as
 FLINT's ``fmpq_poly`` keeps rational polynomials, so a sum, a product or a
 derivative is int arithmetic over the numerators and one content gcd at
-the end.  ``exact_divide`` runs on those numerators too.
-``GaussianRational`` stays the public scalar; ``LaurentPoly.terms``
-builds one per term when it is read.
+the end.  ``GaussianRational`` stays the public scalar;
+``LaurentPoly.terms`` builds one per term when it is read.  A polynomial
+has no inverse: the only negative powers are those of a Laurent variable,
+written ``ring.var(name, -k)``.
 
-The four types share one base, ``_Value``: ``a - b`` is ``a + (-b)``
+The three types share one base, ``_Value``: ``a - b`` is ``a + (-b)``
 and ``b - a`` is ``(-a) + b``, and ``==`` lifts the operand and tests
-whether ``a - b`` is zero.  ``RationalFunc`` and ``DiffOp`` compare that
-way and have no hash: equal ``RationalFunc`` values may differ in form
-(an unreduced ``inverse``), and a ``DiffOp`` holds them as coefficients.
+whether ``a - b`` is zero.  ``DiffOp`` compares that way and has no hash.
 ``GaussianRational`` and ``LaurentPoly`` have a unique form, so ``==``
 compares it, and each hashes like the scalar it equals: a real
 ``GaussianRational`` like its ``re``, a constant ``LaurentPoly`` like its
 coefficient, so ``{3, GaussianRational(3), ring.const(3)}`` has one
 element.
-
-RationalFunc denominators stay in factored form (powers of a few
-irreducibles such as 1 - (x^2+y^2)/rho^2), which keeps cancellation cheap
-and avoids multivariate GCDs.  The factors must be irreducible and
-pairwise coprime: a value is kept in lowest terms, and a product only
-cancels each operand's numerator against the factors of the other
-operand's denominator before it multiplies.  A constructor, sum, product
-or derivative whose factors all cancel returns the numerator itself, so
-a value with no denominator is always a LaurentPoly.
 
 Operator composition and the commutator share one Leibniz carry,
 ``DiffOp._hits``: it pushes each derivative of the left operator through
@@ -54,13 +42,11 @@ they are the same in A o B and B o A and cancel exactly.
 Mixed operands follow one lift rule: a layer takes a scalar or a
 lower-layer value into its own layer and returns NotImplemented at once
 for anything else, so a higher-layer right operand takes over.
-``RationalFunc._lift`` reads an operand as a ``(num, den)`` pair;
 ``DiffOp._lift`` puts a scalar or a coefficient straight into a
 zeroth-order term.  A ring mismatch raises ``DeclarationError`` in the
 lift, so every operation raises it, ``==`` and ``poisson_bracket``
 included.  A polynomial left factor of a composition is written
-``DiffOp.mult(p)``: ``p * D`` passes through a NotImplemented return of
-``LaurentPoly.__mul__`` (see ``_times``).
+``DiffOp.mult(p)``.
 """
 
 from __future__ import annotations
@@ -68,7 +54,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add
 
 
 class DeclarationError(ValueError):
@@ -80,9 +66,7 @@ _INEXACT = "floats are not exact; build from Fraction instead"
 
 def _power(base, k, one):
     """base**k for an int k, by square-and-multiply; k < 0 raises the
-    inverse of base to -k.  ``one`` is only the value of k == 0: the
-    product starts from base, so a LaurentPoly one never multiplies a
-    RationalFunc inverse."""
+    inverse of base to -k.  ``one`` is the value of k == 0."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an int")
     if k < 0:
@@ -98,9 +82,10 @@ def _power(base, k, one):
 
 
 class _Value:
-    """Base of the four value types: ``a - b`` is ``a + (-b)``, and ``==``
-    lifts the operand and tests whether the difference is zero.  A type
-    whose values have a unique form overrides ``==`` and the hash."""
+    """Base of the three value types: ``a - b`` is ``a + (-b)``, and ``==``
+    lifts the operand and tests whether the difference is zero.
+    ``GaussianRational`` and ``LaurentPoly`` override ``==`` and the hash
+    to compare their unique form."""
 
     __slots__ = ()
 
@@ -115,7 +100,8 @@ class _Value:
             return NotImplemented
         return (self - other).is_zero
 
-    # equal values may differ in form, so no hash of the form agrees with ==
+    # a DiffOp is never a key, and a hash of its terms would have to agree
+    # with == against scalars and coefficients
     __hash__ = None
 
 
@@ -427,13 +413,10 @@ class LaurentPoly(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if isinstance(k, int) and k < 0:
+            raise ValueError(f"a polynomial has no inverse: write a negative "
+                             f"power of a variable as ring.var(name, {k})")
         return _power(self, k, self.ring.one())
-
-    def inverse(self):
-        """1 / self.  self becomes one denominator factor unfactored, so the
-        result is in lowest terms only when self is irreducible; the
-        inverse of a monomial folds back into a LaurentPoly."""
-        return RationalFunc(self.ring.one(), ((self, 1),))
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -505,8 +488,9 @@ class LaurentPoly(_Value):
         return out
 
     def substitute(self, images):
-        """Map named variables to LaurentPoly or RationalFunc images (same
-        or new ring)."""
+        """Map named variables to LaurentPoly images (same or new ring).  An
+        unmapped variable keeps its power; a mapped one to a negative power
+        raises ValueError, since its image has no inverse."""
         tgt = _some_image(images).ring
         out = tgt.zero()
         for exps, coeff in self.terms.items():
@@ -515,10 +499,7 @@ class LaurentPoly(_Value):
                 if e == 0:
                     continue
                 img = images.get(var)
-                # an unmapped variable keeps its power: a negative one is a
-                # monomial, not an inverse folded back into one
-                term = _times(term, tgt.var(var, e) if img is None
-                              else img ** e)
+                term = term * (tgt.var(var, e) if img is None else img ** e)
             out = out + term
         return out
 
@@ -587,282 +568,11 @@ def _reduced(ring, num, den):
     return LaurentPoly(ring, num, den)
 
 
-def exact_divide(num, den):
-    """Exact multivariate division num/den, or None if not divisible.
-
-    Runs on the integer numerators.  A monomial is keyed (degree,) + exps,
-    so ``max`` picks the graded-lex leading term and keys add.  The
-    divisor is made monic once: its numerators are multiplied by the
-    conjugate of the leading one and their content is divided out, which
-    leaves h with an int leading numerator n > 0.  The loop keeps
-    s * (num's numerators) == q * h + rem, and scales s, q and rem by an
-    int when rem's leading numerator is not a multiple of n.
-
-    Per coordinate of the key, the minima and the maxima of the terms add
-    in a product, so every quotient term lies in the box [lo, hi] of their
-    differences.  A box that is empty, or that the leading or trailing
-    terms miss, rejects the input before the loop; so does a negative
-    lower bound on a non-Laurent variable, and a step that leaves the box
-    ends the loop.
-    """
-    if num.ring != den.ring:
-        raise DeclarationError("operands declared over different rings")
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero:
-        return num
-    rem = {(sum(e),) + e: ab for e, ab in num.num.items()}
-    g = {(sum(e),) + e: ab for e, ab in den.num.items()}
-    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*g))))
-    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*g))))
-    top, bottom = max(g), min(g)
-    if (not all(map(le, lo, hi))
-            or any(lo[k + 1] < 0 for k in num.ring._plain)
-            or not _inside(tuple(map(sub, max(rem), top)), lo, hi)
-            or not _inside(tuple(map(sub, min(rem), bottom)), lo, hi)):
-        return None
-    la, lb = g[top]
-    h = {e: (a * la + b * lb, b * la - a * lb) for e, (a, b) in g.items()}
-    content = math.gcd(*(x for ab in h.values() for x in ab))
-    n = h.pop(top)[0] // content
-    h = {e: (a // content, b // content) for e, (a, b) in h.items()}
-    q = {}
-    s = 1
-    while rem:
-        lead = max(rem)
-        t = tuple(map(sub, lead, top))
-        if not _inside(t, lo, hi):
-            return None
-        a, b = rem.pop(lead)
-        c = math.gcd(n, a, b)
-        if c != n:
-            k = n // c
-            s *= k
-            rem = {e: (x * k, y * k) for e, (x, y) in rem.items()}
-            q = {e: (x * k, y * k) for e, (x, y) in q.items()}
-        a //= c
-        b //= c
-        q[t] = (a, b)
-        for e, (ha, hb) in h.items():
-            e = tuple(map(add, t, e))
-            ra, rb = rem.get(e, (0, 0))
-            ra -= a * ha - b * hb
-            rb -= a * hb + b * ha
-            if ra or rb:
-                rem[e] = (ra, rb)
-            else:
-                del rem[e]
-    # num/den = q * conj(lead) * den.den / (s * content * num.den)
-    ca, cb = la * den.den, -lb * den.den
-    return _reduced(num.ring, {t[1:]: (a * ca - b * cb, a * cb + b * ca)
-                               for t, (a, b) in q.items()},
-                    s * content * num.den)
-
-
-def _inside(t, lo, hi):
-    return all(map(le, lo, t)) and all(map(le, t, hi))
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-class RationalFunc(_Value):
-    """num / prod(factor^power) with monic non-monomial factors, at least
-    one of them.
-
-    The factored denominator covers everything the model produces (powers
-    of phi on the disk, powers of z - zbar after the complex substitution);
-    monomial denominators live inside the Laurent numerator instead.
-
-    Factors must be irreducible and pairwise coprime.  The constructor
-    divides each factor out of the numerator as often as it goes, so a
-    value is in lowest terms: no factor of ``den`` divides ``num``.  When
-    no factor is left it returns ``num`` itself, and so does every sum,
-    product and derivative: a RationalFunc is never zero, and equals a
-    polynomial only when ``inverse`` left it unreduced.  A product only
-    cancels across (Henrici; Knuth, TAOCP 2, 4.5.1): a factor of one
-    operand's denominator that the other lacks is divided out of the
-    other's numerator, and one they share cannot divide the product, so
-    the product itself is never trial-divided.
-    """
-
-    __slots__ = ("num", "den")
-
-    is_zero = False
-
-    def __new__(cls, num, den=()):
-        factors = {}
-        for f, p in den:
-            if f.ring != num.ring:
-                raise DeclarationError("operands declared over different rings")
-            if p == 0:
-                continue
-            if p < 0:
-                raise ValueError("denominator powers must be positive")
-            if f.is_zero:
-                raise ZeroDivisionError("zero denominator factor")
-            if len(f.num) == 1:
-                # monomial factor: fold into the numerator
-                exps, coeff = f.leading()
-                num = num.shift(tuple(-p * e for e in exps)) * (coeff ** (-p))
-                continue
-            _, lead = f.leading()
-            if lead != ONE:
-                f = f * lead.inverse()
-                num = num * (lead ** (-p))
-            factors[f] = factors.get(f, 0) + p
-        reduced = []
-        for f, p in factors.items():
-            num, p = _cancel(num, f, p)
-            if p:
-                reduced.append((f, p))
-        reduced.sort(key=_factor_key)
-        return _rational(num, tuple(reduced))
-
-    @property
-    def ring(self):
-        return self.num.ring
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _lift(self, other):
-        """(num, den) of an operand; a LaurentPoly or a scalar has den ()."""
-        if type(other) is RationalFunc:
-            return other.num, other.den
-        if type(other) is LaurentPoly:
-            return other, ()
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.ring.const(other), ()
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        n2, d2 = other
-        union = dict(self.den)
-        for f, p in d2:
-            union[f] = max(union.get(f, 0), p)
-        mine, theirs = dict(self.den), dict(d2)
-        n1 = self.num
-        for f, p in union.items():
-            e1 = p - mine.get(f, 0)
-            e2 = p - theirs.get(f, 0)
-            if e1:
-                n1 = n1 * f ** e1
-            if e2:
-                n2 = n2 * f ** e2
-        return RationalFunc(n1 + n2, tuple(union.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _rational(-self.num, self.den)
-
-    def __mul__(self, other):
-        """Cancel across, then multiply (see the class docstring)."""
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        n1, (n2, d2) = self.num, other
-        den = dict(self.den)
-        theirs = dict(d2)
-        for f, p in self.den:
-            if f not in theirs:
-                n2, den[f] = _cancel(n2, f, p)
-        for f, p in d2:
-            if f in den:
-                den[f] += p
-            else:
-                n1, den[f] = _cancel(n1, f, p)
-        num = n1 * n2
-        if num.is_zero:
-            return num
-        factors = sorted((fp for fp in den.items() if fp[1]), key=_factor_key)
-        return _rational(num, tuple(factors))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """1 / self.  The numerator becomes one denominator factor unfactored,
-        so the result is in lowest terms only when it is irreducible."""
-        den = self.ring.one()
-        for f, p in self.den:
-            den = den * f ** p
-        return RationalFunc(den, ((self.num, 1),))
-
-    def __pow__(self, k):
-        return _power(self, k, self.ring.one())
-
-    def diff(self, var):
-        out = RationalFunc(self.num.diff(var), self.den)
-        for f, p in self.den:
-            df = f.diff(var)
-            if df.is_zero:
-                continue
-            den = dict(self.den)
-            den[f] = den.get(f, 0) + 1
-            out = out + RationalFunc(self.num * df * (-p), tuple(den.items()))
-        return out
-
-    def eval(self, values):
-        out = self.num.eval(values)
-        for f, p in self.den:
-            out /= f.eval(values) ** p
-        return out
-
-    def substitute(self, images):
-        out = self.num.substitute(images)
-        for f, p in self.den:
-            out = _times(out, f.substitute(images) ** (-p))
-        return out
-
-    def __str__(self):
-        dbits = [f"({f})**{p}" if p > 1 else f"({f})" for f, p in self.den]
-        return f"({self.num})/({'*'.join(dbits)})"
-
-    __repr__ = __str__
-
-
-def _rational(num, den):
-    """RationalFunc of parts already in lowest terms and in order; ``num``
-    itself when ``den`` is empty."""
-    if not den:
-        return num
-    r = object.__new__(RationalFunc)
-    r.num = num
-    r.den = den
-    return r
-
-
-def _times(f, g):
-    """f * g with a RationalFunc operand on the left: a LaurentPoly on the
-    left would return NotImplemented and hand the product over."""
-    return g * f if type(g) is RationalFunc else f * g
-
-
 def _some_image(images):
     """One image of a substitution; the images lie in the target ring."""
     for img in images.values():
         return img
     raise DeclarationError("no image gives the target ring")
-
-
-def _cancel(num, f, p):
-    """(num / f^k, p - k) for the largest k <= p with f^k dividing num."""
-    while p:
-        q = exact_divide(num, f)
-        if q is None:
-            break
-        num, p = q, p - 1
-    return num, p
-
-
-def _factor_key(fp):
-    """Order of the factors in ``RationalFunc.den``."""
-    f = fp[0].num
-    return _grlex_key(max(f, key=_grlex_key)), sorted(f)
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +605,7 @@ class DiffOp(_Value):
 
     ``geom_vars`` are the variables derivatives act on; every other ring
     variable is inert.  Terms map derivative multi-indices to LaurentPoly
-    or RationalFunc coefficients, with all derivatives to the right of all
-    coefficients.
+    coefficients, with all derivatives to the right of all coefficients.
     Built by ``mult``, ``d``, ``zero`` and ``from_terms``; the constructor
     drops zero terms and trusts the rest.
     """
@@ -919,7 +628,7 @@ class DiffOp(_Value):
                 raise DeclarationError(f"bad geometric variable {v!r}")
         cleaned = {}
         for alpha, coeff in terms.items():
-            if not isinstance(coeff, (LaurentPoly, RationalFunc)):
+            if not isinstance(coeff, LaurentPoly):
                 coeff = ring.const(coeff)
             if coeff.ring != ring:
                 raise DeclarationError("coefficient declared over another ring")
@@ -935,7 +644,7 @@ class DiffOp(_Value):
 
     @classmethod
     def mult(cls, ring, geom_vars, coeff):
-        """Multiplication operator by a polynomial / rational function."""
+        """Multiplication operator by a polynomial or a scalar."""
         return cls.from_terms(ring, geom_vars, {(0,) * len(geom_vars): coeff})
 
     @classmethod
@@ -953,7 +662,7 @@ class DiffOp(_Value):
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = self.ring.const(other)
-        elif not isinstance(other, (LaurentPoly, RationalFunc)):
+        elif not isinstance(other, LaurentPoly):
             return None
         elif other.ring != self.ring:
             raise DeclarationError("coefficient declared over another ring")
@@ -1009,7 +718,7 @@ class DiffOp(_Value):
                                          for beta, g in other.terms.items()]
                     rests[p] = _carry(rests[prev], prev, k, var, dg)
             for beta, h in rests[p].items():
-                _accumulate(out, beta, _times(f, h))
+                _accumulate(out, beta, f * h)
         return out
 
     def __mul__(self, other):
@@ -1021,7 +730,7 @@ class DiffOp(_Value):
         out = self._hits(other)
         for alpha, f in self.terms.items():
             for beta, g in other.terms.items():
-                _accumulate(out, tuple(map(add, alpha, beta)), _times(f, g))
+                _accumulate(out, tuple(map(add, alpha, beta)), f * g)
         return DiffOp(self.ring, self.geom_vars, out)
 
     def __rmul__(self, other):
@@ -1055,7 +764,7 @@ class DiffOp(_Value):
     # -- actions -----------------------------------------------------------
 
     def apply_poly(self, f):
-        """Exact image of a LaurentPoly; raises if the image leaves the ring."""
+        """Exact image of a LaurentPoly."""
         out = self.ring.zero()
         for alpha, coeff in self.terms.items():
             df = f
@@ -1063,17 +772,15 @@ class DiffOp(_Value):
                 for _ in range(k):
                     df = df.diff(var)
             out = out + coeff * df
-        if type(out) is RationalFunc:
-            raise ValueError(f"not polynomial: {out}")
         return out
 
     def substitute(self, coeff_images, deriv_images):
         """Change of variables.
 
-        ``coeff_images`` maps old variable names to LaurentPoly or
-        RationalFunc images in the target ring; ``deriv_images`` maps old
-        geometric variables to first-order DiffOps in the target ring (the
-        chain-rule images of the partials).  Coefficients are substituted,
+        ``coeff_images`` maps old variable names to LaurentPoly images in
+        the target ring, as for ``LaurentPoly.substitute``;
+        ``deriv_images`` maps old geometric variables to first-order DiffOps
+        in the target ring (the chain-rule images of the partials).  Coefficients are substituted,
         then composed with the mapped derivative monomials.
         """
         some = _some_image(deriv_images)
@@ -1100,7 +807,7 @@ class DiffOp(_Value):
                 elif k > 1:
                     dsym.append(f"D{var}**{k}")
             cs = str(coeff)
-            if type(coeff) is LaurentPoly and len(coeff.num) > 1:
+            if len(coeff.num) > 1:
                 cs = f"({cs})"
             bits.append("*".join([cs] + dsym) if dsym else cs)
         return " + ".join(bits).replace("+ -", "- ")

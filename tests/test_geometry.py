@@ -8,7 +8,7 @@ import pytest
 
 from curvedhall import geometry, models
 from curvedhall.errors import DomainError
-from curvedhall.opalg import DiffOp, I, RationalFunc
+from curvedhall.opalg import DiffOp
 
 
 def test_halfplane_factor_and_domain():
@@ -104,25 +104,68 @@ def test_halfplane_symmetric_ordering_matches_model():
     assert (H - expect).terms == {}
 
 
-def _rational_reference(metric, gauge, ordering):
-    """The gauged kinetic operator built through RationalFunc coefficients:
-    the conformal factor f = 1/u, the de Witt momenta with their
-    log-derivative p_j = -i (d_j + (d_j f)/f), and the 1/f sandwiches
-    around (p - A)^2."""
-    ring = metric.ring
-    f = metric.u.inverse()
-    inv_f = f.inverse()
-    core = DiffOp.zero(ring, geometry.GEOM)
-    for var, A in zip(geometry.GEOM, gauge):
-        p = ((-I) * DiffOp.d(ring, geometry.GEOM, var)
-             + (-I) * (f.diff(var) * f.inverse()))
-        core = core + (p - A) * (p - A)
-    if ordering == "left":
-        op = DiffOp.mult(ring, geometry.GEOM, inv_f * inv_f) * core
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _action(sympy, op):
+    """A DiffOp read as its action on an undefined f(x, y): the sum of
+    coeff * d^alpha f, with each coefficient's (a + b*i)/d terms taken as
+    sympy Rationals over one symbol per ring variable."""
+    names = {v: sympy.Symbol(v) for v in op.ring.vars}
+    f = sympy.Function("f")(names["x"], names["y"])
+
+    def poly(p):
+        return sympy.Add(*(
+            (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))
+            * sympy.Mul(*(names[v] ** e for v, e in zip(op.ring.vars, exps)))
+            for exps, c in p.terms.items()))
+
+    out = sympy.Integer(0)
+    for alpha, c in op.terms.items():
+        df = f
+        for var, k in zip(op.geom_vars, alpha):
+            if k:
+                df = sympy.diff(df, names[var], k)
+        out += poly(c) * df
+    return out, names, f
+
+
+def _same_action(sympy, a, b):
+    """a - b vanishes for every f: its numerator over a common denominator
+    expands to zero."""
+    return sympy.expand(sympy.together(a - b).as_numer_denom()[0]) == 0
+
+
+def _rational_reference(sympy, kind, ordering, names, f):
+    """The gauged kinetic operator on f, from its definition in sympy.
+
+    The conformal factor is F = 1/u (u = 1, y/a and
+    phi = 1 - (x^2 + y^2)/rho^2), the gauge field A = (y, -x) on the plane,
+    (-beta/y, 0) on the half-plane and B (y, -x) on the disk, and the de
+    Witt momenta p_j = -i (d_j + (d_j F)/F).  With Pi_j = p_j - A_j the
+    operator is (1/2m) F^-2 sum_j Pi_j^2 f in the left ordering and
+    (1/2m) F^-1 sum_j Pi_j^2 (f/F) in the symmetric one."""
+    x, y, m = names["x"], names["y"], names["m"]
+    if kind == "flat":
+        F, A = sympy.Integer(1), (y, -x)
+    elif kind == "halfplane":
+        F, A = names["a"] / y, (-names["beta"] / y, 0)
     else:
-        op = DiffOp.mult(ring, geometry.GEOM, inv_f) * core * inv_f
-    half_inv_m = ring.var("m", -1) * Fraction(1, 2)
-    return DiffOp.mult(ring, geometry.GEOM, half_inv_m) * op
+        B, rho = names["B"], names["rho"]
+        F, A = 1 / (1 - (x * x + y * y) / rho ** 2), (B * y, -B * x)
+
+    def Pi(j, g):
+        var = (x, y)[j]
+        return (-sympy.I * (sympy.diff(g, var) + sympy.diff(F, var) / F * g)
+                - A[j] * g)
+
+    if ordering == "left":
+        core = Pi(0, Pi(0, f)) + Pi(1, Pi(1, f))
+        return core / (F * F * 2 * m)
+    g = f / F
+    return (Pi(0, Pi(0, g)) + Pi(1, Pi(1, g))) / (F * 2 * m)
 
 
 def _gauge(met):
@@ -136,32 +179,29 @@ def _gauge(met):
 
 @pytest.mark.parametrize("ordering", ["left", "symmetric"])
 @pytest.mark.parametrize("kind", ["flat", "halfplane", "disk"])
-def test_polynomial_route_equals_rational_reference(kind, ordering):
+def test_polynomial_route_equals_rational_reference(sympy, kind, ordering):
     met = geometry.make_metric(kind)
-    gauge = _gauge(met)
-    built = geometry.laplace_beltrami(met, gauge, ordering)
-    assert (built - _rational_reference(met, gauge, ordering)).is_zero
+    built = geometry.laplace_beltrami(met, _gauge(met), ordering)
+    action, names, f = _action(sympy, built)
+    ref = _rational_reference(sympy, kind, ordering, names, f)
+    assert _same_action(sympy, action, ref)
 
 
-def test_disk_compact_equals_rational_reference():
+def test_disk_compact_equals_rational_reference(sympy):
     """The compact disk form with its last term kept over the factor phi,
-    (phi/2m) { ... - (4/rho^2)(phi + 2|w|^2/rho^2)/phi }."""
-    R, G = geometry.DISK_RING, geometry.GEOM
-    x, y, B = R.var("x"), R.var("y"), R.var("B")
-    phi = geometry.disk_phi()
-    inv_rho2 = R.var("rho", -2)
-    Dx, Dy = DiffOp.d(R, G, "x"), DiffOp.d(R, G, "y")
-    radial = DiffOp.mult(R, G, x) * Dx + DiffOp.mult(R, G, y) * Dy
-    angular = DiffOp.mult(R, G, B * y) * Dx - DiffOp.mult(R, G, B * x) * Dy
-    last = RationalFunc(-4 * inv_rho2 * (phi + 2 * (x * x + y * y) * inv_rho2),
-                        ((phi, 1),))
-    assert type(last) is RationalFunc
-    bracket = (DiffOp.mult(R, G, -phi) * (Dx * Dx + Dy * Dy)
-               + DiffOp.mult(R, G, -4 * inv_rho2) * radial
-               + DiffOp.mult(R, G, (2 * I) * phi) * angular
-               + B * B * phi + last)
-    ref = DiffOp.mult(R, G, R.var("m", -1) * Fraction(1, 2) * phi) * bracket
-    assert (models.disk_hamiltonian_compact() - ref).is_zero
+    (phi/2m) { -phi (f_xx + f_yy) - (4/rho^2)(x f_x + y f_y)
+    + 2i phi B (y f_x - x f_y) + B^2 phi f
+    - (4/rho^2)(phi + 2|w|^2/rho^2) f/phi }."""
+    action, names, f = _action(sympy, models.disk_hamiltonian_compact())
+    x, y, B, rho, m = (names[v] for v in ("x", "y", "B", "rho", "m"))
+    phi = 1 - (x * x + y * y) / rho ** 2
+    fx, fy = sympy.diff(f, x), sympy.diff(f, y)
+    bracket = (-phi * (sympy.diff(f, x, 2) + sympy.diff(f, y, 2))
+               - 4 / rho ** 2 * (x * fx + y * fy)
+               + 2 * sympy.I * phi * B * (y * fx - x * fy)
+               + B * B * phi * f
+               - 4 / rho ** 2 * (phi + 2 * (x * x + y * y) / rho ** 2) / phi * f)
+    assert _same_action(sympy, action, phi / (2 * m) * bracket)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])

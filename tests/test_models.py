@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from curvedhall import geometry, models, numverify, spectra
+from curvedhall import models, numverify, spectra
 from curvedhall.geometry import DISK_RING, GEOM
-from curvedhall.opalg import (DeclarationError, DiffOp, RationalFunc, Ring,
-                              poisson_bracket)
+from curvedhall.opalg import DeclarationError, DiffOp, Ring, poisson_bracket
 
 
 @pytest.fixture(scope="module")
@@ -105,33 +104,6 @@ def test_suite_constructs_no_ring(monkeypatch):
     models.run_identity_suite()
     # every model ring is a module constant
     assert built == []
-
-
-def test_suite_and_metrics_construct_no_rational_function(monkeypatch):
-    # every RationalFunc value starts at RationalFunc.__new__: the kernel's
-    # other builder, _rational, is reached only from a RationalFunc's own
-    # methods.  A call whose factors all fold away (a monomial's negative
-    # power) returns a LaurentPoly and builds no value; the suite makes no
-    # such call either.
-    built, calls = [], []
-    new = RationalFunc.__new__
-
-    def counting(cls, *args, **kwargs):
-        value = new(cls, *args, **kwargs)
-        calls.append(value)
-        if type(value) is RationalFunc:
-            built.append(value)
-        return value
-
-    monkeypatch.setattr(RationalFunc, "__new__", staticmethod(counting))
-    models.run_identity_suite()
-    assert calls == []
-    for kind in ("flat", "halfplane", "disk"):
-        geometry.make_metric(kind)
-    assert built == []
-    # the counter sees a construction
-    geometry.make_metric("disk").u.inverse()
-    assert len(built) == 1
 
 
 def test_disk_residual_matches_closed_form(suite):
