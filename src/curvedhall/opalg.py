@@ -454,12 +454,6 @@ class LaurentPoly(_Value):
                 out[exps[:k] + (e - 1,) + exps[k + 1:]] = (a * e, b * e)
         return _reduced(self.ring, out, self.den)
 
-    def leading(self):
-        """(exponents, coeff) of the graded-lex leading term."""
-        exps = max(self.num, key=_grlex_key)
-        a, b = self.num[exps]
-        return exps, _norm(a, b, self.den)
-
     def shift(self, delta):
         if len(delta) != len(self.ring.vars):
             raise DeclarationError(

@@ -311,9 +311,6 @@ def test_poly_layout_matches_per_term_reference(ring, data):
                                 st.integers(0, 1)))
     _same(a.shift(delta), {tuple(map(operator.add, e, delta)): z
                            for e, z in ra.items()})
-    if ra:
-        top = max(ra, key=lambda e: (sum(e), e))
-        assert a.leading() == (top, ra[top])
     # one value built by two routes: equal and hashed alike
     f1, f2 = (a + b) * c, a * c + b * c
     assert f1 == f2 and hash(f1) == hash(f2) and len({f1, f2}) == 1
