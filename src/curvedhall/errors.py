@@ -1,6 +1,8 @@
 """Shared exception types, and the mass and scale check of the curved
 spectra and their oracle."""
 
+import math
+
 
 class UsageError(ValueError):
     """A request the caller got wrong (a zero mass or scale, a point,
@@ -9,11 +11,12 @@ class UsageError(ValueError):
 
 
 def check_mass_and_scale(m, a):
-    """Reject a mass that is not positive and a zero length scale a."""
-    if not m > 0:
-        raise UsageError("m must be positive")
-    if a == 0:
-        raise UsageError("a must be nonzero")
+    """Require a mass 0 < m < inf and a finite, nonzero length scale a;
+    nan fails both.  An inf or nan would give energies of 0 or nan."""
+    if not 0 < m < math.inf:
+        raise UsageError("m must be positive and finite")
+    if not (a != 0 and -math.inf < a < math.inf):
+        raise UsageError("a must be nonzero and finite")
 
 
 class DomainError(UsageError):

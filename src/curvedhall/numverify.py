@@ -8,17 +8,16 @@ the cross-check the package exists for.
 
 The eigensolver does take the half-plane closed form as a seed: each bound
 level's Newton walk starts there, where the solver would otherwise bisect
-from the Gershgorin bracket first.  Each level is still kept only with a
-Sturm count certificate |mu - lambda_j| <= 1e-9 on the discrete matrix, so
-the seed buys speed and cannot move an answer.  The seed is written here,
-not imported from ``spectra``.
+from a bracket around the whole spectrum first.  Each level is still kept
+only with a Sturm count certificate |mu - lambda_j| <= 1e-9 on the
+discrete matrix, so the seed buys speed and cannot move an answer.  The
+seed is written here, not imported from ``spectra``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, islice, product as _iterprod
 
@@ -131,56 +130,14 @@ _CERT = 1e-9            # half-width of the window a Sturm count certifies
 _BISECT_WIDTH = 1e-12   # final bracket width of the bisection path
 
 
-def _gershgorin(d, ae):
-    """(lo, hi, floor) for a symmetric tridiagonal with diagonal ``d`` and
-    off-diagonal magnitudes ``ae``: the Gershgorin bounds of the spectrum,
-    and floor[i] <= min over k >= i of the margin d_k - radius_k.
-
-    ``floor`` is non-decreasing and is built in place over the radius list.
-    Its allowance of 1e-15 (|d_k| + radius_k) covers the rounding of the
-    margin and of the pivot recursion, so ``_sturm_count``'s exit holds for
-    the float pivots, not only in exact arithmetic.
-    """
-    radius = [l + r for l, r in zip(chain((0.0,), ae), chain(ae, (0.0,)))]
-    lo = min(di - ri for di, ri in zip(d, radius))
-    hi = max(di + ri for di, ri in zip(d, radius))
-    floor = radius
-    m = math.inf
-    for i in range(len(d) - 1, -1, -1):
-        di, ri = d[i], radius[i]
-        v = di - ri - 1e-15 * (abs(di) + ri)
-        # min(m, v) without the call, half the cost of this loop
-        if v < m:
-            m = v
-        floor[i] = m
-    return lo, hi, floor
-
-
-def _sturm_count(d, e2, x, ae, floor):
-    """Number of eigenvalues < x (negative pivots of the LDL^T recursion).
-
-    The count stops at the first row i whose pivot q_i exceeds |e_i| while
-    every later row has Gershgorin margin floor[i+1] > x.  There the Schur
-    complement of the leading block of T - x is strictly diagonally dominant
-    with a positive diagonal, hence positive definite, so by Haynsworth's
-    inertia additivity no later pivot is negative.
-
-    ``ae`` holds |e_i|; ``floor`` comes from ``_gershgorin``.
-    """
-    # every row after j is certified; the exit test runs from row j on
-    j = max(bisect_right(floor, x) - 1, 0)
+def _sturm_count(d, e2, x):
+    """Number of eigenvalues < x: the negative pivots of the LDL^T
+    recursion q_i = d_i - x - e_{i-1}^2 / q_{i-1} over every row.  A zero
+    pivot counts as negative and is moved to -1e-300, as in
+    ``_sturm_slope``."""
     count = 0
     q = 1.0
-    for di, b in zip(islice(d, j + 1), chain((0.0,), e2)):
-        q = di - x - b / q
-        if q <= 0.0:
-            count += 1
-            if q == 0.0:
-                q = -1e-300
-    for di, b, a in zip(islice(d, j + 1, None), islice(e2, j, None),
-                        islice(ae, j, None)):
-        if q > a:
-            return count
+    for di, b in zip(d, chain((0.0,), e2)):
         q = di - x - b / q
         if q <= 0.0:
             count += 1
@@ -215,12 +172,16 @@ def _sturm_slope(d, e2, x):
     return count, s
 
 
-def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
+def tridiag_eigs(diag, offdiag, k, guess=()):
     """k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Level j keeps one bracket (a_j, b_j] with the Sturm count at each end,
     and every count taken for any level narrows the brackets of all of
-    them (Barth-Martin-Wilkinson; LAPACK dstebz).  A walk is Newton steps
+    them (Barth-Martin-Wilkinson; LAPACK dstebz).  Every bracket starts at
+    [min d - r, max d + r], r = 2 max|e_i|, which holds each Gershgorin
+    disc and so the whole spectrum; it is closed there, as an eigenvalue
+    may sit on either end.  There is no other ceiling: each of the k
+    levels is solved, whatever its value.  A walk is Newton steps
     on d/dx log|det(T - x)|, clamped to the closed bracket, until a step is
     under 1e-9.  The root x it reaches is kept only with a certificate: a
     Sturm count at x - 1e-9 gives j and one at x + 1e-9 gives more than j,
@@ -240,24 +201,22 @@ def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
     bracket of width 1e-12 instead.
     """
     d = [float(v) for v in diag]
-    ae = [abs(float(v)) for v in offdiag]
+    e = [float(v) for v in offdiag]
     n = len(d)
-    if len(ae) != max(n - 1, 0):
+    if len(e) != max(n - 1, 0):
         raise ValueError("offdiag must have length n-1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if n == 1:
         return [d[0]]
-    e2 = [v * v for v in ae]
-    lo, hi, floor = _gershgorin(d, ae)
-    if upper is not None:
-        # caller-supplied search ceiling: eigenvalues above it converge to
-        # the ceiling itself, which the caller can detect and reject
-        hi = min(hi, float(upper))
+    e2 = [v * v for v in e]
+    # every Gershgorin radius |e_{i-1}| + |e_i| is at most r
+    r = 2.0 * max(map(abs, e))
     # level i (0-based): ca[i] <= i eigenvalues lie below a[i] and
     # cb[i] > i below b[i]; n + 1 marks the ceiling, whose count is unknown
-    a, ca = [lo] * k, [0] * k
-    b, cb = [hi] * k, [n + 1] * k
+    # (an eigenvalue may sit on it)
+    a, ca = [min(d) - r] * k, [0] * k
+    b, cb = [max(d) + r] * k, [n + 1] * k
     out = []
 
     def narrow(x, c):
@@ -269,7 +228,7 @@ def tridiag_eigs(diag, offdiag, k, upper=None, guess=()):
                 a[i], ca[i] = x, c
 
     def count(x):
-        c = _sturm_count(d, e2, x, ae, floor)
+        c = _sturm_count(d, e2, x)
         narrow(x, c)
         return c
 
@@ -443,10 +402,9 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     # back down, so a level beyond it gets no seed
     seed = [0.25 - (beta - l - 0.5) ** 2
             for l in range(k_levels) if l < beta - 0.5]
-    # all bound states sit below mu = 1/4; capping the search window there
-    # (with headroom) both speeds bisection and turns an under-resolved
-    # request into a detectable pile-up at the cap
-    mu = tridiag_eigs(diag, off, k_levels, upper=1.0, guess=seed)
+    # all bound states sit below mu = 1/4: a level at or above it means the
+    # grid resolves fewer bound states than requested
+    mu = tridiag_eigs(diag, off, k_levels, guess=seed)
     if any(v >= 0.25 for v in mu):
         raise ResolutionError(
             f"grid resolves only {sum(v < 0.25 for v in mu)} bound states, "

@@ -80,8 +80,8 @@ def sphere_spectrum(l, k, rho=1):
     """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ]."""
     if l < 0:
         raise UsageError("l must be nonnegative")
-    if not float(rho) > 0:
-        raise UsageError("rho must be positive")
+    if not 0 < float(rho) < math.inf:
+        raise UsageError("rho must be positive and finite")
     return _line(
         "sphere", {"l": l, "k": k},
         lambda kk, rr: 2 * ((l - kk / 2) * (l - kk / 2 + 1) - kk * kk / 4) / (rr * rr),

@@ -141,7 +141,7 @@ def test_oracle_matrix_bit_equal_to_numpy_expression(beta, n, monkeypatch):
     # eigen-solve the very floats the numpy expression gives
     seen = {}
 
-    def capture(diag, off, k, upper=None, guess=()):
+    def capture(diag, off, k, guess=()):
         seen["diag"], seen["off"] = diag, off
         return [0.0] * k
     monkeypatch.setattr(numverify, "tridiag_eigs", capture)
@@ -173,8 +173,10 @@ def full_sturm_count(d, e2, x):
 
 
 @pytest.mark.parametrize("beta", [2.5, 5.0, 8.0, None])
-def test_sturm_early_exit_matches_full_recurrence(beta):
-    # beta=None is the [2, -1] Laplacian: no dominant tail, every row runs
+def test_sturm_count_matches_full_recurrence(beta):
+    # beta=None is the [2, -1] Laplacian; the count and the slope's count
+    # agree with the reference at random shifts, beside each eigenvalue
+    # and below the whole spectrum
     if beta is None:
         n = 300
         diag, off = [2.0] * n, [-1.0] * (n - 1)
@@ -183,20 +185,22 @@ def test_sturm_early_exit_matches_full_recurrence(beta):
     else:
         diag, off = oracle_matrix(beta, 4000)
         eigs = numverify.tridiag_eigs(
-            diag, off, spectra.halfplane_level_count(beta), upper=1.0)
-        top = 1.0  # the oracle's search ceiling
+            diag, off, spectra.halfplane_level_count(beta))
+        top = 1.0  # above every bound level, all below mu = 1/4
     d = [float(v) for v in diag]
     ae = [abs(float(v)) for v in off]
     e2 = [v * v for v in ae]
-    lo, _, floor = numverify._gershgorin(d, ae)
+    # the lowest Gershgorin bound
+    lo = min(di - (l + r) for di, l, r in zip(d, [0.0] + ae, ae + [0.0]))
     rng = random.Random(f"sturm:{beta}")
     shifts = [rng.uniform(lo, top) for _ in range(40)]
     shifts += [v + dv for v in eigs for dv in (-1e-10, 0.0, 1e-10)]
     shifts += [lo - 1.0, lo]
     for x in shifts:
-        assert numverify._sturm_count(d, e2, x, ae, floor) \
-            == full_sturm_count(d, e2, x), x
-    assert numverify._sturm_count(d, e2, lo - 1.0, ae, floor) == 0
+        want = full_sturm_count(d, e2, x)
+        assert numverify._sturm_count(d, e2, x) == want, x
+        assert numverify._sturm_slope(d, e2, x)[0] == want, x
+    assert numverify._sturm_count(d, e2, lo - 1.0) == 0
 
 
 @pytest.mark.parametrize("n", [4000, 8000, 16000])
@@ -232,7 +236,7 @@ def log_abs_det(d, e2, x):
 
 def test_sturm_slope_is_count_and_log_det_derivative():
     d, ae, e2 = oracle_floats(5.0, 4000)
-    eigs = numverify.tridiag_eigs(d, ae, 5, upper=1.0)
+    eigs = numverify.tridiag_eigs(d, ae, 5)
     # the count agrees everywhere, on an eigenvalue's either side too
     for x in [v + dv for v in eigs for dv in (-1e-10, 0.0, 1e-10)]:
         assert numverify._sturm_slope(d, e2, x)[0] \
@@ -267,9 +271,9 @@ def test_tridiag_wrong_slope_fails_certificate(monkeypatch):
         walked.append(x)
         return slope(d, e2, x)[0], 1e300
 
-    def recorded_count(d, e2, x, ae, floor):
+    def recorded_count(d, e2, x):
         shifts.append(x)
-        return count(d, e2, x, ae, floor)
+        return count(d, e2, x)
     monkeypatch.setattr(numverify, "_sturm_slope", wrong_slope)
     monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
     n = 120
@@ -348,9 +352,9 @@ def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
         work.append(("walk", x))
         return slope(d, e2, x)
 
-    def recorded_count(d, e2, x, ae, floor):
+    def recorded_count(d, e2, x):
         work.append(("count", x))
-        return count(d, e2, x, ae, floor)
+        return count(d, e2, x)
     monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
     levels = spectra.halfplane_level_count(8.0)
@@ -386,7 +390,7 @@ def test_tridiag_wrong_seed_keeps_the_root(guess):
     # must not move a level off the bench's recorded mu
     grid = numverify.FDGrid(1e-3, 80.0, 4000)
     got = numverify.tridiag_eigs(*numverify.whittaker_matrix(8.0, grid),
-                                 BETA8_LEVELS, upper=1.0, guess=guess)
+                                 BETA8_LEVELS, guess=guess)
     assert got == pytest.approx(golden_mu(8.0, 4000), rel=0, abs=1e-9)
 
 
@@ -427,8 +431,8 @@ def test_tridiag_wrong_prediction(monkeypatch):
         walks.append(x)
         return c, s
 
-    def recorded_count(d, e2, x, ae, floor):
-        c = count(d, e2, x, ae, floor)
+    def recorded_count(d, e2, x):
+        c = count(d, e2, x)
         counts.append((x, c))
         return c
     monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
@@ -469,7 +473,11 @@ def test_oracle_matches_analytic():
     assert all(v < 0.25 for v in spec.mu)
 
 
-@pytest.mark.parametrize("m, a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("m, a", [
+    (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+    # a nan a gave energies of nan, an infinite m or a energies of 0
+    *((v, 1.0) for v in (math.nan, math.inf, -math.inf)),
+    *((1.0, v) for v in (math.nan, math.inf, -math.inf))])
 def test_oracle_rejects_zero_mass_or_scale(m, a, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigen-solve reached")
@@ -505,7 +513,7 @@ def test_oracle_rejects_more_levels_than_points(monkeypatch):
 
 def test_oracle_resolution_error():
     grid = numverify.FDGrid(1e-3, 80.0, 400)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match="grid resolves only"):
         numverify.whittaker_oracle(5.0, grid, 6)
 
 
@@ -550,7 +558,7 @@ def _mu_at_h(beta, s_max, levels, h=0.02):
     n = round(s_max / h) - 1
     diag, off = numverify.whittaker_matrix(
         beta, numverify.FDGrid(1e-3, s_max, n))
-    return numverify.tridiag_eigs(diag, off, levels, upper=1.0)
+    return numverify.tridiag_eigs(diag, off, levels)
 
 
 @pytest.mark.parametrize("beta, levels, s_maxes, s_ref", [

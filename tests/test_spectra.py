@@ -72,11 +72,24 @@ def test_window_violation():
         spectra.landau_halfplane(5, -1)
 
 
-@pytest.mark.parametrize("m, a", [(0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0),
-                                  (-1, 1), (Fraction(-1, 2), 1), (-1.0, 1.0)])
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("m, a", [
+    (0, 1), (1, 0), (Fraction(0), 1), (1.0, 0.0),
+    (-1, 1), (Fraction(-1, 2), 1), (-1.0, 1.0),
+    # an infinite m or a gave energies of 0, a nan a gave nan
+    *((v, 1.0) for v in NON_FINITE), *((1.0, v) for v in NON_FINITE)])
 def test_zero_mass_or_scale_rejected(m, a):
     with pytest.raises(UsageError):
         spectra.landau_halfplane(5, 0, m, a)
+
+
+@pytest.mark.parametrize("rho", NON_FINITE)
+def test_sphere_rejects_non_finite_radius(rho):
+    # rho = inf gave -0.0
+    with pytest.raises(UsageError, match="rho must be positive and finite"):
+        spectra.sphere_spectrum(1, 2, rho)
 
 
 def test_sphere_spectrum_values():
