@@ -6,8 +6,14 @@ metric (a/y)^2 (dx^2 + dy^2), and the hyperbolic disk with metric
 inverse conformal factor u (1, y/a and phi), a Laurent polynomial, and
 every operator is built over polynomials: the de Witt momenta times u and
 the kinetic operator's u-sandwiches need no 1/u, which the polynomial
-kernel does not have.  Curvature is the one quantity checked numerically
-(a 5-point stencil on ln u) because logs fall outside the polynomial ring.
+kernel does not have.  A gauge is held the same way, as u A: the kinetic
+builder subtracts it as given from u p, and every gauge here is a
+polynomial in x and y (-beta/a on the half-plane, B phi (y, -x) on the
+disk).  Curvature is checked numerically, by a 5-point stencil on ln u,
+because acceptance criterion 7 (``tests/test_acceptance.py``) checks
+that route and its order-two convergence.  The exact Gaussian curvature
+K = u (u_xx + u_yy) - |grad u|^2 is a polynomial as well, and the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -66,7 +72,11 @@ class Metric2D(namedtuple("Metric2D", "kind ring u param_values")):
                                   **self.param_values}).real
 
 
-GaugePotential = namedtuple("GaugePotential", "A_x A_y")
+class GaugePotential(namedtuple("GaugePotential", "uA_x uA_y")):
+    """A gauge potential A held as u A, the inverse conformal factor times
+    A: the quantity ``laplace_beltrami`` subtracts from u p as given."""
+
+    __slots__ = ()
 
 
 def make_metric(kind, a=None, rho=None):
@@ -95,16 +105,17 @@ def disk_phi():
 
 
 def halfplane_gauge(metric):
-    """A = (-beta/y, 0), the rescaled-field Landau gauge."""
+    """u A = (-beta/a, 0): the rescaled-field Landau gauge A = (-beta/y, 0)
+    times u = y/a."""
     ring = metric.ring
-    return GaugePotential(-(ring.var("beta") * ring.var("y", -1)), ring.zero())
+    return GaugePotential(-(ring.var("beta") * ring.var("a", -1)), ring.zero())
 
 
 def disk_gauge(metric):
-    """A = B (y, -x), the symmetric gauge on the disk."""
-    ring = metric.ring
-    B = ring.var("B")
-    return GaugePotential(B * ring.var("y"), -(B * ring.var("x")))
+    """u A = B phi (y, -x): the symmetric gauge A = B (y, -x) on the disk
+    times u = phi."""
+    x, y, B = (metric.ring.var(v) for v in ("x", "y", "B"))
+    return GaugePotential(metric.u * B * y, -(metric.u * B * x))
 
 
 def dewitt_momenta(metric):
@@ -129,8 +140,9 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
     exactly as written left-to-right; ordering="symmetric" splits it as
     g^{-1/4} (...) g^{-1/4}, which is the ordering the half-plane model
     actually uses.  For a conformal metric sqrt(g) g^{ij} is the identity,
-    so both are u-sandwiches around (p - A)^2.  With uPi_j = u p_j - u A_j
-    and [Pi_j, u] = -i d_j u they are sums of polynomial operators:
+    so both are u-sandwiches around (p - A)^2.  ``gauge`` holds u A, so
+    uPi_j = u p_j - (u A)_j, and with [Pi_j, u] = -i d_j u both are sums of
+    polynomial operators:
 
         left       u^2 Pi_j^2 = (uPi_j)^2 + i (d_j u) (uPi_j)
         symmetric  u Pi_j^2 u = (uPi_j) (uPi_j - i d_j u)
@@ -139,8 +151,8 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
         raise ValueError(f"unknown ordering {ordering!r}")
     ring, u = metric.ring, metric.u
     op = DiffOp.zero(ring, GEOM)
-    for var, up, A in zip(GEOM, dewitt_momenta(metric), gauge):
-        uPi = up - u * A
+    for var, up, uA in zip(GEOM, dewitt_momenta(metric), gauge):
+        uPi = up - uA
         i_du = u.diff(var) * I
         if ordering == "left":
             op = op + uPi * uPi + DiffOp.mult(ring, GEOM, i_du) * uPi

@@ -35,9 +35,10 @@ class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
     __slots__ = ()
 
     def __new__(cls, s_min, s_max, n_points):
-        if not (0 < s_min < s_max):
-            raise UsageError("need 0 < s_min < s_max")
-        if n_points < 100:
+        if not 0 < s_min < s_max < math.inf:
+            raise UsageError("need 0 < s_min < s_max < inf")
+        # a nan count fails this test too
+        if not n_points >= 100:
             raise UsageError("n_points must be >= 100")
         self = super().__new__(cls, s_min, s_max, n_points)
         if s_min >= self.h:
@@ -199,6 +200,11 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
     midpoint.  A level that is never isolated (a repeated eigenvalue), or
     whose walk does not converge or is not certified, is bisected to a
     bracket of width 1e-12 instead.
+
+    A ``UsageError`` (a ValueError) rejects a nan or infinite d_i, an e_i
+    whose square is not finite, and a matrix whose starting bracket, or a
+    sum of two of its points, overflows: a bisection midpoint or a shifted
+    pivot d_i - x would then be inf, and the counts and walks meaningless.
     """
     d = [float(v) for v in diag]
     e = [float(v) for v in offdiag]
@@ -207,16 +213,27 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
         raise ValueError("offdiag must have length n-1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    e2 = [v * v for v in e]
+    # a nan or inf entry reaches the sums; so, rarely, do finite entries
+    # near the largest double, which only the slower test per entry clears
+    if not (math.isfinite(sum(d) + sum(e2))
+            or all(map(math.isfinite, chain(d, e2)))):
+        raise UsageError("tridiag_eigs needs finite d_i and e_i^2")
     if n == 1:
         return [d[0]]
-    e2 = [v * v for v in e]
     # every Gershgorin radius |e_{i-1}| + |e_i| is at most r
     r = 2.0 * max(map(abs, e))
+    lo, hi = min(d) - r, max(d) + r
+    # every count point x and diagonal entry lies in [lo, hi], so a
+    # midpoint a + b and a pivot d_i - x stay within 2 max(|lo|, |hi|)
+    if not math.isfinite(2.0 * max(-lo, hi)):
+        raise UsageError(f"tridiag_eigs bracket [{lo!r}, {hi!r}] overflows "
+                         "in bisection; scale the matrix down")
     # level i (0-based): ca[i] <= i eigenvalues lie below a[i] and
     # cb[i] > i below b[i]; n + 1 marks the ceiling, whose count is unknown
     # (an eigenvalue may sit on it)
-    a, ca = [min(d) - r] * k, [0] * k
-    b, cb = [max(d) + r] * k, [n + 1] * k
+    a, ca = [lo] * k, [0] * k
+    b, cb = [hi] * k, [n + 1] * k
     out = []
 
     def narrow(x, c):
@@ -462,6 +479,10 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = _simpson(a, m, fa, flm, fm)
     right = _simpson(m, b, fm, frm, fb)
+    # a nan or inf would fail the error test below at every depth
+    if not math.isfinite(whole + left + right):
+        raise UsageError("integrand is not finite, or its Simpson sums "
+                         f"overflow, on [{a!r}, {b!r}]")
     if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
     return (_adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
@@ -469,7 +490,14 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def adaptive_simpson(f, a, b):
-    """Adaptive Simpson rule to 1e-12, at most 40 bisections deep."""
+    """Adaptive Simpson rule to 1e-12 for a real f, at most 40 bisections
+    deep.  ``UsageError`` rejects an end that is not finite or whose
+    subinterval sums could overflow (|a| + |b| >= ~9e307), and a sample
+    or Simpson sum that is not finite, which would otherwise keep the
+    rule bisecting to the full depth, ~2^40 steps."""
+    if not math.isfinite(2.0 * (abs(a) + abs(b))):
+        raise UsageError(f"integration ends {a!r}, {b!r} must be finite "
+                         "and below ~9e307 in size")
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
     whole = _simpson(a, b, fa, fm, fb)
     return _adaptive(f, a, b, fa, fm, fb, whole, 1e-12, 40)
@@ -486,6 +514,8 @@ def norm_quadrature(psi, beta, l, c, a=1.0, cutoff_scale=40.0):
     if beta - l <= 0.5:
         raise NonNormalizableError(
             f"beta - l = {beta - l} <= 1/2: |psi|^2 / y^2 not integrable")
+    if not 0 < c < math.inf:
+        raise UsageError("separation constant c must be positive and finite")
     upper = cutoff_scale / (2.0 * c) + 5.0
 
     def integrand(y):

@@ -93,10 +93,10 @@ def eigenfunction_halfplane(beta, l, c, point):
     unnormalized.  |Psi| is x-independent; c > 0 labels the degenerate
     copies of each level."""
     _check_window(beta, l)
-    if not c > 0:
-        raise UsageError("separation constant c must be positive")
+    if not 0 < c < math.inf:
+        raise UsageError("separation constant c must be positive and finite")
     x, y = point
-    if not y > 0:
+    if not (y > 0 and math.isfinite(x)):
         raise UsageError("point must lie in the upper half-plane")
     beta = float(beta)
     tau, z = 2 * beta - 2 * l - 1, 2 * c * y

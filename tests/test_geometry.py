@@ -88,6 +88,25 @@ def test_laplace_beltrami_flat_is_half_laplacian():
     assert (H - expect).terms == {}
 
 
+def _geometric_exponents(poly):
+    """The exponents of x and y over every monomial of a LaurentPoly."""
+    at = [poly.ring.vars.index(v) for v in geometry.GEOM]
+    return {exps[k] for exps in poly.terms for k in at}
+
+
+@pytest.mark.parametrize("kind", ["flat", "halfplane", "disk"])
+def test_no_negative_power_of_x_or_y(kind):
+    """Every gauge, de Witt momentum and kinetic operator is a polynomial
+    in x and y: the gauges hold u A, which the builder takes as given."""
+    met = geometry.make_metric(kind)
+    polys = list(_gauge(met))
+    for op in (*geometry.dewitt_momenta(met),
+               *(geometry.laplace_beltrami(met, _gauge(met), ordering)
+                 for ordering in ("left", "symmetric"))):
+        polys.extend(op.terms.values())
+    assert all(min(_geometric_exponents(p), default=0) >= 0 for p in polys)
+
+
 def test_laplace_beltrami_orderings_differ_on_halfplane():
     met = geometry.make_metric("halfplane")
     gauge = geometry.halfplane_gauge(met)
@@ -202,6 +221,26 @@ def test_disk_compact_equals_rational_reference(sympy):
                + B * B * phi * f
                - 4 / rho ** 2 * (phi + 2 * (x * x + y * y) / rho ** 2) / phi * f)
     assert _same_action(sympy, action, phi / (2 * m) * bracket)
+
+
+@pytest.mark.parametrize("kind, param, K, point", [
+    ("flat", {}, 0.0, (0.3, -1.2)),
+    ("halfplane", {"a": 2.0}, -1 / 4, (0.3, 1.7)),   # -1/a^2
+    ("disk", {"rho": 2.0}, -1.0, (0.4, -0.7)),       # -4/rho^2
+])
+def test_exact_curvature_matches_fd(kind, param, K, point):
+    """For ds^2 = (dx^2 + dy^2)/u^2 the Gaussian curvature is the
+    polynomial u (u_xx + u_yy) - (u_x^2 + u_y^2), here a constant; the
+    stencil route gives R = 2K."""
+    met = geometry.make_metric(kind, **param)
+    u = met.u
+    exact = (u * (u.diff("x").diff("x") + u.diff("y").diff("y"))
+             - (u.diff("x") * u.diff("x") + u.diff("y") * u.diff("y")))
+    assert _geometric_exponents(exact) <= {0}
+    value = exact.eval({"x": point[0], "y": point[1], **param})
+    assert value == pytest.approx(K, abs=1e-15)
+    R = geometry.scalar_curvature_fd(met, point, 1e-3)
+    assert R == pytest.approx(2.0 * K, abs=1e-5)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])

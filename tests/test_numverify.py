@@ -4,6 +4,8 @@ Sturm-Liouville eigensolver, and quadrature norms."""
 import json
 import math
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from curvedhall import models, numverify, spectra
 from curvedhall.errors import (NonNormalizableError, ResolutionError,
                                SingularityError, UsageError)
-from curvedhall.geometry import GEOM, halfplane_gauge, make_metric
+from curvedhall.geometry import GEOM, HALFPLANE_RING
 from curvedhall.opalg import DiffOp
 
 
@@ -37,12 +39,36 @@ def test_grid_invariants():
     # s_min is the excluded neighbourhood of s = 0, below the first node
     with pytest.raises(ValueError):
         numverify.FDGrid(80.0 / 1001, 80.0, 1000)
+    # no spacing h of inf or nan
+    for s_max, n_points in ((math.inf, 1000), (math.nan, 1000),
+                            (80.0, math.nan)):
+        with pytest.raises(UsageError):
+            numverify.FDGrid(1e-3, s_max, n_points)
     # a copy is checked as the constructor is
     assert g._replace(n_points=2000) == numverify.FDGrid(1e-3, 80.0, 2000)
     with pytest.raises(ValueError):
         g._replace(n_points=10)
     with pytest.raises(ValueError):
         numverify.FDGrid._make((1e-3, 80.0, 10))
+
+
+@contextmanager
+def _within(seconds):
+    """Fail the test once its body runs past ``seconds``, so a hang fails
+    one test instead of stalling the run.  The failure carries no
+    traceback: pytest cannot format the frame a signal handler raised
+    from."""
+    def expire(signum, frame):
+        raise TimeoutError
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"no return within {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_fd_apply_polynomial_exact():
@@ -62,9 +88,8 @@ def test_fd_apply_polynomial_exact():
 
 
 def test_fd_apply_coefficient_pole():
-    met = make_metric("halfplane")
-    A_x, _ = halfplane_gauge(met)  # -beta/y
-    op = DiffOp.mult(met.ring, GEOM, A_x)
+    ring = HALFPLANE_RING
+    op = DiffOp.mult(ring, GEOM, -(ring.var("beta") * ring.var("y", -1)))
     with pytest.raises(SingularityError):
         numverify.fd_apply(op, lambda co: 1.0,
                            {"x": 0.0, "y": 0.0, "beta": 5.0,
@@ -314,6 +339,32 @@ def test_tridiag_non_finite_slope_bisects(monkeypatch):
 def test_tridiag_rejects_bad_shape(diag, offdiag, k, message):
     with pytest.raises(ValueError, match=message):
         numverify.tridiag_eigs(diag, offdiag, k)
+
+
+@pytest.mark.parametrize("diag, offdiag", [
+    # a nan or inf e_i made both bracket ends nan or inf, and every
+    # bisection midpoint nan: these hung
+    ([0.0, 1.0, 2.0], [math.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [math.inf, 1.0]),
+    # the midpoint's a + b overflowed to inf: hung
+    ([0.0, 1e308, 2.0], [1.0, 1.0]),
+    # e_i^2 = inf: returned [-2e200, 2e200, 2e200]
+    ([0.0, 1.0, 2.0], [1e200, 1e200]),
+    # returned [-1.1e-13, 4.0, 4.0], [inf, inf, inf] and [nan]
+    ([0.0, math.nan, 2.0], [1.0, 1.0]),
+    ([0.0, math.inf, 2.0], [1.0, 1.0]),
+    ([math.nan], []),
+])
+def test_tridiag_rejects_non_finite_or_overflowing_input(diag, offdiag):
+    with _within(5), pytest.raises(UsageError):
+        numverify.tridiag_eigs(diag, offdiag, len(diag))
+
+
+def test_tridiag_accepts_finite_entries_whose_sum_overflows():
+    # sum(d) is inf, but every entry and the bracket are finite
+    n = 2000
+    eigs = numverify.tridiag_eigs([1e305] * n, [1.0] * (n - 1), 1)
+    assert eigs == [pytest.approx(1e305, rel=1e-15)]
 
 
 def test_tridiag_work_bound(monkeypatch):
@@ -609,6 +660,31 @@ def test_norm_quadrature_value_and_stability():
 def test_norm_quadrature_window_edge():
     with pytest.raises(NonNormalizableError):
         numverify.norm_quadrature(psi_handle(5.0, 0, 1.0), 4.5, 4, 1.0)
+
+
+def _plain_psi(co):
+    return co["y"] ** 5 * math.exp(-co["y"])
+
+
+@pytest.mark.parametrize("call", [
+    # each of these recursed 40 deep on both halves, ~2^40 calls
+    pytest.param(lambda: numverify.adaptive_simpson(lambda s: math.nan,
+                                                    0.0, 1.0), id="nan-sample"),
+    pytest.param(lambda: numverify.adaptive_simpson(math.sin, 0.0, math.inf),
+                 id="inf-end"),
+    pytest.param(lambda: numverify.adaptive_simpson(lambda s: 1e308,
+                                                    0.0, 10.0),
+                 id="overflowing-sum"),
+    # c sets the cutoff: a nan one made a nan end, which a psi that
+    # checks no point sampled; an inf one cut the integral off at 5
+    pytest.param(lambda: numverify.norm_quadrature(_plain_psi, 5.0, 0,
+                                                   c=math.nan), id="nan-c"),
+    pytest.param(lambda: numverify.norm_quadrature(_plain_psi, 5.0, 0,
+                                                   c=math.inf), id="inf-c"),
+])
+def test_quadrature_rejects_non_finite_input(call):
+    with _within(5), pytest.raises(UsageError):
+        call()
 
 
 def test_adaptive_simpson_smoke():

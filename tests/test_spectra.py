@@ -135,6 +135,18 @@ def test_eigenfunction_phase_only_in_x():
     assert b / a == pytest.approx(cmath.exp(-3j))
 
 
+@pytest.mark.parametrize("c, point", [
+    (math.inf, (0.0, 1.0)),    # returned nan+nanj
+    (math.nan, (0.0, 1.0)),
+    (0.0, (0.0, 1.0)),
+    (1.0, (math.inf, 1.0)),    # raised OverflowError on its nan
+    (1.0, (math.nan, 1.0)),
+])
+def test_eigenfunction_rejects_non_finite_c_or_x(c, point):
+    with pytest.raises(UsageError):
+        spectra.eigenfunction_halfplane(5, 0, c, point)
+
+
 def test_ground_state_flat():
     assert spectra.ground_state_flat(0, 1.0) == pytest.approx(1.0)
     assert spectra.ground_state_flat(2j, 1.0) == pytest.approx(math.exp(-1.0))
