@@ -144,7 +144,7 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
     uPi_j = u p_j - (u A)_j, and with [Pi_j, u] = -i d_j u both are sums of
     polynomial operators:
 
-        left       u^2 Pi_j^2 = (uPi_j)^2 + i (d_j u) (uPi_j)
+        left       u^2 Pi_j^2 = (uPi_j + i d_j u) (uPi_j)
         symmetric  u Pi_j^2 u = (uPi_j) (uPi_j - i d_j u)
     """
     if ordering not in ("left", "symmetric"):
@@ -155,11 +155,10 @@ def laplace_beltrami(metric, gauge, ordering="symmetric"):
         uPi = up - uA
         i_du = u.diff(var) * I
         if ordering == "left":
-            op = op + uPi * uPi + DiffOp.mult(ring, GEOM, i_du) * uPi
+            op = op + (uPi + i_du) * uPi
         else:
             op = op + uPi * (uPi - i_du)
-    half_inv_m = ring.var("m", -1) * Fraction(1, 2)
-    return DiffOp.mult(ring, GEOM, half_inv_m) * op
+    return op * (ring.var("m", -1) * Fraction(1, 2))
 
 
 def scalar_curvature_fd(metric, point, step):

@@ -124,8 +124,9 @@ def antisymmetry_check(cfg, m):
 
 def filling_factor(n_particles, b_field, area):
     """Particle density over flux density: nu = 2 pi (N/S) / B."""
-    if not (area > 0 and b_field > 0):
-        raise DomainError("need S > 0 and B > 0")
+    if not (0 <= n_particles < math.inf and 0 < area < math.inf
+            and 0 < b_field < math.inf):
+        raise DomainError("need 0 <= N < inf, 0 < S < inf and 0 < B < inf")
     return 2.0 * math.pi * (n_particles / area) / b_field
 
 

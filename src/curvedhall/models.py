@@ -97,14 +97,14 @@ def quantum_generators():
     L3 = -i(y^2-x^2) dx + 2i x y dy + 2 beta y."""
     x, y = HALFPLANE_RING.var("x"), HALFPLANE_RING.var("y")
     beta = HALFPLANE_RING.var("beta")
-    Dx = DiffOp.d(HALFPLANE_RING, GEOM, "x")
-    Dy = DiffOp.d(HALFPLANE_RING, GEOM, "y")
-    L1 = (-I) * (DiffOp.mult(HALFPLANE_RING, GEOM, x) * Dx
-                 + DiffOp.mult(HALFPLANE_RING, GEOM, y) * Dy)
-    L2 = (-I) * Dx
-    L3 = ((-I) * (DiffOp.mult(HALFPLANE_RING, GEOM, y * y - x * x) * Dx)
-          + (2 * I) * (DiffOp.mult(HALFPLANE_RING, GEOM, x * y) * Dy)
-          + 2 * beta * y)
+    L1 = DiffOp.from_terms(HALFPLANE_RING, GEOM, {
+        (1, 0): (-I) * x, (0, 1): (-I) * y})
+    L2 = (-I) * DiffOp.d(HALFPLANE_RING, GEOM, "x")
+    L3 = DiffOp.from_terms(HALFPLANE_RING, GEOM, {
+        (1, 0): (-I) * (y * y - x * x),
+        (0, 1): (2 * I) * (x * y),
+        (0, 0): 2 * beta * y,
+    })
     return L1, L2, L3
 
 
@@ -156,10 +156,10 @@ def hamiltonian_halfplane():
 
 def _halfplane_gauged_momenta():
     beta, inv_y = HALFPLANE_RING.var("beta"), HALFPLANE_RING.var("y", -1)
-    Dx = DiffOp.d(HALFPLANE_RING, GEOM, "x")
-    Dy = DiffOp.d(HALFPLANE_RING, GEOM, "y")
-    P1 = (-I) * Dx + DiffOp.mult(HALFPLANE_RING, GEOM, beta * inv_y)
-    P2 = (-I) * Dy + DiffOp.mult(HALFPLANE_RING, GEOM, I * inv_y)
+    P1 = DiffOp.from_terms(HALFPLANE_RING, GEOM, {
+        (1, 0): -I, (0, 0): beta * inv_y})
+    P2 = DiffOp.from_terms(HALFPLANE_RING, GEOM, {
+        (0, 1): -I, (0, 0): I * inv_y})
     return P1, P2
 
 
@@ -167,16 +167,16 @@ def hamiltonian_halfplane_sandwiched():
     """(1/2 m a^2) y (P1^2 + P2^2) y, the ordering the model adopts."""
     P1, P2 = _halfplane_gauged_momenta()
     y = HALFPLANE_RING.var("y")
-    pre = DiffOp.mult(HALFPLANE_RING, GEOM, _prefactor())
-    return pre * (DiffOp.mult(HALFPLANE_RING, GEOM, y) * (P1 * P1 + P2 * P2) * y)
+    return (DiffOp.mult(HALFPLANE_RING, GEOM, y) * (P1 * P1 + P2 * P2)
+            * (y * _prefactor()))
 
 
 def hamiltonian_halfplane_y2_right():
     """(1/2 m a^2) (P1^2 + P2^2) y^2 -- the rejected ordering; kept so the
     suite can exhibit its nonzero residual against the adopted form."""
     P1, P2 = _halfplane_gauged_momenta()
-    pre = DiffOp.mult(HALFPLANE_RING, GEOM, _prefactor())
-    return pre * ((P1 * P1 + P2 * P2) * HALFPLANE_RING.var("y") ** 2)
+    y = HALFPLANE_RING.var("y")
+    return (P1 * P1 + P2 * P2) * (y * y * _prefactor())
 
 
 def hamiltonian_halfplane_complex():
@@ -187,11 +187,12 @@ def hamiltonian_halfplane_complex():
     w = z - zb
     pre = (COMPLEX_RING.var("m", -1) * COMPLEX_RING.var("a", -2)
            * Fraction(1, 2))
-    Dz = DiffOp.d(COMPLEX_RING, _ZGEOM, "z")
-    Dzb = DiffOp.d(COMPLEX_RING, _ZGEOM, "zb")
-    return (DiffOp.mult(COMPLEX_RING, _ZGEOM, pre * (w * w)) * Dzb * Dz
-            + DiffOp.mult(COMPLEX_RING, _ZGEOM, pre * (-(beta * w))) * (Dz + Dzb)
-            + pre * (beta * beta))
+    return DiffOp.from_terms(COMPLEX_RING, _ZGEOM, {
+        (1, 1): pre * (w * w),
+        (1, 0): pre * -(beta * w),
+        (0, 1): pre * -(beta * w),
+        (0, 0): pre * (beta * beta),
+    })
 
 
 def complexify_halfplane(H_real):
@@ -222,9 +223,7 @@ def ladder_operators():
     Dz = DiffOp.d(LADDER_RING, _ZGEOM, "z")
     Dzb = DiffOp.d(LADDER_RING, _ZGEOM, "zb")
     pref = (-2 * I) * kappa
-    a = DiffOp.mult(LADDER_RING, _ZGEOM, pref) * (Dzb + c * z)
-    adag = DiffOp.mult(LADDER_RING, _ZGEOM, pref) * (Dz - c * zb)
-    return a, adag
+    return (Dzb + c * z) * pref, (Dz - c * zb) * pref
 
 
 def flat_hamiltonian_complex():
@@ -232,15 +231,13 @@ def flat_hamiltonian_complex():
     z, zb = LADDER_RING.var("z"), LADDER_RING.var("zb")
     hbar, m = _hbar(), LADDER_RING.var("m")
     omega_c = LADDER_RING.var("omega_c")
-    Dz = DiffOp.d(LADDER_RING, _ZGEOM, "z")
-    Dzb = DiffOp.d(LADDER_RING, _ZGEOM, "zb")
-    t1 = DiffOp.mult(LADDER_RING, _ZGEOM,
-                     hbar * hbar * LADDER_RING.var("m", -1) * -2) * Dz * Dzb
     half_wc = hbar * omega_c * Fraction(1, 2)
-    t2 = DiffOp.mult(LADDER_RING, _ZGEOM, -half_wc) * (
-        DiffOp.mult(LADDER_RING, _ZGEOM, z) * Dz
-        - DiffOp.mult(LADDER_RING, _ZGEOM, zb) * Dzb)
-    return t1 + t2 + m * omega_c * omega_c * Fraction(1, 8) * (z * zb)
+    return DiffOp.from_terms(LADDER_RING, _ZGEOM, {
+        (1, 1): hbar * hbar * LADDER_RING.var("m", -1) * -2,
+        (1, 0): -half_wc * z,
+        (0, 1): half_wc * zb,
+        (0, 0): m * omega_c * omega_c * Fraction(1, 8) * (z * zb),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +252,19 @@ def disk_hamiltonian_compact():
     phi = disk_phi()
     inv_rho2 = DISK_RING.var("rho", -2)
     w2 = x * x + y * y
-    Dx = DiffOp.d(DISK_RING, GEOM, "x")
-    Dy = DiffOp.d(DISK_RING, GEOM, "y")
-    # x dx + y dy and B (y dx - x dy)
-    radial = (DiffOp.mult(DISK_RING, GEOM, x) * Dx
-              + DiffOp.mult(DISK_RING, GEOM, y) * Dy)
-    angular = (DiffOp.mult(DISK_RING, GEOM, B * y) * Dx
-               - DiffOp.mult(DISK_RING, GEOM, B * x) * Dy)
-    bracket = (
-        DiffOp.mult(DISK_RING, GEOM, -phi) * (Dx * Dx + Dy * Dy)
-        + DiffOp.mult(DISK_RING, GEOM, -4 * inv_rho2) * radial
-        + DiffOp.mult(DISK_RING, GEOM, (2 * I) * phi) * angular
-        + B * B * phi
-    )
     inv_2m = DISK_RING.var("m", -1) * Fraction(1, 2)
+    pre = inv_2m * phi
     # the prefactor's phi clears the 1/phi of the last term:
     # (phi/2m) (-(4/rho^2)(1 + 2|w|^2/(rho^2 phi)))
     # = (1/2m) (-(4/rho^2)(phi + 2|w|^2/rho^2))
-    return (DiffOp.mult(DISK_RING, GEOM, inv_2m * phi) * bracket
-            + inv_2m * (-4 * inv_rho2 * (phi + 2 * w2 * inv_rho2)))
+    return DiffOp.from_terms(DISK_RING, GEOM, {
+        (2, 0): pre * -phi,
+        (0, 2): pre * -phi,
+        (1, 0): pre * (-4 * inv_rho2 * x + (2 * I) * phi * B * y),
+        (0, 1): pre * (-4 * inv_rho2 * y - (2 * I) * phi * B * x),
+        (0, 0): (pre * (B * B * phi)
+                 + inv_2m * (-4 * inv_rho2 * (phi + 2 * w2 * inv_rho2))),
+    })
 
 
 def disk_hamiltonian_expanded():
@@ -310,9 +301,9 @@ def sphere_identity(L1, L2, L3, C):
     """Certify -(2/rho^2)(L2 L3 - i L1) = (2/rho^2)(C + L1^2), the operator
     content of the Haldane-sphere Hamiltonian, from the half-plane
     generators of ``quantum_generators`` and their Casimir."""
-    pre = DiffOp.mult(HALFPLANE_RING, GEOM, HALFPLANE_RING.var("rho", -2) * 2)
-    lhs = -(pre * (L2 * L3 - I * L1))
-    rhs = pre * (C + L1 * L1)
+    pre = HALFPLANE_RING.var("rho", -2) * 2
+    lhs = -(L2 * L3 - I * L1) * pre
+    rhs = (C + L1 * L1) * pre
     return _report("sphere-casimir-identity", lhs - rhs,
                    note="H = -(D+D- + D-D+) rewritten through the Casimir")
 
@@ -361,11 +352,10 @@ def run_identity_suite():
     a_op, adag = ladder_operators()
     reports.append(_report("flat-ladder-commutator",
                            a_op.commutator(adag) - 1))
-    half_wc = DiffOp.mult(LADDER_RING, _ZGEOM,
-                          _hbar() * LADDER_RING.var("omega_c") * Fraction(1, 2))
+    half_wc = _hbar() * LADDER_RING.var("omega_c") * Fraction(1, 2)
     reports.append(_report(
         "flat-ladder-hamiltonian",
-        half_wc * (a_op * adag + adag * a_op) - flat_hamiltonian_complex()))
+        (a_op * adag + adag * a_op) * half_wc - flat_hamiltonian_complex()))
 
     # 5. quantum generator brackets + ordered forms expand to right-moved
     L1, L2, L3 = quantum_generators()
@@ -412,9 +402,8 @@ def run_identity_suite():
             "halfplane-ordering", FAIL, str(res_sandwich)))
 
     # 10. 2 m a^2 H = -C + beta^2
-    two_ma2 = DiffOp.mult(HALFPLANE_RING, GEOM,
-                          2 * HALFPLANE_RING.var("m") * HALFPLANE_RING.var("a", 2))
-    reports.append(_report("hamiltonian-casimir", two_ma2 * H9 - (-C + b * b)))
+    two_ma2 = 2 * HALFPLANE_RING.var("m") * HALFPLANE_RING.var("a", 2)
+    reports.append(_report("hamiltonian-casimir", H9 * two_ma2 - (-C + b * b)))
 
     # 11. de Witt builder reproduces the half-plane Hamiltonian
     metric = make_metric("halfplane")

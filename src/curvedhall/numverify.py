@@ -320,12 +320,16 @@ def wall_decay_exponent(beta, mu, s_max):
     the level by e^{-2S} times an amplitude (``wall_shift``).  S = 0 when
     the wall stands at or inside s_t.  Requires mu > -beta^2, which every
     level of the Whittaker matrix meets, since its eigenvalues exceed the
-    minimum of U.
+    minimum of U, and a finite beta and s_max; UsageError otherwise.
 
     With s = 2 beta + 2 r cosh t the integrand becomes
     r cosh t - beta - mu / (beta + r cosh t), whose antiderivative is
     elementary: artanh for mu < 0, arctan for mu > 0.
     """
+    if not (-math.inf < beta < math.inf and -math.inf < s_max < math.inf):
+        raise UsageError(f"beta = {beta!r} and s_max = {s_max!r} must be finite")
+    if not beta * beta + mu > 0.0:
+        raise UsageError(f"mu = {mu!r} must exceed -beta^2 = {-beta * beta!r}")
     r = math.sqrt(beta * beta + mu)
     if s_max <= 2.0 * (beta + r):
         return 0.0

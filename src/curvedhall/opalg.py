@@ -45,8 +45,10 @@ for anything else, so a higher-layer right operand takes over.
 ``DiffOp._lift`` puts a scalar or a coefficient straight into a
 zeroth-order term.  A ring mismatch raises ``DeclarationError`` in the
 lift, so every operation raises it, ``==`` and ``poisson_bracket``
-included.  A polynomial left factor of a composition is written
-``DiffOp.mult(p)``.
+included.  An operator is written in normal form, as its coefficient
+table through ``DiffOp.from_terms``, or as a composition with each
+prefactor free of the geometric variables on the right; ``DiffOp.mult(p)``
+is kept for a left factor p that is a function of them.
 """
 
 from __future__ import annotations
@@ -62,23 +64,6 @@ class DeclarationError(ValueError):
 
 
 _INEXACT = "floats are not exact; build from Fraction instead"
-
-
-def _power(base, k, one):
-    """base**k for an int k, by square-and-multiply; k < 0 raises the
-    inverse of base to -k.  ``one`` is the value of k == 0."""
-    if not isinstance(k, int):
-        raise TypeError("exponent must be an int")
-    if k < 0:
-        base, k = base.inverse(), -k
-    out = None
-    while k:
-        if k & 1:
-            out = base if out is None else out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return one if out is None else out
 
 
 class _Value:
@@ -170,26 +155,6 @@ class GaussianRational(_Value):
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        a, b, d = self._a, self._b, self._d
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
-        return _norm(d * a, -d * b, n)
-
-    def __truediv__(self, other):
-        return self * self.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.coerce(other) * self.inverse()
-
-    def __pow__(self, k):
-        return _power(self, k, ONE)
-
-    def conjugate(self):
-        return _make(self._a, -self._b, self._d)
-
     def __eq__(self, other):
         if type(other) is not GaussianRational:
             if not isinstance(other, (int, Fraction)):
@@ -246,7 +211,6 @@ def _norm(a, b, d):
     return _make(a, b, d)
 
 
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
@@ -413,10 +377,20 @@ class LaurentPoly(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if isinstance(k, int) and k < 0:
+        """self**k for an int k >= 0, by square-and-multiply."""
+        if not isinstance(k, int):
+            raise TypeError("exponent must be an int")
+        if k < 0:
             raise ValueError(f"a polynomial has no inverse: write a negative "
                              f"power of a variable as ring.var(name, {k})")
-        return _power(self, k, self.ring.one())
+        base, out = self, None
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     def __eq__(self, other):
         other = self._lift(other)

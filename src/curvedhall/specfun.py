@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError, PoleError, UsageError
 
 TERM_CAP = 10_000
 
@@ -25,19 +25,32 @@ def _is_nonpositive_int(v):
     return v <= 0.5 and abs(v - round(v)) < 1e-12 and round(v) <= 0
 
 
+def _check_finite(**args):
+    """UsageError naming the first argument that is nan or infinite."""
+    for name, v in args.items():
+        if not -math.inf < v < math.inf:
+            raise UsageError(f"{name} must be finite, got {v!r}")
+
+
 def laguerre(n, tau, z):
     """Generalized Laguerre polynomial L_n^(tau)(z) as a float; see
     ``_laguerre_exact``.  OverflowError where the value is beyond a double."""
-    return float(_laguerre_exact(n, tau, z))
+    try:
+        return float(_laguerre_exact(n, tau, z))
+    except OverflowError:
+        raise OverflowError(
+            f"L_{n}^({tau})({z}) is beyond a double") from None
 
 
 def _laguerre_exact(n, tau, z):
     """L_n^(tau)(z) as a Fraction, by the three-term recurrence run in
     exact rational arithmetic (every float is a rational, and the
     polynomial degree is small, so exactness is free and removes the
-    cancellation loss near the polynomial's roots)."""
+    cancellation loss near the polynomial's roots).  A non-finite tau or z
+    is a UsageError."""
     if n < 0:
         raise ValueError("laguerre needs n >= 0")
+    _check_finite(tau=tau, z=z)
     if n == 0:
         return Fraction(1)
     tau, z = Fraction(tau), Fraction(z)
@@ -58,8 +71,11 @@ def hyp1f1(alpha, b, z):
     2^-52 per term summed: where the terms change sign (z < 0, or the first
     terms for alpha < 0) they cancel, and the rounding relative to the
     largest term outweighs the tail.  A b within 1e-12 of a nonpositive
-    integer is a pole unless the polynomial stops before it.
+    integer is a pole unless the polynomial stops before it.  A non-finite
+    alpha, b or z is a UsageError, and a polynomial whose value is beyond a
+    double raises OverflowError.
     """
+    _check_finite(alpha=alpha, b=b, z=z)
     truncates = alpha <= 0 and float(alpha).is_integer()
     n_stop = -round(alpha) if truncates else None
     if _is_nonpositive_int(b):
@@ -75,7 +91,11 @@ def hyp1f1(alpha, b, z):
     for k in range(n_stop):
         term_q *= (alpha_q + k) * z_q / ((b_q + k) * (k + 1))
         total_q += term_q
-    return SeriesResult(float(total_q), 0.0)
+    try:
+        return SeriesResult(float(total_q), 0.0)
+    except OverflowError:
+        raise OverflowError(
+            f"1F1({alpha}; {b}; {z}) is beyond a double") from None
 
 
 def _series(alpha, b, z):
@@ -106,7 +126,7 @@ def whittaker_m(beta, n, s):
 
     The mirror M_{beta,-n} is this function with the sign of n flipped.
     """
-    if s <= 0:
-        raise ValueError("whittaker_m needs s > 0")
+    if not 0 < s < math.inf:
+        raise UsageError(f"whittaker_m needs 0 < s < inf, got s = {s!r}")
     f = hyp1f1(0.5 + n - beta, 1.0 + 2.0 * n, s)
     return math.exp(-s / 2.0) * s ** (0.5 + n) * f.value

@@ -129,8 +129,10 @@ def eigenfunction_halfplane(beta, l, c, point):
 
 def ground_state_flat(z, z0):
     """psi_0 = exp(-|z|^2 / 4 z0^2), the holomorphic factor set to 1."""
-    if not z0 > 0:
-        raise ValueError("magnetic length z0 must be positive")
+    if not 0 < z0 < math.inf:
+        raise ValueError("magnetic length z0 must be positive and finite")
+    if not cmath.isfinite(z):
+        raise ValueError(f"point z must be finite, got {z!r}")
     return cmath.exp(-abs(z) ** 2 / (4.0 * z0 * z0))
 
 

@@ -165,3 +165,13 @@ def test_filling_factor():
     assert manybody.filling_quantized(7, 7) == 1
     with pytest.raises(DomainError):
         manybody.filling_quantized(3, 0)
+
+
+@pytest.mark.parametrize("n, b_field, area", [
+    (3, math.inf, 1.0),     # gave 0.0
+    (3, 1.0, math.inf),     # gave 0.0
+    (math.nan, 1.0, 1.0),   # gave nan
+])
+def test_filling_factor_rejects_non_finite_input(n, b_field, area):
+    with pytest.raises(DomainError):
+        manybody.filling_factor(n, b_field, area)

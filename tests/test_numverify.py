@@ -605,6 +605,18 @@ def test_wall_decay_exponent_matches_quadrature(beta, mu, s_max):
     assert numverify.wall_shift(beta, mu, 0.5 * s_t) == math.inf
 
 
+@pytest.mark.parametrize("beta, mu, s_max", [
+    (5.0, math.nan, 80.0), (math.nan, -1.0, 80.0), (5.0, -1.0, math.inf),
+])
+def test_wall_decay_exponent_rejects_non_finite_input(beta, mu, s_max):
+    # each gave a nan S, and a nan wall_shift passes the oracle's
+    # rel > 1e-3 test
+    with pytest.raises(UsageError):
+        numverify.wall_decay_exponent(beta, mu, s_max)
+    with pytest.raises(UsageError):
+        numverify.wall_shift(beta, mu, s_max)
+
+
 def _mu_at_h(beta, s_max, levels, h=0.02):
     n = round(s_max / h) - 1
     diag, off = numverify.whittaker_matrix(

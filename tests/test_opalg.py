@@ -32,25 +32,12 @@ def test_gaussian_basic_arithmetic():
     w = GaussianRational(Fraction(2), Fraction(-1, 3))
     assert z + w == GaussianRational(Fraction(5, 2), Fraction(8, 3))
     assert z * I == GaussianRational(Fraction(-3), Fraction(1, 2))
-    assert (z * w) / w == z
     assert complex(z) == 0.5 + 3j
-
-
-def test_gaussian_division_exact():
-    z = GaussianRational(Fraction(3), Fraction(4))
-    assert z / z == GaussianRational(Fraction(1))
-    with pytest.raises(ZeroDivisionError):
-        z / GaussianRational(Fraction(0))
 
 
 @given(gaussians, gaussians, gaussians)
 def test_gaussian_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
-
-
-@given(gaussians, gaussians)
-def test_gaussian_conjugate_multiplicative(a, b):
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
 # -- the (a + b*i)/d layout against a reference pair of Fractions -----------
@@ -61,12 +48,6 @@ fraction_pairs = st.tuples(small_fracs, small_fracs)
 def _pair_mul(p, q):
     (a, b), (c, d) = p, q
     return a * c - b * d, a * d + b * c
-
-
-def _pair_inverse(p):
-    a, b = p
-    n = a * a + b * b
-    return a / n, -b / n
 
 
 def _pair_str(re, im):
@@ -99,37 +80,17 @@ def test_gaussian_layout_matches_fraction_pair(p, q, r):
     assert _agrees(z - w, (a - c, b - d))
     assert _agrees(z * w, _pair_mul(p, q))
     assert _agrees(-z, (-a, -b))
-    assert _agrees(z.conjugate(), (a, -b))
     # mixed with an int or a Fraction on either side
     assert _agrees(z + 3, (a + 3, b))
     assert _agrees(r - z, (r - a, -b))
     assert _agrees(z * r, (a * r, b * r))
     assert _agrees(r * z, (r * a, r * b))
-    if q != (0, 0):
-        assert _agrees(z / w, _pair_mul(p, _pair_inverse(q)))
-        assert _agrees(w.inverse(), _pair_inverse(q))
-    if p != (0, 0):
-        assert _agrees(r / z, _pair_mul((r, 0), _pair_inverse(p)))
     assert (z == w) == (p == q)
     assert (z == r) == (p == (r, 0))
     # a real value equals its re, so hashes alike
     if b == 0:
         assert hash(z) == hash(a)
     assert bool(z) == (p != (0, 0))
-
-
-@given(fraction_pairs, st.integers(-4, 4))
-def test_gaussian_power_matches_fraction_pair(p, k):
-    z = GaussianRational(*p)
-    if k < 0 and p == (0, 0):
-        with pytest.raises(ZeroDivisionError):
-            z ** k
-        return
-    base = _pair_inverse(p) if k < 0 else p
-    expect = (Fraction(1), Fraction(0))
-    for _ in range(abs(k)):
-        expect = _pair_mul(expect, base)
-    assert _agrees(z ** k, expect)
 
 
 @pytest.mark.parametrize("build", [
@@ -343,9 +304,8 @@ def test_mixed_rings_are_rejected():
 
 
 @pytest.mark.parametrize("build", [
-    lambda r: GaussianRational(1, 1),
     lambda r: r.var("x") + r.one(),
-], ids=["GaussianRational", "LaurentPoly"])
+], ids=["LaurentPoly"])
 @pytest.mark.parametrize("k", [0.5, Fraction(1, 2), Fraction(2)])
 def test_power_needs_an_int_exponent(ring, build, k):
     with pytest.raises(TypeError, match="^exponent must be an int$"):
@@ -694,7 +654,7 @@ def _su11_values():
     return (*L, *J, models.casimir(*J))
 
 
-@pytest.mark.parametrize("build", [
+SUITE_BUILDS = [
     pytest.param(lambda: (*models.classical_generators(),
                           models.classical_hamiltonian()), id="classical"),
     pytest.param(models.quantum_generators_ordered, id="quantum-ordered"),
@@ -713,8 +673,32 @@ def _su11_values():
     pytest.param(lambda: _metric_values("flat"), id="lb-flat"),
     pytest.param(lambda: _metric_values("halfplane"), id="lb-halfplane"),
     pytest.param(lambda: _metric_values("disk"), id="lb-disk"),
-])
+]
+
+
+@pytest.mark.parametrize("build", SUITE_BUILDS)
 def test_identity_suite_values_are_normal(build):
     # _assert_normal also checks that every coefficient is a LaurentPoly
     for v in build():
         _assert_normal(v)
+
+
+def test_no_polynomial_left_of_an_operator(monkeypatch):
+    # p * D reaches DiffOp.__rmul__ only after LaurentPoly.__mul__ has
+    # returned NotImplemented, and the bench tracer's hook on that method
+    # fails on NotImplemented: a polynomial left factor is DiffOp.mult(p)
+    misses = []
+    original = LaurentPoly.__mul__
+
+    def checked(self, other):
+        out = original(self, other)
+        if out is NotImplemented:
+            misses.append(type(other).__name__)
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", checked)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", checked)
+    models.run_identity_suite()
+    for param in SUITE_BUILDS:
+        param.values[0]()
+    assert misses == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvedhall import specfun
-from curvedhall.errors import PoleError
+from curvedhall.errors import PoleError, UsageError
 
 
 def test_laguerre_low_orders():
@@ -75,3 +75,29 @@ def test_whittaker_small_s_slope(n):
 def test_whittaker_rejects_nonpositive_s():
     with pytest.raises(ValueError):
         specfun.whittaker_m(5.0, 4.5, 0.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    # each raised "cannot convert NaN (Infinity) to integer ratio"
+    (lambda: specfun.laguerre(3, 1.0, math.nan), "z"),
+    (lambda: specfun.laguerre(3, math.nan, 1.0), "tau"),
+    (lambda: specfun.whittaker_m(5.0, 0.5, math.nan), "s"),
+    (lambda: specfun.whittaker_m(5.0, 0.5, math.inf), "s"),
+    # each summed 10 000 terms before a ConvergenceError
+    (lambda: specfun.hyp1f1(0.5, 1.0, math.nan), "z"),
+    (lambda: specfun.hyp1f1(math.nan, 1.0, 1.0), "alpha"),
+], ids=["laguerre-z", "laguerre-tau", "whittaker-nan-s", "whittaker-inf-s",
+        "hyp1f1-z", "hyp1f1-alpha"])
+def test_non_finite_argument_is_a_usage_error_naming_it(call, name):
+    with pytest.raises(UsageError, match=rf"\b{name}\b"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: specfun.hyp1f1(-3, 1.0, 1e300),
+    lambda: specfun.laguerre(3, 1.0, 1e300),
+], ids=["hyp1f1", "laguerre"])
+def test_polynomial_beyond_a_double_says_so(call):
+    # each was a bare "integer division result too large for a float"
+    with pytest.raises(OverflowError, match="beyond a double"):
+        call()

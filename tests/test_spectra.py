@@ -152,6 +152,16 @@ def test_ground_state_flat():
     assert spectra.ground_state_flat(2j, 1.0) == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.parametrize("z, z0", [
+    (math.nan, 1.0),     # gave nan + 0j
+    (1.0, math.inf),     # gave 1 + 0j
+    (complex(1.0, math.nan), 1.0),
+])
+def test_ground_state_flat_rejects_non_finite_input(z, z0):
+    with pytest.raises(ValueError, match="finite"):
+        spectra.ground_state_flat(z, z0)
+
+
 def test_serializers():
     lines = [spectra.landau_halfplane(5, l) for l in range(2)]
     data = json.loads(spectra.spectrum_json("halfplane", {"beta": 5}, lines))
