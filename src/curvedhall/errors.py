@@ -1,7 +1,8 @@
-"""Shared exception types, and the mass and scale check of the curved
-spectra and their oracle."""
+"""Shared exception types, the mass and scale check of the curved spectra
+and their oracle, and the int check of a degree or level count."""
 
 import math
+import operator
 
 
 class UsageError(ValueError):
@@ -17,6 +18,15 @@ def check_mass_and_scale(m, a):
         raise UsageError("m must be positive and finite")
     if not (a != 0 and -math.inf < a < math.inf):
         raise UsageError("a must be nonzero and finite")
+
+
+def check_int(v, name):
+    """v as an int; UsageError for one that is not an integer (2.5, nan),
+    which would otherwise fail in ``range`` or a list repetition."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise UsageError(f"{name} must be an int, got {v!r}") from None
 
 
 class DomainError(UsageError):

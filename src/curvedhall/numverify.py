@@ -7,11 +7,14 @@ Agreement between these oracles and the closed forms in ``spectra`` is
 the cross-check the package exists for.
 
 The eigensolver does take the half-plane closed form as a seed: each bound
-level's Newton walk starts there, where the solver would otherwise bisect
-from a bracket around the whole spectrum first.  Each level is still kept
-only with a Sturm count certificate |mu - lambda_j| <= 1e-9 on the
-discrete matrix, so the seed buys speed and cannot move an answer.  The
-seed is written here, not imported from ``spectra``.
+level's Newton walk starts at the closed form plus its exact O(h^2)
+lattice term, where the solver would otherwise bisect from a bracket
+around the whole spectrum first.  That seed lies within rounding of the
+discrete eigenvalue, so a level's first walk is usually its last.  Each
+level is still kept only with a Sturm count certificate
+|mu - lambda_j| <= 1e-9 on the discrete matrix, so the seed buys speed
+and never decides an answer.  The seed is written here, not imported from
+``spectra``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import namedtuple
 from itertools import chain, islice, product as _iterprod
 
 from .errors import (NonNormalizableError, ResolutionError, SingularityError,
-                     UsageError, check_mass_and_scale)
+                     UsageError, check_int, check_mass_and_scale)
 
 
 class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
@@ -201,11 +204,13 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
     whose walk does not converge or is not certified, is bisected to a
     bracket of width 1e-12 instead.
 
-    A ``UsageError`` (a ValueError) rejects a nan or infinite d_i, an e_i
-    whose square is not finite, and a matrix whose starting bracket, or a
-    sum of two of its points, overflows: a bisection midpoint or a shifted
-    pivot d_i - x would then be inf, and the counts and walks meaningless.
+    A ``UsageError`` (a ValueError) rejects a k that is not an int, a nan
+    or infinite d_i, an e_i whose square is not finite, and a matrix whose
+    starting bracket, or a sum of two of its points, overflows: a bisection
+    midpoint or a shifted pivot d_i - x would then be inf, and the counts
+    and walks meaningless.
     """
+    k = check_int(k, "k")
     d = [float(v) for v in diag]
     e = [float(v) for v in offdiag]
     n = len(d)
@@ -389,6 +394,41 @@ def whittaker_matrix(beta, grid):
     return diag, off
 
 
+def lattice_term(beta, l):
+    """C_l of the lattice eigenvalue mu_l(h) = mu_l + C_l h^2 + o(h^2) of
+    level l on ``whittaker_matrix``, mu_l = 1/4 - nu^2, nu = beta - l - 1/2:
+
+        C_l = -[(2L+1) al^2 + 3(2l+1) al + 2 - 2L] / (64 (al-2)(al+2)),
+
+    al = 2 nu, L = l(l+1); 0.0 for al <= 2, where int (phi'')^2 diverges
+    and no h^2 term exists.  This is the asymptotic correction of
+    finite-difference Sturm-Liouville eigenvalues (Paine, de Hoog &
+    Anderssen, Computing 26, 123, 1981), in closed form here because the
+    eigenfunctions are Laguerre functions:
+
+    1. The central difference adds -(h^2/12) phi'''' to -phi''.
+       First-order perturbation of A phi = mu W phi gives
+       delta mu = -(h^2/12) int (phi'')^2 / int phi^2/s^2; the boundary
+       terms at s = 0 vanish for nu > 1.
+    2. The ODE gives phi'' = (1/4 - beta/s - mu/s^2) phi.
+    3. With phi = s^{nu+1/2} e^{-s/2} L_l^(al)(s), both integrals are sums
+       of the moments M_q = int s^{al+q} e^{-s} L^2 ds over
+       Gamma(l+al+1)/l!:  M_1 = 2l+al+1, M_0 = 1, M_-1 = 1/al,
+       M_-2 = (2l+al+1)/((al-1) al (al+1)) and
+       M_-3 = (al^2 + (6l+3) al + 6l^2+6l+2)/((al-2)(al-1) al (al+1)(al+2)).
+    4. The Gamma factor cancels, and the ratio reduces to C_l.
+
+    Written with products, not **, so it never raises: a huge beta gives
+    nan.
+    """
+    al = 2.0 * beta - 2 * l - 1.0
+    if not al > 2.0:
+        return 0.0
+    L = l * (l + 1)
+    return -((2 * L + 1) * al * al + 3 * (2 * l + 1) * al + 2 - 2 * L) \
+        / (64.0 * (al - 2.0) * (al + 2.0))
+
+
 def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     """Discrete spectrum of -phi'' + (1/4 - beta/s) phi = mu phi / s^2.
 
@@ -410,6 +450,7 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     """
     if not beta > 0.5:
         raise UsageError("beta must exceed 1/2 for any bound state")
+    k_levels = check_int(k_levels, "k_levels")
     if k_levels < 1:
         raise UsageError("k_levels must be >= 1")
     check_mass_and_scale(m, a)
@@ -418,10 +459,14 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"a grid of {grid.n_points} points holds at most "
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
-    # the closed form mu_l = 1/4 - (beta - l - 1/2)^2 starts each bound
-    # level's Newton walk; past the window 0 <= l < beta - 1/2 it turns
-    # back down, so a level beyond it gets no seed
-    seed = [0.25 - (beta - l - 0.5) ** 2
+    # each bound level's Newton walk starts at its lattice eigenvalue
+    # mu_l + C_l h^2, mu_l = 1/4 - (beta - l - 1/2)^2; past the window
+    # 0 <= l < beta - 1/2 the closed form turns back down, so a level
+    # beyond it gets no seed.  Products, not **: a huge beta gives an inf or
+    # nan seed, which takes no walk, and never an OverflowError
+    h2 = grid.h * grid.h
+    seed = [0.25 - (beta - l - 0.5) * (beta - l - 0.5)
+            + lattice_term(beta, l) * h2
             for l in range(k_levels) if l < beta - 0.5]
     # all bound states sit below mu = 1/4: a level at or above it means the
     # grid resolves fewer bound states than requested

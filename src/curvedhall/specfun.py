@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConvergenceError, PoleError, UsageError
+from .errors import ConvergenceError, PoleError, UsageError, check_int
 
 TERM_CAP = 10_000
 
@@ -46,10 +46,11 @@ def _laguerre_exact(n, tau, z):
     """L_n^(tau)(z) as a Fraction, by the three-term recurrence run in
     exact rational arithmetic (every float is a rational, and the
     polynomial degree is small, so exactness is free and removes the
-    cancellation loss near the polynomial's roots).  A non-finite tau or z
-    is a UsageError."""
+    cancellation loss near the polynomial's roots).  A degree n that is
+    not an int >= 0, or a non-finite tau or z, is a UsageError."""
+    n = check_int(n, "laguerre's degree n")
     if n < 0:
-        raise ValueError("laguerre needs n >= 0")
+        raise UsageError("laguerre needs n >= 0")
     _check_finite(tau=tau, z=z)
     if n == 0:
         return Fraction(1)
@@ -125,8 +126,10 @@ def whittaker_m(beta, n, s):
     """M_{beta,n}(s) = e^{-s/2} s^{1/2+n} 1F1(1/2 + n - beta; 1 + 2n; s).
 
     The mirror M_{beta,-n} is this function with the sign of n flipped.
+    A non-finite beta or n, or an s outside (0, inf), is a UsageError.
     """
     if not 0 < s < math.inf:
         raise UsageError(f"whittaker_m needs 0 < s < inf, got s = {s!r}")
+    _check_finite(beta=beta, n=n)
     f = hyp1f1(0.5 + n - beta, 1.0 + 2.0 * n, s)
     return math.exp(-s / 2.0) * s ** (0.5 + n) * f.value

@@ -39,12 +39,12 @@ def _line(geometry, qn, expr, args):
 
 def landau_flat(n, omega_c=1, hbar=1):
     """E_n = (n + 1/2) hbar omega_c."""
-    if n < 0:
-        raise UsageError("Landau index n must be nonnegative")
-    if not omega_c > 0:
-        raise UsageError("omega_c must be positive")
-    if not hbar > 0:
-        raise UsageError("hbar must be positive")
+    if not 0 <= n < math.inf:
+        raise UsageError("Landau index n must be nonnegative and finite")
+    if not 0 < omega_c < math.inf:
+        raise UsageError("omega_c must be positive and finite")
+    if not 0 < hbar < math.inf:
+        raise UsageError("hbar must be positive and finite")
     return _line("flat", {"n": n},
                  lambda w, h: (n + Fraction(1, 2)) * h * w, (omega_c, hbar))
 
@@ -53,8 +53,8 @@ def halfplane_level_count(beta):
     """The number of bound states, in O(1): the allowed l are the integers
     0 <= l < ceil(beta - 1/2), which lie strictly below beta - 1/2.  The
     count is never negative, as beta - 1/2 > -1."""
-    if not float(beta) > 0:
-        raise UsageError("beta must be positive")
+    if not 0 < float(beta) < math.inf:
+        raise UsageError("beta must be positive and finite")
     return math.ceil(float(beta) - 0.5)
 
 
@@ -78,8 +78,10 @@ def landau_halfplane(beta, l, m=1, a=1):
 
 def sphere_spectrum(l, k, rho=1):
     """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ]."""
-    if l < 0:
-        raise UsageError("l must be nonnegative")
+    if not 0 <= l < math.inf:
+        raise UsageError("l must be nonnegative and finite")
+    if not -math.inf < k < math.inf:
+        raise UsageError("k must be finite")
     if not 0 < float(rho) < math.inf:
         raise UsageError("rho must be positive and finite")
     return _line(

@@ -6,6 +6,7 @@ import math
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,10 +147,30 @@ def oracle_matrix(beta, n):
 
 def closed_form_mu(beta, levels, first=0):
     """The half-plane closed form mu_l = 1/4 - (beta - l - 1/2)^2 for
-    ``levels`` levels from l = first, the seed ``whittaker_oracle`` gives
-    the eigen-solve."""
+    ``levels`` levels from l = first."""
     return [0.25 - (beta - l - 0.5) ** 2
             for l in range(first, first + levels)]
+
+
+def lattice_mu(beta, levels, h):
+    """The seed ``whittaker_oracle`` gives the eigen-solve: the closed form
+    plus C_l h^2 where al = 2 beta - 2 l - 1 > 2, with C_l taken from the
+    perturbation formula over the Laguerre moments, not from its reduced
+    form (``test_lattice_term_is_the_moment_reduction`` derives both)."""
+    out = []
+    for l, mu in enumerate(closed_form_mu(beta, levels)):
+        al = Fraction(2 * beta - 2 * l - 1)
+        if al > 2:
+            b, m = (al + 2 * l + 1) / 2, (1 - al * al) / 4
+            m1, m0, mm1 = 2 * l + al + 1, 1, 1 / al
+            mm2 = (2 * l + al + 1) / ((al - 1) * al * (al + 1))
+            mm3 = ((al * al + (6 * l + 3) * al + 6 * l * l + 6 * l + 2)
+                   / ((al - 2) * (al - 1) * al * (al + 1) * (al + 2)))
+            phi2 = (m1 / 16 + b * b * mm1 + m * m * mm3 - b / 2 * m0
+                    - m / 2 * mm1 + 2 * b * m * mm2)
+            mu += float(-phi2 / (12 * mm1)) * h * h
+        out.append(mu)
+    return out
 
 
 def golden_mu(beta, n):
@@ -384,20 +405,27 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    # measured: 8 counts and 22 walks over the 8 levels with each walk
-    # started at its closed-form seed; seed counts at g -/+ 5e-3 before
-    # the walk took 24, no seed takes 92
+    # measured: 8 counts and 13 walks over the 8 levels with each walk
+    # started at its lattice seed: one each for levels 0..3, two each for
+    # levels 4..6, whose O(h^4) rest exceeds 1e-9, and three for level 7,
+    # which has no h^2 term.  The closed form alone took 22 walks, seed
+    # counts at g -/+ 5e-3 before the walk 24, no seed 92
     assert calls["count"] <= levels
-    assert calls["slope"] <= 3 * levels
+    assert calls["slope"] <= 13
 
 
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
-    # at beta = 8 the closed form lands within 5e-3 of every level, and
+    # at beta = 8 the lattice seed lands within 5e-3 of every level, and
     # level j's Newton walk starts at its seed g before any count: its
     # first Sturm work is a walk at exactly g, and its counts are only
     # certificate counts at mu_j -/+ 1e-9, one per level here
-    work = []
+    work, seeds = [], []
     slope, count = numverify._sturm_slope, numverify._sturm_count
+    solve = numverify.tridiag_eigs
+
+    def recorded_solve(*args, guess=(), **kwargs):
+        seeds.extend(guess)
+        return solve(*args, guess=guess, **kwargs)
 
     def recorded_slope(d, e2, x):
         work.append(("walk", x))
@@ -408,13 +436,14 @@ def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
         return count(d, e2, x)
     monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
     levels = spectra.halfplane_level_count(8.0)
-    mu = numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000),
-                                    levels).mu
-    seed = closed_form_mu(8.0, levels)
-    starts = [work.index(("walk", g)) for g in seed]
+    grid = numverify.FDGrid(1e-3, 80.0, 4000)
+    mu = numverify.whittaker_oracle(8.0, grid, levels).mu
+    assert seeds == pytest.approx(lattice_mu(8.0, levels, grid.h), rel=1e-14)
+    starts = [work.index(("walk", g)) for g in seeds]
     assert starts[0] == 0
-    for j, g in enumerate(seed):
+    for j, g in enumerate(seeds):
         assert abs(mu[j] - g) < 5e-3, j
         level_work = work[starts[j]:starts[j + 1] if j + 1 < levels else None]
         shifts = [x for kind, x in level_work if kind == "count"]
@@ -447,7 +476,8 @@ def test_tridiag_wrong_seed_keeps_the_root(guess):
 
 def test_oracle_seeds_only_the_bound_window(monkeypatch):
     # beta = 5 binds l = 0..4: l = 5 gets no seed, so the closed form
-    # mu = 0 of l = 4 (and of l = 5) starts one walk, l = 4's
+    # mu = 0 of l = 4 (and of l = 5), which has no h^2 term, starts one
+    # walk, l = 4's
     seeds, walks = [], []
     solve, slope = numverify.tridiag_eigs, numverify._sturm_slope
 
@@ -462,8 +492,112 @@ def test_oracle_seeds_only_the_bound_window(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     with pytest.raises(ResolutionError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
-    assert seeds == [closed_form_mu(5.0, 5)]
+    assert seeds == [pytest.approx(lattice_mu(5.0, 5, 80.0 / 401), rel=1e-14)]
     assert walks.count(0.0) == 1
+
+
+def test_lattice_term_is_the_moment_reduction():
+    """C_l of ``lattice_term`` is the first-order eigenvalue shift of the
+    central difference, derived here for l = 0..5 in exact rational
+    functions of al = 2 nu:
+
+    1. The stencil adds -(h^2/12) phi'''' to -phi'', so
+       delta mu = -(h^2/12) int (phi'')^2 / int phi^2/s^2, with no boundary
+       term at s = 0 for nu > 1.
+    2. The ODE gives phi'' = (1/4 - beta/s - mu/s^2) phi, with
+       beta = (al + 2l + 1)/2 and mu = (1 - al^2)/4.
+    3. phi^2 = s^{al+1} e^{-s} L_l^(al)(s)^2, so both integrals are sums of
+       M_q = int s^{al+q} e^{-s} L^2 ds over Gamma(l+al+1)/l!.  Each M_q is
+       built from the coefficients of L_l^(al) and
+       int s^{al+p} e^{-s} ds = Gamma(al+p+1), a rising factorial over
+       Gamma(l+al+1), and must equal the closed forms ``lattice_term``
+       lists.
+    4. The ratio must equal the reduced C_l, and ``lattice_term`` must
+       evaluate it.
+    """
+    sympy = pytest.importorskip("sympy")
+    K, al = sympy.field("al", sympy.QQ)
+
+    def rising(x, k):
+        out = K.one
+        for i in range(k):
+            out *= x + i
+        return out
+
+    for l in range(6):
+        # L_l^(al)(s) = sum_k (-1)^k rising(al + k + 1, l - k) s^k / ((l-k)! k!)
+        c = [(-1) ** k * rising(al + k + 1, l - k)
+             / (math.factorial(l - k) * math.factorial(k))
+             for k in range(l + 1)]
+
+        def moment(q):
+            tot = K.zero
+            for i, ci in enumerate(c):
+                for j, cj in enumerate(c):
+                    p = q + i + j - l    # Gamma(al+q+i+j+1) / Gamma(al+l+1)
+                    tot += ci * cj * (rising(al + l + 1, p) if p >= 0
+                                      else 1 / rising(al + l + 1 + p, -p))
+            return tot * math.factorial(l)
+
+        M = {q: moment(q) for q in (1, 0, -1, -2, -3)}
+        assert M == {
+            1: 2 * l + al + 1, 0: K.one, -1: 1 / al,
+            -2: (2 * l + al + 1) / ((al - 1) * al * (al + 1)),
+            -3: (al ** 2 + (6 * l + 3) * al + 6 * l ** 2 + 6 * l + 2)
+            / ((al - 2) * (al - 1) * al * (al + 1) * (al + 2))}, l
+        b, m = (al + 2 * l + 1) / 2, (1 - al ** 2) / 4
+        phi2 = (M[1] / 16 + b ** 2 * M[-1] + m ** 2 * M[-3] - b / 2 * M[0]
+                - m / 2 * M[-1] + 2 * b * m * M[-2])
+        L = l * (l + 1)
+        reduced = (-((2 * L + 1) * al ** 2 + 3 * (2 * l + 1) * al + 2 - 2 * L)
+                   / (64 * (al - 2) * (al + 2)))
+        assert -phi2 / (12 * M[-1]) == reduced, l
+        for beta in (l + 2, l + 2.75, l + 7.5, l + 40):
+            x = sympy.Rational(Fraction(2 * beta - 2 * l - 1))
+            want = reduced.numer(x) / reduced.denom(x)
+            assert numverify.lattice_term(beta, l) == pytest.approx(
+                float(want), rel=1e-14)
+    # no h^2 term for al <= 2
+    assert numverify.lattice_term(5.0, 4) == 0.0
+    assert numverify.lattice_term(2.5, 1) == 0.0
+    assert numverify.lattice_term(1.25, 0) == 0.0
+
+
+def test_lattice_seed_on_the_bench_cells(monkeypatch):
+    # the benchmark's nine cells: the lattice seed keeps every mu on the
+    # recorded value and saves walks, 112 at the closed-form seed, while
+    # each level still takes its one certificate count
+    calls = {"count": 0, "slope": 0}
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def counted_slope(*args):
+        calls["slope"] += 1
+        return slope(*args)
+
+    def counted_count(*args):
+        calls["count"] += 1
+        return count(*args)
+    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    for beta in (2.5, 5.0, 8.0):
+        for n in (4000, 8000, 16000):
+            mu = numverify.whittaker_oracle(
+                beta, numverify.FDGrid(1e-3, 80.0, n),
+                spectra.halfplane_level_count(beta)).mu
+            assert mu == pytest.approx(golden_mu(beta, n), rel=0, abs=1e-9)
+    # measured: 67 walks and 45 counts
+    assert calls["slope"] <= 70
+    assert calls["count"] == 45
+
+
+@pytest.mark.parametrize("k", [2.5, math.nan, "2"])
+def test_level_count_must_be_an_int(k):
+    # each raised a raw TypeError from a comparison, range or a list
+    # repetition
+    with pytest.raises(UsageError, match="k must be an int"):
+        numverify.tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], k)
+    with pytest.raises(UsageError, match="k_levels must be an int"):
+        numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 1000), k)
 
 
 def test_tridiag_wrong_prediction(monkeypatch):
@@ -573,10 +707,14 @@ def test_oracle_resolution_error():
     (1e3, 80.0, 2000, 1),
     (40.0, 80.0, 4000, 1),
     (5.0, 20.0, 1000, 5),
+    # the seed's (beta - 1/2)^2 raised an OverflowError before the seed
+    # was written with products
+    (1e200, 80.0, 1000, 1),
 ])
 def test_oracle_rejects_wall_bound_level(beta, s_max, n, levels):
     # U(s_n) = s_n^2/4 - beta s_n <= max mu: the deepest-reaching level is
-    # held by the right wall; these grids miss the closed form by 0.047 to 1e9
+    # held by the right wall; these grids miss the closed form by 0.047 to
+    # 1e200
     with pytest.raises(ResolutionError, match="reaches the wall"):
         numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, s_max, n),
                                    levels)

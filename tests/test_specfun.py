@@ -86,8 +86,15 @@ def test_whittaker_rejects_nonpositive_s():
     # each summed 10 000 terms before a ConvergenceError
     (lambda: specfun.hyp1f1(0.5, 1.0, math.nan), "z"),
     (lambda: specfun.hyp1f1(math.nan, 1.0, 1.0), "alpha"),
+    # a raw TypeError from range
+    (lambda: specfun.laguerre(2.5, 1.0, 1.0), "n"),
+    (lambda: specfun.laguerre(math.nan, 1.0, 1.0), "n"),
+    # each named hyp1f1's alpha or b
+    (lambda: specfun.whittaker_m(math.nan, 0.5, 1.0), "beta"),
+    (lambda: specfun.whittaker_m(5.0, math.inf, 1.0), "n"),
 ], ids=["laguerre-z", "laguerre-tau", "whittaker-nan-s", "whittaker-inf-s",
-        "hyp1f1-z", "hyp1f1-alpha"])
+        "hyp1f1-z", "hyp1f1-alpha", "laguerre-float-n", "laguerre-nan-n",
+        "whittaker-nan-beta", "whittaker-inf-n"])
 def test_non_finite_argument_is_a_usage_error_naming_it(call, name):
     with pytest.raises(UsageError, match=rf"\b{name}\b"):
         call()

@@ -48,9 +48,10 @@ def test_level_count_is_constant_time():
     assert spectra.halfplane_level_count(0.25) == 0
 
 
-@pytest.mark.parametrize("beta", [0, -1])
+@pytest.mark.parametrize("beta", [0, -1, math.inf, math.nan])
 def test_window_rejects_nonpositive_beta(beta):
-    with pytest.raises(UsageError, match="beta must be positive"):
+    # inf raised a bare "cannot convert float infinity to integer"
+    with pytest.raises(UsageError, match="beta must be positive and finite"):
         spectra.halfplane_level_count(beta)
 
 
@@ -90,6 +91,23 @@ def test_sphere_rejects_non_finite_radius(rho):
     # rho = inf gave -0.0
     with pytest.raises(UsageError, match="rho must be positive and finite"):
         spectra.sphere_spectrum(1, 2, rho)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: spectra.landau_flat(math.nan), "n"),
+    (lambda: spectra.landau_flat(math.inf), "n"),
+    (lambda: spectra.landau_flat(0, omega_c=math.inf), "omega_c"),
+    (lambda: spectra.landau_flat(0, hbar=math.inf), "hbar"),
+    (lambda: spectra.sphere_spectrum(math.nan, 1), "l"),
+    (lambda: spectra.sphere_spectrum(1, math.nan), "k"),
+    (lambda: spectra.sphere_spectrum(1, -math.inf), "k"),
+], ids=["flat-nan-n", "flat-inf-n", "flat-inf-omega", "flat-inf-hbar",
+        "sphere-nan-l", "sphere-nan-k", "sphere-inf-k"])
+def test_non_finite_quantum_number_is_a_usage_error(call, name):
+    # each raised OverflowError "... energy is not finite", a numerical
+    # failure, for what is a wrong request
+    with pytest.raises(UsageError, match=rf"^{name} |index {name} "):
+        call()
 
 
 def test_sphere_spectrum_values():
