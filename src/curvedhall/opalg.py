@@ -11,9 +11,14 @@ identities, Poisson brackets) is built from three layers:
                          each coefficient a LaurentPoly
 
 All values are immutable after construction and every operation returns a
-normalized result.  Input is checked once, where it enters (``Ring.const``,
-``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``,
-``DiffOp.from_terms``); the constructors only store kernel-built parts.
+normalized result.  Values are shared, so no code may edit a ``num`` or a
+``terms`` dict in place: ``Ring.var`` returns one value per (name, power),
+and a ``DiffOp`` keeps its derivative table, ``[(beta, d_var g_beta)]``
+per geometric variable, once ``_hits`` has built it with the operator on
+the right.  Neither table refers back to its owner.  Input is checked
+once, where it enters (``Ring.const``, ``Ring.var``, ``Ring.monomial``,
+``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``, ``DiffOp.from_terms``);
+the constructors only store kernel-built parts.
 A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
 (a + b*i)/den over one denominator ``den`` for the whole polynomial, as
 FLINT's ``fmpq_poly`` keeps rational polynomials, so a sum, a product or a
@@ -244,6 +249,8 @@ class Ring:
         # positions whose exponent may not go negative
         self._plain = tuple(k for k, v in enumerate(self.vars)
                             if v not in self.laurent)
+        # (name, power) -> the shared monomial of ``var``
+        self._vars = {}
 
     def zero(self):
         return LaurentPoly(self, {}, 1)
@@ -258,11 +265,20 @@ class Ring:
         return LaurentPoly(self, {(0,) * len(self.vars): (z._a, z._b)}, z._d)
 
     def var(self, name, power=1):
+        """The monomial name**power for an int power.  Each checked (name,
+        power) is built once and the same value returned after, so callers
+        share it and must not edit its ``num``; a bad name or power raises
+        on every call."""
         if name not in self.index:
             raise DeclarationError(f"undeclared variable {name!r}")
-        vec = [0] * len(self.vars)
-        vec[self.index[name]] = power
-        return self.monomial(tuple(vec))
+        if not isinstance(power, int):
+            raise TypeError("exponent must be an int")
+        v = self._vars.get((name, power))
+        if v is None:
+            vec = [0] * len(self.vars)
+            vec[self.index[name]] = power
+            v = self._vars[name, power] = self.monomial(tuple(vec))
+        return v
 
     def monomial(self, exps, coeff=1):
         return self.const(coeff).shift(exps)
@@ -575,15 +591,21 @@ class DiffOp(_Value):
     variable is inert.  Terms map derivative multi-indices to LaurentPoly
     coefficients, with all derivatives to the right of all coefficients.
     Built by ``mult``, ``d``, ``zero`` and ``from_terms``; the constructor
-    drops zero terms and trusts the rest.
+    drops zero terms and trusts the rest.  ``_hits`` fills ``_dgs``, the
+    derivative table of an operator on the right of ``*`` or
+    ``commutator``, on first use; it holds coefficients, never an
+    operator, and is shared by every later call, so ``terms`` and each
+    coefficient's ``num`` are never edited in place.
     """
 
-    __slots__ = ("ring", "geom_vars", "terms")
+    __slots__ = ("ring", "geom_vars", "terms", "_dgs")
 
     def __init__(self, ring, geom_vars, terms):
         self.ring = ring
         self.geom_vars = geom_vars
         self.terms = {a: c for a, c in terms.items() if not c.is_zero}
+        # var -> [(beta, d_var g_beta)], filled by ``_hits`` on first use
+        self._dgs = None
 
     # -- builders ----------------------------------------------------------
 
@@ -666,11 +688,14 @@ class DiffOp(_Value):
         rest_0 is empty, so the alpha = 0 terms of self are skipped, and
         each rest_p is kept for every alpha of self that passes through p.
         Repeating the rule sums the Leibniz binomials, so none is formed.
+        The d_v g_beta are read from other's ``_dgs``, built on first use.
         """
         gv = self.geom_vars
         zero = (0,) * len(gv)
         rests = {zero: {}}
-        dgs = {}
+        dgs = other._dgs
+        if dgs is None:
+            dgs = other._dgs = {}
         out = {}
         for alpha, f in self.terms.items():
             p = zero

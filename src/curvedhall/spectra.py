@@ -16,7 +16,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import NoBoundStateError, UsageError, check_mass_and_scale
+from .errors import (NoBoundStateError, UsageError, check_int,
+                     check_mass_and_scale)
 from .specfun import _laguerre_exact, laguerre
 
 
@@ -38,9 +39,10 @@ def _line(geometry, qn, expr, args):
 
 
 def landau_flat(n, omega_c=1, hbar=1):
-    """E_n = (n + 1/2) hbar omega_c."""
-    if not 0 <= n < math.inf:
-        raise UsageError("Landau index n must be nonnegative and finite")
+    """E_n = (n + 1/2) hbar omega_c, for an int n >= 0."""
+    n = check_int(n, "n")
+    if n < 0:
+        raise UsageError("Landau index n must be nonnegative")
     if not 0 < omega_c < math.inf:
         raise UsageError("omega_c must be positive and finite")
     if not 0 < hbar < math.inf:
@@ -59,15 +61,18 @@ def halfplane_level_count(beta):
 
 
 def _check_window(beta, l):
+    """l as an int inside the bound-state window."""
+    l = check_int(l, "l")
     if not (0 <= l and l < float(beta) - 0.5):
         raise NoBoundStateError(
             f"l={l} outside the bound-state window 0 <= l < beta - 1/2 "
             f"(beta={beta})")
+    return l
 
 
 def landau_halfplane(beta, l, m=1, a=1):
     """E_{beta,l} = (1/2 m a^2) (beta^2 + 1/4 - (l - beta + 1/2)^2)."""
-    _check_window(beta, l)
+    l = _check_window(beta, l)
     check_mass_and_scale(m, a)
     return _line(
         "halfplane", {"l": l, "beta": beta},
@@ -77,11 +82,14 @@ def landau_halfplane(beta, l, m=1, a=1):
 
 
 def sphere_spectrum(l, k, rho=1):
-    """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ]."""
-    if not 0 <= l < math.inf:
-        raise UsageError("l must be nonnegative and finite")
-    if not -math.inf < k < math.inf:
-        raise UsageError("k must be finite")
+    """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ], for an int
+    l >= 0 and a whole k.  k may be a float, as 2.0, which takes the float
+    path."""
+    l = check_int(l, "l")
+    if l < 0:
+        raise UsageError("l must be nonnegative")
+    if not -math.inf < k < math.inf or k % 1:
+        raise UsageError(f"k must be a finite whole number, got {k!r}")
     if not 0 < float(rho) < math.inf:
         raise UsageError("rho must be positive and finite")
     return _line(
@@ -94,7 +102,7 @@ def eigenfunction_halfplane(beta, l, c, point):
     """Psi = e^{-i c x - c y} y^{beta-l} L_l^{(2 beta - 2 l - 1)}(2 c y),
     unnormalized.  |Psi| is x-independent; c > 0 labels the degenerate
     copies of each level."""
-    _check_window(beta, l)
+    l = _check_window(beta, l)
     if not 0 < c < math.inf:
         raise UsageError("separation constant c must be positive and finite")
     x, y = point

@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: scalars, polynomials and normal-ordered
 differential operators."""
 
+import gc
 import math
 import operator
 from fractions import Fraction
@@ -494,6 +495,123 @@ def test_commutator_checks_declarations(ring):
         A.commutator(other.var("x"))
     with pytest.raises(TypeError):
         A.commutator("x")
+
+
+# -- shared values -----------------------------------------------------------
+
+def _state(v):
+    """Everything an in-place edit of a kernel value could change: den and
+    num in order for a LaurentPoly, the terms in order for a DiffOp."""
+    if isinstance(v, DiffOp):
+        return [(alpha, _state(c)) for alpha, c in v.terms.items()]
+    return v.den, list(v.num.items())
+
+
+_VARS = [("x", 1), ("x", 2), ("y", 1), ("y", -1), ("y", 2), ("beta", 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_no_operation_mutates_an_operand(ring, data):
+    # ring.var and the derivative tables hand one value to every caller, so
+    # an operation that edited an operand in place would corrupt them all
+    polys, ops = _poly_strategy(ring), _diffop_strategy(ring)
+    p, q = data.draw(polys), data.draw(polys)
+    A, B = data.draw(ops), data.draw(ops)
+    k = data.draw(st.integers(0, 3))
+    shared = {key: ring.var(*key) for key in _VARS}
+    before = {key: _state(v) for key, v in shared.items()}
+    operands = (p, q, A, B)
+    states = [_state(v) for v in operands]
+    dx, dy = _d(ring, "x"), _d(ring, "y")
+    calls = [
+        lambda: p + q, lambda: p - q, lambda: p * q, lambda: p ** k,
+        lambda: q * ring.var("y", -1),
+        *(lambda v=v: p.diff(v) for v in ring.vars),
+        lambda: p.shift((1, -1, 0)),
+        # y is unmapped, so its power comes from the shared ring.var
+        lambda: p.substitute({"x": q}),
+        lambda: A + B, lambda: A - B, lambda: A * B, lambda: B * A,
+        lambda: A + p, lambda: A * p, lambda: A.commutator(B),
+        lambda: B.commutator(A), lambda: A.commutator(p),
+        lambda: A.apply_poly(p),
+        lambda: A.substitute({"x": q}, {"x": dx, "y": dx + dy}),
+    ]
+    for call in calls:
+        call()
+        assert [_state(v) for v in operands] == states
+        assert {key: _state(v) for key, v in shared.items()} == before
+    assert all(ring.var(*key) is v for key, v in shared.items())
+
+
+def _layout(op):
+    """An operator's coefficient tables, in order: what a fresh build must
+    reproduce exactly."""
+    return [(alpha, c.den, list(c.num.items())) for alpha, c in op.terms.items()]
+
+
+def _reaches_an_operator(table):
+    """Whether anything the table refers to, types aside, is a DiffOp."""
+    seen, todo = set(), [table]
+    while todo:
+        v = todo.pop()
+        if id(v) in seen or isinstance(v, type):
+            continue
+        if isinstance(v, DiffOp):
+            return True
+        seen.add(id(v))
+        todo.extend(gc.get_referents(v))
+    return False
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cached_derivatives_give_the_fresh_result(ring, data):
+    ops = _phi_diffop_strategy(ring)
+    A, B, C = data.draw(ops), data.draw(ops), data.draw(ops)
+    # warm the tables: each operand of a bracket is once on the right
+    A.commutator(B)
+    B * C
+    for op in (A, B, C):
+        assert op._dgs is not None and not _reaches_an_operator(op._dgs)
+
+    def fresh(op):
+        return DiffOp.from_terms(ring, GV, op.terms)
+
+    assert fresh(B)._dgs is None
+    # a table read with another right operand than its own would show here
+    for left, right in ((A, B), (B, A), (A, C), (C, B), (B, C)):
+        assert _layout(left * right) == _layout(fresh(left) * fresh(right))
+        assert (_layout(left.commutator(right))
+                == _layout(fresh(left).commutator(fresh(right))))
+
+
+def test_ring_var_is_shared_per_name_and_power(ring):
+    assert ring.var("y") is ring.var("y")
+    assert ring.var("y", 1) is ring.var("y")
+    assert ring.var("y", 2) is ring.var("y", 2)
+    assert ring.var("y", 2) is not ring.var("y")
+    assert ring.var("y", -1) is not ring.var("y", 1)
+    # a ring built apart from the same declaration shares nothing
+    twin = Ring(("x", "y", "beta"), laurent=("y",), params=("beta",))
+    assert twin.var("y") is not ring.var("y")
+    with pytest.raises(DeclarationError):
+        twin.var("y") + ring.var("y")
+
+
+@pytest.mark.parametrize("args, error", [
+    (("q",), DeclarationError),
+    (("x", -1), DeclarationError),
+    (("y", 1.0), TypeError),
+    (("y", Fraction(2)), TypeError),
+], ids=["undeclared", "negative-plain", "float-power", "fraction-power"])
+def test_bad_ring_var_raises_on_every_call(ring, args, error):
+    # the memo keys only checked int powers: 1.0 == 1 must not find y
+    ring.var("y")
+    ring.var("y", 2)
+    for _ in range(2):
+        with pytest.raises(error):
+            ring.var(*args)
 
 
 def _no_repr(self):

@@ -110,6 +110,27 @@ def test_non_finite_quantum_number_is_a_usage_error(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: spectra.landau_flat(2.5), "n"),
+    (lambda: spectra.landau_halfplane(5, 1.5), "l"),
+    (lambda: spectra.sphere_spectrum(1.5, 2), "l"),
+    (lambda: spectra.sphere_spectrum(1, 2.5), "k"),
+    (lambda: spectra.sphere_spectrum(1, Fraction(5, 2)), "k"),
+    (lambda: spectra.eigenfunction_halfplane(5, 1.5, 1.0, (0.0, 1.0)), "l"),
+], ids=["flat-n", "halfplane-l", "sphere-l", "sphere-k", "sphere-fraction-k",
+        "eigenfunction-l"])
+def test_non_integer_quantum_number_is_a_usage_error(call, name):
+    # the first four answered 3.0, 8.125, -0.5 and -3.5; the eigenfunction
+    # raised laguerre's error for its degree, which does not name l
+    with pytest.raises(UsageError, match=rf"^{name} must be"):
+        call()
+
+
+def test_whole_float_k_takes_the_float_path():
+    line = spectra.sphere_spectrum(1, 2.0)
+    assert line.energy == -2.0 and line.energy_exact is None
+
+
 def test_sphere_spectrum_values():
     vals = [spectra.sphere_spectrum(l, 2, 1).energy for l in range(3)]
     assert vals == [-2.0, -2.0, 2.0]
