@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from .errors import DomainError, FitSingularError, UsageError
+from .errors import DomainError, FitSingularError, UsageError, check_int
 
 
 class PhaseState(namedtuple("PhaseState", "t x y px py")):
@@ -98,6 +98,7 @@ def integrate_rk4(s0, a, beta, dt, steps):
         raise UsageError("dt must be positive")
     if a == 0:
         raise UsageError("a must be nonzero")
+    steps = check_int(steps, "steps")
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     states = [s0]

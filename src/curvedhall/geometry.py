@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .opalg import DiffOp, I, Ring
 
 # rho is inert on the half-plane: it is the sphere radius of the
@@ -166,8 +166,11 @@ def scalar_curvature_fd(metric, point, step):
 
     For ds^2 = e^{2s} (dx^2+dy^2) the Gaussian curvature is
     K = -e^{-2s} (s_xx + s_yy); the Laplacian of s = ln(factor) = -ln u is
-    taken with a second-order 5-point stencil.
+    taken with a second-order 5-point stencil, whose step must be positive
+    and finite (``UsageError``).
     """
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"step = {step!r} must be positive and finite")
     x, y = point
     s = lambda p: math.log(metric.factor_at(p))
     s0 = s(point)

@@ -8,7 +8,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, PauliViolationError, UsageError
+from .errors import DomainError, PauliViolationError, UsageError, check_int
 
 
 class ParticleConfig(namedtuple("ParticleConfig", "points z0")):
@@ -131,7 +131,9 @@ def filling_factor(n_particles, b_field, area):
 
 
 def filling_quantized(n_particles, n_flux):
-    """Exact rational filling N / N_phi."""
+    """Exact rational filling N / N_phi of two int counts."""
+    n_particles = check_int(n_particles, "n_particles")
+    n_flux = check_int(n_flux, "n_flux")
     if n_flux < 1:
         raise DomainError("flux-quantum count must be >= 1")
     return Fraction(n_particles, n_flux)

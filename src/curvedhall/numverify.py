@@ -19,6 +19,7 @@ and never decides an answer.  The seed is written here, not imported from
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import namedtuple
@@ -33,15 +34,16 @@ class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
     with Dirichlet ends at s = 0 and s = s_max.  ``s_min`` is not a grid
     parameter: it is the excluded neighbourhood of the singular point
     s = 0 and must lie below the first node.  The constructor,
-    ``_make`` and ``_replace`` check all three."""
+    ``_make`` and ``_replace`` check all three; ``n_points`` must be an
+    int (a nan or 1000.5 is a ``UsageError``)."""
 
     __slots__ = ()
 
     def __new__(cls, s_min, s_max, n_points):
         if not 0 < s_min < s_max < math.inf:
             raise UsageError("need 0 < s_min < s_max < inf")
-        # a nan count fails this test too
-        if not n_points >= 100:
+        n_points = check_int(n_points, "n_points")
+        if n_points < 100:
             raise UsageError("n_points must be >= 100")
         self = super().__new__(cls, s_min, s_max, n_points)
         if s_min >= self.h:
@@ -106,11 +108,21 @@ def fd_apply(H, f, point, h):
 
 
 def residual_check(H, psi, energy, points, h):
-    """Max over points of |H psi - E psi| / (|E||psi| + guard)."""
+    """Max over points of |H psi - E psi| / (|E||psi| + guard).
+
+    A ``UsageError`` names the first point where psi or its stencil
+    image H psi is not finite, and rejects a non-finite energy: a nan
+    residual would lose every ``max`` and read as a perfect pass."""
+    if not cmath.isfinite(energy):
+        raise UsageError(f"energy = {energy!r} is not finite")
     worst = 0.0
     for pt in points:
         val = psi({v: pt[v] for v in H.geom_vars})
-        res = fd_apply(H, psi, pt, h) - energy * val
+        hval = fd_apply(H, psi, pt, h)
+        if not (cmath.isfinite(val) and cmath.isfinite(hval)):
+            raise UsageError(f"psi = {val!r} and H psi = {hval!r} at "
+                             f"{pt!r}: both must be finite")
+        res = hval - energy * val
         denom = abs(energy) * abs(val) + 1e-300
         worst = max(worst, abs(res) / denom)
     return worst
@@ -248,25 +260,24 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
                     b[i], cb[i] = x, c
             elif x > a[i]:
                 a[i], ca[i] = x, c
-
-    def count(x):
-        c = _sturm_count(d, e2, x)
-        narrow(x, c)
         return c
 
-    def bisect(j):
-        """One bisection step on level j; False once the bracket is at
-        its last ulp or at most 1e-12 wide."""
-        if b[j] - a[j] <= _BISECT_WIDTH:
-            return False
-        mid = 0.5 * (a[j] + b[j])
-        if mid == a[j] or mid == b[j]:
-            return False
-        count(mid)
-        return True
+    def count(x):
+        return narrow(x, _sturm_count(d, e2, x))
 
-    def isolated(j):
-        return ca[j] == j and cb[j] == j + 1
+    def bisect_until(j, width):
+        """Bisect level j until its bracket holds lambda_j alone and is
+        at most ``width`` wide, and return True; at the floor, a bracket
+        at most 1e-12 wide or at its last ulp, return whether it holds
+        lambda_j alone."""
+        while True:
+            isolated = ca[j] == j and cb[j] == j + 1
+            if isolated and b[j] - a[j] <= width:
+                return True
+            mid = 0.5 * (a[j] + b[j])
+            if b[j] - a[j] <= _BISECT_WIDTH or mid == a[j] or mid == b[j]:
+                return isolated
+            count(mid)
 
     def newton(j, x):
         """Certified Newton root of level j walked from x, or None."""
@@ -286,21 +297,13 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
         return x if below and above else None
 
     for j in range(k):
-        x = None
-        if j < len(guess):
-            # a nan guess fails both comparisons and takes no walk
-            g = float(guess[j])
-            if a[j] < g < b[j]:
-                x = newton(j, g)
+        # a nan guess fails both comparisons and takes no walk
+        g = float(guess[j]) if j < len(guess) else math.nan
+        x = newton(j, g) if a[j] < g < b[j] else None
+        if x is None and bisect_until(j, _NEWTON_WIDTH):
+            x = newton(j, 0.5 * (a[j] + b[j]))
         if x is None:
-            while not (isolated(j) and b[j] - a[j] <= _NEWTON_WIDTH) \
-                    and bisect(j):
-                pass
-            if isolated(j):
-                x = newton(j, 0.5 * (a[j] + b[j]))
-        if x is None:
-            while bisect(j):
-                pass
+            bisect_until(j, -math.inf)
             x = 0.5 * (a[j] + b[j])
         out.append(x)
     return out

@@ -12,21 +12,23 @@ identities, Poisson brackets) is built from three layers:
 
 All values are immutable after construction and every operation returns a
 normalized result.  Values are shared, so no code may edit a ``num`` or a
-``terms`` dict in place: ``Ring.var`` returns one value per (name, power),
-and a ``DiffOp`` keeps its derivative table, ``[(beta, d_var g_beta)]``
-per geometric variable, once ``_hits`` has built it with the operator on
-the right.  Neither table refers back to its owner.  Input is checked
-once, where it enters (``Ring.const``, ``Ring.var``, ``Ring.monomial``,
-``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``, ``DiffOp.from_terms``);
-the constructors only store kernel-built parts.
-A ``LaurentPoly`` keeps no scalar object per term: its coefficients are
-(a + b*i)/den over one denominator ``den`` for the whole polynomial, as
-FLINT's ``fmpq_poly`` keeps rational polynomials, so a sum, a product or a
-derivative is int arithmetic over the numerators and one content gcd at
-the end.  ``GaussianRational`` stays the public scalar;
-``LaurentPoly.terms`` builds one per term when it is read.  A polynomial
-has no inverse: the only negative powers are those of a Laurent variable,
-written ``ring.var(name, -k)``.
+``DiffOp.terms`` dict in place: ``Ring.var`` returns one value per
+(name, power), and a ``DiffOp`` keeps its derivative table,
+``[(beta, d_var g_beta)]`` per geometric variable, once ``_hits`` has
+built it with the operator on the right.  Neither table refers back to
+its owner.  Input is checked once, where it enters (``Ring.const``,
+``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``,
+``DiffOp.zero``, ``DiffOp.from_terms``); the constructors only store
+kernel-built parts.
+A ``LaurentPoly`` is its ``ring``, ``num`` and ``den``, and keeps no
+scalar object per term: its coefficients are (a + b*i)/den over one
+denominator ``den`` for the whole polynomial, as FLINT's ``fmpq_poly``
+keeps rational polynomials, so a sum, a product or a derivative is int
+arithmetic over the numerators and one content gcd at the end.
+``GaussianRational`` stays the public scalar; ``LaurentPoly.terms``
+builds a new dict of them, one per term, on each read, so editing that
+dict changes no value.  A polynomial has no inverse: the only negative
+powers are those of a Laurent variable, written ``ring.var(name, -k)``.
 
 The three types share one base, ``_Value``: ``a - b`` is ``a + (-b)``
 and ``b - a`` is ``(-a) + b``, and ``==`` lifts the operand and tests
@@ -59,7 +61,6 @@ is kept for a left factor p that is a function of them.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
 
@@ -299,22 +300,22 @@ class LaurentPoly(_Value):
     den == 1.  The form is unique, so ``==`` and the hash read
     ``(den, num)``.  Arithmetic is int arithmetic over the numerators, and
     ``_reduced`` makes one content pass per result; the constructor only
-    stores parts already in the form.  ``terms`` is a read-only view that
-    builds each coefficient as a GaussianRational when it is read.
+    stores parts already in the form.  A value holds ``ring``, ``num``
+    and ``den`` and nothing else; ``terms`` builds a new dict on each read.
     """
 
-    __slots__ = ("ring", "num", "den", "_hash")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, num, den):
         self.ring = ring
         self.num = num
         self.den = den
-        self._hash = None
 
     @property
     def terms(self):
-        """Read-only ``{exps: GaussianRational}`` view of the coefficients."""
-        return _Terms(self.num, self.den)
+        """A new ``{exps: GaussianRational}`` dict of the coefficients."""
+        den = self.den
+        return {e: _norm(a, b, den) for e, (a, b) in self.num.items()}
 
     # -- ring ops ----------------------------------------------------------
 
@@ -415,16 +416,12 @@ class LaurentPoly(_Value):
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            num = self.num
-            if any(map(any, num)):
-                self._hash = hash((self.den, frozenset(num.items())))
-            else:
-                # every exponent is 0: a constant equals its scalar, so
-                # hashes alike
-                a, b = next(iter(num.values()), (0, 0))
-                self._hash = hash(_make(a, b, self.den))
-        return self._hash
+        num = self.num
+        if any(map(any, num)):
+            return hash((self.den, frozenset(num.items())))
+        # every exponent is 0: a constant equals its scalar, so hashes alike
+        a, b = next(iter(num.values()), (0, 0))
+        return hash(_make(a, b, self.den))
 
     @property
     def is_zero(self):
@@ -511,27 +508,6 @@ class LaurentPoly(_Value):
         return s.replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-class _Terms(Mapping):
-    """``LaurentPoly.terms``: builds each coefficient as a GaussianRational
-    when it is read; its length and keys come from the numerators."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, exps):
-        a, b = self._num[exps]
-        return _norm(a, b, self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
 
 
 def _reduced(ring, num, den):

@@ -226,6 +226,13 @@ def test_rk4_rejects_zero_scale():
         classical.integrate_rk4(preset(), 0.0, BETA, 0.01, 2)
 
 
+@pytest.mark.parametrize("steps", [2.5, math.nan, "3"])
+def test_rk4_rejects_a_step_count_that_is_not_an_int(steps):
+    # range(2.5) raised a raw TypeError
+    with pytest.raises(UsageError, match="steps"):
+        classical.integrate_rk4(preset(), A, BETA, 0.01, steps)
+
+
 # -- the step and the drift against frozen copies of the earlier code -------
 
 def _rhs_reference(x, y, px, py, a, beta):

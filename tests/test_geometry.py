@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from curvedhall import geometry, models
-from curvedhall.errors import DomainError
+from curvedhall.errors import DomainError, UsageError
 from curvedhall.opalg import DiffOp
 
 
@@ -49,6 +49,14 @@ def test_make_metric_rejects_bad_parameters():
         with pytest.raises(DomainError, match="without a numeric value"):
             geometry.scalar_curvature_fd(geometry.make_metric(kind),
                                          (0.0, 0.5), 1e-3)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+def test_curvature_stencil_step_must_be_positive_and_finite(step):
+    # a zero step divided by zero
+    with pytest.raises(UsageError, match="step"):
+        geometry.scalar_curvature_fd(geometry.make_metric("halfplane", a=1.0),
+                                     (0.0, 1.0), step)
 
 
 def test_flat_metric_is_unit():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curvedhall import manybody
-from curvedhall.errors import DomainError, PauliViolationError
+from curvedhall.errors import DomainError, PauliViolationError, UsageError
 
 
 def random_config(n, rng, z0=1.0):
@@ -165,6 +165,16 @@ def test_filling_factor():
     assert manybody.filling_quantized(7, 7) == 1
     with pytest.raises(DomainError):
         manybody.filling_quantized(3, 0)
+
+
+@pytest.mark.parametrize("n_particles, n_flux, name", [
+    (2.5, 3, "n_particles"), (3, 2.5, "n_flux"), (3, math.nan, "n_flux"),
+])
+def test_filling_quantized_rejects_non_integer_counts(n_particles, n_flux,
+                                                      name):
+    # Fraction(2.5, 3) raised a raw TypeError
+    with pytest.raises(UsageError, match=name):
+        manybody.filling_quantized(n_particles, n_flux)
 
 
 @pytest.mark.parametrize("n, b_field, area", [

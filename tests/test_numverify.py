@@ -7,14 +7,16 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvedhall import models, numverify, spectra
 from curvedhall.errors import (NonNormalizableError, ResolutionError,
-                               SingularityError, UsageError)
+                               SingularityError, UsageError, check_int)
 from curvedhall.geometry import GEOM, HALFPLANE_RING
 from curvedhall.opalg import DiffOp
 
@@ -40,9 +42,11 @@ def test_grid_invariants():
     # s_min is the excluded neighbourhood of s = 0, below the first node
     with pytest.raises(ValueError):
         numverify.FDGrid(80.0 / 1001, 80.0, 1000)
-    # no spacing h of inf or nan
+    # no spacing h of inf or nan, and an int point count: 1000.5 raised
+    # a raw TypeError from range in whittaker_matrix
     for s_max, n_points in ((math.inf, 1000), (math.nan, 1000),
-                            (80.0, math.nan)):
+                            (80.0, math.nan), (80.0, 1000.5), (80.0, 1000.0),
+                            (80.0, "1000")):
         with pytest.raises(UsageError):
             numverify.FDGrid(1e-3, s_max, n_points)
     # a copy is checked as the constructor is
@@ -124,6 +128,34 @@ def test_residual_h4_scaling():
     r3 = numverify.residual_check(H, psi, energy, pts, 1e-2)
     assert r1 / r2 == pytest.approx(16.0, rel=0.5)
     assert r2 / r3 == pytest.approx(16.0, rel=0.5)
+
+
+RESIDUAL_POINT = {"x": 0.0, "y": 1.0, "beta": 5.0, "a": 1.0, "m": 1.0,
+                  "rho": 1.0}
+
+
+@pytest.mark.parametrize("psi", [
+    pytest.param(lambda co: math.nan, id="nan"),
+    pytest.param(lambda co: math.inf, id="inf"),
+    # finite at the point, inf at its stencil neighbours
+    pytest.param(lambda co: 1.0 if co == {"x": 0.0, "y": 1.0} else math.inf,
+                 id="inf-beside"),
+])
+def test_residual_rejects_a_non_finite_psi(psi):
+    # a nan residual lost every max: both read 0.0, a perfect pass
+    H = models.hamiltonian_halfplane()
+    with pytest.raises(UsageError, match="'y': 1.0"):
+        numverify.residual_check(H, psi, 1.0, [RESIDUAL_POINT], 1e-3)
+    with pytest.raises(UsageError, match="'y': 1.0"):
+        numverify.tuned_residual(H, psi, 1.0, [RESIDUAL_POINT])
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf])
+def test_residual_rejects_a_non_finite_energy(energy):
+    H = models.hamiltonian_halfplane()
+    with pytest.raises(UsageError, match="energy"):
+        numverify.residual_check(H, lambda co: 1.0, energy, [RESIDUAL_POINT],
+                                 1e-3)
 
 
 def test_tridiag_closed_form():
@@ -643,6 +675,212 @@ def test_tridiag_diagonal_and_single():
     assert numverify.tridiag_eigs([3.0, -1.0, 2.0], [0.0, 0.0], 3) \
         == pytest.approx([-1.0, 2.0, 3.0], abs=1e-11)
     assert numverify.tridiag_eigs([7.0], [], 1) == [7.0]
+
+
+# -- the eigen-solve against a frozen copy of the earlier code ---------------
+
+def _tridiag_eigs_reference(diag, offdiag, k, guess=()):
+    """tridiag_eigs as it was, with separate ``bisect`` and ``isolated``
+    closures and two bisection loops.  It calls the Sturm routines through
+    the module, so a recorder sees its calls too."""
+    k = check_int(k, "k")
+    d = [float(v) for v in diag]
+    e = [float(v) for v in offdiag]
+    n = len(d)
+    if len(e) != max(n - 1, 0):
+        raise ValueError("offdiag must have length n-1")
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    e2 = [v * v for v in e]
+    if not (math.isfinite(sum(d) + sum(e2))
+            or all(map(math.isfinite, chain(d, e2)))):
+        raise UsageError("tridiag_eigs needs finite d_i and e_i^2")
+    if n == 1:
+        return [d[0]]
+    r = 2.0 * max(map(abs, e))
+    lo, hi = min(d) - r, max(d) + r
+    if not math.isfinite(2.0 * max(-lo, hi)):
+        raise UsageError(f"tridiag_eigs bracket [{lo!r}, {hi!r}] overflows "
+                         "in bisection; scale the matrix down")
+    a, ca = [lo] * k, [0] * k
+    b, cb = [hi] * k, [n + 1] * k
+    out = []
+
+    def narrow(x, c):
+        for i in range(len(out), k):
+            if c > i:
+                if x < b[i]:
+                    b[i], cb[i] = x, c
+            elif x > a[i]:
+                a[i], ca[i] = x, c
+
+    def count(x):
+        c = numverify._sturm_count(d, e2, x)
+        narrow(x, c)
+        return c
+
+    def bisect(j):
+        if b[j] - a[j] <= 1e-12:
+            return False
+        mid = 0.5 * (a[j] + b[j])
+        if mid == a[j] or mid == b[j]:
+            return False
+        count(mid)
+        return True
+
+    def isolated(j):
+        return ca[j] == j and cb[j] == j + 1
+
+    def newton(j, x):
+        for _ in range(8):
+            c, s = numverify._sturm_slope(d, e2, x)
+            narrow(x, c)
+            if not (s and math.isfinite(s)):
+                return None
+            nxt = min(max(x - 1.0 / s, a[j]), b[j])
+            step, x = abs(nxt - x), nxt
+            if step < 1e-9:
+                break
+        else:
+            return None
+        below = (a[j] >= x - 1e-9 and ca[j] == j) or count(x - 1e-9) == j
+        above = (b[j] <= x + 1e-9 and cb[j] <= n) or count(x + 1e-9) > j
+        return x if below and above else None
+
+    for j in range(k):
+        x = None
+        if j < len(guess):
+            g = float(guess[j])
+            if a[j] < g < b[j]:
+                x = newton(j, g)
+        if x is None:
+            while not (isolated(j) and b[j] - a[j] <= 1e-2) and bisect(j):
+                pass
+            if isolated(j):
+                x = newton(j, 0.5 * (a[j] + b[j]))
+        if x is None:
+            while bisect(j):
+                pass
+            x = 0.5 * (a[j] + b[j])
+        out.append(x)
+    return out
+
+
+def _traced_solve(solve, diag, offdiag, k, guess=()):
+    """(outcome, work): the eigenvalues as ``.hex()`` strings, or the
+    error's type and text, and every Sturm count and slope shift in call
+    order."""
+    work = []
+    count, slope = numverify._sturm_count, numverify._sturm_slope
+
+    def recorded_count(d, e2, x):
+        work.append(("count", x.hex()))
+        return count(d, e2, x)
+
+    def recorded_slope(d, e2, x):
+        work.append(("slope", x.hex()))
+        return slope(d, e2, x)
+    numverify._sturm_count, numverify._sturm_slope = (recorded_count,
+                                                      recorded_slope)
+    try:
+        outcome = [v.hex() for v in solve(diag, offdiag, k, guess)]
+    except ValueError as exc:
+        outcome = (type(exc), str(exc))
+    finally:
+        numverify._sturm_count, numverify._sturm_slope = count, slope
+    return outcome, work
+
+
+def _assert_same_solve(diag, offdiag, k, guess=()):
+    want = _traced_solve(_tridiag_eigs_reference, diag, offdiag, k, guess)
+    assert _traced_solve(numverify.tridiag_eigs, diag, offdiag, k,
+                         guess) == want
+
+
+def _oracle_request(beta, n, levels):
+    """The (diag, off, k, guess) that ``whittaker_oracle`` hands the
+    eigen-solve."""
+    seen = []
+
+    def capture(diag, off, k, guess=()):
+        seen.append((diag, off, k, tuple(guess)))
+        raise LookupError
+    solve, numverify.tridiag_eigs = numverify.tridiag_eigs, capture
+    try:
+        with pytest.raises(LookupError):
+            numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, 80.0, n),
+                                       levels)
+    finally:
+        numverify.tridiag_eigs = solve
+    return seen[0]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("n", [1000, 4000])
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
+def test_merged_bisection_is_the_old_solver_seeded(beta, n, extra):
+    # the oracle's own request, and one level past the seeded window,
+    # which takes the bisection path
+    levels = spectra.halfplane_level_count(beta) + extra
+    _assert_same_solve(*_oracle_request(beta, n, levels))
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
+def test_merged_bisection_is_the_old_solver_unseeded(beta):
+    diag, off, k, _ = _oracle_request(beta, 1000,
+                                      spectra.halfplane_level_count(beta))
+    _assert_same_solve(diag, off, k)
+
+
+@pytest.mark.parametrize("shift", [0.3, -0.3, 1e3, -1e3, math.nan,
+                                   "level+1", "level-1"])
+def test_merged_bisection_is_the_old_solver_wrong_seed(shift):
+    diag, off, k, seed = _oracle_request(8.0, 1000, BETA8_LEVELS)
+    if isinstance(shift, str):
+        guess = closed_form_mu(8.0, k, first=1 if shift == "level+1" else -1)
+    else:
+        guess = [g + shift for g in seed]
+    _assert_same_solve(diag, off, k, guess)
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([1.0] * 5 + [2.0], [0.0] * 5),
+    # isolated levels beyond ~4e13, whose brackets reach their last ulp
+    # while still wider than the 1e-2 that starts Newton
+    ([1e14, 2e14, 3e14], [1e-3, 1e-3]),
+    ([1e15, 1e15 + 1.0, 3e15], [0.3, 0.2]),
+    ([2e16, 2e16 + 8.0, 2e16 + 64.0], [1.0, 1.0]),
+    # a bracket that starts one ulp wide
+    ([1e305] * 2000, [1.0] * 1999),
+])
+def test_merged_bisection_is_the_old_solver_at_its_floors(diag, off):
+    _assert_same_solve(diag, off, len(diag))
+
+
+def test_merged_bisection_is_the_old_solver_on_repeated_eigenvalues():
+    rng = random.Random("repeated")
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        diag = [float(rng.choice((-1, 0, 1, 2))) for _ in range(n)]
+        off = [rng.choice((0.0, 0.0, 1e-3, -0.5)) for _ in range(n - 1)]
+        guess = [rng.choice((0.0, 1.0, math.nan, 2.5)) for _ in range(n // 2)]
+        _assert_same_solve(diag, off, rng.randint(1, n))
+        _assert_same_solve(diag, off, n, guess)
+
+
+_entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-3]),
+                     st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_merged_bisection_is_the_old_solver_on_drawn_matrices(data, n):
+    diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    off = data.draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+    k = data.draw(st.integers(1, n))
+    guess = data.draw(st.lists(st.one_of(st.floats(-8.0, 8.0),
+                                         st.just(math.nan)), max_size=n))
+    _assert_same_solve(diag, off, k, guess)
 
 
 def test_oracle_matches_analytic():
