@@ -13,7 +13,8 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from .errors import DomainError, FitSingularError, UsageError, check_int
+from .errors import (DomainError, FitSingularError, UsageError, check_finite,
+                     check_int, check_positive)
 
 
 class PhaseState(namedtuple("PhaseState", "t x y px py")):
@@ -92,15 +93,11 @@ def integrate_rk4(s0, a, beta, dt, steps):
     """Fixed-step RK4.  If the trajectory reaches y <= 0 the run halts and
     the partial trajectory is returned with ``domain_exit`` set (orbits
     tangent to the boundary are meaningful limits, not errors)."""
-    if not all(math.isfinite(v) for v in (a, beta, dt)):
-        raise UsageError("a, beta and dt must be finite")
-    if not dt > 0:
-        raise UsageError("dt must be positive")
+    check_finite(a=a, beta=beta)
+    check_positive(dt=dt)
     if a == 0:
         raise UsageError("a must be nonzero")
-    steps = check_int(steps, "steps")
-    if steps < 0:
-        raise UsageError("steps must be nonnegative")
+    steps = check_int(steps, "steps", least=0)
     states = [s0]
     t, x, y, px, py = s0
     make = PhaseState._make

@@ -1,5 +1,8 @@
-"""Shared exception types, the mass and scale check of the curved spectra
-and their oracle, and the int check of a degree or level count."""
+"""Shared exception types and the argument rules every numeric module
+applies where its input enters: ``check_int`` (an int, with an optional
+floor), ``check_finite`` (not nan or infinite), ``check_positive`` (in
+(0, inf); nan fails) and ``check_mass_and_scale``.  Each raises a
+``UsageError`` that names the argument."""
 
 import math
 import operator
@@ -11,22 +14,39 @@ class UsageError(ValueError):
     subclass, with exit code 2."""
 
 
+def check_int(v, name, least=None):
+    """v as an int; UsageError for one that is not an integer (2.5, nan),
+    which would otherwise fail in ``range`` or a list repetition, or that
+    lies below ``least``."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise UsageError(f"{name} must be an int, got {v!r}") from None
+    if least is not None and v < least:
+        raise UsageError(f"{name} must be >= {least}, got {v}")
+    return v
+
+
+def check_finite(**named):
+    """UsageError naming the first argument that is nan or infinite."""
+    for name, v in named.items():
+        if not -math.inf < v < math.inf:
+            raise UsageError(f"{name} must be finite, got {v!r}")
+
+
+def check_positive(**named):
+    """UsageError naming the first argument outside (0, inf); nan fails."""
+    for name, v in named.items():
+        if not 0 < v < math.inf:
+            raise UsageError(f"{name} must be positive and finite, got {v!r}")
+
+
 def check_mass_and_scale(m, a):
     """Require a mass 0 < m < inf and a finite, nonzero length scale a;
     nan fails both.  An inf or nan would give energies of 0 or nan."""
-    if not 0 < m < math.inf:
-        raise UsageError("m must be positive and finite")
+    check_positive(m=m)
     if not (a != 0 and -math.inf < a < math.inf):
         raise UsageError("a must be nonzero and finite")
-
-
-def check_int(v, name):
-    """v as an int; UsageError for one that is not an integer (2.5, nan),
-    which would otherwise fail in ``range`` or a list repetition."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise UsageError(f"{name} must be an int, got {v!r}") from None
 
 
 class DomainError(UsageError):

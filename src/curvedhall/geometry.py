@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, check_positive
 from .opalg import DiffOp, I, Ring
 
 # rho is inert on the half-plane: it is the sphere radius of the
@@ -47,7 +47,11 @@ class Metric2D(namedtuple("Metric2D", "kind ring u param_values")):
     __slots__ = ()
 
     def inside(self, point):
+        """Whether the point lies in the metric's domain; a nan or
+        infinite coordinate never does."""
         x, y = point
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
         if self.kind == "halfplane":
             return y > 0
         if self.kind == "disk":
@@ -169,8 +173,7 @@ def scalar_curvature_fd(metric, point, step):
     taken with a second-order 5-point stencil, whose step must be positive
     and finite (``UsageError``).
     """
-    if not 0.0 < step < math.inf:
-        raise UsageError(f"step = {step!r} must be positive and finite")
+    check_positive(step=step)
     x, y = point
     s = lambda p: math.log(metric.factor_at(p))
     s0 = s(point)

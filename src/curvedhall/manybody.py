@@ -63,11 +63,9 @@ def slater_lll(cfg, orbitals):
     ``orbitals`` lists the angular-momentum powers; repeats make the
     determinant identically zero and are rejected rather than returned.
     """
-    n = list(orbitals)
+    n = [check_int(k, "orbital", least=0) for k in orbitals]
     if len(n) != cfg.n:
         raise ValueError("need one orbital per particle")
-    if any(k < 0 or k != int(k) for k in n):
-        raise ValueError("orbitals are nonnegative integers")
     if len(set(n)) != len(n):
         raise PauliViolationError(f"repeated orbital in {tuple(n)}")
     return _det([[z ** k for k in n] for z in cfg.points]) * cfg.gaussian()
@@ -95,8 +93,7 @@ def _det(a):
 
 def laughlin(cfg, m):
     """Pair-product state: prod_{i<j} (z_i - z_j)^m times the Gaussian."""
-    if not (isinstance(m, int) and m >= 1):
-        raise UsageError("m must be a positive integer")
+    m = check_int(m, "m", least=1)
     acc = 1.0 + 0j
     z = cfg.points
     for i in range(cfg.n):

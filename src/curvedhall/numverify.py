@@ -26,7 +26,8 @@ from collections import namedtuple
 from itertools import chain, islice, product as _iterprod
 
 from .errors import (NonNormalizableError, ResolutionError, SingularityError,
-                     UsageError, check_int, check_mass_and_scale)
+                     UsageError, check_finite, check_int, check_mass_and_scale,
+                     check_positive)
 
 
 class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
@@ -42,9 +43,7 @@ class FDGrid(namedtuple("FDGrid", "s_min s_max n_points")):
     def __new__(cls, s_min, s_max, n_points):
         if not 0 < s_min < s_max < math.inf:
             raise UsageError("need 0 < s_min < s_max < inf")
-        n_points = check_int(n_points, "n_points")
-        if n_points < 100:
-            raise UsageError("n_points must be >= 100")
+        n_points = check_int(n_points, "n_points", least=100)
         self = super().__new__(cls, s_min, s_max, n_points)
         if s_min >= self.h:
             raise UsageError(
@@ -83,8 +82,10 @@ def fd_apply(H, f, point, h):
     Coefficients are evaluated exactly at the point; each derivative
     monomial becomes a tensor product of 4th-order central stencils.
     ``point`` must bind every ring variable; ``f`` is called with a dict
-    of the geometric variables only.
+    of the geometric variables only.  The step h must be positive and
+    finite (``UsageError``).
     """
+    check_positive(h=h)
     gv = H.geom_vars
     out = 0j
     for alpha, coeff in H.terms.items():
@@ -334,8 +335,7 @@ def wall_decay_exponent(beta, mu, s_max):
     r cosh t - beta - mu / (beta + r cosh t), whose antiderivative is
     elementary: artanh for mu < 0, arctan for mu > 0.
     """
-    if not (-math.inf < beta < math.inf and -math.inf < s_max < math.inf):
-        raise UsageError(f"beta = {beta!r} and s_max = {s_max!r} must be finite")
+    check_finite(beta=beta, s_max=s_max)
     if not beta * beta + mu > 0.0:
         raise UsageError(f"mu = {mu!r} must exceed -beta^2 = {-beta * beta!r}")
     r = math.sqrt(beta * beta + mu)
@@ -453,9 +453,7 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     """
     if not beta > 0.5:
         raise UsageError("beta must exceed 1/2 for any bound state")
-    k_levels = check_int(k_levels, "k_levels")
-    if k_levels < 1:
-        raise UsageError("k_levels must be >= 1")
+    k_levels = check_int(k_levels, "k_levels", least=1)
     check_mass_and_scale(m, a)
     if k_levels > grid.n_points:
         raise ResolutionError(
@@ -561,13 +559,16 @@ def norm_quadrature(psi, beta, l, c, a=1.0, cutoff_scale=40.0):
     The measure weight is a^2 / y^2; |psi| is x-independent for the
     separated eigenfunctions, so the x-integral factors out.  The
     y-integral runs over (0, cutoff) with the cutoff set by the e^{-2cy}
-    tail; normalizability requires beta - l > 1/2.
+    tail; normalizability requires beta - l > 1/2.  A non-finite beta, an
+    l that is not an int >= 0 and a c outside (0, inf) are each a
+    ``UsageError``.
     """
+    check_finite(beta=beta)
+    l = check_int(l, "l", least=0)
     if beta - l <= 0.5:
         raise NonNormalizableError(
             f"beta - l = {beta - l} <= 1/2: |psi|^2 / y^2 not integrable")
-    if not 0 < c < math.inf:
-        raise UsageError("separation constant c must be positive and finite")
+    check_positive(c=c)
     upper = cutoff_scale / (2.0 * c) + 5.0
 
     def integrand(y):

@@ -5,6 +5,13 @@ hypergeometric series 1F1, and the regular Whittaker function M.  Double
 precision throughout; the truncating (polynomial) case of 1F1 is detected
 a priori from the first parameter, which is exactly where the bound
 states live.
+
+Arguments are checked where they enter, by the rules of ``errors``: a
+degree that is not an int >= 0 (``check_int``), a nan or infinite
+parameter (``check_finite``) and a Whittaker s outside (0, inf)
+(``check_positive``) are each a ``UsageError`` that names the argument.
+The truncating sum of ``hyp1f1`` and the Laguerre recurrence share no
+code, so that each can check the other.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConvergenceError, PoleError, UsageError, check_int
+from .errors import (ConvergenceError, PoleError, check_finite, check_int,
+                     check_positive)
 
 TERM_CAP = 10_000
 
@@ -23,13 +31,6 @@ SeriesResult = namedtuple("SeriesResult", "value est_abs_error")
 
 def _is_nonpositive_int(v):
     return v <= 0.5 and abs(v - round(v)) < 1e-12 and round(v) <= 0
-
-
-def _check_finite(**args):
-    """UsageError naming the first argument that is nan or infinite."""
-    for name, v in args.items():
-        if not -math.inf < v < math.inf:
-            raise UsageError(f"{name} must be finite, got {v!r}")
 
 
 def laguerre(n, tau, z):
@@ -48,10 +49,8 @@ def _laguerre_exact(n, tau, z):
     polynomial degree is small, so exactness is free and removes the
     cancellation loss near the polynomial's roots).  A degree n that is
     not an int >= 0, or a non-finite tau or z, is a UsageError."""
-    n = check_int(n, "laguerre's degree n")
-    if n < 0:
-        raise UsageError("laguerre needs n >= 0")
-    _check_finite(tau=tau, z=z)
+    n = check_int(n, "laguerre's degree n", least=0)
+    check_finite(tau=tau, z=z)
     if n == 0:
         return Fraction(1)
     tau, z = Fraction(tau), Fraction(z)
@@ -76,7 +75,7 @@ def hyp1f1(alpha, b, z):
     alpha, b or z is a UsageError, and a polynomial whose value is beyond a
     double raises OverflowError.
     """
-    _check_finite(alpha=alpha, b=b, z=z)
+    check_finite(alpha=alpha, b=b, z=z)
     truncates = alpha <= 0 and float(alpha).is_integer()
     n_stop = -round(alpha) if truncates else None
     if _is_nonpositive_int(b):
@@ -128,8 +127,7 @@ def whittaker_m(beta, n, s):
     The mirror M_{beta,-n} is this function with the sign of n flipped.
     A non-finite beta or n, or an s outside (0, inf), is a UsageError.
     """
-    if not 0 < s < math.inf:
-        raise UsageError(f"whittaker_m needs 0 < s < inf, got s = {s!r}")
-    _check_finite(beta=beta, n=n)
+    check_positive(s=s)
+    check_finite(beta=beta, n=n)
     f = hyp1f1(0.5 + n - beta, 1.0 + 2.0 * n, s)
     return math.exp(-s / 2.0) * s ** (0.5 + n) * f.value

@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (NoBoundStateError, UsageError, check_int,
-                     check_mass_and_scale)
+                     check_mass_and_scale, check_positive)
 from .specfun import _laguerre_exact, laguerre
 
 
@@ -40,13 +40,8 @@ def _line(geometry, qn, expr, args):
 
 def landau_flat(n, omega_c=1, hbar=1):
     """E_n = (n + 1/2) hbar omega_c, for an int n >= 0."""
-    n = check_int(n, "n")
-    if n < 0:
-        raise UsageError("Landau index n must be nonnegative")
-    if not 0 < omega_c < math.inf:
-        raise UsageError("omega_c must be positive and finite")
-    if not 0 < hbar < math.inf:
-        raise UsageError("hbar must be positive and finite")
+    n = check_int(n, "n", least=0)
+    check_positive(omega_c=omega_c, hbar=hbar)
     return _line("flat", {"n": n},
                  lambda w, h: (n + Fraction(1, 2)) * h * w, (omega_c, hbar))
 
@@ -54,16 +49,17 @@ def landau_flat(n, omega_c=1, hbar=1):
 def halfplane_level_count(beta):
     """The number of bound states, in O(1): the allowed l are the integers
     0 <= l < ceil(beta - 1/2), which lie strictly below beta - 1/2.  The
-    count is never negative, as beta - 1/2 > -1."""
-    if not 0 < float(beta) < math.inf:
-        raise UsageError("beta must be positive and finite")
+    count is never negative, as beta - 1/2 > -1.  A beta outside (0, inf),
+    nan included, is a UsageError."""
+    check_positive(beta=float(beta))
     return math.ceil(float(beta) - 0.5)
 
 
 def _check_window(beta, l):
-    """l as an int inside the bound-state window."""
+    """l as an int inside the bound-state window, which is written once,
+    in ``halfplane_level_count``."""
     l = check_int(l, "l")
-    if not (0 <= l and l < float(beta) - 0.5):
+    if not 0 <= l < halfplane_level_count(beta):
         raise NoBoundStateError(
             f"l={l} outside the bound-state window 0 <= l < beta - 1/2 "
             f"(beta={beta})")
@@ -85,13 +81,10 @@ def sphere_spectrum(l, k, rho=1):
     """E_l = (2/rho^2) [ (l - k/2)(l - k/2 + 1) - k^2/4 ], for an int
     l >= 0 and a whole k.  k may be a float, as 2.0, which takes the float
     path."""
-    l = check_int(l, "l")
-    if l < 0:
-        raise UsageError("l must be nonnegative")
+    l = check_int(l, "l", least=0)
     if not -math.inf < k < math.inf or k % 1:
         raise UsageError(f"k must be a finite whole number, got {k!r}")
-    if not 0 < float(rho) < math.inf:
-        raise UsageError("rho must be positive and finite")
+    check_positive(rho=float(rho))
     return _line(
         "sphere", {"l": l, "k": k},
         lambda kk, rr: 2 * ((l - kk / 2) * (l - kk / 2 + 1) - kk * kk / 4) / (rr * rr),
@@ -103,8 +96,7 @@ def eigenfunction_halfplane(beta, l, c, point):
     unnormalized.  |Psi| is x-independent; c > 0 labels the degenerate
     copies of each level."""
     l = _check_window(beta, l)
-    if not 0 < c < math.inf:
-        raise UsageError("separation constant c must be positive and finite")
+    check_positive(c=c)
     x, y = point
     if not (y > 0 and math.isfinite(x)):
         raise UsageError("point must lie in the upper half-plane")
@@ -114,24 +106,18 @@ def eigenfunction_halfplane(beta, l, c, point):
         # c y > 8.9e307: e^(-cy) puts |Psi| below every double, whatever
         # beta and l
         return cmath.exp(-1j * c * x) * 0.0
-    log_lag = None
     try:
-        lag = laguerre(l, tau, z)
-    except OverflowError:
-        # L itself is beyond a double: its sign and ln|L| from the exact value
-        q = _laguerre_exact(l, tau, z)
-        lag = math.inf if q > 0 else -math.inf
-        log_lag = math.log(abs(q.numerator)) - math.log(q.denominator)
-    try:
-        v = cmath.exp(-1j * c * x - c * y) * y ** (beta - l) * lag
+        v = cmath.exp(-1j * c * x - c * y) * y ** (beta - l) * laguerre(l, tau, z)
     except OverflowError:
         v = math.inf
-    if not cmath.isfinite(v) and lag:
-        # y^(beta-l) or L overflows where e^(-cy) decays: |Psi| in log space
-        if log_lag is None:
-            log_lag = math.log(abs(lag))
-        v = cmath.exp(-1j * c * x) * math.copysign(
-            math.exp((beta - l) * math.log(y) - c * y + log_lag), lag)
+    if not cmath.isfinite(v):
+        # y^(beta-l) or L overflows where e^(-cy) decays: |Psi| in log
+        # space, with L's sign and ln|L| from its exact value (L = 0 gives 0)
+        q = _laguerre_exact(l, tau, z)
+        ln_q = (math.log(abs(q.numerator)) - math.log(q.denominator)
+                if q else -math.inf)
+        size = math.exp((beta - l) * math.log(y) - c * y + ln_q)
+        v = cmath.exp(-1j * c * x) * (-size if q < 0 else size)
     if not cmath.isfinite(v):
         raise OverflowError(f"eigenfunction value is not finite ({v})")
     return v
@@ -139,8 +125,7 @@ def eigenfunction_halfplane(beta, l, c, point):
 
 def ground_state_flat(z, z0):
     """psi_0 = exp(-|z|^2 / 4 z0^2), the holomorphic factor set to 1."""
-    if not 0 < z0 < math.inf:
-        raise ValueError("magnetic length z0 must be positive and finite")
+    check_positive(z0=z0)
     if not cmath.isfinite(z):
         raise ValueError(f"point z must be finite, got {z!r}")
     return cmath.exp(-abs(z) ** 2 / (4.0 * z0 * z0))

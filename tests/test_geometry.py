@@ -38,6 +38,21 @@ def test_factor_at_rejects_points_outside_the_domain(kind, param, point):
         met.factor_at(point)
 
 
+@pytest.mark.parametrize("kind, param", [
+    ("flat", {}), ("halfplane", {"a": 1.0}), ("disk", {"rho": 1.0})])
+@pytest.mark.parametrize("point", [(0.0, math.inf), (math.nan, 0.5),
+                                   (-math.inf, 0.5)])
+def test_non_finite_point_is_outside_every_domain(kind, param, point):
+    # the half-plane's curvature read nan at (0, inf) and -2.000001 at
+    # (nan, 1), and its factor 1.0 at (nan, 1)
+    met = geometry.make_metric(kind, **param)
+    assert not met.inside(point)
+    with pytest.raises(DomainError, match="outside the metric domain"):
+        met.factor_at(point)
+    with pytest.raises(DomainError, match="outside the metric domain"):
+        geometry.scalar_curvature_fd(met, point, 1e-3)
+
+
 def test_make_metric_rejects_bad_parameters():
     for bad in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(DomainError):

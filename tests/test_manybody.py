@@ -114,6 +114,15 @@ def test_config_of_wrong_shape_is_value_error(text):
         manybody.ParticleConfig.from_json(text)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.0, -1])
+def test_slater_orbitals_are_ints_from_zero(bad):
+    # inf and nan raised a raw OverflowError and ValueError from int(), and
+    # 2.0 was taken as 2
+    cfg = manybody.ParticleConfig((0j, 1j, 2 + 0j), 1.0)
+    with pytest.raises(UsageError, match="orbital"):
+        manybody.slater_lll(cfg, [0, 1, bad])
+
+
 def test_pauli_violation():
     cfg = manybody.ParticleConfig((0j, 1j), 1.0)
     with pytest.raises(PauliViolationError):

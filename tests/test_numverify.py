@@ -150,6 +150,16 @@ def test_residual_rejects_a_non_finite_psi(psi):
         numverify.tuned_residual(H, psi, 1.0, [RESIDUAL_POINT])
 
 
+@pytest.mark.parametrize("h", [0.0, math.inf, math.nan])
+def test_fd_step_must_be_positive_and_finite(h):
+    # h = 0 raised a raw ZeroDivisionError; an inf h read 0 for H psi
+    H = models.hamiltonian_halfplane()
+    with pytest.raises(UsageError, match="h must be positive and finite"):
+        numverify.fd_apply(H, lambda co: 1.0, RESIDUAL_POINT, h)
+    with pytest.raises(UsageError, match="h must be positive and finite"):
+        numverify.residual_check(H, lambda co: 1.0, 1.0, [RESIDUAL_POINT], h)
+
+
 @pytest.mark.parametrize("energy", [math.nan, math.inf])
 def test_residual_rejects_a_non_finite_energy(energy):
     H = models.hamiltonian_halfplane()
@@ -164,6 +174,18 @@ def test_tridiag_closed_form():
     for j, v in enumerate(eigs, start=1):
         assert v == pytest.approx(2 - 2 * math.cos(j * math.pi / (n + 1)),
                                   abs=1e-11)
+
+
+@pytest.mark.parametrize("d, sizes", [(0.0, range(2, 12)), (1.0, range(2, 8))])
+def test_tridiag_zero_pivots_against_closed_form(d, sizes):
+    # with d = 0 the first bisection midpoint of [-2, 2] is 0.0, where a
+    # pivot is exactly zero; moving it to +1e-300 instead of -1e-300 gave
+    # [-1, -4.5e-13] for n = 2, whose eigenvalues are +-1
+    for n in sizes:
+        want = sorted(d + 2.0 * math.cos(j * math.pi / (n + 1))
+                      for j in range(1, n + 1))
+        got = numverify.tridiag_eigs([d] * n, [1.0] * (n - 1), n)
+        assert got == pytest.approx(want, rel=0, abs=1e-9), n
 
 
 def oracle_matrix(beta, n):
@@ -1069,6 +1091,11 @@ def _plain_psi(co):
                                                    c=math.nan), id="nan-c"),
     pytest.param(lambda: numverify.norm_quadrature(_plain_psi, 5.0, 0,
                                                    c=math.inf), id="inf-c"),
+    # a nan beta or l passed the normalizability test and gave 78.75
+    pytest.param(lambda: numverify.norm_quadrature(_plain_psi, math.nan, 0,
+                                                   1.0), id="nan-beta"),
+    pytest.param(lambda: numverify.norm_quadrature(_plain_psi, 5.0, math.nan,
+                                                   1.0), id="nan-l"),
 ])
 def test_quadrature_rejects_non_finite_input(call):
     with _within(5), pytest.raises(UsageError):

@@ -55,6 +55,19 @@ def test_window_rejects_nonpositive_beta(beta):
         spectra.halfplane_level_count(beta)
 
 
+@pytest.mark.parametrize("beta", [0, -1, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda beta: spectra.landau_halfplane(beta, 0),
+    lambda beta: spectra.eigenfunction_halfplane(beta, 0, 1.0, (0.0, 1.0)),
+], ids=["energy", "eigenfunction"])
+def test_window_reads_beta_through_the_level_count(call, beta):
+    # an inf beta raised OverflowError "halfplane energy is not finite" from
+    # the energy and a UsageError naming the internal tau from the
+    # eigenfunction; the others raised NoBoundStateError for l
+    with pytest.raises(UsageError, match="beta must be positive and finite"):
+        call(beta)
+
+
 def test_halfplane_energies_beta5():
     vals = [spectra.landau_halfplane(5, l).energy
             for l in range(spectra.halfplane_level_count(5))]
@@ -172,6 +185,28 @@ def test_eigenfunction_phase_only_in_x():
     b = spectra.eigenfunction_halfplane(5, 1, 1.0, (3.0, 2.0))
     assert abs(a) == pytest.approx(abs(b))
     assert b / a == pytest.approx(cmath.exp(-3j))
+
+
+@pytest.mark.parametrize("l", [0, 3])
+@pytest.mark.parametrize("x", [0.0, 0.3])
+def test_eigenfunction_overflow_fallback_matches_mpmath(l, x):
+    # y^(beta - l) = 100^157 or more is beyond a double, |Psi| ~ 1e276 is not
+    mpmath = pytest.importorskip("mpmath")
+    beta, c, y = 160.0, 1.0, 100.0
+    with pytest.raises(OverflowError):
+        y ** (beta - l)
+    got = spectra.eigenfunction_halfplane(beta, l, c, (x, y))
+    with mpmath.workdps(50):
+        want = (mpmath.exp(-1j * c * x - c * y) * mpmath.mpf(y) ** (beta - l)
+                * mpmath.laguerre(l, 2 * beta - 2 * l - 1, 2 * c * y))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_eigenfunction_node_stays_zero_where_the_power_overflows():
+    # L_1^(317)(318) = 0 exactly while 2^(34 * 159) is beyond a double;
+    # this raised OverflowError "eigenfunction value is not finite (inf)"
+    y = 2.0 ** 34
+    assert spectra.eigenfunction_halfplane(160.0, 1, 159.0 / y, (0.0, y)) == 0
 
 
 @pytest.mark.parametrize("c, point", [
