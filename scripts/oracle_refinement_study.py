@@ -23,8 +23,9 @@ checked against
 
 (l+1)/32 is the formula of ``lattice_term`` at al = 1: phi ~ s at the
 origin, so int (phi'')^2 converges, and the (al-1) of M_-2 and M_-3
-cancels in the ratio.  ``lattice_term`` returns 0.0 there, as for every
-al <= 2, so the oracle's seed leaves this level out.  The h^3 term is
+cancels in the ratio.  The oracle seeds this level's Newton walk with
+both terms; the seed only decides where the walk starts, and the
+level's Sturm count certificate alone decides mu.  The h^3 term is
 measured, not derived: the fitted coefficient over beta^2/64 is 1.002,
 1.005, 1.009, 1.016 and 1.047 for beta = 1, 2, 3, 5 and 12 at
 n = 4000, and 1.003, 1.002, 1.003, 1.003 and 1.012 at n = 16000
@@ -73,9 +74,7 @@ def main():
         h2 = grid.h * grid.h
         for l, (mu, mu_l, c) in enumerate(zip(spec.mu, closed, terms)):
             al = 2.0 * args.beta - 2 * l - 1
-            d = 0.0
-            if al == 1.0:
-                c, d = (l + 1) / 32.0, args.beta * args.beta / 64.0
+            d = args.beta * args.beta / 64.0 if al == 1.0 else 0.0
             miss = abs(mu - (mu_l + (c + d * grid.h) * h2))
             line = (f"# n={n} l={l} (mu - mu_l)/h^2 = {(mu - mu_l) / h2:.6g}"
                     f" C_l = {c:.6g} D = {d:.6g}"

@@ -8,7 +8,8 @@ the cross-check the package exists for.
 
 The eigensolver does take the half-plane closed form as a seed: each bound
 level's Newton walk starts at the closed form plus its exact O(h^2)
-lattice term, where the solver would otherwise bisect from a bracket
+lattice term (and, at an integer beta's top level, a measured O(h^3)
+term), where the solver would otherwise bisect from a bracket
 around the whole spectrum first.  That seed lies within rounding of the
 discrete eigenvalue, so a level's first walk is usually its last.  Each
 level is still kept only with a Sturm count certificate
@@ -145,6 +146,7 @@ _NEWTON_STEPS = 8       # Newton walks per level before falling back
 _NEWTON_STOP = 1e-9     # a step this short ends the walk
 _CERT = 1e-9            # half-width of the window a Sturm count certifies
 _BISECT_WIDTH = 1e-12   # final bracket width of the bisection path
+_NORMAL_MIN = 2.0 ** -1021   # an e_i^2 this large was rounded to 53 bits
 
 
 def _sturm_count(d, e2, x):
@@ -206,6 +208,10 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
     right count, stands in for either count; the walk's last step usually
     leaves one there, so a certified level takes one count.
 
+    ``diag`` and ``offdiag`` are never changed.  A list is used as it is,
+    so its entries must be floats, or ints below 2^53 in size; any other
+    sequence (a tuple, a numpy array) is first copied through float().
+
     ``guess`` holds the caller's prediction of the first len(guess) levels.
     Level j walks from guess[j] when it lies inside (a_j, b_j), with no
     count taken first.  When the guess is wrong (or nan) the walk reaches
@@ -224,8 +230,10 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
     and walks meaningless.
     """
     k = check_int(k, "k")
-    d = [float(v) for v in diag]
-    e = [float(v) for v in offdiag]
+    # a list is read as it is: no second copy of a matrix its caller has
+    # just built
+    d = diag if type(diag) is list else list(map(float, diag))
+    e = offdiag if type(offdiag) is list else list(map(float, offdiag))
     n = len(d)
     if len(e) != max(n - 1, 0):
         raise ValueError("offdiag must have length n-1")
@@ -238,9 +246,15 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
             or all(map(math.isfinite, chain(d, e2)))):
         raise UsageError("tridiag_eigs needs finite d_i and e_i^2")
     if n == 1:
-        return [d[0]]
-    # every Gershgorin radius |e_{i-1}| + |e_i| is at most r
-    r = 2.0 * max(map(abs, e))
+        return [float(d[0])]
+    # every Gershgorin radius |e_{i-1}| + |e_i| is at most r.  In binary
+    # floating point, rounding to nearest, sqrt(fl(e^2)) is |e| exactly
+    # unless e^2 underflows (S. Boldo, "Stupid is as stupid does: taking
+    # the square root of the square of a floating-point number", 2015), so
+    # the e_i are scanned only then
+    e2_max = max(e2)
+    r = 2.0 * (math.sqrt(e2_max) if e2_max >= _NORMAL_MIN
+               else max(map(abs, e)))
     lo, hi = min(d) - r, max(d) + r
     # every count point x and diagonal entry lies in [lo, hi], so a
     # midpoint a + b and a pivot d_i - x stay within 2 max(|lo|, |hi|)
@@ -403,7 +417,13 @@ def lattice_term(beta, l):
 
         C_l = -[(2L+1) al^2 + 3(2l+1) al + 2 - 2L] / (64 (al-2)(al+2)),
 
-    al = 2 nu, L = l(l+1); 0.0 for al <= 2, where int (phi'')^2 diverges
+    al = 2 nu, L = l(l+1).  At al = 1 (an integer beta, mu_l = 0) the
+    formula gives (l+1)/32: phi ~ s at the origin, so int (phi'')^2
+    converges, and the (al-1) of M_-2 and M_-3 cancels in the ratio.
+    There ``whittaker_oracle``'s seed also adds beta^2/64 h^3, a
+    coefficient measured by fit, not derived; a seed only decides where a
+    level's walk starts, and the level's Sturm count certificate alone
+    decides mu.  0.0 for the other al <= 2, where int (phi'')^2 diverges
     and no h^2 term exists.  This is the asymptotic correction of
     finite-difference Sturm-Liouville eigenvalues (Paine, de Hoog &
     Anderssen, Computing 26, 123, 1981), in closed form here because the
@@ -425,7 +445,7 @@ def lattice_term(beta, l):
     nan.
     """
     al = 2.0 * beta - 2 * l - 1.0
-    if not al > 2.0:
+    if not (al > 2.0 or al == 1.0):
         return 0.0
     L = l * (l + 1)
     return -((2 * L + 1) * al * al + 3 * (2 * l + 1) * al + 2 - 2 * L) \
@@ -461,13 +481,17 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
     # each bound level's Newton walk starts at its lattice eigenvalue
-    # mu_l + C_l h^2, mu_l = 1/4 - (beta - l - 1/2)^2; past the window
+    # mu_l + C_l h^2, mu_l = 1/4 - (beta - l - 1/2)^2, plus beta^2/64 h^3
+    # at al = 1, a fitted coefficient, not a derived one, which
+    # scripts/oracle_refinement_study.py checks; past the window
     # 0 <= l < beta - 1/2 the closed form turns back down, so a level
-    # beyond it gets no seed.  Products, not **: a huge beta gives an inf or
-    # nan seed, which takes no walk, and never an OverflowError
-    h2 = grid.h * grid.h
+    # beyond it gets no seed.  Products, not **: a huge beta gives an inf
+    # or nan seed, which takes no walk, and never an OverflowError
+    h = grid.h
+    h2 = h * h
     seed = [0.25 - (beta - l - 0.5) * (beta - l - 0.5)
             + lattice_term(beta, l) * h2
+            + (beta * beta / 64.0 * h2 * h if beta - l == 1.0 else 0.0)
             for l in range(k_levels) if l < beta - 0.5]
     # all bound states sit below mu = 1/4: a level at or above it means the
     # grid resolves fewer bound states than requested

@@ -116,7 +116,10 @@ def eigenfunction_halfplane(beta, l, c, point):
         q = _laguerre_exact(l, tau, z)
         ln_q = (math.log(abs(q.numerator)) - math.log(q.denominator)
                 if q else -math.inf)
-        size = math.exp((beta - l) * math.log(y) - c * y + ln_q)
+        try:
+            size = math.exp((beta - l) * math.log(y) - c * y + ln_q)
+        except OverflowError:
+            size = math.inf     # |Psi| is beyond a double: raised below
         v = cmath.exp(-1j * c * x) * (-size if q < 0 else size)
     if not cmath.isfinite(v):
         raise OverflowError(f"eigenfunction value is not finite ({v})")

@@ -293,6 +293,15 @@ def test_overflow_is_numerical_failure(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_overflow_names_the_eigenfunction(capsys):
+    # the log-space fallback's math.exp printed "floating-point failure:
+    # math range error"; the function's own message names the value
+    code, out, err = run(capsys, "eigenfunction", "--beta", "200", "--l", "0",
+                         "--c", "0.001", "--y", "1e3")
+    assert (code, out) == (3, "")
+    assert "eigenfunction value is not finite" in err
+
+
 @pytest.mark.parametrize("y", ["1e308", "1e62"])
 def test_underflowing_tail_is_zero(capsys, y):
     # y^(beta-l) overflows, but the product with e^(-cy) is 0

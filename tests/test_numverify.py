@@ -208,21 +208,27 @@ def closed_form_mu(beta, levels, first=0):
 
 def lattice_mu(beta, levels, h):
     """The seed ``whittaker_oracle`` gives the eigen-solve: the closed form
-    plus C_l h^2 where al = 2 beta - 2 l - 1 > 2, with C_l taken from the
-    perturbation formula over the Laguerre moments, not from its reduced
-    form (``test_lattice_term_is_the_moment_reduction`` derives both)."""
+    plus C_l h^2 where al = 2 beta - 2 l - 1 > 2 or al = 1, with C_l taken
+    from the perturbation formula over the Laguerre moments, not from its
+    reduced form (``test_lattice_term_is_the_moment_reduction`` derives
+    both), and plus the fitted beta^2/64 h^3 at al = 1.  The moments' pole
+    at al = 1 is cancelled by hand: m M_-2 = -M_1 / (4 al), and
+    m^2 M_-3 = 0 there."""
     out = []
     for l, mu in enumerate(closed_form_mu(beta, levels)):
         al = Fraction(2 * beta - 2 * l - 1)
-        if al > 2:
+        if al > 2 or al == 1:
             b, m = (al + 2 * l + 1) / 2, (1 - al * al) / 4
             m1, m0, mm1 = 2 * l + al + 1, 1, 1 / al
-            mm2 = (2 * l + al + 1) / ((al - 1) * al * (al + 1))
+            m_mm2 = -m1 / (4 * al)
             mm3 = ((al * al + (6 * l + 3) * al + 6 * l * l + 6 * l + 2)
-                   / ((al - 2) * (al - 1) * al * (al + 1) * (al + 2)))
+                   / ((al - 2) * (al - 1) * al * (al + 1) * (al + 2))
+                   if al != 1 else 0)
             phi2 = (m1 / 16 + b * b * mm1 + m * m * mm3 - b / 2 * m0
-                    - m / 2 * mm1 + 2 * b * m * mm2)
+                    - m / 2 * mm1 + 2 * b * m_mm2)
             mu += float(-phi2 / (12 * mm1)) * h * h
+            if al == 1:
+                mu += beta * beta / 64 * h * h * h
         out.append(mu)
     return out
 
@@ -469,7 +475,8 @@ def test_tridiag_work_bound(monkeypatch):
 
 
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
-    # at beta = 8 the lattice seed lands within 5e-3 of every level, and
+    # at beta = 8 the lattice seed, with its h^3 term at l = 7 (al = 1),
+    # lands within 5e-3 of every level, and
     # level j's Newton walk starts at its seed g before any count: its
     # first Sturm work is a walk at exactly g, and its counts are only
     # certificate counts at mu_j -/+ 1e-9, one per level here
@@ -529,9 +536,9 @@ def test_tridiag_wrong_seed_keeps_the_root(guess):
 
 
 def test_oracle_seeds_only_the_bound_window(monkeypatch):
-    # beta = 5 binds l = 0..4: l = 5 gets no seed, so the closed form
-    # mu = 0 of l = 4 (and of l = 5), which has no h^2 term, starts one
-    # walk, l = 4's
+    # beta = 5 binds l = 0..4: l = 5 gets no seed, so no walk starts at
+    # its closed form mu = 0, and l = 4 (al = 1), whose closed form is 0
+    # too, starts one walk at its lattice seed 5/32 h^2 + 25/64 h^3
     seeds, walks = [], []
     solve, slope = numverify.tridiag_eigs, numverify._sturm_slope
 
@@ -546,8 +553,12 @@ def test_oracle_seeds_only_the_bound_window(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
     with pytest.raises(ResolutionError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
-    assert seeds == [pytest.approx(lattice_mu(5.0, 5, 80.0 / 401), rel=1e-14)]
-    assert walks.count(0.0) == 1
+    h = 80.0 / 401
+    assert seeds == [pytest.approx(lattice_mu(5.0, 5, h), rel=1e-14)]
+    assert seeds[0][4] == pytest.approx(5 / 32 * h ** 2 + 25 / 64 * h ** 3,
+                                        rel=1e-14)
+    assert walks.count(seeds[0][4]) == 1
+    assert walks.count(0.0) == 0
 
 
 def test_lattice_term_is_the_moment_reduction():
@@ -611,8 +622,12 @@ def test_lattice_term_is_the_moment_reduction():
             want = reduced.numer(x) / reduced.denom(x)
             assert numverify.lattice_term(beta, l) == pytest.approx(
                 float(want), rel=1e-14)
-    # no h^2 term for al <= 2
-    assert numverify.lattice_term(5.0, 4) == 0.0
+        # al = 1: the (al-1) of M_-2 and M_-3 cancels in the reduced form,
+        # whose value there is (l+1)/32
+        assert reduced.numer(1) / reduced.denom(1) == sympy.Rational(l + 1, 32)
+        assert numverify.lattice_term(l + 1, l) == (l + 1) / 32, l
+    assert numverify.lattice_term(5.0, 4) == 5 / 32
+    # no h^2 term for the other al <= 2
     assert numverify.lattice_term(2.5, 1) == 0.0
     assert numverify.lattice_term(1.25, 0) == 0.0
 
@@ -642,6 +657,62 @@ def test_lattice_seed_on_the_bench_cells(monkeypatch):
     # measured: 67 walks and 45 counts
     assert calls["slope"] <= 70
     assert calls["count"] == 45
+
+
+def test_alpha_one_seed_on_the_bench_cells(monkeypatch):
+    # the top level of beta = 5 and 8 (al = 1) walks from
+    # mu_l + (l+1)/32 h^2 + beta^2/64 h^3: the nine cells take 62 walks,
+    # 67 with the closed form alone at that level, and at n = 16000 every
+    # level of beta = 5 and 8 takes one walk and one certificate count
+    calls = {"count": 0, "slope": 0}
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+
+    def counted_slope(*args):
+        calls["slope"] += 1
+        return slope(*args)
+
+    def counted_count(*args):
+        calls["count"] += 1
+        return count(*args)
+    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    for beta in (2.5, 5.0, 8.0):
+        for n in (4000, 8000, 16000):
+            before = dict(calls)
+            levels = spectra.halfplane_level_count(beta)
+            numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, 80.0, n),
+                                       levels)
+            if n == 16000 and beta != 2.5:
+                assert calls["slope"] - before["slope"] == levels, beta
+                assert calls["count"] - before["count"] == levels, beta
+    assert calls["slope"] <= 62
+    assert calls["count"] == 45
+
+
+@pytest.mark.parametrize("matrix", ["whittaker", "laplacian"])
+def test_tridiag_reads_any_sequence_and_changes_none(matrix):
+    # a list is used as it is and any other sequence is copied through
+    # float(): a list, a tuple and a numpy array of one matrix give
+    # bit-identical mu, and no argument is changed
+    np = pytest.importorskip("numpy")
+    if matrix == "whittaker":
+        diag, off, k, guess = _oracle_request(5.0, 1000, 5)
+    else:
+        diag, off, k, guess = [2] * 200, [-1] * 199, 6, ()
+
+    def snapshot(a):
+        # repr tells an int from a float, and tolist a numpy entry's full
+        # precision
+        return repr((getattr(a, "dtype", None),
+                     a.tolist() if hasattr(a, "tolist") else a))
+    outs = []
+    for kind in (list, tuple, np.array):
+        args = [kind(v) for v in (diag, off, guess)]
+        before = [snapshot(a) for a in args]
+        mu = numverify.tridiag_eigs(args[0], args[1], k, guess=args[2])
+        assert [snapshot(a) for a in args] == before, kind
+        outs.append([v.hex() for v in mu])
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("k", [2.5, math.nan, "2"])
@@ -876,6 +947,18 @@ def test_merged_bisection_is_the_old_solver_wrong_seed(shift):
     ([1e305] * 2000, [1.0] * 1999),
 ])
 def test_merged_bisection_is_the_old_solver_at_its_floors(diag, off):
+    _assert_same_solve(diag, off, len(diag))
+
+
+@pytest.mark.parametrize("diag, off", [
+    # e_i^2 underflows below the normal range, where sqrt(max e_i^2) is
+    # not max|e_i|, so the bracket's radius is read from the e_i; the
+    # answer is the bracket's midpoint, which a radius off by an ulp moves
+    ([0.0, 3e-160], [1e-160]),
+    ([1e-170, 0.0], [-3e-165]),
+])
+def test_merged_bisection_is_the_old_solver_when_e_squared_underflows(
+        diag, off):
     _assert_same_solve(diag, off, len(diag))
 
 

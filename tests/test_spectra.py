@@ -209,6 +209,15 @@ def test_eigenfunction_node_stays_zero_where_the_power_overflows():
     assert spectra.eigenfunction_halfplane(160.0, 1, 159.0 / y, (0.0, y)) == 0
 
 
+
+@pytest.mark.parametrize("x", [0.0, 0.3])
+def test_eigenfunction_beyond_a_double_raises_its_own_error(x):
+    # |Psi| = e^(ln 1000 * 200 - 1) ~ 1e599: the log-space fallback's
+    # math.exp raised a bare OverflowError("math range error")
+    with pytest.raises(OverflowError,
+                       match="eigenfunction value is not finite"):
+        spectra.eigenfunction_halfplane(200.0, 0, 0.001, (x, 1e3))
+
 @pytest.mark.parametrize("c, point", [
     (math.inf, (0.0, 1.0)),    # returned nan+nanj
     (math.nan, (0.0, 1.0)),
