@@ -441,9 +441,12 @@ def lattice_term(beta, l):
        M_-3 = (al^2 + (6l+3) al + 6l^2+6l+2)/((al-2)(al-1) al (al+1)(al+2)).
     4. The Gamma factor cancels, and the ratio reduces to C_l.
 
-    Written with products, not **, so it never raises: a huge beta gives
-    nan.
+    A non-finite beta, or an l that is not an int >= 0, is a
+    ``UsageError``.  Written with products, not **, so a huge finite
+    beta gives nan and does not raise.
     """
+    check_finite(beta=beta)
+    l = check_int(l, "l", least=0)
     al = 2.0 * beta - 2 * l - 1.0
     if not (al > 2.0 or al == 1.0):
         return 0.0

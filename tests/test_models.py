@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import time
-from pathlib import Path
 
 import pytest
 
@@ -65,11 +64,9 @@ def test_render_json(suite):
     assert {"name", "status", "residual_text", "note"} <= set(data[0])
 
 
-def test_render_bytes_match_bench_golden(suite):
+def test_render_bytes_match_bench_golden(suite, golden):
     # the benchmark's verify workload checks the same two digests; this
     # keeps the bytes pinned in the tier-1 suite as well
-    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-    golden = json.loads(golden_path.read_text())
     for fmt, key in (("text", "verify_text_sha256"), ("json", "verify_json_sha256")):
         rendered = models.render_suite(suite, fmt=fmt).encode()
         assert hashlib.sha256(rendered).hexdigest() == golden[key], fmt

@@ -8,7 +8,6 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,11 +232,11 @@ def lattice_mu(beta, levels, h):
     return out
 
 
-def golden_mu(beta, n):
-    """The oracle's mu at cell (beta, n) as ``bench/golden.json`` records
-    it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-    return json.loads(path.read_text())["oracle_mu"][f"{beta!r}:{n}"]
+@pytest.fixture
+def golden_mu(golden):
+    """``golden_mu(beta, n)``: the oracle's mu at cell (beta, n) as
+    ``bench/golden.json`` records it."""
+    return lambda beta, n: golden["oracle_mu"][f"{beta!r}:{n}"]
 
 
 @pytest.mark.parametrize("n", [4000, 8000, 16000])
@@ -525,7 +524,7 @@ BETA8_LEVELS = spectra.halfplane_level_count(8.0)
     pytest.param(closed_form_mu(8.0, BETA8_LEVELS, first=1), id="level+1"),
     pytest.param(closed_form_mu(8.0, BETA8_LEVELS, first=-1), id="level-1"),
 ])
-def test_tridiag_wrong_seed_keeps_the_root(guess):
+def test_tridiag_wrong_seed_keeps_the_root(guess, golden_mu):
     # a seed only decides where a level's walk starts: shifted inside the
     # brackets, past both ends of the spectrum, nan or a neighbour's, it
     # must not move a level off the bench's recorded mu
@@ -632,7 +631,19 @@ def test_lattice_term_is_the_moment_reduction():
     assert numverify.lattice_term(1.25, 0) == 0.0
 
 
-def test_lattice_seed_on_the_bench_cells(monkeypatch):
+@pytest.mark.parametrize("beta, l, message", [
+    (math.nan, 0, "beta must be finite"),
+    (math.inf, 0, "beta must be finite"),
+    (5.0, -1, "l must be >= 0"),
+    (5.0, 2.5, "l must be an int"),
+])
+def test_lattice_term_rejects_bad_input(beta, l, message):
+    # each has no level l, so any number it gave would be a silent answer
+    with pytest.raises(UsageError, match=message):
+        numverify.lattice_term(beta, l)
+
+
+def test_lattice_seed_on_the_bench_cells(monkeypatch, golden_mu):
     # the benchmark's nine cells: the lattice seed keeps every mu on the
     # recorded value and saves walks, 112 at the closed-form seed, while
     # each level still takes its one certificate count
