@@ -16,9 +16,12 @@ class UsageError(ValueError):
 
 def check_int(v, name, least=None):
     """v as an int; UsageError for one that is not an integer (2.5, nan),
-    which would otherwise fail in ``range`` or a list repetition, or that
-    lies below ``least``."""
+    which would otherwise fail in ``range`` or a list repetition, for a
+    bool, which ``operator.index`` reads as 0 or 1, or for one that lies
+    below ``least``."""
     try:
+        if isinstance(v, bool):
+            raise TypeError
         v = operator.index(v)
     except TypeError:
         raise UsageError(f"{name} must be an int, got {v!r}") from None

@@ -7,10 +7,11 @@ Agreement between these oracles and the closed forms in ``spectra`` is
 the cross-check the package exists for.
 
 The eigensolver does take the half-plane closed form as a seed: each bound
-level's Newton walk starts at the closed form plus its exact O(h^2)
-lattice term (and, at an integer beta's top level, a measured O(h^3)
-term), where the solver would otherwise bisect from a bracket
-around the whole spectrum first.  That seed lies within rounding of the
+level's Newton walk starts at the closed form plus its O(h^2) and O(h^4)
+lattice terms (with a measured O(h^3) term at an integer beta's top
+level, and an h^2 ln h term at a half-integer beta's al = 2 level),
+where the solver would otherwise bisect from a bracket around the whole
+spectrum first.  That seed lies within rounding of the
 discrete eigenvalue, so a level's first walk is usually its last.  Each
 level is still kept only with a Sturm count certificate
 |mu - lambda_j| <= 1e-9 on the discrete matrix, so the seed buys speed
@@ -424,7 +425,9 @@ def lattice_term(beta, l):
     coefficient measured by fit, not derived; a seed only decides where a
     level's walk starts, and the level's Sturm count certificate alone
     decides mu.  0.0 for the other al <= 2, where int (phi'')^2 diverges
-    and no h^2 term exists.  This is the asymptotic correction of
+    and no h^2 term exists; at al = 2 it diverges like ln h, and
+    ``lattice_log_term`` gives that level's h^2 ln h term.  The O(h^4)
+    term is ``lattice_h4_term``.  This is the asymptotic correction of
     finite-difference Sturm-Liouville eigenvalues (Paine, de Hoog &
     Anderssen, Computing 26, 123, 1981), in closed form here because the
     eigenfunctions are Laguerre functions:
@@ -455,6 +458,105 @@ def lattice_term(beta, l):
         / (64.0 * (al - 2.0) * (al + 2.0))
 
 
+def lattice_h4_term(beta, l):
+    """D_l of the lattice eigenvalue mu_l(h) = mu_l + C_l h^2 + D_l h^4
+    + o(h^4) of level l on ``whittaker_matrix``, for al = 2 beta - 2 l - 1
+    > 4 or al = 3; at al = 1 the h^4 coefficient after (l+1)/32 h^2 +
+    beta^2/64 h^3; 0.0 for the other al.  With L = l(l+1), m = 2l + 1,
+
+        D_l = -N / (4096 (al^2 - 16)(al^2 - 4)^3),
+        N = 2m(L+1) al^7 + 2(L^2+6L+2) al^6 - 15m(4L+5) al^5
+            - 3(28L^2+228L+101) al^4 + 6m(31L-9) al^3
+            + 18(37L^2+182L+74) al^2 + 8m(119L+269) al
+            - 8(73L^2-282L-124).
+
+    This is the second order of ``lattice_term``'s perturbation.  The
+    stencil is -d^2 - (h^2/12) d^4 - (h^4/360) d^6 + O(h^6); with
+    L = -d^2 + 1/4 - beta/s - mu_l/s^2, order h^2 gives
+    L phi_2 = (1/12) phi'''' + C_l phi/s^2, and order h^4 against phi
+    gives D_l int phi^2/s^2 = (1/360) int (phi''')^2 - <phi_2, L phi_2>,
+    whose s = 0 terms go like s^(al-4).  phi_2 is a phi + b phi' plus a
+    multiple of d(phi)/d(nu), a and b Laurent polynomials in s, so every
+    integral is a sum of Laguerre moments
+    (``test_lattice_h4_term_is_the_second_order_reduction`` spells it
+    out).  Reduced exactly for l = 0..13, each coefficient of N is a
+    polynomial of degree at most 4 in l, and N interpolates all fourteen.
+
+    At al = 3 the formula still holds: fits over 19 grids h in
+    [0.03, 0.12] gave -0.0048835, -0.021971, -0.058572, -0.21762 and
+    -1.0464 at (beta, l) = (2, 0), (3, 1), (4, 2), (6, 4) and (10, 8),
+    against -0.0048828, -0.021973, -0.058578, -0.21766 and -1.0465 here.
+    At al = 1 (mu_l = 0) the s = 0 end adds to the h^4 term, and D_l is
+    2.6155e-3 beta^3 - 9.138e-4 beta^2 - 3.19e-4 beta + 1.16e-4, fitted,
+    not derived, to 0.001486, 0.01676, 0.06156, 0.1516, 0.5302, 0.8502,
+    1.8299, 2.521 and 4.384 measured at beta = 1, 2, 3, 4, 6, 7, 9, 10
+    and 12 (mu(h) - (l+1)/32 h^2 - beta^2/64 h^3 fitted by
+    D h^4 + E h^5 + F h^6 over 16 grids h in [0.008, 0.06],
+    s_max = 8 beta + 30); its largest miss is 1.7e-5.  A wrong D_l costs
+    Newton walks, never a different mu.
+
+    A non-finite beta, or an l that is not an int >= 0, is a
+    ``UsageError``.  Written with products, not **, so a huge finite
+    beta gives nan and does not raise.
+    """
+    check_finite(beta=beta)
+    l = check_int(l, "l", least=0)
+    al = 2.0 * beta - 2 * l - 1.0
+    if al == 1.0:
+        return ((2.6155e-3 * beta - 9.138e-4) * beta - 3.19e-4) * beta \
+            + 1.16e-4
+    if not (al > 4.0 or al == 3.0):
+        return 0.0
+    L, m = l * (l + 1), 2 * l + 1
+    num = 2 * m * (L + 1)
+    for c in (2 * (L * L + 6 * L + 2), -15 * m * (4 * L + 5),
+              -3 * (28 * L * L + 228 * L + 101), 6 * m * (31 * L - 9),
+              18 * (37 * L * L + 182 * L + 74), 8 * m * (119 * L + 269),
+              -8 * (73 * L * L - 282 * L - 124)):
+        num = num * al + c
+    a2 = al * al
+    return -num / (4096.0 * (a2 - 16.0) * (a2 - 4.0) * (a2 - 4.0)
+                   * (a2 - 4.0))
+
+
+def lattice_log_term(beta, l):
+    """(A_l, B_l) of the lattice eigenvalue
+    mu_l(h) = mu_l + (A_l + B_l ln h) h^2 + o(h^2) of level l on
+    ``whittaker_matrix`` at al = 2 beta - 2 l - 1 = 2 (a half-integer
+    beta, l = beta - 3/2, mu_l = -3/4); (0.0, 0.0) at any other al.
+
+    There phi = s^(3/2) e^(-s/2) L_l^(2)(s) gives
+    phi'' ~ (3/4) L_l^(2)(0) s^(-1/2), so int (phi'')^2 of
+    ``lattice_term`` diverges like -ln h at the stencil's cut-off s ~ h.
+    With L_l^(2)(0) = (l+1)(l+2)/2 = int phi^2/s^2, the shift
+    -(h^2/12) int (phi'')^2 / int phi^2/s^2 gains B_l h^2 ln h,
+
+        B_l = 3 (l+1)(l+2) / 128.
+
+    A_l depends on the cut-off's details and is fitted, not derived:
+
+        A_l = B_l (ln beta - 3.821 + 2.545/beta - 0.989/beta^2),
+
+    within 2.6e-4 relative of -0.10120, -0.54069, -0.84378, -1.18542,
+    -1.55619, -1.94819, -2.35462, -2.76952, -3.18756 and -3.60394,
+    measured at beta = 1.5, 3.5, 4.5, ..., 11.5 (mu(h) - mu_l -
+    B_l h^2 ln h fitted by A h^2 + h^3 (E + E' ln h) + h^4 (F + F' ln h)
+    over 16 grids h in [0.005, 0.06], s_max = 8 beta + 30).  The rest is
+    O(h^3 ln h), above the walk's 1e-9 stop on the usual grids, so this
+    level still takes two walks; a wrong A_l costs walks, never a
+    different mu.
+
+    A non-finite beta, or an l that is not an int >= 0, is a
+    ``UsageError``.
+    """
+    check_finite(beta=beta)
+    l = check_int(l, "l", least=0)
+    if 2.0 * beta - 2 * l - 1.0 != 2.0:
+        return 0.0, 0.0
+    b = 3.0 * (l + 1) * (l + 2) / 128.0
+    return b * (math.log(beta) - 3.821 + (2.545 - 0.989 / beta) / beta), b
+
+
 def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     """Discrete spectrum of -phi'' + (1/4 - beta/s) phi = mu phi / s^2.
 
@@ -470,6 +572,13 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     s0 and would swamp the O(h^2) scheme error.  ``grid.s_min`` is the
     excluded singular neighborhood, below the first lattice node.
 
+    Each bound level's Newton walk starts at its lattice eigenvalue
+    mu_l + C_l h^2 + D_l h^4 (``lattice_term``, ``lattice_h4_term``),
+    plus beta^2/64 h^3 at al = 2 beta - 2 l - 1 = 1 and
+    (A_l + B_l ln h) h^2 at al = 2 (``lattice_log_term``); the seed only
+    decides where the walk starts, and the Sturm count certificate of
+    ``tridiag_eigs`` decides mu.
+
     The right wall at s_max raises each level by at most ``wall_shift``.
     A level for which that exceeds 1e-3 of its energy mu + beta^2, or
     whose allowed region reaches the wall, raises ``ResolutionError``.
@@ -484,18 +593,26 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
     # each bound level's Newton walk starts at its lattice eigenvalue
-    # mu_l + C_l h^2, mu_l = 1/4 - (beta - l - 1/2)^2, plus beta^2/64 h^3
-    # at al = 1, a fitted coefficient, not a derived one, which
-    # scripts/oracle_refinement_study.py checks; past the window
-    # 0 <= l < beta - 1/2 the closed form turns back down, so a level
-    # beyond it gets no seed.  Products, not **: a huge beta gives an inf
-    # or nan seed, which takes no walk, and never an OverflowError
+    # mu_l + C_l h^2 + D_l h^4, mu_l = 1/4 - (beta - l - 1/2)^2, plus
+    # beta^2/64 h^3 at al = 1 and (A_l + B_l ln h) h^2 at al = 2; the
+    # fitted coefficients are checked by scripts/oracle_refinement_study.py.
+    # Past the window 0 <= l < beta - 1/2 the closed form turns back down,
+    # so a level beyond it gets no seed.  Products, not **: a huge beta
+    # gives an inf or nan seed, which takes no walk, and never an
+    # OverflowError
     h = grid.h
     h2 = h * h
-    seed = [0.25 - (beta - l - 0.5) * (beta - l - 0.5)
-            + lattice_term(beta, l) * h2
-            + (beta * beta / 64.0 * h2 * h if beta - l == 1.0 else 0.0)
-            for l in range(k_levels) if l < beta - 0.5]
+    log_h = math.log(h)
+    seed = []
+    for l in range(k_levels):
+        if not l < beta - 0.5:
+            break
+        a_l, b_l = lattice_log_term(beta, l)
+        seed.append(0.25 - (beta - l - 0.5) * (beta - l - 0.5)
+                    + (lattice_term(beta, l) + a_l + b_l * log_h
+                       + lattice_h4_term(beta, l) * h2) * h2
+                    + (beta * beta / 64.0 * h2 * h if beta - l == 1.0
+                       else 0.0))
     # all bound states sit below mu = 1/4: a level at or above it means the
     # grid resolves fewer bound states than requested
     mu = tridiag_eigs(diag, off, k_levels, guess=seed)

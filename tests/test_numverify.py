@@ -205,12 +205,46 @@ def closed_form_mu(beta, levels, first=0):
             for l in range(first, first + levels)]
 
 
+def h4_term(beta, l):
+    """D_l of the seed in exact rationals: the second-order closed form
+    at al = 2 beta - 2 l - 1 > 4 or al = 3
+    (``test_lattice_h4_term_is_the_second_order_reduction`` derives it
+    from the moments), the fitted cubic in beta at al = 1, and 0 for the
+    other al."""
+    al, b = Fraction(2 * beta - 2 * l - 1), Fraction(beta)
+    if al == 1:
+        return (Fraction("2.6155e-3") * b ** 3 - Fraction("9.138e-4") * b ** 2
+                - Fraction("3.19e-4") * b + Fraction("1.16e-4"))
+    if not (al > 4 or al == 3):
+        return Fraction(0)
+    L, m = l * (l + 1), 2 * l + 1
+    num = (2 * m * (L + 1) * al ** 7 + 2 * (L * L + 6 * L + 2) * al ** 6
+           - 15 * m * (4 * L + 5) * al ** 5
+           - 3 * (28 * L * L + 228 * L + 101) * al ** 4
+           + 6 * m * (31 * L - 9) * al ** 3
+           + 18 * (37 * L * L + 182 * L + 74) * al ** 2
+           + 8 * m * (119 * L + 269) * al - 8 * (73 * L * L - 282 * L - 124))
+    return -num / (4096 * (al ** 2 - 16) * (al ** 2 - 4) ** 3)
+
+
+def log_term(beta, l, h):
+    """(A_l + B_l ln h) h^2 of the al = 2 level, B_l = 3(l+1)(l+2)/128 and
+    A_l the fitted B_l (ln beta - 3.821 + 2.545/beta - 0.989/beta^2); 0
+    at any other al."""
+    if 2 * beta - 2 * l - 1 != 2:
+        return 0.0
+    b = 3 * (l + 1) * (l + 2) / 128
+    a = b * (math.log(beta) - 3.821 + 2.545 / beta - 0.989 / beta ** 2)
+    return (a + b * math.log(h)) * h * h
+
+
 def lattice_mu(beta, levels, h):
     """The seed ``whittaker_oracle`` gives the eigen-solve: the closed form
     plus C_l h^2 where al = 2 beta - 2 l - 1 > 2 or al = 1, with C_l taken
     from the perturbation formula over the Laguerre moments, not from its
     reduced form (``test_lattice_term_is_the_moment_reduction`` derives
-    both), and plus the fitted beta^2/64 h^3 at al = 1.  The moments' pole
+    both), plus the fitted beta^2/64 h^3 at al = 1, D_l h^4 (``h4_term``)
+    and the al = 2 level's log term (``log_term``).  The moments' pole
     at al = 1 is cancelled by hand: m M_-2 = -M_1 / (4 al), and
     m^2 M_-3 = 0 there."""
     out = []
@@ -228,7 +262,8 @@ def lattice_mu(beta, levels, h):
             mu += float(-phi2 / (12 * mm1)) * h * h
             if al == 1:
                 mu += beta * beta / 64 * h * h * h
-        out.append(mu)
+        out.append(mu + float(h4_term(beta, l)) * h ** 4
+                   + log_term(beta, l, h))
     return out
 
 
@@ -464,13 +499,13 @@ def test_tridiag_work_bound(monkeypatch):
     monkeypatch.setattr(numverify, "_sturm_count", counted_count)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
-    # measured: 8 counts and 13 walks over the 8 levels with each walk
-    # started at its lattice seed: one each for levels 0..3, two each for
-    # levels 4..6, whose O(h^4) rest exceeds 1e-9, and three for level 7,
-    # which has no h^2 term.  The closed form alone took 22 walks, seed
-    # counts at g -/+ 5e-3 before the walk 24, no seed 92
+    # measured: 8 counts and 9 walks over the 8 levels with each walk
+    # started at its lattice seed: one each for levels 0..6, and two for
+    # level 7 (al = 1), whose O(h^5) rest, 1.8e-9, exceeds the 1e-9 stop.
+    # Without the D_l h^4 term it took 12 walks, the closed form alone 22,
+    # seed counts at g -/+ 5e-3 before the walk 24, no seed 92
     assert calls["count"] <= levels
-    assert calls["slope"] <= 13
+    assert calls["slope"] <= 9
 
 
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
@@ -537,7 +572,7 @@ def test_tridiag_wrong_seed_keeps_the_root(guess, golden_mu):
 def test_oracle_seeds_only_the_bound_window(monkeypatch):
     # beta = 5 binds l = 0..4: l = 5 gets no seed, so no walk starts at
     # its closed form mu = 0, and l = 4 (al = 1), whose closed form is 0
-    # too, starts one walk at its lattice seed 5/32 h^2 + 25/64 h^3
+    # too, starts one walk at its lattice seed 5/32 h^2 + 25/64 h^3 + D h^4
     seeds, walks = [], []
     solve, slope = numverify.tridiag_eigs, numverify._sturm_slope
 
@@ -554,8 +589,9 @@ def test_oracle_seeds_only_the_bound_window(monkeypatch):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
     h = 80.0 / 401
     assert seeds == [pytest.approx(lattice_mu(5.0, 5, h), rel=1e-14)]
-    assert seeds[0][4] == pytest.approx(5 / 32 * h ** 2 + 25 / 64 * h ** 3,
-                                        rel=1e-14)
+    assert seeds[0][4] == pytest.approx(
+        5 / 32 * h ** 2 + 25 / 64 * h ** 3 + float(h4_term(5, 4)) * h ** 4,
+        rel=1e-14)
     assert walks.count(seeds[0][4]) == 1
     assert walks.count(0.0) == 0
 
@@ -643,6 +679,171 @@ def test_lattice_term_rejects_bad_input(beta, l, message):
         numverify.lattice_term(beta, l)
 
 
+def test_lattice_h4_term_is_the_second_order_reduction():
+    """D_l of ``lattice_h4_term`` is the second-order eigenvalue shift of
+    the central difference, derived here for l = 0..4 in exact rational
+    functions of al, with phi = s^P e^{-s/2} f(s), P = (al+1)/2, held as
+    the Laurent polynomial f:
+
+    1. phi_2 = part - (beta/32) d(phi)/d(nu), part = a phi + b phi' with
+       the a and b of the docstring: L part must equal
+       (1/12) phi'''' + C_l phi/s^2 + (beta/32)(1/s - al/s^2) phi, and
+       L d(phi)/d(nu) = (1/s - al/s^2) phi takes the last term back.
+    2. D_l int phi^2/s^2 = (1/360) int (phi''')^2 - <phi_2, L phi_2>.  By
+       parts, <d(phi)/d(nu), L phi_2> is
+       <(1/s - al/s^2) phi, part> - (beta/32) int phi^2/s^2, since the
+       nu-derivative of int (1/s - al/s^2) phi^2 at fixed al is
+       2 int phi^2/s^2.
+    3. Each integral is a sum of int s^(al+1+j) e^-s ds = Gamma(al+2+j),
+       taken over Gamma(al+1); the result must equal the closed form
+       (``h4_term``), and ``lattice_h4_term`` must evaluate it.
+    """
+    sympy = pytest.importorskip("sympy")
+    K, al = sympy.field("al", sympy.QQ)
+
+    def rising(x, k):
+        out = K.one
+        for i in range(k):
+            out *= x + i
+        return out
+
+    def add(*ps):
+        out = {}
+        for p in ps:
+            for k, v in p.items():
+                out[k] = out.get(k, K.zero) + v
+        return {k: v for k, v in out.items() if v != 0}
+
+    def mul(p, q):
+        return add(*({i + j: a * b} for i, a in p.items()
+                     for j, b in q.items()))
+
+    def diff(p):
+        return {k - 1: v * k for k, v in p.items() if k != 0}
+
+    def d(f):
+        # d/ds (s^P e^{-s/2} f) = s^P e^{-s/2} ((P/s - 1/2) f + f')
+        return add(mul({-1: (al + 1) / 2, 0: K(-1) / 2}, f), diff(f))
+
+    def integral(f, g):
+        # int s^(al+1) e^-s f g ds / Gamma(al+1)
+        return sum((v * (rising(al + 1, j + 1) if j >= -1
+                         else 1 / rising(al + 2 + j, -1 - j))
+                    for j, v in mul(f, g).items()), K.zero)
+
+    minus = {0: -K.one}
+    for l in range(5):
+        phi = {k: (-1) ** k * rising(al + k + 1, l - k)
+               / (math.factorial(l - k) * math.factorial(k))
+               for k in range(l + 1)}
+        beta, mu = (al + 2 * l + 1) / 2, (1 - al * al) / 4
+        L = l * (l + 1)
+        c = (-((2 * L + 1) * al ** 2 + 3 * (2 * l + 1) * al + 2 - 2 * L)
+             / (64 * (al - 2) * (al + 2)))
+        u = {0: K.one / 4, -1: -beta, -2: -mu}
+        d1 = d(phi)
+        d3 = d(d(d1))
+        assert add(d(d1), mul(minus, mul(u, phi))) == {}, l
+        f = add(mul({0: K.one / 12}, d(d3)), mul({-2: c}, phi))
+        b_m1 = -mu * mu / (12 * (3 + 4 * mu))
+        b_0 = -beta * (mu / 6 + 3 * b_m1) / (2 * mu)
+        b = {1: K(-1) / 96, 0: b_0, -1: b_m1}
+        a = add(mul({0: K(-1) / 12}, u), mul({0: K(-1) / 2}, diff(b)))
+        part = add(mul(a, phi), mul(b, d1))
+        slope = {-1: K.one, -2: -al}
+        # step 1, with L = -d^2 + u
+        assert add(mul(minus, d(d(part))), mul(u, part), mul(minus, f),
+                   mul({0: -beta / 32}, mul(slope, phi))) == {}, l
+        w = integral(phi, mul({-2: K.one}, phi))
+        inner = (integral(part, f) - beta / 32
+                 * (integral(mul(slope, phi), part) - beta / 32 * w))
+        got = (integral(d3, d3) / 360 - inner) / w
+        for x in (Fraction(3), Fraction(9, 2), Fraction(7), Fraction(81, 5)):
+            b_x = (x + 2 * l + 1) / 2
+            want = h4_term(b_x, l)
+            assert got.numer(sympy.Rational(x)) / got.denom(
+                sympy.Rational(x)) == sympy.Rational(want), (l, x)
+            assert numverify.lattice_h4_term(float(b_x), l) == pytest.approx(
+                float(want), rel=1e-13), (l, x)
+
+
+@pytest.mark.parametrize("beta, l, want", [
+    (2.5, 1, 18 / 128), (1.5, 0, 6 / 128), (6.5, 5, 126 / 128),
+    (2.5, 0, 0.0), (5.0, 4, 0.0), (7.3, 5, 0.0),
+])
+def test_lattice_log_term_is_the_al_two_level_only(beta, l, want):
+    # B_l = 3 (l+1)(l+2)/128 at al = 2, and no log term at any other al
+    a, b = numverify.lattice_log_term(beta, l)
+    assert b == want
+    assert a == pytest.approx(log_term(beta, l, 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("beta, l, message", [
+    (math.nan, 0, "beta must be finite"),
+    (math.inf, 0, "beta must be finite"),
+    (5.0, -1, "l must be >= 0"),
+    (5.0, 2.5, "l must be an int"),
+    (5.0, True, "l must be an int"),
+])
+@pytest.mark.parametrize("term", ["lattice_h4_term", "lattice_log_term"])
+def test_seed_terms_reject_bad_input(term, beta, l, message):
+    with pytest.raises(UsageError, match=message):
+        getattr(numverify, term)(beta, l)
+
+
+@pytest.mark.parametrize("beta, s_max, ns", [
+    (6.0, 80.0, (4000, 8000)),
+    (6.5, 80.0, (4000, 8000)),
+    (7.3, 80.0, (4000, 8000)),
+    # at s_max = 80 the wall raises levels 2..11 by 3e-9 to 2e-7, which
+    # no lattice term models; at 96 by at most 6e-12.  At n = 4000 the
+    # O(h^5) rests of the top two levels, 1.6e-9 and 1.2e-8, exceed the
+    # walk's 1e-9 stop, and at n = 16000 the rounding of entries up to
+    # s_max^2/h^2 ~ 3e8 moves the walk's steps by about as much
+    (12.0, 96.0, (8000,)),
+])
+def test_h4_seed_on_cells_outside_the_bench(monkeypatch, beta, s_max, ns):
+    # each level with an h^4 term (al = 1, 3 or above 4) takes one walk
+    # and at most one certificate count; the al = 2 level of beta = 6.5
+    # at most two walks, as its O(h^3 ln h) rest exceeds 1e-9
+    work, seeds = [], []
+    slope, count = numverify._sturm_slope, numverify._sturm_count
+    solve = numverify.tridiag_eigs
+
+    def recorded_solve(*args, guess=(), **kwargs):
+        seeds[:] = guess
+        return solve(*args, guess=guess, **kwargs)
+
+    def recorded_slope(d, e2, x):
+        work.append(("walk", x))
+        return slope(d, e2, x)
+
+    def recorded_count(d, e2, x):
+        work.append(("count", x))
+        return count(d, e2, x)
+    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
+    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
+    levels = spectra.halfplane_level_count(beta)
+    checked = set()
+    for n in ns:
+        work.clear()
+        numverify.whittaker_oracle(beta, numverify.FDGrid(1e-3, s_max, n),
+                                   levels)
+        starts = [work.index(("walk", g)) for g in seeds] + [len(work)]
+        for l in range(len(seeds)):
+            kinds = [k for k, _ in work[starts[l]:starts[l + 1]]]
+            al = 2 * beta - 2 * l - 1
+            if al in (1.0, 3.0) or al > 4:
+                assert kinds.count("walk") == 1, (n, l, kinds)
+                assert kinds.count("count") <= 1, (n, l, kinds)
+                checked.add(l)
+            elif al == 2.0:
+                assert kinds.count("walk") <= 2, (n, l, kinds)
+                checked.add(l)
+    assert checked
+
+
 def test_lattice_seed_on_the_bench_cells(monkeypatch, golden_mu):
     # the benchmark's nine cells: the lattice seed keeps every mu on the
     # recorded value and saves walks, 112 at the closed-form seed, while
@@ -665,16 +866,17 @@ def test_lattice_seed_on_the_bench_cells(monkeypatch, golden_mu):
                 beta, numverify.FDGrid(1e-3, 80.0, n),
                 spectra.halfplane_level_count(beta)).mu
             assert mu == pytest.approx(golden_mu(beta, n), rel=0, abs=1e-9)
-    # measured: 67 walks and 45 counts
-    assert calls["slope"] <= 70
+    # measured: 50 walks and 45 counts
+    assert calls["slope"] <= 50
     assert calls["count"] == 45
 
 
 def test_alpha_one_seed_on_the_bench_cells(monkeypatch):
     # the top level of beta = 5 and 8 (al = 1) walks from
-    # mu_l + (l+1)/32 h^2 + beta^2/64 h^3: the nine cells take 62 walks,
-    # 67 with the closed form alone at that level, and at n = 16000 every
-    # level of beta = 5 and 8 takes one walk and one certificate count
+    # mu_l + (l+1)/32 h^2 + beta^2/64 h^3 + D_l h^4: the nine cells take
+    # 50 walks, 62 without the h^4 and log terms and 67 with the closed
+    # form alone at that level, and at n = 16000 every level of beta = 5
+    # and 8 takes one walk and one certificate count
     calls = {"count": 0, "slope": 0}
     slope, count = numverify._sturm_slope, numverify._sturm_count
 
@@ -696,7 +898,7 @@ def test_alpha_one_seed_on_the_bench_cells(monkeypatch):
             if n == 16000 and beta != 2.5:
                 assert calls["slope"] - before["slope"] == levels, beta
                 assert calls["count"] - before["count"] == levels, beta
-    assert calls["slope"] <= 62
+    assert calls["slope"] <= 50
     assert calls["count"] == 45
 
 
@@ -726,10 +928,10 @@ def test_tridiag_reads_any_sequence_and_changes_none(matrix):
     assert outs[0] == outs[1] == outs[2]
 
 
-@pytest.mark.parametrize("k", [2.5, math.nan, "2"])
+@pytest.mark.parametrize("k", [2.5, math.nan, "2", True])
 def test_level_count_must_be_an_int(k):
     # each raised a raw TypeError from a comparison, range or a list
-    # repetition
+    # repetition, but True, which solved one level as k = 1
     with pytest.raises(UsageError, match="k must be an int"):
         numverify.tridiag_eigs([1.0, 2.0, 3.0], [0.5, 0.5], k)
     with pytest.raises(UsageError, match="k_levels must be an int"):

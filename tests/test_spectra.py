@@ -139,6 +139,17 @@ def test_non_integer_quantum_number_is_a_usage_error(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: spectra.landau_flat(True), "n"),
+    (lambda: spectra.landau_halfplane(5, True), "l"),
+    (lambda: spectra.sphere_spectrum(False, 2), "l"),
+], ids=["flat-n", "halfplane-l", "sphere-l"])
+def test_bool_quantum_number_is_a_usage_error(call, name):
+    # operator.index reads True as 1: landau_flat(True) answered E_1
+    with pytest.raises(UsageError, match=rf"^{name} must be an int, got "):
+        call()
+
+
 def test_whole_float_k_takes_the_float_path():
     line = spectra.sphere_spectrum(1, 2.0)
     assert line.energy == -2.0 and line.energy_exact is None
