@@ -14,12 +14,17 @@ All values are immutable after construction and every operation returns a
 normalized result.  Values are shared, so no code may edit a ``num`` or a
 ``DiffOp.terms`` dict in place: ``Ring.var`` returns one value per
 (name, power), and a ``DiffOp`` keeps its derivative table,
-``[(beta, d_var g_beta)]`` per geometric variable, once ``_hits`` has
-built it with the operator on the right.  Neither table refers back to
-its owner.  Input is checked once, where it enters (``Ring.const``,
-``Ring.var``, ``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``,
-``DiffOp.zero``, ``DiffOp.from_terms``); the constructors only store
-kernel-built parts.
+``{beta: d_var g_beta}`` per geometric variable with no zero entry, once
+``_hits`` has built it with the operator on the right.  ``_hits`` takes
+that table as its first carry, so ``_carry`` reads the ``rest`` it is
+given and builds a new dict.  Neither table refers back to its owner.
+Input is checked once, where it enters (``Ring.const``, ``Ring.var``,
+``Ring.monomial``, ``DiffOp.mult``, ``DiffOp.d``, ``DiffOp.zero``,
+``DiffOp.from_terms``); the constructors only store kernel-built parts.
+No ``DiffOp`` holds a zero coefficient, and none is filtered out after
+the fact: ``_accumulate`` skips a zero value and deletes a key whose sum
+cancels, and only ``from_terms`` and ``DiffOp._lift``, where outside
+coefficients enter, drop a zero one.
 A ``LaurentPoly`` is its ``ring``, ``num`` and ``den``, and keeps no
 scalar object per term: its coefficients are (a + b*i)/den over one
 denominator ``den`` for the whole polynomial, as FLINT's ``fmpq_poly``
@@ -540,22 +545,29 @@ def _some_image(images):
 # ---------------------------------------------------------------------------
 
 def _accumulate(out, key, value):
-    """out[key] += value for a coefficient value, skipping a zero one."""
+    """out[key] += value for a coefficient value: a zero value is skipped,
+    and a sum that cancels deletes the key, so ``out`` holds no zero."""
     if value.is_zero:
         return
     s = out.get(key)
-    out[key] = value if s is None else s + value
+    if s is None:
+        out[key] = value
+    elif (s := s + value).is_zero:
+        del out[key]
+    else:
+        out[key] = s
 
 
 def _carry(rest, shift, k, var, dg):
     """rest_(shift + e_k) of ``DiffOp._hits`` from rest_shift: d_var o rest,
-    plus (d_var g_beta) d^(beta + shift) for each (beta, d_var g_beta) in
-    ``dg``, the partial landing on the coefficients of the shifted other."""
+    plus (d_var g_beta) d^(beta + shift) for each item of ``dg``, the
+    partial landing on the coefficients of the shifted other.  A new dict:
+    ``rest`` may be a derivative table, which is read, never edited."""
     out = {}
     for beta, h in rest.items():
         _accumulate(out, beta, h.diff(var))
         _accumulate(out, beta[:k] + (beta[k] + 1,) + beta[k + 1:], h)
-    for beta, g in dg:
+    for beta, g in dg.items():
         _accumulate(out, tuple(map(add, beta, shift)), g)
     return out
 
@@ -566,11 +578,13 @@ class DiffOp(_Value):
     ``geom_vars`` are the variables derivatives act on; every other ring
     variable is inert.  Terms map derivative multi-indices to LaurentPoly
     coefficients, with all derivatives to the right of all coefficients.
-    Built by ``mult``, ``d``, ``zero`` and ``from_terms``; the constructor
-    drops zero terms and trusts the rest.  ``_hits`` fills ``_dgs``, the
-    derivative table of an operator on the right of ``*`` or
-    ``commutator``, on first use; it holds coefficients, never an
-    operator, and is shared by every later call, so ``terms`` and each
+    Built by ``mult``, ``d``, ``zero`` and ``from_terms``, which drop zero
+    coefficients; the constructor stores the dict it is given, which
+    holds none, since every operation builds its terms with
+    ``_accumulate``.  ``_hits`` fills ``_dgs``, the derivative table of an
+    operator on the right of ``*`` or ``commutator``, on first use; it
+    holds coefficients, never an operator, and is shared by every later
+    call as the first carry, so ``terms``, each table and each
     coefficient's ``num`` are never edited in place.
     """
 
@@ -579,8 +593,8 @@ class DiffOp(_Value):
     def __init__(self, ring, geom_vars, terms):
         self.ring = ring
         self.geom_vars = geom_vars
-        self.terms = {a: c for a, c in terms.items() if not c.is_zero}
-        # var -> [(beta, d_var g_beta)], filled by ``_hits`` on first use
+        self.terms = terms
+        # var -> {beta: d_var g_beta}, no zero entry; filled by ``_hits``
         self._dgs = None
 
     # -- builders ----------------------------------------------------------
@@ -601,7 +615,8 @@ class DiffOp(_Value):
             alpha = tuple(alpha)
             if len(alpha) != len(geom_vars) or any(a < 0 for a in alpha):
                 raise DeclarationError(f"bad derivative multi-index {alpha}")
-            cleaned[alpha] = coeff
+            if not coeff.is_zero:
+                cleaned[alpha] = coeff
         return cls(ring, geom_vars, cleaned)
 
     @classmethod
@@ -632,9 +647,9 @@ class DiffOp(_Value):
             return None
         elif other.ring != self.ring:
             raise DeclarationError("coefficient declared over another ring")
-        # self's geom_vars are already checked; the constructor drops a zero
+        # self's geom_vars are already checked; a zero has no term
         return DiffOp(self.ring, self.geom_vars,
-                      {(0,) * len(self.geom_vars): other})
+                      {} if other.is_zero else {(0,) * len(self.geom_vars): other})
 
     # -- linear structure --------------------------------------------------
 
@@ -664,7 +679,9 @@ class DiffOp(_Value):
         rest_0 is empty, so the alpha = 0 terms of self are skipped, and
         each rest_p is kept for every alpha of self that passes through p.
         Repeating the rule sums the Leibniz binomials, so none is formed.
-        The d_v g_beta are read from other's ``_dgs``, built on first use.
+        The d_v g_beta are read from other's ``_dgs``, built on first use,
+        and since rest_0 is empty, rest_(e_v) is the table for v itself:
+        ``_carry`` runs only from the second partial on.
         """
         gv = self.geom_vars
         zero = (0,) * len(gv)
@@ -683,9 +700,10 @@ class DiffOp(_Value):
                     var = gv[k]
                     dg = dgs.get(var)
                     if dg is None:
-                        dg = dgs[var] = [(beta, g.diff(var))
-                                         for beta, g in other.terms.items()]
-                    rests[p] = _carry(rests[prev], prev, k, var, dg)
+                        dg = dgs[var] = {beta: h for beta, g in other.terms.items()
+                                         if not (h := g.diff(var)).is_zero}
+                    rests[p] = (dg if prev is zero
+                                else _carry(rests[prev], prev, k, var, dg))
             for beta, h in rests[p].items():
                 _accumulate(out, beta, f * h)
         return out

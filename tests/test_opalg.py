@@ -497,6 +497,41 @@ def test_commutator_checks_declarations(ring):
         A.commutator("x")
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cancelling_sums_leave_no_zero_term(ring, data):
+    # the constructor stores the dict it is given: a term whose sum cancels
+    # is deleted as the operation builds it, and a zero coefficient is
+    # dropped where it enters, in from_terms or in the lift
+    ops = _diffop_strategy(ring)
+    A, B = data.draw(ops), data.draw(ops)
+    p = data.draw(_poly_strategy(ring))
+    assume(not p.is_zero)
+    zero = (0, 0)
+    assert not (A + (-A)).terms and not (A - A).terms
+    assert ((A + B) - B).terms == A.terms
+    # part-way: one term cancels and the others stay
+    for alpha, c in A.terms.items():
+        rest = A - DiffOp.from_terms(ring, GV, {alpha: c})
+        assert rest.terms == {a: g for a, g in A.terms.items() if a != alpha}
+        _assert_normal(rest)
+    Ap = A + p
+    assume(zero in Ap.terms)
+    assert (Ap + (-Ap.terms[zero])).terms == {
+        a: g for a, g in A.terms.items() if a != zero}
+    assert (A + ring.zero()).terms == A.terms
+    assert not (A * 0).terms and not (0 * A).terms
+    assert not A.commutator(ring.zero()).terms
+    for c in (0, Fraction(0), GaussianRational(0), ring.zero()):
+        assert not A._lift(c).terms
+    x = ring.var("x")
+    assert DiffOp.from_terms(ring, GV, {zero: 0, (1, 0): ring.zero(),
+                                        (0, 1): x}).terms == {(0, 1): x}
+    for v in (A + (-A), A - A, (A + B) - B, Ap, A + ring.zero(), A * 0,
+              0 * A, A._lift(0), A._lift(ring.zero())):
+        _assert_normal(v)
+
+
 # -- shared values -----------------------------------------------------------
 
 def _state(v):
@@ -505,6 +540,12 @@ def _state(v):
     if isinstance(v, DiffOp):
         return [(alpha, _state(c)) for alpha, c in v.terms.items()]
     return v.den, list(v.num.items())
+
+
+def _tables(op):
+    """An operator's derivative tables, each entry's state in order."""
+    return {var: [(beta, _state(g)) for beta, g in table.items()]
+            for var, table in (op._dgs or {}).items()}
 
 
 _VARS = [("x", 1), ("x", 2), ("y", 1), ("y", -1), ("y", 2), ("beta", 1)]
@@ -523,6 +564,11 @@ def test_no_operation_mutates_an_operand(ring, data):
     before = {key: _state(v) for key, v in shared.items()}
     operands = (p, q, A, B)
     states = [_state(v) for v in operands]
+    # warm the tables: a table is also the first carry of every later
+    # product, so an edit of it would pass on to the next call
+    A * B
+    B * A
+    tables = [_tables(A), _tables(B)]
     dx, dy = _d(ring, "x"), _d(ring, "y")
     calls = [
         lambda: p + q, lambda: p - q, lambda: p * q, lambda: p ** k,
@@ -540,6 +586,7 @@ def test_no_operation_mutates_an_operand(ring, data):
     for call in calls:
         call()
         assert [_state(v) for v in operands] == states
+        assert [_tables(A), _tables(B)] == tables
         assert {key: _state(v) for key, v in shared.items()} == before
     assert all(ring.var(*key) is v for key, v in shared.items())
 
