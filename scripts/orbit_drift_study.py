@@ -3,8 +3,10 @@
 
 Integrates the bounded preset over a fixed number of periods for a
 ladder of RK4 step sizes, reporting the worst relative drift of each
-charge and the circle-fit quality.  The drift column should fall like
-dt^4 until roundoff.  CSV to stdout.
+charge and the circle-fit quality.  The period is the closed form
+``classical.estimate_period`` takes from the charges,
+T = 4 pi a^2 / sqrt(-(L1^2 + L2 L3)); no run is integrated to find it.
+The drift column should fall like dt^4 until roundoff.  CSV to stdout.
 """
 
 import argparse

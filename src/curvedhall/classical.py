@@ -4,7 +4,9 @@ Hamilton's equations for H = (1/4a^2)[y^2(p_x^2+p_y^2) + 2 beta y p_x
 + beta^2], integrated with classic RK4.  Conserved-quantity drift is the
 accuracy metric (the scheme is not symplectic; desk-scale runs are short
 enough that drift is itself the thing we measure), and bounded orbits
-are verified to be Euclidean circles by a least-squares fit.
+are verified to be Euclidean circles by a least-squares fit.  The period
+of a bounded orbit is a closed form in its Noether charges
+(``estimate_period``); no integration enters it.
 """
 
 from __future__ import annotations
@@ -217,36 +219,28 @@ def circle_fit(traj_or_points):
     return mx + cu, my + cv, r, rms
 
 
-def estimate_period(s0, a, beta, probe_dt=1e-3):
-    """Angle-winding period estimate for a bounded orbit: integrate until
-    the polar angle about the fitted circle center accumulates 2 pi, in at
-    most 200 000 probe steps."""
-    warm = integrate_rk4(s0, a, beta, probe_dt, 2000)
-    if warm.domain_exit:
-        raise DomainError("probe trajectory left the domain; orbit not bounded")
-    cx, cy, _, _ = circle_fit(warm)
-    x, y, px, py = s0.x, s0.y, s0.px, s0.py
-    prev = math.atan2(y - cy, x - cx)
-    acc = 0.0
-    for i in range(1, 200_001):
-        nxt = _rk4_step(x, y, px, py, a, beta, probe_dt)
-        if nxt is None:
-            raise DomainError("orbit left the domain; not bounded")
-        x, y, px, py = nxt
-        th = math.atan2(y - cy, x - cx)
-        d = th - prev
-        if d > math.pi:
-            d -= 2 * math.pi
-        elif d < -math.pi:
-            d += 2 * math.pi
-        acc += d
-        prev = th
-        if abs(acc) >= 2 * math.pi:
-            # linear interpolation inside the last step
-            over = abs(acc) - 2 * math.pi
-            frac = 1.0 - over / abs(d) if d else 0.0
-            return (i - 1 + frac) * probe_dt
-    raise DomainError("no full revolution within the probe window")
+def estimate_period(s0, a, beta):
+    """The period T = 4 pi a^2 / sqrt(det) of the bounded orbit through s0.
+
+    The flow of H is the Moebius flow z(t) = exp(tM) z0 of
+    M = (1/4a^2) [[L1, L3], [L2, -L1]], and det = -(L1^2 + L2 L3) is
+    16 a^4 det M = beta^2 - 4 a^2 H (the identity suite's
+    classical-hamiltonian-charges report) without the beta^2 cancellation.  Then exp(tM) = cos(wt) I +
+    (sin(wt) / w) M with w = sqrt(det) / 4a^2, and since -I moves no
+    point, T = pi / w.  An orbit with det <= 0 is unbounded or a
+    horocycle: ``DomainError``.  A T that overflows or underflows raises
+    ``OverflowError``."""
+    check_finite(a=a, beta=beta)
+    if a == 0:
+        raise UsageError("a must be nonzero")
+    _, L1, L2, L3 = conserved_values(s0, a, beta)
+    det = -(L1 * L1 + L2 * L3)
+    if not det > 0:
+        raise DomainError(f"orbit not bounded: -(L1^2 + L2 L3) = {det!r}")
+    T = 4 * math.pi * a * a / math.sqrt(det)
+    if not 0 < T < math.inf:
+        raise OverflowError(f"the period is not a positive finite float: {T!r}")
+    return T
 
 
 def trajectory_csv(traj):

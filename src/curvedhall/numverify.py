@@ -114,10 +114,14 @@ def residual_check(H, psi, energy, points, h):
     """Max over points of |H psi - E psi| / (|E||psi| + guard).
 
     A ``UsageError`` names the first point where psi or its stencil
-    image H psi is not finite, and rejects a non-finite energy: a nan
-    residual would lose every ``max`` and read as a perfect pass."""
+    image H psi is not finite, and rejects a non-finite energy and an
+    empty point set: a nan residual would lose every ``max``, and no
+    point would leave it at 0, each a perfect pass."""
     if not cmath.isfinite(energy):
         raise UsageError(f"energy = {energy!r} is not finite")
+    points = tuple(points)
+    if not points:
+        raise UsageError("residual_check needs at least one point")
     worst = 0.0
     for pt in points:
         val = psi({v: pt[v] for v in H.geom_vars})
@@ -133,7 +137,9 @@ def residual_check(H, psi, energy, points, h):
 
 def tuned_residual(H, psi, energy, points):
     """Best residual over a small ladder of step sizes (the FD error has
-    an h^4 regime and a rounding plateau; the minimum sits between)."""
+    an h^4 regime and a rounding plateau; the minimum sits between).
+    ``points`` is read once, so a generator serves every step size."""
+    points = tuple(points)
     return min(residual_check(H, psi, energy, points, h)
                for h in (1e-2, 3e-3, 1e-3))
 

@@ -71,9 +71,12 @@ def test_orbit_is_a_circle():
     traj = classical.integrate_rk4(preset(), A, BETA, 2e-3, 3000)
     cx, cy, r, rms = classical.circle_fit(traj)
     assert rms / r <= 1e-6
-    # center height and radius from the conserved charges:
-    # y_c = -beta px / (px^2 + py^2-ish combos); just check y_c > r (bounded)
-    assert cy > r
+    # the exact orbit's circle, through three of its points
+    T = classical.estimate_period(preset(), A, BETA)
+    want = _circle_through(*(_exact_z(preset(), A, BETA, k * T / 3)
+                             for k in range(3)))
+    assert max(abs(g - w) for g, w in zip((cx, cy, r), want)) <= 1e-9
+    assert cy > r      # inside the upper half-plane: bounded
 
 
 def test_rk4_fourth_order_convergence():
@@ -189,11 +192,109 @@ def test_csv_comes_in_blocks_of_rows():
     assert [p.count("\n") for p in pieces] == [1, 1024, 1024, 953]
 
 
-def test_period_positive_and_stable():
-    T1 = classical.estimate_period(preset(), A, BETA, probe_dt=1e-3)
-    T2 = classical.estimate_period(preset(), A, BETA, probe_dt=5e-4)
-    assert T1 > 0
-    assert T1 == pytest.approx(T2, rel=1e-3)
+# -- the period and the orbit in closed form ---------------------------------
+
+PRESET = (0.0, 0.0, 1.0, -1.0, 0.0)
+
+# (state, a, beta) of four bounded orbits: the preset, the preset at a
+# second scale and field, and two off-preset orbits
+ORBITS = [
+    (PRESET, 1.0, 4.0),
+    (PRESET, 1.3, 5.0),
+    ((0.0, 0.3, 2.0, -0.5, 0.7), 1.0, 4.0),
+    ((0.0, 1.0, 0.5, -1.0, 0.2), 2.0, 3.0),
+]
+
+
+def _exact_z(s0, a, beta, t):
+    """x + iy of the exact orbit at time t: the Moebius map exp(tM) of z0,
+    where exp(tM) = cos(wt) I + (sin(wt) / w) M for
+    M = (1/4a^2) [[L1, L3], [L2, -L1]] and w = sqrt(det M)."""
+    _, L1, L2, L3 = classical.conserved_values(s0, a, beta)
+    w = math.sqrt(-(L1 * L1 + L2 * L3)) / (4 * a * a)
+    c, s = math.cos(w * t), math.sin(w * t) / (w * 4 * a * a)
+    z0 = complex(s0.x, s0.y)
+    return ((c + s * L1) * z0 + s * L3) / (s * L2 * z0 + c - s * L1)
+
+
+def _circle_through(z1, z2, z3):
+    """(cx, cy, r) of the circle through three points of the plane."""
+    w = (z3 - z1) / (z2 - z1)
+    c = (z2 - z1) * (w - abs(w) ** 2) / (2j * w.imag) + z1
+    return c.real, c.imag, abs(z1 - c)
+
+
+def _probe_period(s0, a, beta, probe_dt):
+    """The period by angle winding, as ``estimate_period`` found it before
+    the closed form: integrate until the polar angle about the circle
+    fitted to a warm-up run accumulates 2 pi, in at most 200 000 steps."""
+    warm = classical.integrate_rk4(s0, a, beta, probe_dt, 2000)
+    assert not warm.domain_exit
+    cx, cy, _, _ = classical.circle_fit(warm)
+    x, y, px, py = s0.x, s0.y, s0.px, s0.py
+    prev = math.atan2(y - cy, x - cx)
+    acc = 0.0
+    for i in range(1, 200_001):
+        x, y, px, py = classical._rk4_step(x, y, px, py, a, beta, probe_dt)
+        th = math.atan2(y - cy, x - cx)
+        d = th - prev
+        if d > math.pi:
+            d -= 2 * math.pi
+        elif d < -math.pi:
+            d += 2 * math.pi
+        acc += d
+        prev = th
+        if abs(acc) >= 2 * math.pi:
+            # linear interpolation inside the last step
+            over = abs(acc) - 2 * math.pi
+            frac = 1.0 - over / abs(d) if d else 0.0
+            return (i - 1 + frac) * probe_dt
+    raise AssertionError("no full revolution within the probe window")
+
+
+@pytest.mark.parametrize("s0, a, beta", ORBITS)
+def test_period_matches_the_probe(s0, a, beta):
+    # the probe's own error at probe_dt = 1e-3 is at most 1.6e-8 relative;
+    # the period of the matrix group, 2 pi / w, is twice T
+    s0 = classical.PhaseState(*s0)
+    T = classical.estimate_period(s0, a, beta)
+    assert T == pytest.approx(_probe_period(s0, a, beta, 1e-3), rel=1e-7)
+
+
+@pytest.mark.parametrize("s0, a, beta", ORBITS)
+def test_rk4_follows_the_exact_orbit(s0, a, beta):
+    # over 10 periods at dt = T/1000 the largest |dz| is 2.9e-8 to 4.0e-7
+    # on these orbits; the error ratio per halving of dt wanders from 38
+    # to 12, so the bound is at a fixed dt and no order is fitted
+    s0 = classical.PhaseState(*s0)
+    T = classical.estimate_period(s0, a, beta)
+    traj = classical.integrate_rk4(s0, a, beta, T / 1000, 10_000)
+    assert not traj.domain_exit
+    err = max(abs(complex(s.x, s.y) - _exact_z(s0, a, beta, s.t))
+              for s in traj.states)
+    assert err <= 1e-6
+
+
+@pytest.mark.parametrize("s0, a, beta, error", [
+    # unbounded: the probe wound for 0.5 s on the first and its circle fit
+    # failed on the second; the third is a horocycle (det = 0) and the
+    # fourth is test_domain_exit_flagged's state
+    ((0.0, 0.0, 1.0, 1.0, 0.0), A, 2.5, DomainError),
+    ((0.0, 0.0, 1.0, 0.0, 0.5), A, 1.0, DomainError),
+    ((0.0, 0.0, 1.0, -8.0, 0.0), A, BETA, DomainError),
+    ((0.0, 0.0, 0.5, 0.0, -10.0), A, BETA, DomainError),
+    (PRESET, math.nan, BETA, UsageError), (PRESET, A, math.nan, UsageError),
+    (PRESET, A, math.inf, UsageError), (PRESET, 0.0, BETA, UsageError),
+    (PRESET, 1e200, BETA, OverflowError),      # 4 pi a^2 is inf
+])
+def test_period_raises_where_there_is_none(s0, a, beta, error, monkeypatch):
+    # answered from the charges and the parameters, with no step taken
+    monkeypatch.setattr(classical, "_rk4_step", None)
+    monkeypatch.setattr(classical, "integrate_rk4", None)
+    with pytest.raises(error) as caught:
+        classical.estimate_period(classical.PhaseState(*s0), a, beta)
+    # a DomainError in place of a UsageError would call the orbit unbounded
+    assert caught.type is error
 
 
 @pytest.mark.parametrize("a, beta, dt", [

@@ -117,6 +117,32 @@ def test_residual_negative_control():
     assert r >= 0.1
 
 
+def test_tuned_residual_reads_a_generator_once():
+    # the first step size used a generator up, and the other two read
+    # 0.0: a wrong eigenpair (residual 0.29 here) passed as perfect
+    H = models.hamiltonian_halfplane()
+    pts = halfplane_points(n=5)
+    energy = spectra.landau_halfplane(5, 0).energy
+    psi = psi_handle(5.0, 0, 1.0)
+    want = numverify.tuned_residual(H, psi, energy + 1, pts)
+    assert want >= 0.1
+    assert numverify.tuned_residual(H, psi, energy + 1,
+                                    (p for p in pts)) == want
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([], id="list"), pytest.param((), id="tuple"),
+    pytest.param(iter(()), id="iterator"),
+])
+def test_residual_rejects_an_empty_point_set(points):
+    # no point left the max at 0.0, a perfect pass
+    H = models.hamiltonian_halfplane()
+    with pytest.raises(UsageError, match="at least one point"):
+        numverify.residual_check(H, lambda co: 1.0, 1.0, points, 1e-3)
+    with pytest.raises(UsageError, match="at least one point"):
+        numverify.tuned_residual(H, lambda co: 1.0, 1.0, points)
+
+
 def test_residual_h4_scaling():
     H = models.hamiltonian_halfplane()
     pts = halfplane_points(n=5)
