@@ -15,8 +15,8 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from .errors import (DomainError, FitSingularError, UsageError, check_finite,
-                     check_int, check_positive)
+from .errors import (DomainError, FitSingularError, check_finite, check_int,
+                     check_positive, check_scale)
 
 
 class PhaseState(namedtuple("PhaseState", "t x y px py")):
@@ -94,11 +94,12 @@ def _rk4_step(x, y, px, py, a, beta, h):
 def integrate_rk4(s0, a, beta, dt, steps):
     """Fixed-step RK4.  If the trajectory reaches y <= 0 the run halts and
     the partial trajectory is returned with ``domain_exit`` set (orbits
-    tangent to the boundary are meaningful limits, not errors)."""
-    check_finite(a=a, beta=beta)
+    tangent to the boundary are meaningful limits, not errors).  An a
+    that ``check_scale`` rejects is a ``UsageError``, as are a non-finite
+    beta and a dt outside (0, inf)."""
+    check_scale(a)
+    check_finite(beta=beta)
     check_positive(dt=dt)
-    if a == 0:
-        raise UsageError("a must be nonzero")
     steps = check_int(steps, "steps", least=0)
     states = [s0]
     t, x, y, px, py = s0
@@ -121,8 +122,10 @@ def conserved_values(s, a, beta):
     """(H, L1, L2, L3), the energy and the three Noether charges.
 
     L2 is the translation charge p_x (the choice that closes the bracket
-    algebra; see the identity suite).
+    algebra; see the identity suite).  An a that ``check_scale`` rejects,
+    such as 1e-170, whose square underflows to 0, is a ``UsageError``.
     """
+    check_scale(a)
     _, x, y, px, py = s
     if not y > 0:
         raise DomainError("y must be positive")
@@ -229,10 +232,10 @@ def estimate_period(s0, a, beta):
     (sin(wt) / w) M with w = sqrt(det) / 4a^2, and since -I moves no
     point, T = pi / w.  An orbit with det <= 0 is unbounded or a
     horocycle: ``DomainError``.  A T that overflows or underflows raises
-    ``OverflowError``."""
-    check_finite(a=a, beta=beta)
-    if a == 0:
-        raise UsageError("a must be nonzero")
+    ``OverflowError``; an a that ``check_scale`` rejects, or a beta that
+    is not finite, ``UsageError``."""
+    check_scale(a)
+    check_finite(beta=beta)
     _, L1, L2, L3 = conserved_values(s0, a, beta)
     det = -(L1 * L1 + L2 * L3)
     if not det > 0:

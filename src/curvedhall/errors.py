@@ -1,7 +1,8 @@
 """Shared exception types and the argument rules every numeric module
 applies where its input enters: ``check_int`` (an int, with an optional
 floor), ``check_finite`` (not nan or infinite), ``check_positive`` (in
-(0, inf); nan fails) and ``check_mass_and_scale``.  Each raises a
+(0, inf); nan fails), ``check_scale`` (a finite length scale with a
+nonzero square) and ``check_mass_and_scale``.  Each raises a
 ``UsageError`` that names the argument."""
 
 import math
@@ -44,12 +45,19 @@ def check_positive(**named):
             raise UsageError(f"{name} must be positive and finite, got {v!r}")
 
 
+def check_scale(a):
+    """Require a finite length scale a whose square is nonzero: a = 0, or
+    a finite a under ~1.5e-162 in size, whose square underflows to 0,
+    would divide by zero where 1/a^2 enters; nan and inf fail."""
+    if not (a * a != 0 and -math.inf < a < math.inf):
+        raise UsageError(f"a must be finite, with a nonzero a^2; got {a!r}")
+
+
 def check_mass_and_scale(m, a):
-    """Require a mass 0 < m < inf and a finite, nonzero length scale a;
-    nan fails both.  An inf or nan would give energies of 0 or nan."""
+    """Require a mass 0 < m < inf and a length scale a as ``check_scale``
+    has it.  An inf or nan would give energies of 0 or nan."""
     check_positive(m=m)
-    if not (a != 0 and -math.inf < a < math.inf):
-        raise UsageError("a must be nonzero and finite")
+    check_scale(a)
 
 
 class DomainError(UsageError):

@@ -327,6 +327,21 @@ def test_rk4_rejects_zero_scale():
         classical.integrate_rk4(preset(), 0.0, BETA, 0.01, 2)
 
 
+@pytest.mark.parametrize("a", [1e-170, -1e-170, 1e-200, 5e-324])
+@pytest.mark.parametrize("call", [
+    lambda a: classical.integrate_rk4(preset(), a, BETA, 0.01, 2),
+    lambda a: classical.conserved_values(preset(), a, BETA),
+    lambda a: classical.estimate_period(preset(), a, BETA),
+], ids=["integrate_rk4", "conserved_values", "estimate_period"])
+def test_scale_whose_square_underflows_is_a_usage_error(call, a):
+    # a^2 = 0.0 here: each divided by it and raised a raw
+    # ZeroDivisionError, which the CLI reported as a numerical failure
+    assert a * a == 0.0
+    with pytest.raises(UsageError, match="nonzero a\\^2") as caught:
+        call(a)
+    assert caught.type is UsageError
+
+
 @pytest.mark.parametrize("steps", [2.5, math.nan, "3"])
 def test_rk4_rejects_a_step_count_that_is_not_an_int(steps):
     # range(2.5) raised a raw TypeError

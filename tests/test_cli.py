@@ -276,6 +276,14 @@ def test_oracle_tail_cut_off_by_wall_is_numerical_failure(capsys):
      "--levels", "1"],
     ["oracle", "--beta", "5", "--smax", "1e-200", "--smin", "1e-300",
      "--points", "1000", "--levels", "1"],
+    # a^2 underflows to 0: each printed "floating-point failure: float
+    # division by zero" and exited 3
+    *(argv + ["--a", a] for a in ("1e-170", "1e-200") for argv in (
+        ["trajectory", "--dt", "0.01", "--steps", "2"],
+        ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",
+         "--levels", "1"],
+        ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels",
+         "0"])),
 ])
 def test_domain_request_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -102,11 +102,13 @@ CONFIG = st.none() | st.fixed_dictionaries({
 ESCAPES = [
     ["spectrum", "--geometry", "sphere", "--k", "2", "--rho", "1e-200",
      "--l", "0"],
+    # a^2 = 1e-320 is subnormal, and 1/(2 m a^2) overflows.  An a whose
+    # square underflows to 0 (1e-170, 1e-200) is a usage error, exit 2
     ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "0",
-     "--a", "1e-200"],
-    ["trajectory", "--dt", "0.01", "--steps", "2", "--a", "1e-200"],
+     "--a", "1e-160"],
+    ["trajectory", "--dt", "0.01", "--steps", "2", "--a", "1e-160"],
     ["oracle", "--beta", "5", "--smax", "80", "--points", "1000",
-     "--levels", "1", "--a", "1e-200"],
+     "--levels", "1", "--a", "1e-160"],
     ["spectrum", "--geometry", "halfplane", "--beta", "5", "--levels", "0",
      "--m", "1e-320"],
     ["spectrum", "--geometry", "flat", "--n", "0", "--omega-c", "1e308",

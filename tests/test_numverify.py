@@ -417,12 +417,34 @@ def test_sturm_slope_is_count_and_log_det_derivative():
         assert slope == pytest.approx(fd, rel=1e-6), x
 
 
+def _taken_slope(slope, d, e2, x):
+    """The slope half of a recorded fused pass: ``slope(d, e2, x)`` runs
+    only when the solver unpacks it, so a recorder sees the slope at x
+    where the solver takes that step, and not at all when it drops it."""
+    yield from slope(d, e2, x)
+
+
+def _patch_sturm(monkeypatch, count=None, slope=None):
+    """Replace ``_sturm_count`` and ``_sturm_slope`` by ``count`` and
+    ``slope`` (the module's own when None), and ``_sturm_count_slope`` by
+    the two: ``count`` at y at once, then ``slope`` at x when the solver
+    takes that step.  The ``test_sturm_count_slope_is_the_two_passes_*``
+    tests check that the fused pass is those two, bit for bit."""
+    count = count or numverify._sturm_count
+    slope = slope or numverify._sturm_slope
+    monkeypatch.setattr(numverify, "_sturm_count", count)
+    monkeypatch.setattr(numverify, "_sturm_slope", slope)
+    monkeypatch.setattr(numverify, "_sturm_count_slope",
+                        lambda d, e2, y, x: (count(d, e2, y),
+                                             _taken_slope(slope, d, e2, x)))
+
+
 def test_tridiag_repeated_eigenvalue_bisects(monkeypatch):
     # no bracket ever holds one of the five 1s alone, so no level is
     # isolated and none may take the Newton path
     def no_newton(*args):
         raise AssertionError("Newton walk on a level that is not isolated")
-    monkeypatch.setattr(numverify, "_sturm_slope", no_newton)
+    _patch_sturm(monkeypatch, slope=no_newton)
     eigs = numverify.tridiag_eigs([1.0] * 5 + [2.0], [0.0] * 5, 6)
     assert eigs == pytest.approx([1.0] * 5 + [2.0], abs=1e-11)
 
@@ -440,8 +462,7 @@ def test_tridiag_wrong_slope_fails_certificate(monkeypatch):
     def recorded_count(d, e2, x):
         shifts.append(x)
         return count(d, e2, x)
-    monkeypatch.setattr(numverify, "_sturm_slope", wrong_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    _patch_sturm(monkeypatch, count=recorded_count, slope=wrong_slope)
     n = 120
     eigs = numverify.tridiag_eigs([2.0] * n, [-1.0] * (n - 1), 4)
     for j, v in enumerate(eigs, start=1):
@@ -465,7 +486,7 @@ def test_tridiag_non_finite_slope_bisects(monkeypatch):
     def nan_slope(d, e2, x):
         walked.append(x)
         return slope(d, e2, x)[0], math.nan
-    monkeypatch.setattr(numverify, "_sturm_slope", nan_slope)
+    _patch_sturm(monkeypatch, slope=nan_slope)
     got = numverify.tridiag_eigs(diag, off, 5)
     assert len(walked) == 5
     assert got == pytest.approx(want, rel=0, abs=1e-9)
@@ -521,8 +542,7 @@ def test_tridiag_work_bound(monkeypatch):
     def counted_count(*args):
         calls["count"] += 1
         return count(*args)
-    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    _patch_sturm(monkeypatch, count=counted_count, slope=counted_slope)
     levels = spectra.halfplane_level_count(8.0)
     numverify.whittaker_oracle(8.0, numverify.FDGrid(1e-3, 80.0, 4000), levels)
     # measured: 8 counts and 9 walks over the 8 levels with each walk
@@ -555,8 +575,7 @@ def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
     def recorded_count(d, e2, x):
         work.append(("count", x))
         return count(d, e2, x)
-    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    _patch_sturm(monkeypatch, count=recorded_count, slope=recorded_slope)
     monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
     levels = spectra.halfplane_level_count(8.0)
     grid = numverify.FDGrid(1e-3, 80.0, 4000)
@@ -610,7 +629,7 @@ def test_oracle_seeds_only_the_bound_window(monkeypatch):
         walks.append(x)
         return slope(d, e2, x)
     monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
-    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
+    _patch_sturm(monkeypatch, slope=recorded_slope)
     with pytest.raises(ResolutionError):
         numverify.whittaker_oracle(5.0, numverify.FDGrid(1e-3, 80.0, 400), 6)
     h = 80.0 / 401
@@ -847,8 +866,7 @@ def test_h4_seed_on_cells_outside_the_bench(monkeypatch, beta, s_max, ns):
     def recorded_count(d, e2, x):
         work.append(("count", x))
         return count(d, e2, x)
-    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    _patch_sturm(monkeypatch, count=recorded_count, slope=recorded_slope)
     monkeypatch.setattr(numverify, "tridiag_eigs", recorded_solve)
     levels = spectra.halfplane_level_count(beta)
     checked = set()
@@ -884,8 +902,7 @@ def test_lattice_seed_on_the_bench_cells(monkeypatch, golden_mu):
     def counted_count(*args):
         calls["count"] += 1
         return count(*args)
-    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    _patch_sturm(monkeypatch, count=counted_count, slope=counted_slope)
     for beta in (2.5, 5.0, 8.0):
         for n in (4000, 8000, 16000):
             mu = numverify.whittaker_oracle(
@@ -913,8 +930,7 @@ def test_alpha_one_seed_on_the_bench_cells(monkeypatch):
     def counted_count(*args):
         calls["count"] += 1
         return count(*args)
-    monkeypatch.setattr(numverify, "_sturm_slope", counted_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", counted_count)
+    _patch_sturm(monkeypatch, count=counted_count, slope=counted_slope)
     for beta in (2.5, 5.0, 8.0):
         for n in (4000, 8000, 16000):
             before = dict(calls)
@@ -984,8 +1000,7 @@ def test_tridiag_wrong_prediction(monkeypatch):
         c = count(d, e2, x)
         counts.append((x, c))
         return c
-    monkeypatch.setattr(numverify, "_sturm_slope", recorded_slope)
-    monkeypatch.setattr(numverify, "_sturm_count", recorded_count)
+    _patch_sturm(monkeypatch, count=recorded_count, slope=recorded_slope)
     diag = [0.0, 1.0, 2.0, 3.4, 10.0, 10.5, 30.0]
     off = [1e-3] * 6
     seed = [0.5, math.nan, math.nan, 3.0, 5.2, 21.8, 4.9]
@@ -1100,8 +1115,9 @@ def _tridiag_eigs_reference(diag, offdiag, k, guess=()):
 
 def _traced_solve(solve, diag, offdiag, k, guess=()):
     """(outcome, work): the eigenvalues as ``.hex()`` strings, or the
-    error's type and text, and every Sturm count and slope shift in call
-    order."""
+    error's type and text, and every Sturm count and slope shift in the
+    order the solver takes them (``_patch_sturm``: a fused pass is its
+    count, then its slope where the walk takes it)."""
     work = []
     count, slope = numverify._sturm_count, numverify._sturm_slope
 
@@ -1112,14 +1128,12 @@ def _traced_solve(solve, diag, offdiag, k, guess=()):
     def recorded_slope(d, e2, x):
         work.append(("slope", x.hex()))
         return slope(d, e2, x)
-    numverify._sturm_count, numverify._sturm_slope = (recorded_count,
-                                                      recorded_slope)
-    try:
-        outcome = [v.hex() for v in solve(diag, offdiag, k, guess)]
-    except ValueError as exc:
-        outcome = (type(exc), str(exc))
-    finally:
-        numverify._sturm_count, numverify._sturm_slope = count, slope
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_sturm(patch, count=recorded_count, slope=recorded_slope)
+        try:
+            outcome = [v.hex() for v in solve(diag, offdiag, k, guess)]
+        except ValueError as exc:
+            outcome = (type(exc), str(exc))
     return outcome, work
 
 
@@ -1227,6 +1241,97 @@ def test_merged_bisection_is_the_old_solver_on_drawn_matrices(data, n):
     _assert_same_solve(diag, off, k, guess)
 
 
+def test_merged_bisection_is_the_old_solver_when_a_shared_pass_fails(
+        monkeypatch):
+    # level 0 walks from 0.5 onto its bracket's end, and the count at
+    # 0.5 - 1e-9 that rejects it shares a pass with level 1's first step
+    # at its seed 1.0: that step is dropped, level 0 is bisected, and
+    # level 1 walks from 1.0 as the old solver does
+    diag, off = [0.0, 1.0, 2.0, 3.4, 10.0, 10.5, 30.0], [1e-3] * 6
+    seed = [0.5, 1.0]
+    shared, fused = [], numverify._sturm_count_slope
+
+    def recorded(d, e2, y, x):
+        shared.append((y, x))
+        return fused(d, e2, y, x)
+    monkeypatch.setattr(numverify, "_sturm_count_slope", recorded)
+    numverify.tridiag_eigs(diag, off, 7, guess=seed)
+    assert shared[0] == (0.5 - 1e-9, 1.0)
+    monkeypatch.undo()
+    _assert_same_solve(diag, off, 7, seed)
+
+
+def test_certificate_counts_share_the_next_walks_pass(monkeypatch):
+    # at the nine bench cells each level below the top takes its one
+    # certificate count in the pass of the next level's first Newton step
+    # at its seed: 36 of the 45 counts, 7 of 8 at beta = 8.  The answer is
+    # bit for bit the old solver's, which takes every pass on its own
+    shared, fused = [], numverify._sturm_count_slope
+
+    def recorded(d, e2, y, x):
+        shared.append(x)
+        return fused(d, e2, y, x)
+    monkeypatch.setattr(numverify, "_sturm_count_slope", recorded)
+    for beta in (2.5, 5.0, 8.0):
+        for n in (4000, 8000, 16000):
+            request = _oracle_request(beta, n,
+                                      spectra.halfplane_level_count(beta))
+            shared.clear()
+            got = numverify.tridiag_eigs(*request)
+            assert shared == list(request[3][1:]), (beta, n)
+            want = _tridiag_eigs_reference(*request)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _assert_fused_is_the_two_passes(d, e2, pairs):
+    """``_sturm_count_slope`` at each (y, x) of ``pairs`` is
+    ``_sturm_count`` at y and ``_sturm_slope`` at x, the slope compared by
+    its ``.hex()``, so a nan or an infinity must match too."""
+    for y, x in pairs:
+        cy, (cx, sx) = numverify._sturm_count_slope(d, e2, y, x)
+        want_cx, want_sx = numverify._sturm_slope(d, e2, x)
+        assert (cy, cx, sx.hex()) == (numverify._sturm_count(d, e2, y),
+                                      want_cx, want_sx.hex()), (y, x)
+
+
+def test_sturm_count_slope_is_the_two_passes_on_the_bench(golden_mu):
+    # each level's certificate shifts mu -/+ 1e-9 against the next
+    # level's root, where the oracle shares a pass, and against its own
+    for beta in (2.5, 5.0, 8.0):
+        for n in (4000, 8000, 16000):
+            d, off = numverify.whittaker_matrix(
+                beta, numverify.FDGrid(1e-3, 80.0, n))
+            mu = golden_mu(beta, n)
+            nxt = mu[1:] + [mu[-1] + 1e-9]
+            _assert_fused_is_the_two_passes(
+                d, [v * v for v in off],
+                [pair for v, w in zip(mu, nxt)
+                 for pair in ((v - 1e-9, w), (v + 1e-9, v))])
+
+
+@pytest.mark.parametrize("d, sizes", [(0.0, range(2, 12)), (1.0, range(2, 8))])
+def test_sturm_count_slope_is_the_two_passes_on_zero_pivots(d, sizes):
+    # the matrices of test_tridiag_zero_pivots_against_closed_form: at
+    # x = d the first pivot is exactly zero
+    for n in sizes:
+        shifts = [d, d - 1.0, d + 1.0, d - 2.0, d + 2.0, 0.0] + [
+            d + 2.0 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)]
+        _assert_fused_is_the_two_passes(
+            [d] * n, [1.0] * (n - 1), [(y, x) for y in shifts for x in shifts])
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_sturm_count_slope_is_the_two_passes_on_drawn_matrices(data, n):
+    # shifts drawn from the diagonal itself make exact zero pivots common
+    diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    off = data.draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+    shifts = st.one_of(st.sampled_from(diag), _entries)
+    pairs = data.draw(st.lists(st.tuples(shifts, shifts), min_size=1,
+                               max_size=4))
+    _assert_fused_is_the_two_passes(diag, [v * v for v in off], pairs)
+
+
 def test_oracle_matches_analytic():
     grid = numverify.FDGrid(1e-3, 80.0, 2000)
     spec = numverify.whittaker_oracle(5.0, grid, 5)
@@ -1242,6 +1347,8 @@ def test_oracle_matches_analytic():
 
 @pytest.mark.parametrize("m, a", [
     (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+    # a^2 underflows to 0: the energies divided by zero
+    (1.0, 1e-170),
     # a nan a gave energies of nan, an infinite m or a energies of 0
     *((v, 1.0) for v in (math.nan, math.inf, -math.inf)),
     *((1.0, v) for v in (math.nan, math.inf, -math.inf))])

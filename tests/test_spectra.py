@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from curvedhall import spectra
-from curvedhall.errors import NoBoundStateError, UsageError
+from curvedhall.errors import (NoBoundStateError, UsageError,
+                               check_mass_and_scale)
 
 
 def test_flat_levels_exact_rationals():
@@ -97,6 +98,19 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 def test_zero_mass_or_scale_rejected(m, a):
     with pytest.raises(UsageError):
         spectra.landau_halfplane(5, 0, m, a)
+
+
+@pytest.mark.parametrize("a", [1e-170, -1e-170, 1e-200, 5e-324])
+def test_scale_whose_square_underflows_rejected(a):
+    # a^2 underflows to 0: the energy divided by zero.  1e-160, whose
+    # square is subnormal, still gives an infinite energy, an OverflowError
+    with pytest.raises(UsageError, match="nonzero a\\^2"):
+        check_mass_and_scale(1.0, a)
+    with pytest.raises(UsageError, match="nonzero a\\^2"):
+        spectra.landau_halfplane(5, 0, 1.0, a)
+    check_mass_and_scale(1.0, 1e-160)
+    with pytest.raises(OverflowError):
+        spectra.landau_halfplane(5, 0, 1.0, 1e-160)
 
 
 @pytest.mark.parametrize("rho", NON_FINITE)
