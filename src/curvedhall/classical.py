@@ -1,7 +1,12 @@
 """Classical dynamics on the magnetic half-plane.
 
 Hamilton's equations for H = (1/4a^2)[y^2(p_x^2+p_y^2) + 2 beta y p_x
-+ beta^2], integrated with classic RK4.  Conserved-quantity drift is the
++ beta^2], integrated with classic RK4; ``integrate_rk4`` holds the one
+RK4 step.  Since dp_x/dt = 0, RK4 keeps p_x bit for bit (a -0.0 becomes
+0.0 at the first step), so the CSV's px and L2 columns repeat after row
+0.  The charges (H, L1, L2, L3) are written once, in one pass over the
+states that ``conserved_values``, ``drift_summary`` and
+``trajectory_csv`` share.  Conserved-quantity drift is the
 accuracy metric (the scheme is not symplectic; desk-scale runs are short
 enough that drift is itself the thing we measure), and bounded orbits
 are verified to be Euclidean circles by a least-squares fit.  The period
@@ -42,80 +47,100 @@ Trajectory = namedtuple("Trajectory", "a beta states domain_exit",
                         defaults=(False,))
 
 
-def _rk4_step(x, y, px, py, a, beta, h):
-    """One classic RK4 step: the next (x, y, px, py), or None once a stage
-    or the result leaves the upper half-plane.
-
-    Hamilton's equations are written out at each stage:
-    dx = (y^2 px + beta y) / 2a^2, dy = y^2 py / 2a^2, dpx = 0 and
-    dpy = -(y (px^2 + py^2) + beta px) / 2a^2.  A stage's px is still
-    px + (h/2) * 0.0, which turns a -0.0 into 0.0 as the full step does.
-    """
-    inv = 1.0 / (2.0 * a * a)
-    hh = 0.5 * h
-    yy = y * y
-    dx1 = (yy * px + beta * y) * inv
-    dy1 = yy * py * inv
-    dq1 = -(y * (px * px + py * py) + beta * px) * inv
-    y2 = y + hh * dy1
-    if y2 <= 0:
-        return None
-    p2 = px + hh * 0.0
-    q2 = py + hh * dq1
-    yy = y2 * y2
-    dx2 = (yy * p2 + beta * y2) * inv
-    dy2 = yy * q2 * inv
-    dq2 = -(y2 * (p2 * p2 + q2 * q2) + beta * p2) * inv
-    y3 = y + hh * dy2
-    if y3 <= 0:
-        return None
-    q3 = py + hh * dq2
-    yy = y3 * y3
-    dx3 = (yy * p2 + beta * y3) * inv
-    dy3 = yy * q3 * inv
-    dq3 = -(y3 * (p2 * p2 + q3 * q3) + beta * p2) * inv
-    y4 = y + h * dy3
-    if y4 <= 0:
-        return None
-    p4 = px + h * 0.0
-    q4 = py + h * dq3
-    yy = y4 * y4
-    dx4 = (yy * p4 + beta * y4) * inv
-    dy4 = yy * q4 * inv
-    dq4 = -(y4 * (p4 * p4 + q4 * q4) + beta * p4) * inv
-    h6 = h / 6.0
-    y += h6 * (dy1 + 2 * dy2 + 2 * dy3 + dy4)
-    if y <= 0:
-        return None
-    return (x + h6 * (dx1 + 2 * dx2 + 2 * dx3 + dx4), y, px + h6 * 0.0,
-            py + h6 * (dq1 + 2 * dq2 + 2 * dq3 + dq4))
-
-
 def integrate_rk4(s0, a, beta, dt, steps):
     """Fixed-step RK4.  If the trajectory reaches y <= 0 the run halts and
     the partial trajectory is returned with ``domain_exit`` set (orbits
     tangent to the boundary are meaningful limits, not errors).  An a
     that ``check_scale`` rejects is a ``UsageError``, as are a non-finite
-    beta and a dt outside (0, inf)."""
+    beta and a dt outside (0, inf).
+
+    Each step writes Hamilton's equations out at the four stages:
+    dx = (y^2 px + beta y) / 2a^2, dy = y^2 py / 2a^2, dpx = 0 and
+    dpy = -(y (px^2 + py^2) + beta px) / 2a^2.  Since dpx = 0, the px of
+    stages 2-4 and of the step's result is px + c * 0.0 for a finite
+    c >= 0, which is p = px + 0.0: px bit for bit, but a -0.0 turned into
+    0.0.  So p, p^2 and beta p are formed once per call.  Stage 1 keeps px
+    itself in dx, where a -0.0 can set the sign of a zero x.  Its dpy may
+    take p^2 and beta p: p^2 is px^2, and y (p^2 + py^2) is never -0.0
+    (y > 0), so adding beta p in place of beta px changes at most the
+    sign of a zero sum, which is +0.0 either way.
+    """
     check_scale(a)
     check_finite(beta=beta)
     check_positive(dt=dt)
     steps = check_int(steps, "steps", least=0)
     states = [s0]
     t, x, y, px, py = s0
-    make = PhaseState._make
+    inv = 1.0 / (2.0 * a * a)
+    hh, h6, p = 0.5 * dt, dt / 6.0, px + 0.0
+    pp, bp = p * p, beta * p
+    isfinite, new = math.isfinite, tuple.__new__
     for _ in range(steps):
-        nxt = _rk4_step(x, y, px, py, a, beta, dt)
-        if nxt is None or not all(map(math.isfinite, nxt)):
+        yy = y * y
+        dx1 = (yy * px + beta * y) * inv
+        dy1 = yy * py * inv
+        dq1 = -(y * (pp + py * py) + bp) * inv
+        y2 = y + hh * dy1
+        q2 = py + hh * dq1
+        yy = y2 * y2
+        dx2 = (yy * p + beta * y2) * inv
+        dy2 = yy * q2 * inv
+        dq2 = -(y2 * (pp + q2 * q2) + bp) * inv
+        y3 = y + hh * dy2
+        q3 = py + hh * dq2
+        yy = y3 * y3
+        dx3 = (yy * p + beta * y3) * inv
+        dy3 = yy * q3 * inv
+        dq3 = -(y3 * (pp + q3 * q3) + bp) * inv
+        y4 = y + dt * dy3
+        q4 = py + dt * dq3
+        yy = y4 * y4
+        dx4 = (yy * p + beta * y4) * inv
+        dy4 = yy * q4 * inv
+        dq4 = -(y4 * (pp + q4 * q4) + bp) * inv
+        y += h6 * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+        x += h6 * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        py += h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+        # a stage or the step below the upper half-plane, or a field that
+        # is not finite, ends the run; no stage divides, so none of them
+        # can raise before this test
+        if (y2 <= 0 or y3 <= 0 or y4 <= 0 or y <= 0
+                or not (isfinite(x) and isfinite(y) and isfinite(py))):
             return Trajectory(a, beta, tuple(states), domain_exit=True)
-        x, y, px, py = nxt
         t += dt
         if t == math.inf:
             # the one field the step does not check: dt > 0, so only +inf
             raise DomainError("non-finite phase-space state")
         # every field is checked, so past the constructor's own check
-        states.append(make((t, x, y, px, py)))
+        states.append(new(PhaseState, (t, x, y, p, py)))
+        px = p      # the px at which the next step's stage 1 starts
     return Trajectory(a, beta, tuple(states))
+
+
+def _charges(states, a, beta):
+    """(H, L1, L2, L3) of each state, in one pass: the one place the
+    charges are written.  An a that ``check_scale`` rejects is a
+    ``UsageError``; a state with y <= 0 (or nan) a ``DomainError``."""
+    check_scale(a)
+    if not all(s[2] > 0 for s in states):
+        raise DomainError("y must be positive")
+    a4, b2, bb = 4 * a * a, 2 * beta, beta * beta
+    return [((y * y * (px * px + py * py) + b2 * y * px + bb) / a4,
+             x * px + y * py, px,
+             (y * y - x * x) * px - 2 * x * y * py + b2 * y)
+            for _, x, y, px, py in states]
+
+
+def _finite(states, vals):
+    """``vals``, the charges of ``states``, once all are finite; else an
+    ``OverflowError`` that names the first state's t where one is not."""
+    # the states one by one only to name the t of a charge that is not
+    if not all(map(math.isfinite, chain.from_iterable(vals))):
+        for s, v in zip(states, vals):
+            if not all(map(math.isfinite, v)):
+                raise OverflowError(
+                    f"conserved values are not finite at t={s[0]!r}")
+    return vals
 
 
 def conserved_values(s, a, beta):
@@ -123,24 +148,24 @@ def conserved_values(s, a, beta):
 
     L2 is the translation charge p_x (the choice that closes the bracket
     algebra; see the identity suite).  An a that ``check_scale`` rejects,
-    such as 1e-170, whose square underflows to 0, is a ``UsageError``.
+    such as 1e-170, whose square underflows to 0, is a ``UsageError``, as
+    is a beta that is not finite.  A charge that overflows raises
+    ``OverflowError``.
     """
-    check_scale(a)
-    _, x, y, px, py = s
-    if not y > 0:
-        raise DomainError("y must be positive")
-    y2 = y * y
-    H = (y2 * (px * px + py * py) + 2 * beta * y * px + beta * beta) / (4 * a * a)
-    L1 = x * px + y * py
-    L2 = px
-    L3 = (y2 - x * x) * px - 2 * x * y * py + 2 * beta * y
-    return H, L1, L2, L3
+    vals = _charges((s,), a, beta)
+    check_finite(beta=beta)
+    return _finite((s,), vals)[0]
 
 
 def drift_summary(traj):
     """Max relative drift of each conserved scalar along the trajectory;
-    all NaN if any conserved value is NaN, all 0 if every value is 0."""
-    return _drift([conserved_values(s, traj.a, traj.beta) for s in traj.states])
+    all NaN if any conserved value is NaN, all 0 if every value is 0.  An
+    infinite conserved value, and none NaN, raises ``OverflowError``: no
+    drift is measured against an infinite scale."""
+    vals = _charges(traj.states, traj.a, traj.beta)
+    if not any(map(math.isnan, chain.from_iterable(vals))):
+        _finite(traj.states, vals)
+    return _drift(vals)
 
 
 def _drift(vals):
@@ -173,7 +198,9 @@ def circle_fit(traj_or_points):
     modified Gram-Schmidt factorisation Q R of the centred n x 2 data, so
     the smaller singular value is resolved to ~1e-16 of the larger.  The
     2 x 2 Gram (covariance) matrix and the normal equations square the
-    condition number and cannot resolve a ratio below ~1e-8.
+    condition number and cannot resolve a ratio below ~1e-8.  Fewer than
+    10 points, a coordinate that is not finite, or points whose sums or
+    squares overflow raise ValueError.
     """
     if isinstance(traj_or_points, Trajectory):
         pts = [(s.x, s.y) for s in traj_or_points.states]
@@ -184,42 +211,52 @@ def circle_fit(traj_or_points):
         raise ValueError("need at least 10 points for a circle fit")
     if not all(math.isfinite(v) for v in chain.from_iterable(pts)):
         raise ValueError("circle fit needs finite points")
-    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-    u = [x - mx for x in xs]
-    v = [y - my for y in ys]
-    # R = [[r11, r12], [0, r22]]; q1 = u / r11, and w is v minus its q1 part
-    r11 = math.hypot(*u)
-    if r11 == 0.0:
-        raise FitSingularError("points are collinear; no circle")
-    q1 = [ui / r11 for ui in u]
-    r12 = math.fsum(qi * vi for qi, vi in zip(q1, v))
-    w = [vi - r12 * qi for qi, vi in zip(q1, v)]
-    r22 = math.hypot(*w)
-    # singular values of R: the larger without cancellation, the smaller
-    # as |det R| / sigma_max
-    s_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
-    s_min = r11 * r22 / s_max
-    if s_min < 1e-12 * max(s_max, 1.0):
-        raise FitSingularError("points are collinear; no circle")
-    # in centred coordinates x^2 + y^2 + D x + E y + F = 0 has the same
-    # residuals; the constant column is orthogonal to u and v, so F is the
-    # mean of the rhs and (D, E) solve R [D, E] = Q^T g for the centred g
-    rhs = [-(a * a + b * b) for a, b in zip(u, v)]
-    F = math.fsum(rhs) / n
-    g = [t - F for t in rhs]
-    c1 = math.fsum(qi * gi for qi, gi in zip(q1, g))
-    c2 = math.fsum(wi * gi for wi, gi in zip(w, g)) / r22
-    E = c2 / r22
-    D = (c1 - r12 * E) / r11
-    cu, cv = -D / 2.0, -E / 2.0
-    r2 = cu * cu + cv * cv - F
-    if r2 <= 0:
-        raise FitSingularError("degenerate circle fit (nonpositive radius)")
-    r = math.sqrt(r2)
-    rms = math.sqrt(math.fsum((math.hypot(a - cu, b - cv) - r) ** 2
-                              for a, b in zip(u, v)) / n)
-    return mx + cu, my + cv, r, rms
+    try:
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+        u = [x - mx for x in xs]
+        v = [y - my for y in ys]
+        # R = [[r11, r12], [0, r22]]; q1 = u / r11, and w is v minus its
+        # q1 part
+        r11 = math.hypot(*u)
+        if r11 == 0.0:
+            raise FitSingularError("points are collinear; no circle")
+        q1 = [ui / r11 for ui in u]
+        r12 = math.fsum(qi * vi for qi, vi in zip(q1, v))
+        w = [vi - r12 * qi for qi, vi in zip(q1, v)]
+        r22 = math.hypot(*w)
+        # singular values of R: the larger without cancellation, the smaller
+        # as |det R| / sigma_max
+        s_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
+        s_min = r11 * r22 / s_max
+        if s_min < 1e-12 * max(s_max, 1.0):
+            raise FitSingularError("points are collinear; no circle")
+        # in centred coordinates x^2 + y^2 + D x + E y + F = 0 has the
+        # same residuals; the constant column is orthogonal to u and v, so
+        # F is the mean of the rhs and (D, E) solve R [D, E] = Q^T g for
+        # the centred g
+        rhs = [-(a * a + b * b) for a, b in zip(u, v)]
+        F = math.fsum(rhs) / n
+        g = [t - F for t in rhs]
+        c1 = math.fsum(qi * gi for qi, gi in zip(q1, g))
+        c2 = math.fsum(wi * gi for wi, gi in zip(w, g)) / r22
+        E = c2 / r22
+        D = (c1 - r12 * E) / r11
+        cu, cv = -D / 2.0, -E / 2.0
+        r2 = cu * cu + cv * cv - F
+        if r2 <= 0:
+            raise FitSingularError("degenerate circle fit (nonpositive radius)")
+        r = math.sqrt(r2)
+        rms = math.sqrt(math.fsum((math.hypot(a - cu, b - cv) - r) ** 2
+                                  for a, b in zip(u, v)) / n)
+        fit = mx + cu, my + cv, r, rms
+    # an overflow raises (in fsum, a float power, or a division by an r22
+    # that it zeroed), or leaves an inf or nan in the fit
+    except (OverflowError, ZeroDivisionError):
+        fit = (math.nan,)
+    if not all(map(math.isfinite, fit)):
+        raise ValueError("circle fit overflows on these points")
+    return fit
 
 
 def estimate_period(s0, a, beta):
@@ -231,13 +268,15 @@ def estimate_period(s0, a, beta):
     classical-hamiltonian-charges report) without the beta^2 cancellation.  Then exp(tM) = cos(wt) I +
     (sin(wt) / w) M with w = sqrt(det) / 4a^2, and since -I moves no
     point, T = pi / w.  An orbit with det <= 0 is unbounded or a
-    horocycle: ``DomainError``.  A T that overflows or underflows raises
-    ``OverflowError``; an a that ``check_scale`` rejects, or a beta that
-    is not finite, ``UsageError``."""
-    check_scale(a)
-    check_finite(beta=beta)
+    horocycle: ``DomainError``.  A charge or det that overflows, and a T
+    that overflows or underflows, raise ``OverflowError``; an a that
+    ``check_scale`` rejects, or a beta that is not finite, ``UsageError``
+    (from ``conserved_values``)."""
     _, L1, L2, L3 = conserved_values(s0, a, beta)
     det = -(L1 * L1 + L2 * L3)
+    if math.isnan(det):
+        # inf - inf: the sign of det, bounded or not, is lost
+        raise OverflowError("-(L1^2 + L2 L3) overflows")
     if not det > 0:
         raise DomainError(f"orbit not bounded: -(L1^2 + L2 L3) = {det!r}")
     T = 4 * math.pi * a * a / math.sqrt(det)
@@ -252,10 +291,7 @@ def trajectory_csv(traj):
     in full double precision.  A charge that is not finite raises
     ``OverflowError`` here, before any text is made."""
     states = traj.states
-    vals = [conserved_values(s, traj.a, traj.beta) for s in states]
-    for s, v in zip(states, vals):
-        if not all(map(math.isfinite, v)):
-            raise OverflowError(f"conserved values are not finite at t={s.t!r}")
+    vals = _finite(states, _charges(states, traj.a, traj.beta))
     row = ",".join(["%.17g"] * 9) + "\n"
     rows = (row % (*s, *v) for s, v in zip(states, vals))
     # ~150 kB a piece: a pipe's reader gets a few large reads, not one

@@ -151,6 +151,8 @@ def tuned_residual(H, psi, energy, points):
 _NEWTON_WIDTH = 1e-2    # an isolated level's bracket width that starts Newton
 _NEWTON_STEPS = 8       # Newton walks per level before falling back
 _NEWTON_STOP = 1e-9     # a step this short ends the walk
+_NEWTON_STALL = 1e-6    # ... as does one this short that turns back
+                        # and fails to halve the step before
 _CERT = 1e-9            # half-width of the window a Sturm count certifies
 _BISECT_WIDTH = 1e-12   # final bracket width of the bisection path
 _NORMAL_MIN = 2.0 ** -1021   # an e_i^2 this large was rounded to 53 bits
@@ -237,7 +239,10 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
     may sit on either end.  There is no other ceiling: each of the k
     levels is solved, whatever its value.  A walk is Newton steps
     on d/dx log|det(T - x)|, clamped to the closed bracket, until a step is
-    under 1e-9.  The root x it reaches is kept only with a certificate: a
+    under 1e-9, or under 1e-6, the other way from the step before and more
+    than half its length (a walk that alternates about the root on the
+    rounding floor, which the largest eps |d_i| sets).  The root x it
+    reaches is kept only with a certificate: a
     Sturm count at x - 1e-9 gives j and one at x + 1e-9 gives more than j,
     so |x - lambda_j| <= 1e-9.  A bracket end inside that window, with the
     right count, stands in for either count; the walk's last step usually
@@ -340,6 +345,7 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
         when the root's certificate count shared its pass with the first
         step of level j+1's walk, that step's (count, slope), else None.
         ``first`` is the (count, slope) at x, when such a pass took it."""
+        back = math.inf     # the step before, signed
         for _ in range(_NEWTON_STEPS):
             c, s = first or _sturm_slope(d, e2, x)
             first = None
@@ -347,9 +353,16 @@ def tridiag_eigs(diag, offdiag, k, guess=()):
             if not (s and math.isfinite(s)):
                 return None, None
             nxt = min(max(x - 1.0 / s, a[j]), b[j])
-            step, x = abs(nxt - x), nxt
-            if step < _NEWTON_STOP:
+            step, x = nxt - x, nxt
+            # a short step back across the root that fails to halve the one
+            # before has met the rounding floor of the slope, set by
+            # eps |d_i|, not by |x|; a walk into a cluster of close roots
+            # shrinks as slowly, but from one side
+            if abs(step) < _NEWTON_STOP or (
+                    step * back < 0
+                    and 0.5 * abs(back) < abs(step) < _NEWTON_STALL):
                 break
+            back = step
         else:
             return None, None
         below = a[j] >= x - _CERT and ca[j] == j

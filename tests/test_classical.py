@@ -2,13 +2,17 @@
 
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvedhall import classical
-from curvedhall.errors import DomainError, FitSingularError, UsageError
+from curvedhall.errors import (DomainError, FitSingularError, UsageError,
+                               check_finite, check_int, check_positive,
+                               check_scale)
+from test_numverify import _within
 
 BETA, A = 4.0, 1.0
 
@@ -235,7 +239,7 @@ def _probe_period(s0, a, beta, probe_dt):
     prev = math.atan2(y - cy, x - cx)
     acc = 0.0
     for i in range(1, 200_001):
-        x, y, px, py = classical._rk4_step(x, y, px, py, a, beta, probe_dt)
+        x, y, px, py = _rk4_step_reference(x, y, px, py, a, beta, probe_dt)
         th = math.atan2(y - cy, x - cx)
         d = th - prev
         if d > math.pi:
@@ -289,7 +293,6 @@ def test_rk4_follows_the_exact_orbit(s0, a, beta):
 ])
 def test_period_raises_where_there_is_none(s0, a, beta, error, monkeypatch):
     # answered from the charges and the parameters, with no step taken
-    monkeypatch.setattr(classical, "_rk4_step", None)
     monkeypatch.setattr(classical, "integrate_rk4", None)
     with pytest.raises(error) as caught:
         classical.estimate_period(classical.PhaseState(*s0), a, beta)
@@ -384,36 +387,97 @@ def _rk4_step_reference(x, y, px, py, a, beta, h):
             py + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
 
 
-def _outcome(step, *args):
-    """The step's result with signed zeros told apart, or its exception."""
+def _integrate_rk4_reference(s0, a, beta, dt, steps):
+    """integrate_rk4 as it was: one call of a separate step per step."""
+    check_scale(a)
+    check_finite(beta=beta)
+    check_positive(dt=dt)
+    steps = check_int(steps, "steps", least=0)
+    states = [s0]
+    t, x, y, px, py = s0
+    for _ in range(steps):
+        nxt = _rk4_step_reference(x, y, px, py, a, beta, dt)
+        if nxt is None or not all(map(math.isfinite, nxt)):
+            return classical.Trajectory(a, beta, tuple(states), domain_exit=True)
+        x, y, px, py = nxt
+        t += dt
+        if t == math.inf:
+            raise DomainError("non-finite phase-space state")
+        states.append(classical.PhaseState._make((t, x, y, px, py)))
+    return classical.Trajectory(a, beta, tuple(states))
+
+
+def _conserved_values_reference(s, a, beta):
+    """conserved_values as it was: one state, and no check of the result."""
+    check_scale(a)
+    _, x, y, px, py = s
+    if not y > 0:
+        raise DomainError("y must be positive")
+    y2 = y * y
+    H = (y2 * (px * px + py * py) + 2 * beta * y * px + beta * beta) / (4 * a * a)
+    return H, x * px + y * py, px, (y2 - x * x) * px - 2 * x * y * py + 2 * beta * y
+
+
+def _outcome(call, *args):
+    """The call's result, or its exception's type and message."""
     try:
-        result = step(*args)
-    except ArithmeticError as ex:
-        return type(ex)
-    return None if result is None else tuple(map(repr, result))
+        return call(*args)
+    except (ArithmeticError, ValueError) as ex:
+        return type(ex), str(ex)
+
+
+def _bits(result):
+    """A trajectory, each state with its type, or a tuple of floats, with
+    every float as float.hex; any other outcome as it is."""
+    if isinstance(result, classical.Trajectory):
+        return (result.a, result.beta, result.domain_exit,
+                [(type(s), _bits(s)) for s in result.states])
+    if isinstance(result, tuple) and all(type(v) is float for v in result):
+        return tuple(map(float.hex, result))
+    return result
+
+
+def _integrate_one(x, y, px, py, a, beta, h):
+    """One step of integrate_rk4: the next (x, y, px, py) as float.hex, or
+    None where the run ends."""
+    traj = classical.integrate_rk4(classical.PhaseState(0.0, x, y, px, py),
+                                   a, beta, h, 1)
+    return None if traj.domain_exit else tuple(map(float.hex, traj.states[1][1:]))
+
+
+def _step_one(x, y, px, py, a, beta, h):
+    """The reference step's outcome in ``_integrate_one``'s terms."""
+    nxt = _rk4_step_reference(x, y, px, py, a, beta, h)
+    if nxt is None or not all(map(math.isfinite, nxt)):
+        return None
+    return tuple(map(float.hex, nxt))
 
 
 _reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                   st.floats(-10.0, 10.0), st.floats(allow_nan=False))
+                   st.floats(-10.0, 10.0), st.floats(allow_nan=False,
+                                                     allow_infinity=False))
+_scales = _reals.filter(lambda a: a * a != 0.0)
 
 
 @settings(max_examples=300)
-@given(x=_reals, y=st.one_of(st.floats(0.01, 10.0), st.floats(min_value=0.0)),
-       px=_reals, py=_reals, a=_reals, beta=_reals,
-       h=st.one_of(st.sampled_from([1e-3, 0.01, 1.0, -0.01]), st.floats(-2.0, 2.0)))
+@given(x=_reals, y=st.one_of(st.floats(0.01, 10.0),
+                             st.floats(min_value=5e-324, allow_infinity=False)),
+       px=_reals, py=_reals, a=_scales, beta=_reals,
+       h=st.one_of(st.sampled_from([1e-3, 0.01, 1.0, 5e-324]),
+                   st.floats(1e-3, 2.0)))
 @example(x=-0.0, y=1.0, px=-0.0, py=0.0, a=1.0, beta=-0.0, h=0.01)
-@example(x=0.0, y=1.0, px=-0.0, py=-0.0, a=-2.0, beta=-3.0, h=-0.5)
+# stage 1 must take px itself: with p = +0.0 there, x came out +0.0
+@example(x=-0.0, y=0.49, px=-0.0, py=100.0, a=1.0, beta=-5e-324, h=0.01)
 def test_rk4_step_matches_reference(x, y, px, py, a, beta, h):
     args = (x, y, px, py, a, beta, h)
-    assert _outcome(classical._rk4_step, *args) == \
-        _outcome(_rk4_step_reference, *args)
+    assert _integrate_one(*args) == _step_one(*args)
 
 
 def _drift_reference(traj):
     """drift_summary as it was: a per-element maximum of relative drifts."""
     names = ("H", "L1", "L2", "L3")
-    ref = classical.conserved_values(traj.states[0], traj.a, traj.beta)
-    vals = [classical.conserved_values(s, traj.a, traj.beta)
+    ref = _conserved_values_reference(traj.states[0], traj.a, traj.beta)
+    vals = [_conserved_values_reference(s, traj.a, traj.beta)
             for s in traj.states]
     if any(math.isnan(v) for row in vals for v in row):
         return dict.fromkeys(names, math.nan)
@@ -426,6 +490,79 @@ def _drift_reference(traj):
         for k in range(4):
             worst[k] = max(worst[k], abs(now[k] - ref[k]) / scales[k])
     return dict(zip(names, worst))
+
+
+def _trajectory_csv_reference(traj):
+    """trajectory_csv as it was, with its text joined."""
+    vals = [_conserved_values_reference(s, traj.a, traj.beta)
+            for s in traj.states]
+    for s, v in zip(traj.states, vals):
+        if not all(map(math.isfinite, v)):
+            raise OverflowError(f"conserved values are not finite at t={s.t!r}")
+    row = ",".join(["%.17g"] * 9) + "\n"
+    return ("t,x,y,px,py,H,L1,L2,L3\n"
+            + "".join(row % (*s, *v) for s, v in zip(traj.states, vals)),
+            _drift_reference(traj))
+
+
+def _trajectory_csv_joined(traj):
+    pieces, drift = classical.trajectory_csv(traj)
+    return "".join(pieces), drift
+
+
+def _nan_aware(outcome):
+    """An outcome whose drift dict compares equal where both hold NaN."""
+    if isinstance(outcome, dict):
+        return {k: "nan" if math.isnan(v) else v for k, v in outcome.items()}
+    if isinstance(outcome, tuple) and isinstance(outcome[-1], dict):
+        return (*outcome[:-1], _nan_aware(outcome[-1]))
+    return outcome
+
+
+@settings(max_examples=100)
+@given(x=st.one_of(st.sampled_from([0.0, -0.0, 1e200]), st.floats(-3.0, 3.0)),
+       y=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 5.0)),
+       px=st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-3.0, 3.0)),
+       py=st.one_of(st.sampled_from([0.0, -0.0, -10.0]), st.floats(-20.0, 20.0)),
+       a=st.one_of(st.sampled_from([1.0, -1.5, 1e200, 1e-170, 0.0]),
+                   st.floats(0.3, 3.0)),
+       beta=st.one_of(st.sampled_from([0.0, -0.0, 4.0, -5e-324, 1e200,
+                                       -1e200, math.nan]),
+                      st.floats(-10.0, 10.0)),
+       dt=st.one_of(st.sampled_from([1e-3, 0.05, 1.0]), st.floats(1e-4, 2.0)),
+       steps=st.integers(0, 300))
+@example(x=-0.0, y=1.0, px=-0.0, py=0.0, a=1.0, beta=-0.0, dt=0.01, steps=5)
+@example(x=0.0, y=0.5, px=0.0, py=-10.0, a=1.0, beta=4.0, dt=1.0, steps=100)
+@example(x=0.0, y=1.0, px=1.0, py=0.0, a=1.0, beta=1e200, dt=0.01, steps=3)
+@example(x=0.0, y=1.0, px=-1.0, py=0.0, a=1.0, beta=1e200, dt=0.01, steps=3)
+def test_trajectory_path_matches_the_earlier_code(x, y, px, py, a, beta, dt,
+                                                  steps):
+    # integrate_rk4, conserved_values, drift_summary and trajectory_csv
+    # against the frozen copies above: every state bit for bit, the CSV
+    # byte for byte, the drift NaN-aware, and each error's type and message
+    s0 = classical.PhaseState(0.0, x, y, px, py)
+    traj = _outcome(classical.integrate_rk4, s0, a, beta, dt, steps)
+    assert _bits(traj) == _bits(_outcome(_integrate_rk4_reference, s0, a,
+                                         beta, dt, steps))
+    if not isinstance(traj, classical.Trajectory):
+        return
+    csv = _outcome(_trajectory_csv_reference, traj)
+    assert _nan_aware(_outcome(_trajectory_csv_joined, traj)) == _nan_aware(csv)
+    # where a charge is infinite and none is NaN, drift_summary raises the
+    # CSV's error, where it once measured drift against an infinite scale
+    vals = [_conserved_values_reference(s, a, beta) for s in traj.states]
+    if isinstance(csv[0], str) or any(map(math.isnan, chain(*vals))):
+        want = _drift_reference(traj)
+    else:
+        want = csv
+    assert _nan_aware(_outcome(classical.drift_summary, traj)) == \
+        _nan_aware(want)
+    # conserved_values now raises where a charge is not finite
+    for s, v in zip((traj.states[0], traj.states[-1]), (vals[0], vals[-1])):
+        want = v if all(map(math.isfinite, v)) else (
+            OverflowError, f"conserved values are not finite at t={s.t!r}")
+        assert _bits(_outcome(classical.conserved_values, s, a, beta)) == \
+            _bits(want)
 
 
 @pytest.mark.parametrize("s0, a, beta, dt, steps", [
@@ -441,3 +578,166 @@ def test_drift_summary_matches_reference(s0, a, beta, dt, steps):
     assert classical.drift_summary(traj) == _drift_reference(traj)
     # the CSV pass takes its drift from the same charges
     assert classical.trajectory_csv(traj)[1] == classical.drift_summary(traj)
+
+
+# -- every public numeric function on hostile floats --------------------------
+
+_HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
+_any = st.one_of(st.sampled_from(_HOSTILE), st.floats(-10.0, 10.0))
+# a PhaseState's fields: finite, y > 0, hostile where the state allows it
+_field = st.one_of(st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324]),
+                   st.floats(-10.0, 10.0))
+_y = st.one_of(st.sampled_from([1e308, 5e-324]), st.floats(0.01, 10.0))
+_states = st.builds(classical.PhaseState, st.just(0.0), _field, _y, _field,
+                    _field)
+
+
+# each sweep is one property per function; together they take ~1 s
+_SWEEP = settings(max_examples=60)
+
+
+def _finite(values):
+    return all(map(math.isfinite, values))
+
+
+@_SWEEP
+@given(t=_any, x=_any, y=_any, px=_any, py=_any)
+def test_sweep_phase_state(t, x, y, px, py):
+    with _within(5):
+        try:
+            s = classical.PhaseState(t, x, y, px, py)
+        except DomainError:
+            return
+    assert _finite(s) and s.y > 0
+
+
+def _trajectory(s0, a, beta, dt, steps):
+    """integrate_rk4's trajectory, or None where it raises its documented
+    UsageError (DomainError is one)."""
+    with _within(5):
+        try:
+            traj = classical.integrate_rk4(s0, a, beta, dt, steps)
+        except UsageError:
+            return None
+    assert all(type(s) is classical.PhaseState and _finite(s) and s.y > 0
+               for s in traj.states)
+    return traj
+
+
+@_SWEEP
+@given(s0=_states, a=_any, beta=_any, dt=_any, steps=st.integers(0, 20))
+def test_sweep_integrate_rk4(s0, a, beta, dt, steps):
+    _trajectory(s0, a, beta, dt, steps)
+
+
+@_SWEEP
+@given(s=_states, a=_any, beta=_any)
+def test_sweep_conserved_values(s, a, beta):
+    with _within(5):
+        try:
+            charges = classical.conserved_values(s, a, beta)
+        except (UsageError, OverflowError):
+            return
+    assert _finite(charges)
+
+
+@_SWEEP
+@given(s0=_states, a=_any, beta=_any, steps=st.integers(0, 5))
+def test_sweep_drift_summary_and_csv(s0, a, beta, steps):
+    traj = _trajectory(s0, a, beta, 0.01, steps)
+    if traj is None:
+        return
+    with _within(5):
+        try:
+            drift = classical.drift_summary(traj)
+        except OverflowError:
+            drift = None
+        try:
+            pieces, csv_drift = classical.trajectory_csv(traj)
+            text = "".join(pieces)
+        except OverflowError:
+            text = csv_drift = None
+    # NaN only where the docstring has it: all four, from a NaN charge
+    if drift is not None and not _finite(drift.values()):
+        assert all(map(math.isnan, drift.values()))
+        assert any(math.isnan(v) for s in traj.states
+                   for v in _conserved_values_reference(s, a, beta))
+    if text is not None:
+        assert _finite(csv_drift.values())
+        assert _finite(float(v) for row in text.splitlines()[1:]
+                       for v in row.split(","))
+
+
+@_SWEEP
+@given(s0=_states, a=_any, beta=_any)
+def test_sweep_estimate_period(s0, a, beta):
+    with _within(5):
+        try:
+            T = classical.estimate_period(s0, a, beta)
+        except (UsageError, OverflowError):
+            return
+    assert 0 < T < math.inf
+
+
+@_SWEEP
+@given(pts=st.lists(st.tuples(_any, _any), min_size=8, max_size=14))
+def test_sweep_circle_fit(pts):
+    with _within(5):
+        try:
+            cx, cy, r, rms = classical.circle_fit(pts)
+        except ValueError:      # FitSingularError is one
+            return
+    assert _finite((cx, cy, r, rms)) and r > 0 and rms >= 0
+
+
+@_SWEEP
+@given(exp=st.integers(0, 308), phase=st.floats(0.0, 6.3))
+def test_circle_fit_on_large_circles(exp, phase):
+    # the fit's products reach the cube of the radius: a circle it can
+    # hold is fitted, and one whose products overflow raises ValueError,
+    # whatever the size of the coordinates themselves
+    radius = 10.0 ** exp
+    pts = [(radius * math.cos(phase + k), radius * math.sin(phase + k))
+           for k in range(10)]
+    try:
+        cx, cy, r, rms = classical.circle_fit(pts)
+    except ValueError:
+        assert exp > 100
+        return
+    assert abs(r - radius) <= 1e-9 * radius and rms <= 1e-9 * radius
+
+
+@pytest.mark.parametrize("call, error", [
+    # a nan beta, and charges that overflow, came back as nan and inf
+    (lambda: classical.conserved_values(preset(), A, math.nan), UsageError),
+    (lambda: classical.conserved_values(
+        classical.PhaseState(0.0, 1e200, 1.0, -1.0, 0.0), A, BETA),
+     OverflowError),
+    # H = inf at every state: the drift of H read nan and of L1 0.0
+    (lambda: classical.drift_summary(classical.integrate_rk4(
+        classical.PhaseState(0.0, 0.0, 1.0, 1.0, 0.0), A, 1e200, 0.01, 3)),
+     OverflowError),
+    # bounded orbits far out along x (beta^2 - 4a^2 H = 7 and 1e20 > 0),
+    # which were called unbounded: an infinite L3, and inf - inf in det
+    (lambda: classical.estimate_period(
+        classical.PhaseState(0.0, 1e200, 1.0, -1.0, 0.0), A, BETA),
+     OverflowError),
+    (lambda: classical.estimate_period(
+        classical.PhaseState(0.0, 1e145, 1.0, -1e10, 0.0), A, 1e10),
+     OverflowError),
+    # finite points whose squares or sums overflow: a ZeroDivisionError,
+    # an OverflowError from fsum, and circles of nan and of inf
+    (lambda: classical.circle_fit([(1e308 * (-1) ** k, 0.0)
+                                   for k in range(10)]), ValueError),
+    (lambda: classical.circle_fit([(1e308, 1e308)] * 10), ValueError),
+    (lambda: classical.circle_fit([(1e300 * math.cos(k), 1e300 * math.sin(k))
+                                   for k in range(10)]), ValueError),
+    (lambda: classical.circle_fit([(1e103 * math.cos(k), 1e103 * math.sin(k))
+                                   for k in range(10)]), ValueError),
+], ids=["cv-nan-beta", "cv-overflow", "drift-inf-H", "period-inf-L3",
+        "period-nan-det", "fit-zero-division", "fit-fsum", "fit-nan",
+        "fit-inf"])
+def test_sweep_findings_raise_their_documented_error(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error

@@ -168,13 +168,13 @@ def test_trajectory_overflow_writes_nothing(capsys, tmp_path, out_name):
 def test_trajectory_computes_each_charge_once(capsys, monkeypatch):
     from curvedhall import classical
     calls = []
-    real = classical.conserved_values
+    real = classical._charges
 
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counted(states, *args):
+        calls.extend(states)
+        return real(states, *args)
 
-    monkeypatch.setattr(classical, "conserved_values", counted)
+    monkeypatch.setattr(classical, "_charges", counted)
     code, out, _ = run(capsys, "trajectory", "--dt", "0.01", "--steps", "50")
     assert code == 0
     assert len(calls) == 51 == len(out.splitlines()) - 1

@@ -554,6 +554,25 @@ def test_tridiag_work_bound(monkeypatch):
     assert calls["slope"] <= 9
 
 
+def test_newton_walk_ends_on_the_rounding_floor(monkeypatch):
+    # level 0 of beta = 20, n = 16000, s_max = 120 sits where eps |d_i| is
+    # ~1e-8: its walk alternated about the root for all 8 steps, failed
+    # and walked once more from the bisected bracket, 9 steps in all.  A
+    # step under 1e-6 that turns back without halving the last one ends
+    # the walk at 3
+    calls = []
+    slope = numverify._sturm_slope
+
+    def counted_slope(*args):
+        calls.append(args[2])
+        return slope(*args)
+    _patch_sturm(monkeypatch, slope=counted_slope)
+    spec = numverify.whittaker_oracle(
+        20.0, numverify.FDGrid(1e-3, 120.0, 16000), 1)
+    assert len(calls) <= 4
+    assert spec.mu[0] == pytest.approx(0.25 - 19.5 ** 2, abs=1e-3)
+
+
 def test_tridiag_right_prediction_takes_no_bisection(monkeypatch):
     # at beta = 8 the lattice seed, with its h^3 term at l = 7 (al = 1),
     # lands within 5e-3 of every level, and
