@@ -8,10 +8,10 @@ RK4 step.  Since dp_x/dt = 0, RK4 keeps p_x bit for bit (a -0.0 becomes
 states that ``conserved_values``, ``drift_summary`` and
 ``trajectory_csv`` share.  Conserved-quantity drift is the
 accuracy metric (the scheme is not symplectic; desk-scale runs are short
-enough that drift is itself the thing we measure), and bounded orbits
-are verified to be Euclidean circles by a least-squares fit.  The period
-of a bounded orbit is a closed form in its Noether charges
-(``estimate_period``); no integration enters it.
+enough that drift is itself the thing we measure).  A bounded orbit's
+period (``estimate_period``) and its circle (``orbit_circle``) are closed
+forms in its Noether charges, and no integration enters them: a run is
+checked against the circle its charges fix, not a least-squares fit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from .errors import (DomainError, FitSingularError, check_finite, check_int,
-                     check_positive, check_scale)
+from .errors import (DomainError, check_finite, check_int, check_positive,
+                     check_scale)
 
 
 class PhaseState(namedtuple("PhaseState", "t x y px py")):
@@ -188,75 +188,22 @@ def _drift(vals):
             for k, name in enumerate(names)}
 
 
-def circle_fit(traj_or_points):
-    """Least-squares circle through (x, y) samples (algebraic Kasa fit).
-
-    Returns (cx, cy, r, rms) with rms the geometric residual
-    sqrt(mean((dist - r)^2)).  Collinear data raises FitSingularError.
-
-    Both the collinearity test and the least-squares solve work on a
-    modified Gram-Schmidt factorisation Q R of the centred n x 2 data, so
-    the smaller singular value is resolved to ~1e-16 of the larger.  The
-    2 x 2 Gram (covariance) matrix and the normal equations square the
-    condition number and cannot resolve a ratio below ~1e-8.  Fewer than
-    10 points, a coordinate that is not finite, or points whose sums or
-    squares overflow raise ValueError.
-    """
-    if isinstance(traj_or_points, Trajectory):
-        pts = [(s.x, s.y) for s in traj_or_points.states]
-    else:
-        pts = [(float(x), float(y)) for x, y in traj_or_points]
-    n = len(pts)
-    if n < 10:
-        raise ValueError("need at least 10 points for a circle fit")
-    if not all(math.isfinite(v) for v in chain.from_iterable(pts)):
-        raise ValueError("circle fit needs finite points")
-    try:
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-        mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-        u = [x - mx for x in xs]
-        v = [y - my for y in ys]
-        # R = [[r11, r12], [0, r22]]; q1 = u / r11, and w is v minus its
-        # q1 part
-        r11 = math.hypot(*u)
-        if r11 == 0.0:
-            raise FitSingularError("points are collinear; no circle")
-        q1 = [ui / r11 for ui in u]
-        r12 = math.fsum(qi * vi for qi, vi in zip(q1, v))
-        w = [vi - r12 * qi for qi, vi in zip(q1, v)]
-        r22 = math.hypot(*w)
-        # singular values of R: the larger without cancellation, the smaller
-        # as |det R| / sigma_max
-        s_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
-        s_min = r11 * r22 / s_max
-        if s_min < 1e-12 * max(s_max, 1.0):
-            raise FitSingularError("points are collinear; no circle")
-        # in centred coordinates x^2 + y^2 + D x + E y + F = 0 has the
-        # same residuals; the constant column is orthogonal to u and v, so
-        # F is the mean of the rhs and (D, E) solve R [D, E] = Q^T g for
-        # the centred g
-        rhs = [-(a * a + b * b) for a, b in zip(u, v)]
-        F = math.fsum(rhs) / n
-        g = [t - F for t in rhs]
-        c1 = math.fsum(qi * gi for qi, gi in zip(q1, g))
-        c2 = math.fsum(wi * gi for wi, gi in zip(w, g)) / r22
-        E = c2 / r22
-        D = (c1 - r12 * E) / r11
-        cu, cv = -D / 2.0, -E / 2.0
-        r2 = cu * cu + cv * cv - F
-        if r2 <= 0:
-            raise FitSingularError("degenerate circle fit (nonpositive radius)")
-        r = math.sqrt(r2)
-        rms = math.sqrt(math.fsum((math.hypot(a - cu, b - cv) - r) ** 2
-                                  for a, b in zip(u, v)) / n)
-        fit = mx + cu, my + cv, r, rms
-    # an overflow raises (in fsum, a float power, or a division by an r22
-    # that it zeroed), or leaves an inf or nan in the fit
-    except (OverflowError, ZeroDivisionError):
-        fit = (math.nan,)
-    if not all(map(math.isfinite, fit)):
-        raise ValueError("circle fit overflows on these points")
-    return fit
+def _fixed_point(s0, a, beta):
+    """(det, z*) of the bounded orbit through s0: det = -(L1^2 + L2 L3)
+    and z*, the fixed point of M = (1/4a^2) [[L1, L3], [L2, -L1]] in the
+    upper half-plane, with Re z* = L1 / L2 and Im z* = sqrt(det) / |L2|
+    (det > 0 forces L2 L3 < 0, so L2 != 0).  A det <= 0 is a
+    ``DomainError``; a charge or det that overflows, ``OverflowError``;
+    an a that ``check_scale`` rejects, or a beta that is not finite,
+    ``UsageError`` (from ``conserved_values``)."""
+    _, L1, L2, L3 = conserved_values(s0, a, beta)
+    det = -(L1 * L1 + L2 * L3)
+    if math.isnan(det):
+        # inf - inf: the sign of det, bounded or not, is lost
+        raise OverflowError("-(L1^2 + L2 L3) overflows")
+    if not det > 0:
+        raise DomainError(f"orbit not bounded: -(L1^2 + L2 L3) = {det!r}")
+    return det, complex(L1 / L2, math.sqrt(det) / abs(L2))
 
 
 def estimate_period(s0, a, beta):
@@ -272,17 +219,31 @@ def estimate_period(s0, a, beta):
     that overflows or underflows, raise ``OverflowError``; an a that
     ``check_scale`` rejects, or a beta that is not finite, ``UsageError``
     (from ``conserved_values``)."""
-    _, L1, L2, L3 = conserved_values(s0, a, beta)
-    det = -(L1 * L1 + L2 * L3)
-    if math.isnan(det):
-        # inf - inf: the sign of det, bounded or not, is lost
-        raise OverflowError("-(L1^2 + L2 L3) overflows")
-    if not det > 0:
-        raise DomainError(f"orbit not bounded: -(L1^2 + L2 L3) = {det!r}")
+    det, _ = _fixed_point(s0, a, beta)
     T = 4 * math.pi * a * a / math.sqrt(det)
     if not 0 < T < math.inf:
         raise OverflowError(f"the period is not a positive finite float: {T!r}")
     return T
+
+
+def orbit_circle(s0, a, beta):
+    """(cx, cy, r), the Euclidean circle of the bounded orbit through s0.
+
+    exp(tM) fixes z* (``_fixed_point``), so the orbit is the hyperbolic
+    circle about z* through z0 = x0 + i y0.  With
+    q = |z0 - z*|^2 / (2 y0 Im z*) = cosh R - 1 for its hyperbolic radius
+    R, cx = Re z*, cy = Im z* (1 + q) and r = Im z* sqrt(q (q + 2)), which
+    no cancellation spoils for a small orbit.  A state at rest (H = 0) is
+    its own fixed point, with r = 0.  The errors are those of
+    ``estimate_period``; a circle that overflows or underflows, so that
+    one of its numbers is not finite, raises ``OverflowError``."""
+    _, z = _fixed_point(s0, a, beta)
+    dx, dy, den = s0[1] - z.real, s0[2] - z.imag, 2 * s0[2] * z.imag
+    q = (dx * dx + dy * dy) / den if den else math.inf
+    circle = z.real, z.imag * (1 + q), z.imag * math.sqrt(q * (q + 2))
+    if not all(map(math.isfinite, circle)):
+        raise OverflowError(f"the orbit's circle is not finite: {circle!r}")
+    return circle
 
 
 def trajectory_csv(traj):

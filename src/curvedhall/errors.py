@@ -3,7 +3,8 @@ applies where its input enters: ``check_int`` (an int, with an optional
 floor), ``check_finite`` (not nan or infinite), ``check_positive`` (in
 (0, inf); nan fails), ``check_scale`` (a finite length scale with a
 nonzero square) and ``check_mass_and_scale``.  Each raises a
-``UsageError`` that names the argument."""
+``UsageError`` that names the argument.  ``finite_value`` checks a result
+instead: one that overflows raises ``OverflowError``."""
 
 import math
 import operator
@@ -53,6 +54,14 @@ def check_scale(a):
         raise UsageError(f"a must be finite, with a nonzero a^2; got {a!r}")
 
 
+def finite_value(v, name):
+    """v, a float or a complex, once every part of it is finite; else an
+    ``OverflowError`` that names the value."""
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise OverflowError(f"{name} value is not finite ({v})")
+    return v
+
+
 def check_mass_and_scale(m, a):
     """Require a mass 0 < m < inf and a length scale a as ``check_scale``
     has it.  An inf or nan would give energies of 0 or nan."""
@@ -87,10 +96,6 @@ class NonNormalizableError(ValueError):
 
 class ResolutionError(RuntimeError):
     """Grid too coarse to resolve the requested number of bound states."""
-
-
-class FitSingularError(ValueError):
-    """Degenerate (collinear) data handed to the circle fit."""
 
 
 class PauliViolationError(ValueError):

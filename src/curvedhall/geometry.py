@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, check_positive
+from .errors import DomainError, UsageError, check_positive, finite_value
 from .opalg import DiffOp, I, Ring
 
 # rho is inert on the half-plane: it is the sphere radius of the
@@ -65,15 +65,22 @@ class Metric2D(namedtuple("Metric2D", "kind ring u param_values")):
         return self.param_values[name]
 
     def factor_at(self, point):
-        """The conformal factor 1/u at a point of the domain."""
+        """The conformal factor 1/u at a point of the domain.  A point
+        outside it is a ``DomainError``; a factor that is not a positive
+        finite float (u = y/a or phi rounds to 0, or overflows) raises
+        ``OverflowError``."""
         if self.kind != "flat":
             # the factor's parameter needs a value: a DomainError, not the
             # KeyError of an unbound name in eval
             self._value("a" if self.kind == "halfplane" else "rho")
         if not self.inside(point):
             raise DomainError(f"point {point} outside the metric domain")
-        return 1.0 / self.u.eval({"x": point[0], "y": point[1],
-                                  **self.param_values}).real
+        u = self.u.eval({"x": point[0], "y": point[1],
+                         **self.param_values}).real
+        if not (u > 0 and 0 < 1.0 / u < math.inf):
+            raise OverflowError(f"conformal factor 1/u at {point} is beyond a "
+                                f"double (u = {u!r})")
+        return 1.0 / u
 
 
 class GaugePotential(namedtuple("GaugePotential", "uA_x uA_y")):
@@ -170,18 +177,23 @@ def scalar_curvature_fd(metric, point, step):
 
     For ds^2 = e^{2s} (dx^2+dy^2) the Gaussian curvature is
     K = -e^{-2s} (s_xx + s_yy); the Laplacian of s = ln(factor) = -ln u is
-    taken with a second-order 5-point stencil, whose step must be positive
-    and finite (``UsageError``).
+    taken with a second-order 5-point stencil.  Its step must be positive
+    and finite, with a square that is neither 0 nor inf, and must move the
+    point in each coordinate (``UsageError``).  The errors of
+    ``factor_at`` apply at each stencil point (a point outside the domain
+    is its ``DomainError``), and a curvature that is not a finite float
+    raises ``OverflowError``.
     """
     check_positive(step=step)
     x, y = point
     s = lambda p: math.log(metric.factor_at(p))
-    s0 = s(point)
+    f0 = metric.factor_at(point)
+    s0 = math.log(f0)
+    h2 = step * step
     stencil = [(x + step, y), (x - step, y), (x, y + step), (x, y - step)]
-    for p in stencil:
-        if not metric.inside(p):
-            raise DomainError("finite-difference stencil exits the domain")
+    if not 0 < h2 < math.inf or (x, y) in stencil:
+        raise UsageError(f"step {step!r} must move {point}, with 0 < step^2 < inf")
     lap = (s(stencil[0]) + s(stencil[1]) + s(stencil[2]) + s(stencil[3])
-           - 4.0 * s0) / step**2
-    gauss = -math.exp(-2.0 * s0) * lap
-    return 2.0 * gauss
+           - 4.0 * s0) / h2
+    # e^{-2s} = 1/f0^2 in two divisions, which overflow to inf, not raise
+    return finite_value(-2.0 / f0 * (lap / f0), "scalar curvature")

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, PauliViolationError, UsageError, check_int
+from .errors import (DomainError, PauliViolationError, UsageError, check_int,
+                     finite_value)
 
 
 class ParticleConfig(namedtuple("ParticleConfig", "points z0")):
     """Particle positions z_i in the complex plane with magnetic length z0.
     The constructor, ``_make`` and ``_replace`` coerce the points to a
-    tuple of complex and check both fields."""
+    tuple of complex and check both fields: finite points whose sum of
+    |z_i|^2 is below 1e308, and a finite z0 > 0 whose square does not
+    underflow, so the Gaussian exp(-sum |z_i|^2 / 4 z0^2) neither
+    overflows nor divides by zero.  Each is a ``DomainError``."""
 
     __slots__ = ()
 
@@ -22,10 +25,12 @@ class ParticleConfig(namedtuple("ParticleConfig", "points z0")):
         points = tuple(complex(z) for z in points)
         if not 1 <= len(points) <= 12:
             raise DomainError("particle count must be between 1 and 12")
-        if not all(map(cmath.isfinite, points)):
-            raise DomainError("particle positions must be finite")
-        if not 0 < z0 < math.inf:
-            raise DomainError("z0 must be positive and finite")
+        # below 1e308, the sum of |z|^2 that gaussian takes stays finite
+        if not sum(z.real * z.real + z.imag * z.imag for z in points) < 1e308:
+            raise DomainError("particle positions must be finite, with "
+                              "sum |z|^2 < 1e308")
+        if not (0 < z0 < math.inf and z0 * z0 > 0):
+            raise DomainError("z0 must be positive and finite, with z0^2 > 0")
         return super().__new__(cls, points, z0)
 
     @classmethod
@@ -62,13 +67,15 @@ def slater_lll(cfg, orbitals):
 
     ``orbitals`` lists the angular-momentum powers; repeats make the
     determinant identically zero and are rejected rather than returned.
+    A power z^k or a value beyond a double raises ``OverflowError``.
     """
     n = [check_int(k, "orbital", least=0) for k in orbitals]
     if len(n) != cfg.n:
         raise ValueError("need one orbital per particle")
     if len(set(n)) != len(n):
         raise PauliViolationError(f"repeated orbital in {tuple(n)}")
-    return _det([[z ** k for k in n] for z in cfg.points]) * cfg.gaussian()
+    return finite_value(_det([[z ** k for k in n] for z in cfg.points])
+                        * cfg.gaussian(), "Slater")
 
 
 def _det(a):
@@ -99,10 +106,7 @@ def laughlin(cfg, m):
     for i in range(cfg.n):
         for j in range(i + 1, cfg.n):
             acc *= (z[i] - z[j]) ** m
-    v = acc * cfg.gaussian()
-    if not cmath.isfinite(v):
-        raise OverflowError(f"Laughlin value is not finite ({v})")
-    return v
+    return finite_value(acc * cfg.gaussian(), "Laughlin")
 
 
 def antisymmetry_check(cfg, m):
@@ -120,11 +124,14 @@ def antisymmetry_check(cfg, m):
 
 
 def filling_factor(n_particles, b_field, area):
-    """Particle density over flux density: nu = 2 pi (N/S) / B."""
+    """Particle density over flux density: nu = 2 pi (N/S) / B.  An N,
+    S or B outside its range is a ``DomainError``; a nu that overflows
+    raises ``OverflowError``."""
     if not (0 <= n_particles < math.inf and 0 < area < math.inf
             and 0 < b_field < math.inf):
         raise DomainError("need 0 <= N < inf, 0 < S < inf and 0 < B < inf")
-    return 2.0 * math.pi * (n_particles / area) / b_field
+    return finite_value(2.0 * math.pi * (n_particles / area) / b_field,
+                        "filling factor")
 
 
 def filling_quantized(n_particles, n_flux):

@@ -10,6 +10,9 @@ Arguments are checked where they enter, by the rules of ``errors``: a
 degree that is not an int >= 0 (``check_int``), a nan or infinite
 parameter (``check_finite``) and a Whittaker s outside (0, inf)
 (``check_positive``) are each a ``UsageError`` that names the argument.
+So is a polynomial degree above ``DEGREE_CAP``, a Laguerre n or the
+-alpha of a truncating 1F1: the exact sums cost more than n^2.5 in time,
+and far more for floats whose rationals are long.
 The truncating sum of ``hyp1f1`` and the Laguerre recurrence share no
 code, so that each can check the other.
 """
@@ -20,10 +23,15 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (ConvergenceError, PoleError, check_finite, check_int,
-                     check_positive)
+from .errors import (ConvergenceError, PoleError, UsageError, check_finite,
+                     check_int, check_positive)
 
 TERM_CAP = 10_000
+# the largest degree of an exact sum.  At 80 the slowest floats (a
+# parameter of 1.7e308 with a z of 5e-324, ~2100-bit rationals) took
+# 0.7 s in laguerre and 1.0-1.2 s in hyp1f1 on one 2-core x86-64 VM;
+# ordinary floats take milliseconds
+DEGREE_CAP = 80
 
 
 SeriesResult = namedtuple("SeriesResult", "value est_abs_error")
@@ -48,8 +56,11 @@ def _laguerre_exact(n, tau, z):
     exact rational arithmetic (every float is a rational, and the
     polynomial degree is small, so exactness is free and removes the
     cancellation loss near the polynomial's roots).  A degree n that is
-    not an int >= 0, or a non-finite tau or z, is a UsageError."""
+    not an int in [0, DEGREE_CAP], or a non-finite tau or z, is a
+    UsageError."""
     n = check_int(n, "laguerre's degree n", least=0)
+    if n > DEGREE_CAP:
+        raise UsageError(f"laguerre's degree n = {n} > {DEGREE_CAP}")
     check_finite(tau=tau, z=z)
     if n == 0:
         return Fraction(1)
@@ -72,11 +83,14 @@ def hyp1f1(alpha, b, z):
     terms for alpha < 0) they cancel, and the rounding relative to the
     largest term outweighs the tail.  A b within 1e-12 of a nonpositive
     integer is a pole unless the polynomial stops before it.  A non-finite
-    alpha, b or z is a UsageError, and a polynomial whose value is beyond a
-    double raises OverflowError.
+    alpha, b or z, and a polynomial degree -alpha above DEGREE_CAP, is a
+    UsageError, and a polynomial whose value is beyond a double raises
+    OverflowError.
     """
     check_finite(alpha=alpha, b=b, z=z)
     truncates = alpha <= 0 and float(alpha).is_integer()
+    if truncates and -alpha > DEGREE_CAP:
+        raise UsageError(f"1F1's degree -alpha = {-alpha} > {DEGREE_CAP}")
     n_stop = -round(alpha) if truncates else None
     if _is_nonpositive_int(b):
         if not (truncates and n_stop <= -round(b)):
@@ -125,7 +139,9 @@ def whittaker_m(beta, n, s):
     """M_{beta,n}(s) = e^{-s/2} s^{1/2+n} 1F1(1/2 + n - beta; 1 + 2n; s).
 
     The mirror M_{beta,-n} is this function with the sign of n flipped.
-    A non-finite beta or n, or an s outside (0, inf), is a UsageError.
+    A non-finite beta or n, an s outside (0, inf), or a beta - n - 1/2
+    that makes 1F1 a polynomial of degree above DEGREE_CAP, is a
+    UsageError.
     """
     check_positive(s=s)
     check_finite(beta=beta, n=n)

@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (NoBoundStateError, UsageError, check_int,
-                     check_mass_and_scale, check_positive)
+                     check_mass_and_scale, check_positive, finite_value)
 from .specfun import _laguerre_exact, laguerre
 
 
@@ -121,9 +121,7 @@ def eigenfunction_halfplane(beta, l, c, point):
         except OverflowError:
             size = math.inf     # |Psi| is beyond a double: raised below
         v = cmath.exp(-1j * c * x) * (-size if q < 0 else size)
-    if not cmath.isfinite(v):
-        raise OverflowError(f"eigenfunction value is not finite ({v})")
-    return v
+    return finite_value(v, "eigenfunction")
 
 
 def ground_state_flat(z, z0):

@@ -1,7 +1,7 @@
-"""RK4 dynamics, conserved-charge drift, and the circle fit."""
+"""RK4 dynamics, conserved-charge drift, and the orbit's period and circle
+in closed form from its charges."""
 
 import math
-import random
 from itertools import chain
 
 import numpy as np
@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvedhall import classical
-from curvedhall.errors import (DomainError, FitSingularError, UsageError,
-                               check_finite, check_int, check_positive,
-                               check_scale)
+from curvedhall.errors import (DomainError, UsageError, check_finite,
+                               check_int, check_positive, check_scale)
 from test_numverify import _within
 
 BETA, A = 4.0, 1.0
@@ -71,18 +70,6 @@ def test_charges_constant_along_orbit():
     assert all(v <= 1e-8 for v in drift.values()), drift
 
 
-def test_orbit_is_a_circle():
-    traj = classical.integrate_rk4(preset(), A, BETA, 2e-3, 3000)
-    cx, cy, r, rms = classical.circle_fit(traj)
-    assert rms / r <= 1e-6
-    # the exact orbit's circle, through three of its points
-    T = classical.estimate_period(preset(), A, BETA)
-    want = _circle_through(*(_exact_z(preset(), A, BETA, k * T / 3)
-                             for k in range(3)))
-    assert max(abs(g - w) for g, w in zip((cx, cy, r), want)) <= 1e-9
-    assert cy > r      # inside the upper half-plane: bounded
-
-
 def test_rk4_fourth_order_convergence():
     s0 = preset()
     t_end = 1.0
@@ -107,77 +94,6 @@ def test_domain_exit_flagged():
     traj = classical.integrate_rk4(s0, A, BETA, 1.0, 100)
     assert traj.domain_exit
     assert len(traj.states) < 101
-
-
-def test_circle_fit_rejects_collinear():
-    pts = [(float(k), 2.0 * k + 1.0) for k in range(30)]
-    with pytest.raises(FitSingularError):
-        classical.circle_fit(pts)
-
-
-def kasa_reference(pts):
-    """The fit as numpy computes it: the singular-value ratio of the centred
-    data that decides collinearity, and lstsq on the uncentred n x 3
-    system."""
-    pts = np.asarray(pts, dtype=float)
-    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    x, y = pts[:, 0], pts[:, 1]
-    A = np.column_stack([x, y, np.ones_like(x)])
-    (D, E, F), *_ = np.linalg.lstsq(A, -(x * x + y * y), rcond=None)
-    cx, cy = -D / 2.0, -E / 2.0
-    r = math.sqrt(cx * cx + cy * cy - F)
-    rms = float(np.sqrt(np.mean((np.hypot(x - cx, y - cy) - r) ** 2)))
-    return sv[-1] / max(sv[0], 1.0), (cx, cy, r, rms)
-
-
-def test_circle_fit_matches_lstsq_on_noisy_arcs():
-    rng = random.Random("kasa-arcs")
-    for _ in range(100):
-        cx, cy, r = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 5)
-        t0, span = rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 2 * math.pi)
-        n = rng.randint(10, 200)
-        noise = rng.choice((1e-6, 1e-4, 1e-2)) * r
-        pts = [(cx + r * math.cos(t0 + span * k / (n - 1)) + rng.gauss(0, noise),
-                cy + r * math.sin(t0 + span * k / (n - 1)) + rng.gauss(0, noise))
-               for k in range(n)]
-        _, want = kasa_reference(pts)
-        got = classical.circle_fit(pts)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-9 * abs(w)
-
-
-def test_circle_fit_collinearity_threshold_matches_svd():
-    # points within rho of a line, rho from 1e-13 to 1e-8 of the spread:
-    # rejected exactly where numpy's singular values put the ratio below
-    # 1e-12 max(sigma_max, 1), finite everywhere else; draws within a
-    # factor 2 of the threshold are skipped
-    rng = random.Random("kasa-lines")
-    seen = {"rejected": 0, "fitted": 0}
-    for _ in range(300):
-        rho = 10 ** rng.uniform(-13, -8)
-        scale = rng.choice((0.01, 1.0, 100.0))
-        th = rng.uniform(0, math.pi)
-        ox, oy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        pts = []
-        for _ in range(rng.randint(10, 100)):
-            t, off = rng.uniform(-1, 1) * scale, rng.gauss(0, 1) * rho * scale
-            pts.append((ox + t * math.cos(th) - off * math.sin(th),
-                        oy + t * math.sin(th) + off * math.cos(th)))
-        ratio, _ = kasa_reference(pts)
-        if ratio < 0.5e-12:
-            with pytest.raises(FitSingularError):
-                classical.circle_fit(pts)
-            seen["rejected"] += 1
-        elif ratio > 2e-12:
-            assert all(math.isfinite(v) for v in classical.circle_fit(pts))
-            seen["fitted"] += 1
-    assert min(seen.values()) >= 50, seen
-
-
-def test_circle_fit_rejects_non_finite_points():
-    pts = [(math.cos(k), math.sin(k)) for k in range(12)] + [(math.nan, 0.0)]
-    with pytest.raises(ValueError):
-        classical.circle_fit(pts)
 
 
 def test_csv_format():
@@ -228,13 +144,27 @@ def _circle_through(z1, z2, z3):
     return c.real, c.imag, abs(z1 - c)
 
 
+def test_orbit_is_a_circle():
+    # the exact orbit's circle, through three of its points
+    for s0, a, beta in ORBITS:
+        s0 = classical.PhaseState(*s0)
+        T = classical.estimate_period(s0, a, beta)
+        cx, cy, r = classical.orbit_circle(s0, a, beta)
+        want = _circle_through(*(_exact_z(s0, a, beta, k * T / 3)
+                                 for k in range(3)))
+        assert max(abs(g - w) for g, w in zip((cx, cy, r), want)) <= 1e-12 * r
+        assert cy > r      # inside the upper half-plane: bounded
+
+
 def _probe_period(s0, a, beta, probe_dt):
     """The period by angle winding, as ``estimate_period`` found it before
     the closed form: integrate until the polar angle about the circle
-    fitted to a warm-up run accumulates 2 pi, in at most 200 000 steps."""
+    through three states of a warm-up run accumulates 2 pi, in at most
+    200 000 steps.  Neither the charges nor ``orbit_circle`` enter."""
     warm = classical.integrate_rk4(s0, a, beta, probe_dt, 2000)
     assert not warm.domain_exit
-    cx, cy, _, _ = classical.circle_fit(warm)
+    cx, cy, _ = _circle_through(*(complex(s.x, s.y)
+                                  for s in warm.states[::1000]))
     x, y, px, py = s0.x, s0.y, s0.px, s0.py
     prev = math.atan2(y - cy, x - cx)
     acc = 0.0
@@ -292,12 +222,20 @@ def test_rk4_follows_the_exact_orbit(s0, a, beta):
     (PRESET, 1e200, BETA, OverflowError),      # 4 pi a^2 is inf
 ])
 def test_period_raises_where_there_is_none(s0, a, beta, error, monkeypatch):
-    # answered from the charges and the parameters, with no step taken
+    # answered from the charges and the parameters, with no step taken, and
+    # the same from the period and the circle
     monkeypatch.setattr(classical, "integrate_rk4", None)
-    with pytest.raises(error) as caught:
-        classical.estimate_period(classical.PhaseState(*s0), a, beta)
-    # a DomainError in place of a UsageError would call the orbit unbounded
-    assert caught.type is error
+    s0 = classical.PhaseState(*s0)
+    for f in (classical.estimate_period, classical.orbit_circle):
+        if f is classical.orbit_circle and a == 1e200:
+            # a scales time only: the circle is the a = 1 one
+            assert f(s0, a, beta) == f(s0, 1.0, beta)
+            continue
+        with pytest.raises(error) as caught:
+            f(s0, a, beta)
+        # a DomainError in place of a UsageError would call the orbit
+        # unbounded
+        assert caught.type is error
 
 
 @pytest.mark.parametrize("a, beta, dt", [
@@ -670,41 +608,24 @@ def test_sweep_drift_summary_and_csv(s0, a, beta, steps):
 
 @_SWEEP
 @given(s0=_states, a=_any, beta=_any)
+# a state at rest (H = 0) is its own fixed point: the circle is a point
+@example(s0=classical.PhaseState(0.0, 0.0, 1.0, -1.0, 0.0), a=1.0, beta=1.0)
 def test_sweep_estimate_period(s0, a, beta):
     with _within(5):
         try:
             T = classical.estimate_period(s0, a, beta)
         except (UsageError, OverflowError):
-            return
-    assert 0 < T < math.inf
-
-
-@_SWEEP
-@given(pts=st.lists(st.tuples(_any, _any), min_size=8, max_size=14))
-def test_sweep_circle_fit(pts):
-    with _within(5):
+            T = None
         try:
-            cx, cy, r, rms = classical.circle_fit(pts)
-        except ValueError:      # FitSingularError is one
-            return
-    assert _finite((cx, cy, r, rms)) and r > 0 and rms >= 0
-
-
-@_SWEEP
-@given(exp=st.integers(0, 308), phase=st.floats(0.0, 6.3))
-def test_circle_fit_on_large_circles(exp, phase):
-    # the fit's products reach the cube of the radius: a circle it can
-    # hold is fitted, and one whose products overflow raises ValueError,
-    # whatever the size of the coordinates themselves
-    radius = 10.0 ** exp
-    pts = [(radius * math.cos(phase + k), radius * math.sin(phase + k))
-           for k in range(10)]
-    try:
-        cx, cy, r, rms = classical.circle_fit(pts)
-    except ValueError:
-        assert exp > 100
-        return
-    assert abs(r - radius) <= 1e-9 * radius and rms <= 1e-9 * radius
+            cx, cy, r = circle = classical.orbit_circle(s0, a, beta)
+        except (UsageError, OverflowError):
+            circle = None
+    if T is not None:
+        assert 0 < T < math.inf
+    if circle is not None:
+        # cy - r = Im z* / (1 + q + sqrt(q (q + 2))) is below the rounding
+        # of cy once q passes 2^53, so cy = r may be the nearest floats
+        assert _finite(circle) and 0 <= r <= cy
 
 
 @pytest.mark.parametrize("call, error", [
@@ -725,18 +646,8 @@ def test_circle_fit_on_large_circles(exp, phase):
     (lambda: classical.estimate_period(
         classical.PhaseState(0.0, 1e145, 1.0, -1e10, 0.0), A, 1e10),
      OverflowError),
-    # finite points whose squares or sums overflow: a ZeroDivisionError,
-    # an OverflowError from fsum, and circles of nan and of inf
-    (lambda: classical.circle_fit([(1e308 * (-1) ** k, 0.0)
-                                   for k in range(10)]), ValueError),
-    (lambda: classical.circle_fit([(1e308, 1e308)] * 10), ValueError),
-    (lambda: classical.circle_fit([(1e300 * math.cos(k), 1e300 * math.sin(k))
-                                   for k in range(10)]), ValueError),
-    (lambda: classical.circle_fit([(1e103 * math.cos(k), 1e103 * math.sin(k))
-                                   for k in range(10)]), ValueError),
 ], ids=["cv-nan-beta", "cv-overflow", "drift-inf-H", "period-inf-L3",
-        "period-nan-det", "fit-zero-division", "fit-fsum", "fit-nan",
-        "fit-inf"])
+        "period-nan-det"])
 def test_sweep_findings_raise_their_documented_error(call, error):
     with pytest.raises(error) as caught:
         call()

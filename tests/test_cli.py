@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from curvedhall import cli
+from test_numverify import _within
 
 
 def run(capsys, *argv):
@@ -308,6 +309,15 @@ def test_overflow_names_the_eigenfunction(capsys):
                          "--c", "0.001", "--y", "1e3")
     assert (code, out) == (3, "")
     assert "eigenfunction value is not finite" in err
+
+
+def test_eigenfunction_degree_above_the_cap_is_a_usage_error(capsys):
+    # the exact Laguerre sum of degree 20000 ran past a 15 s timeout
+    with _within(2):
+        code, out, err = run(capsys, "eigenfunction", "--beta", "20001.5",
+                             "--l", "20000", "--c", "1", "--y", "1")
+    assert_rejected(code, out, err)
+    assert "degree n = 20000" in err
 
 
 @pytest.mark.parametrize("y", ["1e308", "1e62"])

@@ -5,10 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvedhall import geometry, models
 from curvedhall.errors import DomainError, UsageError
 from curvedhall.opalg import DiffOp
+from test_numverify import _within
 
 
 def test_halfplane_factor_and_domain():
@@ -289,3 +291,95 @@ def test_scalar_curvature_order_two_convergence():
     # halving the step should cut the error about 4x
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+
+
+# -- every public numeric function on hostile floats --------------------------
+
+_HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
+_any = st.one_of(st.sampled_from(_HOSTILE), st.floats(-10.0, 10.0))
+_SWEEP = settings(max_examples=60)
+
+
+def _metric(kind, param):
+    """make_metric's metric, or None where it raises its documented
+    DomainError; the parameter is a for the half-plane, rho for the disk."""
+    with _within(5):
+        try:
+            return geometry.make_metric(kind, a=param, rho=param)
+        except DomainError:
+            return None
+
+
+_kinds = st.sampled_from(["flat", "halfplane", "disk"])
+
+
+@_SWEEP
+@given(kind=_kinds, param=_any, x=_any, y=_any)
+def test_sweep_make_metric_and_inside(kind, param, x, y):
+    met = _metric(kind, param)
+    if met is not None:
+        assert met.inside((x, y)) in (True, False)
+
+
+@_SWEEP
+@given(kind=_kinds, param=_any, x=_any, y=_any)
+@example(kind="halfplane", param=1e308, x=1e308, y=5e-324)
+def test_sweep_factor_at(kind, param, x, y):
+    met = _metric(kind, param)
+    if met is None:
+        return
+    with _within(5):
+        try:
+            f = met.factor_at((x, y))
+        except (UsageError, OverflowError):
+            return
+    assert met.inside((x, y)) and 0 < f < math.inf
+
+
+@_SWEEP
+@given(kind=_kinds, param=_any, x=_any, y=_any, step=_any)
+@example(kind="flat", param=1.0, x=1e308, y=1e308, step=5e-324)
+def test_sweep_scalar_curvature_fd(kind, param, x, y, step):
+    met = _metric(kind, param)
+    if met is None:
+        return
+    with _within(5):
+        try:
+            R = geometry.scalar_curvature_fd(met, (x, y), step)
+        except (UsageError, OverflowError):
+            return
+    assert math.isfinite(R)
+
+
+def _halfplane(a=1.0):
+    return geometry.make_metric("halfplane", a=a)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # step^2 underflows to 0: a bare ZeroDivisionError
+    (lambda: geometry.scalar_curvature_fd(_halfplane(), (0.2, 1.4), 1e-170),
+     UsageError, "step"),
+    (lambda: geometry.scalar_curvature_fd(geometry.make_metric("flat"),
+                                          (1e308, 1e308), 5e-324),
+     UsageError, "step"),
+    # y + step == y, so the stencil did not move, and e^{-2s} overflowed in
+    # a bare "math range error"
+    (lambda: geometry.scalar_curvature_fd(_halfplane(), (0.0, 1e308), 1e-3),
+     UsageError, "step"),
+    # step**2 overflows: a bare "Numerical result out of range"
+    (lambda: geometry.scalar_curvature_fd(geometry.make_metric("flat"),
+                                          (0.0, 0.0), 1e200),
+     UsageError, "step"),
+    # R = -2/a^2 = -2e320 is beyond a double: "math range error"
+    (lambda: geometry.scalar_curvature_fd(_halfplane(1e-160), (0.2, 1.4), 1e-3),
+     OverflowError, "scalar curvature"),
+    # u = y/a underflows to 0: a bare ZeroDivisionError
+    (lambda: _halfplane(1e308).factor_at((1e308, 5e-324)),
+     OverflowError, "conformal factor"),
+], ids=["curvature-step-underflow", "curvature-flat-step-underflow",
+        "curvature-step-below-ulp", "curvature-step-overflow",
+        "curvature-overflow", "factor-underflow"])
+def test_sweep_findings_raise_their_documented_error(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert caught.type is error

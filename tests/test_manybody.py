@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvedhall import manybody
 from curvedhall.errors import DomainError, PauliViolationError, UsageError
+from test_numverify import _within
 
 
 def random_config(n, rng, z0=1.0):
@@ -194,3 +196,120 @@ def test_filling_quantized_rejects_non_integer_counts(n_particles, n_flux,
 def test_filling_factor_rejects_non_finite_input(n, b_field, area):
     with pytest.raises(DomainError):
         manybody.filling_factor(n, b_field, area)
+
+
+# -- every public numeric function on hostile floats --------------------------
+
+_HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
+_any = st.one_of(st.sampled_from(_HOSTILE), st.floats(-10.0, 10.0))
+# finite coordinates, hostile where a position allows it
+_coord = st.one_of(st.sampled_from([1e308, -1e308, 1e150, 1e60, 0.0, -0.0,
+                                    5e-324]), st.floats(-10.0, 10.0))
+_SWEEP = settings(max_examples=60)
+
+
+def _config(points, z0):
+    """A ParticleConfig, or None where it raises its documented
+    DomainError."""
+    with _within(5):
+        try:
+            cfg = manybody.ParticleConfig(points, z0)
+        except DomainError:
+            return None
+    assert all(map(cmath.isfinite, cfg.points)) and 0 < cfg.z0 < math.inf
+    return cfg
+
+
+_configs = st.builds(_config, st.lists(st.builds(complex, _coord, _coord),
+                                       min_size=0, max_size=13), _any)
+
+
+@_SWEEP
+@given(points=st.lists(st.builds(complex, _any, _any), max_size=13),
+       z0=_any)
+@example(points=[1e308 + 1e308j], z0=1.0)
+@example(points=[0j], z0=5e-324)
+def test_sweep_particle_config_and_gaussian(points, z0):
+    cfg = _config(points, z0)
+    if cfg is not None:
+        with _within(5):
+            g = cfg.gaussian()
+        assert 0.0 <= g <= 1.0
+
+
+@_SWEEP
+@given(cfg=_configs, orbitals=st.lists(st.integers(0, 40), max_size=13))
+def test_sweep_slater_lll(cfg, orbitals):
+    if cfg is None:
+        return
+    with _within(5):
+        try:
+            v = manybody.slater_lll(cfg, orbitals)
+        except (ValueError, OverflowError):  # UsageError, Pauli are ones
+            return
+    assert cmath.isfinite(v)
+
+
+@_SWEEP
+@given(cfg=_configs, m=st.integers(-2, 40))
+def test_sweep_laughlin_and_antisymmetry(cfg, m):
+    if cfg is None:
+        return
+    with _within(5):
+        try:
+            v = manybody.laughlin(cfg, m)
+        except (UsageError, OverflowError):
+            v = None
+        try:
+            ok = manybody.antisymmetry_check(cfg, m)
+        except (UsageError, OverflowError):
+            ok = None
+    assert v is None or cmath.isfinite(v)
+    assert ok in (None, True, False)
+
+
+@_SWEEP
+@given(n=_any, b_field=_any, area=_any)
+@example(n=1.0, b_field=1.0, area=1e-320)
+def test_sweep_filling_factor(n, b_field, area):
+    with _within(5):
+        try:
+            nu = manybody.filling_factor(n, b_field, area)
+        except (DomainError, OverflowError):
+            return
+    assert 0.0 <= nu < math.inf
+
+
+@_SWEEP
+@given(n=st.one_of(_any, st.integers(-5, 50)),
+       n_flux=st.one_of(_any, st.integers(-5, 50)))
+def test_sweep_filling_quantized(n, n_flux):
+    with _within(5):
+        try:
+            nu = manybody.filling_quantized(n, n_flux)
+        except UsageError:
+            return
+    assert nu == Fraction(n, n_flux)
+
+
+_FAR = manybody.ParticleConfig((1e60, -1e60, 1e60j, -1e60j, 2e60, 1e60 + 1e60j),
+                               1e200)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # N/S overflows: nu came back as inf
+    (lambda: manybody.filling_factor(1, 1, 1e-320), OverflowError,
+     "filling factor"),
+    # 4 z0^2 underflows to 0: the Gaussian raised ZeroDivisionError
+    (lambda: manybody.ParticleConfig((0j,), 5e-324), DomainError, "z0"),
+    # |z|^2 overflows: the Gaussian raised "Numerical result out of range"
+    (lambda: manybody.ParticleConfig((1e308 + 1e308j,), 1.0), DomainError,
+     "positions"),
+    # six points ~1e60 apart: a determinant of nan+nanj came back
+    (lambda: manybody.slater_lll(_FAR, range(6)), OverflowError, "Slater"),
+], ids=["filling-inf", "config-z0-underflow", "config-far-point",
+        "slater-nan"])
+def test_sweep_findings_raise_their_documented_error(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert caught.type is error

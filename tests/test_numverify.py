@@ -1553,3 +1553,48 @@ def test_quadrature_rejects_non_finite_input(call):
 def test_adaptive_simpson_smoke():
     val = numverify.adaptive_simpson(math.sin, 0.0, math.pi)
     assert val == pytest.approx(2.0, rel=1e-12)
+
+
+# -- the oracle's certificate in exact arithmetic ----------------------------
+
+def _exact_count(d, e, x):
+    """The number of eigenvalues below x of the tridiagonal matrix with
+    diagonal d and off-diagonal e, in exact rationals: the negative pivots
+    q_i = d_i - x - e_{i-1}^2 / q_{i-1} of T - x (Sylvester's law of
+    inertia).  Every float is a rational, so this is the count of the float
+    matrix itself.  A pivot that is exactly 0 has no sign to count: it
+    fails the test, rather than being stepped over."""
+    x = Fraction(x)
+    count, q = 0, None
+    for i, di in enumerate(d):
+        q = Fraction(di) - x - (Fraction(e[i - 1]) ** 2 / q if i else 0)
+        assert q != 0, f"exact zero pivot at row {i}, x = {float(x)!r}"
+        count += q < 0
+    return count
+
+
+def _assert_certified(d, e, mu):
+    """Each mu_j has exactly j eigenvalues below mu_j - 1e-9 and j + 1 below
+    mu_j + 1e-9, the claim |mu_j - lambda_j| <= 1e-9 of tridiag_eigs."""
+    for j, x in enumerate(mu):
+        assert (_exact_count(d, e, x - 1e-9),
+                _exact_count(d, e, x + 1e-9)) == (j, j + 1), (j, x)
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
+def test_certificates_hold_in_exact_arithmetic(beta):
+    # every bound level of the bench's beta values, at n = 400 (the exact
+    # counts cost ~n^2: 10 of them took 0.28 s at n = 500)
+    grid = numverify.FDGrid(1e-3, 80.0, 400)
+    spec = numverify.whittaker_oracle(
+        beta, grid, spectra.halfplane_level_count(beta))
+    _assert_certified(*numverify.whittaker_matrix(beta, grid), spec.mu)
+
+
+@pytest.mark.parametrize("d, sizes", [(0.0, range(2, 12)), (1.0, range(2, 8))])
+def test_certificates_hold_in_exact_arithmetic_on_zero_pivots(d, sizes):
+    # the matrices of test_tridiag_zero_pivots_against_closed_form, whose
+    # bisection hits exactly zero float pivots
+    for n in sizes:
+        _assert_certified([d] * n, [1.0] * (n - 1),
+                          numverify.tridiag_eigs([d] * n, [1.0] * (n - 1), n))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from curvedhall import specfun
 from curvedhall.errors import PoleError, UsageError
+from test_numverify import _within
 
 
 def test_laguerre_low_orders():
@@ -108,3 +109,29 @@ def test_polynomial_beyond_a_double_says_so(call):
     # each was a bare "integer division result too large for a float"
     with pytest.raises(OverflowError, match="beyond a double"):
         call()
+
+
+@pytest.mark.parametrize("call, degree", [
+    # 2.9 s at n = 4000 and growing as n^2.6: 20000 took minutes
+    (lambda: specfun.laguerre(20_000, 1.0, 1.0), "20000"),
+    (lambda: specfun.hyp1f1(-20_000.0, 1.0, 1.0), "20000"),
+    # alpha = -1e300 is a nonpositive integer: a sum of 1e300 terms
+    (lambda: specfun.whittaker_m(1e300, 1, 1.0), r"1e\+300"),
+], ids=["laguerre", "hyp1f1", "whittaker"])
+def test_degree_above_the_cap_is_a_usage_error_naming_it(call, degree):
+    with _within(2):
+        with pytest.raises(UsageError, match=rf"degree .*\b{degree}\b"):
+            call()
+
+
+def test_the_cap_is_the_largest_degree_summed():
+    n = specfun.DEGREE_CAP
+    with _within(2):
+        lag = specfun.laguerre(n, 1.0, 1.0)
+        f = specfun.hyp1f1(-n, 2.0, 1.0).value
+    # L_n^(1)(z) = (n + 1) 1F1(-n; 2; z)
+    assert lag == pytest.approx((n + 1) * f, rel=1e-12)
+    for call in (lambda: specfun.laguerre(n + 1, 1.0, 1.0),
+                 lambda: specfun.hyp1f1(-n - 1.0, 2.0, 1.0)):
+        with pytest.raises(UsageError, match=rf"degree .*\b{n + 1}\b"):
+            call()
