@@ -179,21 +179,29 @@ def scalar_curvature_fd(metric, point, step):
     K = -e^{-2s} (s_xx + s_yy); the Laplacian of s = ln(factor) = -ln u is
     taken with a second-order 5-point stencil.  Its step must be positive
     and finite, with a square that is neither 0 nor inf, and must move the
-    point in each coordinate (``UsageError``).  The errors of
-    ``factor_at`` apply at each stencil point (a point outside the domain
-    is its ``DomainError``), and a curvature that is not a finite float
-    raises ``OverflowError``.
+    point in each coordinate (``UsageError``).  So is a step too small
+    for ln u: each of the five values carries a rounding error up to
+    eps (1 + |s_i|), so the stencil's is 8 eps (1 + max |s_i|) / step^2,
+    and a step whose bound exceeds 1e-3 of the computed Laplacian returns
+    noise (at (0.3, 1.7) on the half-plane, a step of 1e-9 gave -0.0 for
+    R = -2).  A metric whose ln u is exactly 0, the flat one, has no
+    rounding and is exempt.  The errors of ``factor_at`` apply at each
+    stencil point (a point outside the domain is its ``DomainError``),
+    and a curvature that is not a finite float raises ``OverflowError``.
     """
     check_positive(step=step)
     x, y = point
-    s = lambda p: math.log(metric.factor_at(p))
     f0 = metric.factor_at(point)
-    s0 = math.log(f0)
     h2 = step * step
     stencil = [(x + step, y), (x - step, y), (x, y + step), (x, y - step)]
     if not 0 < h2 < math.inf or (x, y) in stencil:
         raise UsageError(f"step {step!r} must move {point}, with 0 < step^2 < inf")
-    lap = (s(stencil[0]) + s(stencil[1]) + s(stencil[2]) + s(stencil[3])
-           - 4.0 * s0) / h2
+    s = [math.log(f0)] + [math.log(metric.factor_at(p)) for p in stencil]
+    lap = (s[1] + s[2] + s[3] + s[4] - 4.0 * s[0]) / h2
+    # 1.8e-12 is 1e3 times 8 eps: the rounding bound must stay below 1e-3
+    # of the Laplacian
+    if any(s) and not 1.8e-12 * (1.0 + max(map(abs, s))) < h2 * abs(lap):
+        raise UsageError(f"step {step!r} is too small for ln u at {point}: "
+                         "its rounding swamps the stencil's Laplacian")
     # e^{-2s} = 1/f0^2 in two divisions, which overflow to inf, not raise
     return finite_value(-2.0 / f0 * (lap / f0), "scalar curvature")

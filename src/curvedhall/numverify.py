@@ -7,11 +7,11 @@ Agreement between these oracles and the closed forms in ``spectra`` is
 the cross-check the package exists for.
 
 The eigensolver does take the half-plane closed form as a seed: each bound
-level's Newton walk starts at the closed form plus its O(h^2) and O(h^4)
-lattice terms (with a measured O(h^3) term at an integer beta's top
-level, and an h^2 ln h term at a half-integer beta's al = 2 level),
-where the solver would otherwise bisect from a bracket around the whole
-spectrum first.  That seed lies within rounding of the
+level's Newton walk starts at ``lattice_model``, the closed form plus its
+O(h^2) and O(h^4) lattice terms (with a measured O(h^3) term at an
+integer beta's top level, and an h^2 ln h term at a half-integer beta's
+al = 2 level), where the solver would otherwise bisect from a bracket
+around the whole spectrum first.  That seed lies within rounding of the
 discrete eigenvalue, so a level's first walk is usually its last.  Each
 level is still kept only with a Sturm count certificate
 |mu - lambda_j| <= 1e-9 on the discrete matrix, so the seed buys speed
@@ -417,19 +417,26 @@ def wall_decay_exponent(beta, mu, s_max):
     the level by e^{-2S} times an amplitude (``wall_shift``).  S = 0 when
     the wall stands at or inside s_t.  Requires mu > -beta^2, which every
     level of the Whittaker matrix meets, since its eigenvalues exceed the
-    minimum of U, and a finite beta and s_max; UsageError otherwise.
+    minimum of U, and a finite beta > 0 and s_max; UsageError otherwise.
 
     With s = 2 beta + 2 r cosh t the integrand becomes
     r cosh t - beta - mu / (beta + r cosh t), whose antiderivative is
     elementary: artanh for mu < 0, arctan for mu > 0.
     """
     check_finite(beta=beta, s_max=s_max)
-    if not beta * beta + mu > 0.0:
-        raise UsageError(f"mu = {mu!r} must exceed -beta^2 = {-beta * beta!r}")
+    # at beta <= 0 there is no outer turning point and the artanh below
+    # leaves its domain, or r + beta divides by zero
+    if not (beta > 0.0 and beta * beta + mu > 0.0):
+        raise UsageError(f"need beta > 0 and mu > -beta^2, got beta = "
+                         f"{beta!r}, mu = {mu!r}")
     r = math.sqrt(beta * beta + mu)
     if s_max <= 2.0 * (beta + r):
         return 0.0
-    t = math.acosh((s_max - 2.0 * beta) / (2.0 * r))
+    w = s_max - 2.0 * beta
+    x = w / (2.0 * r)
+    # past x = 1e300, acosh x = ln 2x and r sinh t = r x to double
+    # precision; an x that overflowed made r sinh t - beta t inf - inf
+    t = math.acosh(x) if x < 1e300 else math.log(w) - math.log(r)
     half = math.tanh(0.5 * t)
     if mu < 0.0:
         last = 2.0 * math.sqrt(-mu) * math.atanh(
@@ -439,7 +446,7 @@ def wall_decay_exponent(beta, mu, s_max):
             math.sqrt((r - beta) / (r + beta)) * half)
     else:
         last = 0.0
-    return r * math.sinh(t) - beta * t + last
+    return (r * math.sinh(t) if x < 1e300 else 0.5 * w) - beta * t + last
 
 
 def wall_shift(beta, mu, s_max):
@@ -485,25 +492,45 @@ def whittaker_matrix(beta, grid):
     return diag, off
 
 
-def lattice_term(beta, l):
-    """C_l of the lattice eigenvalue mu_l(h) = mu_l + C_l h^2 + o(h^2) of
-    level l on ``whittaker_matrix``, mu_l = 1/4 - nu^2, nu = beta - l - 1/2:
+class LatticeModel(namedtuple("LatticeModel", "mu c2 c3 c4 log_a log_b")):
+    """The lattice eigenvalue of one level on ``whittaker_matrix``,
 
-        C_l = -[(2L+1) al^2 + 3(2l+1) al + 2 - 2L] / (64 (al-2)(al+2)),
+        mu_l(h) = mu + (c2 + log_a + log_b ln h + c4 h^2) h^2 + c3 h^3,
 
-    al = 2 nu, L = l(l+1).  At al = 1 (an integer beta, mu_l = 0) the
-    formula gives (l+1)/32: phi ~ s at the origin, so int (phi'')^2
-    converges, and the (al-1) of M_-2 and M_-3 cancels in the ratio.
-    There ``whittaker_oracle``'s seed also adds beta^2/64 h^3, a
-    coefficient measured by fit, not derived; a seed only decides where a
-    level's walk starts, and the level's Sturm count certificate alone
-    decides mu.  0.0 for the other al <= 2, where int (phi'')^2 diverges
-    and no h^2 term exists; at al = 2 it diverges like ln h, and
-    ``lattice_log_term`` gives that level's h^2 ln h term.  The O(h^4)
-    term is ``lattice_h4_term``.  This is the asymptotic correction of
-    finite-difference Sturm-Liouville eigenvalues (Paine, de Hoog &
-    Anderssen, Computing 26, 123, 1981), in closed form here because the
-    eigenfunctions are Laguerre functions:
+    as ``lattice_model`` builds it, with 0.0 for each term the level
+    lacks."""
+
+    __slots__ = ()
+
+    def at(self, h):
+        """The model at spacing h > 0, summed in the order the class
+        docstring writes it."""
+        h2 = h * h
+        return (self.mu + (self.c2 + self.log_a + self.log_b * math.log(h)
+                           + self.c4 * h2) * h2 + self.c3 * h2 * h)
+
+
+def lattice_model(beta, l):
+    """The ``LatticeModel`` of level l on ``whittaker_matrix``: the
+    half-plane closed form mu = 1/4 - nu^2, nu = beta - l - 1/2, plus the
+    lattice terms that al = 2 nu gives it.  They are the asymptotic
+    correction of finite-difference Sturm-Liouville eigenvalues (Paine,
+    de Hoog & Anderssen, Computing 26, 123, 1981), in closed form here
+    because the eigenfunctions are Laguerre functions.  With L = l(l+1)
+    and m = 2l + 1:
+
+    * c2 = C_l at al > 2 and at al = 1 (first order, below);
+    * c4 = D_l at al > 4 and at al = 3 (second order, below), and a
+      fitted cubic in beta at al = 1;
+    * c3 = beta^2/64 at al = 1, fitted;
+    * (log_a, log_b) = (A_l, B_l) at al = 2, B_l derived and A_l fitted;
+    * 0.0 for every other term.  At the other al <= 2 int (phi'')^2
+      diverges and there is no h^2 term; at al in (2, 4] other than 3
+      there is no h^4 term (at al = 4 it has a pole).
+
+    **C_l, the first order.**
+
+        C_l = -[(2L+1) al^2 + 3m al + 2 - 2L] / (64 (al-2)(al+2)).
 
     1. The central difference adds -(h^2/12) phi'''' to -phi''.
        First-order perturbation of A phi = mu W phi gives
@@ -517,25 +544,11 @@ def lattice_term(beta, l):
        M_-3 = (al^2 + (6l+3) al + 6l^2+6l+2)/((al-2)(al-1) al (al+1)(al+2)).
     4. The Gamma factor cancels, and the ratio reduces to C_l.
 
-    A non-finite beta, or an l that is not an int >= 0, is a
-    ``UsageError``.  Written with products, not **, so a huge finite
-    beta gives nan and does not raise.
-    """
-    check_finite(beta=beta)
-    l = check_int(l, "l", least=0)
-    al = 2.0 * beta - 2 * l - 1.0
-    if not (al > 2.0 or al == 1.0):
-        return 0.0
-    L = l * (l + 1)
-    return -((2 * L + 1) * al * al + 3 * (2 * l + 1) * al + 2 - 2 * L) \
-        / (64.0 * (al - 2.0) * (al + 2.0))
+    At al = 1 (an integer beta, mu = 0) the formula gives (l+1)/32:
+    phi ~ s at the origin, so int (phi'')^2 converges, and the (al-1) of
+    M_-2 and M_-3 cancels in the ratio.
 
-
-def lattice_h4_term(beta, l):
-    """D_l of the lattice eigenvalue mu_l(h) = mu_l + C_l h^2 + D_l h^4
-    + o(h^4) of level l on ``whittaker_matrix``, for al = 2 beta - 2 l - 1
-    > 4 or al = 3; at al = 1 the h^4 coefficient after (l+1)/32 h^2 +
-    beta^2/64 h^3; 0.0 for the other al.  With L = l(l+1), m = 2l + 1,
+    **D_l, the second order.**
 
         D_l = -N / (4096 (al^2 - 16)(al^2 - 4)^3),
         N = 2m(L+1) al^7 + 2(L^2+6L+2) al^6 - 15m(4L+5) al^5
@@ -543,9 +556,8 @@ def lattice_h4_term(beta, l):
             + 18(37L^2+182L+74) al^2 + 8m(119L+269) al
             - 8(73L^2-282L-124).
 
-    This is the second order of ``lattice_term``'s perturbation.  The
-    stencil is -d^2 - (h^2/12) d^4 - (h^4/360) d^6 + O(h^6); with
-    L = -d^2 + 1/4 - beta/s - mu_l/s^2, order h^2 gives
+    The stencil is -d^2 - (h^2/12) d^4 - (h^4/360) d^6 + O(h^6); with
+    L = -d^2 + 1/4 - beta/s - mu/s^2, order h^2 gives
     L phi_2 = (1/12) phi'''' + C_l phi/s^2, and order h^4 against phi
     gives D_l int phi^2/s^2 = (1/360) int (phi''')^2 - <phi_2, L phi_2>,
     whose s = 0 terms go like s^(al-4).  phi_2 is a phi + b phi' plus a
@@ -559,48 +571,20 @@ def lattice_h4_term(beta, l):
     [0.03, 0.12] gave -0.0048835, -0.021971, -0.058572, -0.21762 and
     -1.0464 at (beta, l) = (2, 0), (3, 1), (4, 2), (6, 4) and (10, 8),
     against -0.0048828, -0.021973, -0.058578, -0.21766 and -1.0465 here.
-    At al = 1 (mu_l = 0) the s = 0 end adds to the h^4 term, and D_l is
-    2.6155e-3 beta^3 - 9.138e-4 beta^2 - 3.19e-4 beta + 1.16e-4, fitted,
-    not derived, to 0.001486, 0.01676, 0.06156, 0.1516, 0.5302, 0.8502,
-    1.8299, 2.521 and 4.384 measured at beta = 1, 2, 3, 4, 6, 7, 9, 10
-    and 12 (mu(h) - (l+1)/32 h^2 - beta^2/64 h^3 fitted by
+
+    **The al = 1 terms, fitted.**  At al = 1 the s = 0 end adds an h^3
+    term and to the h^4 term: c3 = beta^2/64, and
+    c4 = 2.6155e-3 beta^3 - 9.138e-4 beta^2 - 3.19e-4 beta + 1.16e-4,
+    fitted, not derived, to 0.001486, 0.01676, 0.06156, 0.1516, 0.5302,
+    0.8502, 1.8299, 2.521 and 4.384 measured at beta = 1, 2, 3, 4, 6, 7,
+    9, 10 and 12 (mu(h) - (l+1)/32 h^2 - beta^2/64 h^3 fitted by
     D h^4 + E h^5 + F h^6 over 16 grids h in [0.008, 0.06],
-    s_max = 8 beta + 30); its largest miss is 1.7e-5.  A wrong D_l costs
-    Newton walks, never a different mu.
+    s_max = 8 beta + 30); its largest miss is 1.7e-5.
 
-    A non-finite beta, or an l that is not an int >= 0, is a
-    ``UsageError``.  Written with products, not **, so a huge finite
-    beta gives nan and does not raise.
-    """
-    check_finite(beta=beta)
-    l = check_int(l, "l", least=0)
-    al = 2.0 * beta - 2 * l - 1.0
-    if al == 1.0:
-        return ((2.6155e-3 * beta - 9.138e-4) * beta - 3.19e-4) * beta \
-            + 1.16e-4
-    if not (al > 4.0 or al == 3.0):
-        return 0.0
-    L, m = l * (l + 1), 2 * l + 1
-    num = 2 * m * (L + 1)
-    for c in (2 * (L * L + 6 * L + 2), -15 * m * (4 * L + 5),
-              -3 * (28 * L * L + 228 * L + 101), 6 * m * (31 * L - 9),
-              18 * (37 * L * L + 182 * L + 74), 8 * m * (119 * L + 269),
-              -8 * (73 * L * L - 282 * L - 124)):
-        num = num * al + c
-    a2 = al * al
-    return -num / (4096.0 * (a2 - 16.0) * (a2 - 4.0) * (a2 - 4.0)
-                   * (a2 - 4.0))
-
-
-def lattice_log_term(beta, l):
-    """(A_l, B_l) of the lattice eigenvalue
-    mu_l(h) = mu_l + (A_l + B_l ln h) h^2 + o(h^2) of level l on
-    ``whittaker_matrix`` at al = 2 beta - 2 l - 1 = 2 (a half-integer
-    beta, l = beta - 3/2, mu_l = -3/4); (0.0, 0.0) at any other al.
-
-    There phi = s^(3/2) e^(-s/2) L_l^(2)(s) gives
-    phi'' ~ (3/4) L_l^(2)(0) s^(-1/2), so int (phi'')^2 of
-    ``lattice_term`` diverges like -ln h at the stencil's cut-off s ~ h.
+    **The al = 2 log term** (a half-integer beta, l = beta - 3/2,
+    mu = -3/4).  There phi = s^(3/2) e^(-s/2) L_l^(2)(s) gives
+    phi'' ~ (3/4) L_l^(2)(0) s^(-1/2), so the first order's
+    int (phi'')^2 diverges like -ln h at the stencil's cut-off s ~ h.
     With L_l^(2)(0) = (l+1)(l+2)/2 = int phi^2/s^2, the shift
     -(h^2/12) int (phi'')^2 / int phi^2/s^2 gains B_l h^2 ln h,
 
@@ -612,22 +596,48 @@ def lattice_log_term(beta, l):
 
     within 2.6e-4 relative of -0.10120, -0.54069, -0.84378, -1.18542,
     -1.55619, -1.94819, -2.35462, -2.76952, -3.18756 and -3.60394,
-    measured at beta = 1.5, 3.5, 4.5, ..., 11.5 (mu(h) - mu_l -
+    measured at beta = 1.5, 3.5, 4.5, ..., 11.5 (mu(h) - mu -
     B_l h^2 ln h fitted by A h^2 + h^3 (E + E' ln h) + h^4 (F + F' ln h)
     over 16 grids h in [0.005, 0.06], s_max = 8 beta + 30).  The rest is
     O(h^3 ln h), above the walk's 1e-9 stop on the usual grids, so this
-    level still takes two walks; a wrong A_l costs walks, never a
-    different mu.
+    level still takes two walks.
 
-    A non-finite beta, or an l that is not an int >= 0, is a
-    ``UsageError``.
+    A wrong term costs Newton walks, never a different mu: the model only
+    decides where the oracle's walk of the level starts, and the level's
+    Sturm count certificate alone decides mu.  A non-finite beta, an l
+    that is not an int >= 0, and an l outside the bound-state window
+    l < beta - 1/2, where the closed form turns back down, are each a
+    ``UsageError``.  Written with float products, not **, so a huge
+    finite beta or l gives an inf or nan term and does not raise.
     """
     check_finite(beta=beta)
     l = check_int(l, "l", least=0)
-    if 2.0 * beta - 2 * l - 1.0 != 2.0:
-        return 0.0, 0.0
-    b = 3.0 * (l + 1) * (l + 2) / 128.0
-    return b * (math.log(beta) - 3.821 + (2.545 - 0.989 / beta) / beta), b
+    if not l < beta - 0.5:
+        raise UsageError(f"l = {l} lies outside the window l < beta - 1/2")
+    al = 2.0 * beta - 2 * l - 1.0
+    L, m = l * (l + 1.0), 2.0 * l + 1.0
+    c2 = c3 = c4 = log_a = log_b = 0.0
+    if al > 2.0 or al == 1.0:
+        c2 = -((2 * L + 1) * al * al + 3 * m * al + 2 - 2 * L) \
+            / (64.0 * (al - 2.0) * (al + 2.0))
+    if al == 1.0:
+        c3 = beta * beta / 64.0
+        c4 = ((2.6155e-3 * beta - 9.138e-4) * beta - 3.19e-4) * beta + 1.16e-4
+    elif al > 4.0 or al == 3.0:
+        num = 2 * m * (L + 1)
+        for c in (2 * (L * L + 6 * L + 2), -15 * m * (4 * L + 5),
+                  -3 * (28 * L * L + 228 * L + 101), 6 * m * (31 * L - 9),
+                  18 * (37 * L * L + 182 * L + 74), 8 * m * (119 * L + 269),
+                  -8 * (73 * L * L - 282 * L - 124)):
+            num = num * al + c
+        a2 = al * al
+        c4 = -num / (4096.0 * (a2 - 16.0) * (a2 - 4.0) * (a2 - 4.0)
+                     * (a2 - 4.0))
+    elif al == 2.0:
+        log_b = 3.0 * (l + 1) * (l + 2) / 128.0
+        log_a = log_b * (math.log(beta) - 3.821 + (2.545 - 0.989 / beta) / beta)
+    return LatticeModel(0.25 - (beta - l - 0.5) * (beta - l - 0.5),
+                        c2, c3, c4, log_a, log_b)
 
 
 def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
@@ -646,11 +656,9 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
     excluded singular neighborhood, below the first lattice node.
 
     Each bound level's Newton walk starts at its lattice eigenvalue
-    mu_l + C_l h^2 + D_l h^4 (``lattice_term``, ``lattice_h4_term``),
-    plus beta^2/64 h^3 at al = 2 beta - 2 l - 1 = 1 and
-    (A_l + B_l ln h) h^2 at al = 2 (``lattice_log_term``); the seed only
-    decides where the walk starts, and the Sturm count certificate of
-    ``tridiag_eigs`` decides mu.
+    ``lattice_model(beta, l).at(h)``; the seed only decides where the
+    walk starts, and the Sturm count certificate of ``tridiag_eigs``
+    decides mu.
 
     The right wall at s_max raises each level by at most ``wall_shift``.
     A level for which that exceeds 1e-3 of its energy mu + beta^2, or
@@ -665,27 +673,13 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"a grid of {grid.n_points} points holds at most "
             f"{grid.n_points} levels, {k_levels} requested")
     diag, off = whittaker_matrix(beta, grid)
-    # each bound level's Newton walk starts at its lattice eigenvalue
-    # mu_l + C_l h^2 + D_l h^4, mu_l = 1/4 - (beta - l - 1/2)^2, plus
-    # beta^2/64 h^3 at al = 1 and (A_l + B_l ln h) h^2 at al = 2; the
-    # fitted coefficients are checked by scripts/oracle_refinement_study.py.
-    # Past the window 0 <= l < beta - 1/2 the closed form turns back down,
-    # so a level beyond it gets no seed.  Products, not **: a huge beta
-    # gives an inf or nan seed, which takes no walk, and never an
-    # OverflowError
-    h = grid.h
-    h2 = h * h
-    log_h = math.log(h)
-    seed = []
-    for l in range(k_levels):
-        if not l < beta - 0.5:
-            break
-        a_l, b_l = lattice_log_term(beta, l)
-        seed.append(0.25 - (beta - l - 0.5) * (beta - l - 0.5)
-                    + (lattice_term(beta, l) + a_l + b_l * log_h
-                       + lattice_h4_term(beta, l) * h2) * h2
-                    + (beta * beta / 64.0 * h2 * h if beta - l == 1.0
-                       else 0.0))
+    # each bound level's Newton walk starts at its ``lattice_model``, whose
+    # fitted terms scripts/oracle_refinement_study.py checks.  Past the
+    # window 0 <= l < beta - 1/2 the closed form turns back down, so a
+    # level beyond it gets no seed.  A huge beta gives an inf or nan seed,
+    # which takes no walk
+    seed = [lattice_model(beta, l).at(grid.h) for l in range(k_levels)
+            if l < beta - 0.5]
     # all bound states sit below mu = 1/4: a level at or above it means the
     # grid resolves fewer bound states than requested
     mu = tridiag_eigs(diag, off, k_levels, guess=seed)
@@ -695,8 +689,7 @@ def whittaker_oracle(beta, grid, k_levels, m=1.0, a=1.0):
             f"{k_levels} requested")
     # the highest level reaches furthest out, so it is checked first
     s_max = grid.s_max
-    for j in range(len(mu) - 1, -1, -1):
-        v = mu[j]
+    for j, v in reversed(list(enumerate(mu))):
         shift = wall_shift(beta, v, s_max)
         if shift == math.inf:
             wall = s_max * s_max / 4.0 - beta * s_max

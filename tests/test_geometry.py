@@ -282,6 +282,21 @@ def test_scalar_curvature_disk():
     assert R == pytest.approx(-8.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("point, step", [
+    ((0.3, 1.7), 1e-9), ((0.0, 1e100), 1e85), ((0.3, 1.0), 1e-9)])
+def test_curvature_step_below_the_rounding_of_ln_u_is_refused(point, step):
+    # the stencil's Laplacian was its rounding noise: R came out -0.0 at
+    # the first two, where it is -2, and +2.0 at the third
+    with pytest.raises(UsageError, match="too small for ln u"):
+        geometry.scalar_curvature_fd(_halfplane(), point, step)
+    # the flat metric's ln u is exactly 0, with no rounding to refuse
+    flat = geometry.make_metric("flat")
+    assert geometry.scalar_curvature_fd(flat, point, step) == 0.0
+    # a step well above the floor still reads R = -2 at the first point
+    assert geometry.scalar_curvature_fd(_halfplane(), (0.3, 1.7), 1e-5) \
+        == pytest.approx(-2.0, abs=1e-4)
+
+
 def test_scalar_curvature_order_two_convergence():
     met = geometry.make_metric("halfplane", a=1.0)
     errs = []

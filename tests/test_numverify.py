@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvedhall import models, numverify, spectra
 from curvedhall.errors import (NonNormalizableError, ResolutionError,
@@ -661,7 +661,7 @@ def test_oracle_seeds_only_the_bound_window(monkeypatch):
 
 
 def test_lattice_term_is_the_moment_reduction():
-    """C_l of ``lattice_term`` is the first-order eigenvalue shift of the
+    """C_l, ``lattice_model``'s c2, is the first-order eigenvalue shift of the
     central difference, derived here for l = 0..5 in exact rational
     functions of al = 2 nu:
 
@@ -674,9 +674,9 @@ def test_lattice_term_is_the_moment_reduction():
        M_q = int s^{al+q} e^{-s} L^2 ds over Gamma(l+al+1)/l!.  Each M_q is
        built from the coefficients of L_l^(al) and
        int s^{al+p} e^{-s} ds = Gamma(al+p+1), a rising factorial over
-       Gamma(l+al+1), and must equal the closed forms ``lattice_term``
+       Gamma(l+al+1), and must equal the closed forms ``lattice_model``
        lists.
-    4. The ratio must equal the reduced C_l, and ``lattice_term`` must
+    4. The ratio must equal the reduced C_l, and ``lattice_model`` must
        evaluate it.
     """
     sympy = pytest.importorskip("sympy")
@@ -719,32 +719,22 @@ def test_lattice_term_is_the_moment_reduction():
         for beta in (l + 2, l + 2.75, l + 7.5, l + 40):
             x = sympy.Rational(Fraction(2 * beta - 2 * l - 1))
             want = reduced.numer(x) / reduced.denom(x)
-            assert numverify.lattice_term(beta, l) == pytest.approx(
+            assert numverify.lattice_model(beta, l).c2 == pytest.approx(
                 float(want), rel=1e-14)
         # al = 1: the (al-1) of M_-2 and M_-3 cancels in the reduced form,
         # whose value there is (l+1)/32
         assert reduced.numer(1) / reduced.denom(1) == sympy.Rational(l + 1, 32)
-        assert numverify.lattice_term(l + 1, l) == (l + 1) / 32, l
-    assert numverify.lattice_term(5.0, 4) == 5 / 32
+        assert numverify.lattice_model(l + 1, l).c2 == (l + 1) / 32, l
+    assert numverify.lattice_model(5.0, 4).c2 == 5 / 32
     # no h^2 term for the other al <= 2
-    assert numverify.lattice_term(2.5, 1) == 0.0
-    assert numverify.lattice_term(1.25, 0) == 0.0
+    assert numverify.lattice_model(2.5, 1).c2 == 0.0
+    assert numverify.lattice_model(1.25, 0).c2 == 0.0
 
 
-@pytest.mark.parametrize("beta, l, message", [
-    (math.nan, 0, "beta must be finite"),
-    (math.inf, 0, "beta must be finite"),
-    (5.0, -1, "l must be >= 0"),
-    (5.0, 2.5, "l must be an int"),
-])
-def test_lattice_term_rejects_bad_input(beta, l, message):
-    # each has no level l, so any number it gave would be a silent answer
-    with pytest.raises(UsageError, match=message):
-        numverify.lattice_term(beta, l)
 
 
 def test_lattice_h4_term_is_the_second_order_reduction():
-    """D_l of ``lattice_h4_term`` is the second-order eigenvalue shift of
+    """D_l, ``lattice_model``'s c4, is the second-order eigenvalue shift of
     the central difference, derived here for l = 0..4 in exact rational
     functions of al, with phi = s^P e^{-s/2} f(s), P = (al+1)/2, held as
     the Laurent polynomial f:
@@ -760,7 +750,7 @@ def test_lattice_h4_term_is_the_second_order_reduction():
        2 int phi^2/s^2.
     3. Each integral is a sum of int s^(al+1+j) e^-s ds = Gamma(al+2+j),
        taken over Gamma(al+1); the result must equal the closed form
-       (``h4_term``), and ``lattice_h4_term`` must evaluate it.
+       (``h4_term``), and ``lattice_model``'s c4 must evaluate it.
     """
     sympy = pytest.importorskip("sympy")
     K, al = sympy.field("al", sympy.QQ)
@@ -827,8 +817,8 @@ def test_lattice_h4_term_is_the_second_order_reduction():
             want = h4_term(b_x, l)
             assert got.numer(sympy.Rational(x)) / got.denom(
                 sympy.Rational(x)) == sympy.Rational(want), (l, x)
-            assert numverify.lattice_h4_term(float(b_x), l) == pytest.approx(
-                float(want), rel=1e-13), (l, x)
+            assert numverify.lattice_model(float(b_x), l).c4 \
+                == pytest.approx(float(want), rel=1e-13), (l, x)
 
 
 @pytest.mark.parametrize("beta, l, want", [
@@ -837,7 +827,8 @@ def test_lattice_h4_term_is_the_second_order_reduction():
 ])
 def test_lattice_log_term_is_the_al_two_level_only(beta, l, want):
     # B_l = 3 (l+1)(l+2)/128 at al = 2, and no log term at any other al
-    a, b = numverify.lattice_log_term(beta, l)
+    model = numverify.lattice_model(beta, l)
+    a, b = model.log_a, model.log_b
     assert b == want
     assert a == pytest.approx(log_term(beta, l, 1.0), rel=1e-14)
 
@@ -848,11 +839,26 @@ def test_lattice_log_term_is_the_al_two_level_only(beta, l, want):
     (5.0, -1, "l must be >= 0"),
     (5.0, 2.5, "l must be an int"),
     (5.0, True, "l must be an int"),
+    # past the window the closed form turns back down: no level l
+    (5.0, 5, "outside the window"),
+    (2.5, 2, "outside the window"),
+    # the old terms raised OverflowError: int too large to convert
+    pytest.param(5.0, 10 ** 400, "outside the window",
+                 id="5.0-10**400-outside the window"),
 ])
-@pytest.mark.parametrize("term", ["lattice_h4_term", "lattice_log_term"])
-def test_seed_terms_reject_bad_input(term, beta, l, message):
+def test_lattice_model_rejects_bad_input(beta, l, message):
+    # each has no level l, so any number it gave would be a silent answer
     with pytest.raises(UsageError, match=message):
-        getattr(numverify, term)(beta, l)
+        numverify.lattice_model(beta, l)
+
+
+def test_lattice_model_of_a_huge_level_gives_nan_terms():
+    # the old C_l multiplied the int L = l(l+1) ~ 1e600 by a float, an
+    # OverflowError; in floats the terms are nan and the closed form -inf
+    model = numverify.lattice_model(1e300, 10 ** 299)
+    assert model.mu == -math.inf
+    assert math.isnan(model.c2) and math.isnan(model.c4)
+    assert (model.c3, model.log_a, model.log_b) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("beta, s_max, ns", [
@@ -1463,6 +1469,87 @@ def test_wall_decay_exponent_rejects_non_finite_input(beta, mu, s_max):
         numverify.wall_shift(beta, mu, s_max)
 
 
+@pytest.mark.parametrize("beta, mu, s_max", [
+    # r + beta = 0 divided by zero, and the artanh left its domain
+    (-3.0, 5e-324, 1.0), (-3.0, -3.0, 1e308),
+    # acosh(inf) beta gave inf - inf, a nan
+    (0.0, 5e-324, 1e308),
+])
+def test_wall_functions_reject_beta_at_or_below_zero(beta, mu, s_max):
+    # no outer turning point: the Whittaker matrix has beta > 1/2
+    with pytest.raises(UsageError, match="need beta > 0"):
+        numverify.wall_decay_exponent(beta, mu, s_max)
+    with pytest.raises(UsageError, match="need beta > 0"):
+        numverify.wall_shift(beta, mu, s_max)
+
+
+def test_wall_decay_exponent_of_a_wall_beyond_any_cosh():
+    # (s_max - 2 beta)/(2 r) overflowed, and acosh(inf) beta - r sinh(inf)
+    # was nan, which passes the oracle's rel > 1e-3 wall test; S is about
+    # s_max/2 there, and e^-2S is 0
+    assert numverify.wall_decay_exponent(5e-324, 5e-324, 1e308) \
+        == pytest.approx(5e307, rel=1e-15)
+    assert numverify.wall_shift(5e-324, 5e-324, 1e308) == 0.0
+    # the two sides of x = 1e300 agree, with s_max/2 - beta t + ... on both
+    for beta, mu in ((1.0, 3.0), (2.0, -3.0), (5.0, 0.0)):
+        r = math.sqrt(beta * beta + mu)
+        near = [numverify.wall_decay_exponent(beta, mu,
+                                              2.0 * r * x + 2.0 * beta)
+                for x in (0.999999e300, 1.000001e300)]
+        assert near[1] == pytest.approx(near[0] * 1.000001 / 0.999999,
+                                        rel=1e-12), (beta, mu)
+
+
+_wall_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0,
+                     -0.0, 5e-324, -5e-324, 1.0, -3.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100)
+@given(beta=_wall_floats, mu=_wall_floats, s_max=_wall_floats)
+@example(beta=0.0, mu=5e-324, s_max=1e308)
+@example(beta=5e-324, mu=5e-324, s_max=1e308)
+@example(beta=-3.0, mu=5e-324, s_max=1.0)
+@example(beta=-3.0, mu=-3.0, s_max=1e308)
+def test_sweep_wall_decay_exponent(beta, mu, s_max):
+    with _within(5):
+        try:
+            S = numverify.wall_decay_exponent(beta, mu, s_max)
+        except UsageError:
+            return
+    assert 0.0 <= S < math.inf
+
+
+@settings(max_examples=100)
+@given(beta=_wall_floats, mu=_wall_floats, s_max=_wall_floats)
+@example(beta=5e-324, mu=5e-324, s_max=1e308)
+def test_sweep_wall_shift(beta, mu, s_max):
+    with _within(5):
+        try:
+            shift = numverify.wall_shift(beta, mu, s_max)
+        except UsageError:
+            return
+    assert 0.0 <= shift <= math.inf
+
+
+@settings(max_examples=100)
+@given(beta=_wall_floats,
+       l=st.one_of(st.integers(), st.sampled_from(
+           [True, False, 2.5, math.nan, -1, 10 ** 400, 10 ** 299])))
+@example(beta=1e300, l=10 ** 299)
+@example(beta=5.0, l=10 ** 400)
+def test_sweep_lattice_model(beta, l):
+    with _within(5):
+        try:
+            model = numverify.lattice_model(beta, l)
+        except UsageError:
+            return
+        seed = model.at(0.01)
+    assert isinstance(model, numverify.LatticeModel)
+    assert isinstance(seed, float)
+
+
 def _mu_at_h(beta, s_max, levels, h=0.02):
     n = round(s_max / h) - 1
     diag, off = numverify.whittaker_matrix(
@@ -1559,17 +1646,30 @@ def test_adaptive_simpson_smoke():
 
 def _exact_count(d, e, x):
     """The number of eigenvalues below x of the tridiagonal matrix with
-    diagonal d and off-diagonal e, in exact rationals: the negative pivots
-    q_i = d_i - x - e_{i-1}^2 / q_{i-1} of T - x (Sylvester's law of
-    inertia).  Every float is a rational, so this is the count of the float
-    matrix itself.  A pivot that is exactly 0 has no sign to count: it
-    fails the test, rather than being stepped over."""
-    x = Fraction(x)
-    count, q = 0, None
+    diagonal d and off-diagonal e, in exact arithmetic: the sign changes
+    of the leading principal minors p_i = det(T_i - x),
+    p_i = (d_i - x) p_{i-1} - e_{i-1}^2 p_{i-2}, whose ratios are the
+    pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1} of T - x (Sylvester's law of
+    inertia).  Every float is a rational with a power-of-two denominator,
+    so with x and every entry scaled by the largest of those the minors
+    are integers of the same signs, and no gcd is taken (a Fraction
+    recurrence of the pivots took 4 to 6 times as long at n = 400).  This
+    is the count of the float matrix itself.  A pivot that is exactly 0
+    has no sign to count: the count is None then, which fails every
+    comparison with an int, rather than being stepped over."""
+    scale = max(v.as_integer_ratio()[1] for v in (x, *d, *e))
+
+    def exact(v):
+        num, den = v.as_integer_ratio()
+        return num * (scale // den)
+    xs = exact(x)
+    count, p, prev = 0, 1, 0
     for i, di in enumerate(d):
-        q = Fraction(di) - x - (Fraction(e[i - 1]) ** 2 / q if i else 0)
-        assert q != 0, f"exact zero pivot at row {i}, x = {float(x)!r}"
-        count += q < 0
+        b = exact(e[i - 1]) ** 2 if i else 0
+        p, prev = (exact(di) - xs) * p - b * prev, p
+        if p == 0:
+            return None
+        count += (p < 0) != (prev < 0)
     return count
 
 
@@ -1582,12 +1682,22 @@ def _assert_certified(d, e, mu):
 
 
 @pytest.mark.parametrize("beta", [2.5, 5.0, 8.0])
-def test_certificates_hold_in_exact_arithmetic(beta):
+def test_certificates_hold_in_exact_arithmetic(beta, monkeypatch):
     # every bound level of the bench's beta values, at n = 400 (the exact
-    # counts cost ~n^2: 10 of them took 0.28 s at n = 500)
+    # counts cost ~n^2: 10 of them took 0.28 s at n = 500, and the bench's
+    # n >= 4000 would take seconds a count).  As on the bench cells, each
+    # level below the top takes its certificate count in a pass shared
+    # with the next level's first Newton step
+    shared, fused = [], numverify._sturm_count_slope
+
+    def recorded(d, e2, y, x):
+        shared.append(y)
+        return fused(d, e2, y, x)
+    monkeypatch.setattr(numverify, "_sturm_count_slope", recorded)
     grid = numverify.FDGrid(1e-3, 80.0, 400)
     spec = numverify.whittaker_oracle(
         beta, grid, spectra.halfplane_level_count(beta))
+    assert len(shared) == len(spec.mu) - 1
     _assert_certified(*numverify.whittaker_matrix(beta, grid), spec.mu)
 
 
@@ -1598,3 +1708,38 @@ def test_certificates_hold_in_exact_arithmetic_on_zero_pivots(d, sizes):
     for n in sizes:
         _assert_certified([d] * n, [1.0] * (n - 1),
                           numverify.tridiag_eigs([d] * n, [1.0] * (n - 1), n))
+
+
+def test_certificates_hold_in_exact_arithmetic_when_a_shared_pass_fails():
+    # the matrix of test_merged_bisection_is_the_old_solver_when_a_shared_
+    # pass_fails: level 0's walk is rejected in a shared pass and bisected
+    diag, off = [0.0, 1.0, 2.0, 3.4, 10.0, 10.5, 30.0], [1e-3] * 6
+    _assert_certified(diag, off,
+                      numverify.tridiag_eigs(diag, off, 7, guess=[0.5, 1.0]))
+
+
+# multiples of 2^-30: the exact minors of n rows are about n times as long
+# as the entries' common denominator (at 2^-1074, 40 rows took milliseconds a
+# count), and integers draw faster than floats
+_dyadic_entries = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-3]),
+    st.integers(-5 * 2 ** 30, 5 * 2 ** 30).map(lambda k: k / 2 ** 30))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_certificates_hold_in_exact_arithmetic_on_drawn_matrices(data, n):
+    # |x - lambda_j| <= 1e-9 is the claim: at most j eigenvalues below
+    # x - 1e-9 and more than j below x + 1e-9, a cluster of close or
+    # repeated ones included.  The guesses send walks to wrong roots,
+    # which only the certificate turns away
+    diag = data.draw(st.lists(_dyadic_entries, min_size=n, max_size=n))
+    off = data.draw(st.lists(_dyadic_entries, min_size=n - 1, max_size=n - 1))
+    k = data.draw(st.integers(1, n))
+    guess = data.draw(st.lists(st.one_of(st.floats(-8.0, 8.0),
+                                         st.just(math.nan)), max_size=n))
+    for j, x in enumerate(numverify.tridiag_eigs(diag, off, k, guess)):
+        below = _exact_count(diag, off, x - 1e-9)
+        above = _exact_count(diag, off, x + 1e-9)
+        assume(below is not None and above is not None)
+        assert below <= j < above, (j, x)
