@@ -838,7 +838,35 @@ def test_lattice_log_term_is_the_al_two_level_only(beta, l, want):
     (math.inf, 0, "beta must be finite"),
     (5.0, -1, "l must be >= 0"),
     (5.0, 2.5, "l must be an int"),
+])
+def test_lattice_term_rejects_bad_input(beta, l, message):
+    # the h^2 term C_l is the model's c2; each has no level l, so any
+    # number it gave would be a silent answer
+    with pytest.raises(UsageError, match=message):
+        numverify.lattice_model(beta, l).c2
+
+
+SEED_TERMS = {
+    "lattice_h4_term": lambda model: model.c4,
+    "lattice_log_term": lambda model: (model.log_a, model.log_b),
+}
+
+
+@pytest.mark.parametrize("beta, l, message", [
+    (math.nan, 0, "beta must be finite"),
+    (math.inf, 0, "beta must be finite"),
+    (5.0, -1, "l must be >= 0"),
+    (5.0, 2.5, "l must be an int"),
     (5.0, True, "l must be an int"),
+])
+@pytest.mark.parametrize("term", sorted(SEED_TERMS))
+def test_seed_terms_reject_bad_input(term, beta, l, message):
+    # the h^4 term D_l and the al = 2 log term (A_l, B_l) of the model
+    with pytest.raises(UsageError, match=message):
+        SEED_TERMS[term](numverify.lattice_model(beta, l))
+
+
+@pytest.mark.parametrize("beta, l, message", [
     # past the window the closed form turns back down: no level l
     (5.0, 5, "outside the window"),
     (2.5, 2, "outside the window"),
